@@ -392,7 +392,8 @@ def _point_rows(spec: SweepSpec, axis_value: float) -> list[list[str]]:
                             )
                             for variant in spec.variants:
                                 value, err = _evaluate(
-                                    cfg, metric, variant, gth, spec
+                                    cfg, metric, variant, gth,
+                                    spec.mc_samples, spec.mc_seed, spec.mc_mode,
                                 )
                                 rows.append([
                                     spec.axis, _fmt(axis_value), metric, variant,
@@ -405,7 +406,8 @@ def _point_rows(spec: SweepSpec, axis_value: float) -> list[list[str]]:
 
 
 def _evaluate(
-    cfg: LinkConfig, metric: str, variant: str, gamma_th: float, spec: SweepSpec
+    cfg: LinkConfig, metric: str, variant: str, gamma_th: float,
+    mc_samples: int, mc_seed: int, mc_mode: str,
 ) -> tuple[float, float]:
     if variant == "exact":
         if metric == CAPACITY:
@@ -435,13 +437,13 @@ def _evaluate(
     # are reproducible independent of evaluation order (stable hash; the
     # builtin hash() is salted per process)
     key = "|".join([
-        str(spec.mc_seed), metric, str(cfg.n_cells),
+        str(mc_seed), metric, str(cfg.n_cells),
         f"{cfg.fading.m:.17g}", f"{cfg.fading.m_s:.17g}",
         f"{cfg.lambda_mod:.17g}", f"{cfg.eta():.17g}", f"{gamma_th:.17g}",
     ])
     digest = hashlib.sha256(key.encode()).digest()
     sub = int.from_bytes(digest[:8], "big")
-    mc = McConfig(n_samples=spec.mc_samples, seed=sub, mode=spec.mc_mode)
+    mc = McConfig(n_samples=mc_samples, seed=sub, mode=mc_mode)
     est = mc_metric(cfg, metric, mc, gamma_th=gamma_th)
     return est.mean, est.std_error
 
@@ -613,13 +615,10 @@ def _metrics_command(args) -> int:
         beta=args.beta, lambda_mod=args.lam,
     )
     gth = snr_threshold_from_db(args.gamma_th_db) if args.metric == OUTAGE else float("nan")
-    spec = SweepSpec(
-        axis="eta_db", start=0.0, stop=1.0, steps=2, metrics=(args.metric,),
-        mc_samples=args.mc_samples, mc_seed=args.seed,
-        mc_mode=MODEL_DRAW if args.mc_mode == "model" else PHYSICAL_DRAW,
-        n0_dbm=args.n0_dbm, r_d=args.r_d, beta=args.beta, g_bar=args.g_bar,
+    mode = MODEL_DRAW if args.mc_mode == "model" else PHYSICAL_DRAW
+    value, err = _evaluate(
+        cfg, args.metric, args.variant, gth, args.mc_samples, args.seed, mode
     )
-    value, err = _evaluate(cfg, args.metric, args.variant, gth, spec)
     axis_value = args.eta_db if args.eta_db is not None else args.p_s_dbm
     axis = "eta_db" if args.eta_db is not None else "p_s_dbm"
     w = csv.writer(sys.stdout, lineterminator="\n")
@@ -712,10 +711,7 @@ def main(argv=None) -> int:
         if args.command == "selftest":
             return selftest()
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, FileNotFoundError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
+    except (ConfigError, DomainError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

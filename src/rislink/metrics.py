@@ -46,6 +46,7 @@ from .specfun import (
 )
 
 _LN2 = math.log(2.0)
+_EPS = float(np.finfo(float).eps)
 
 CLOSED_FORM = "closed_form"
 ASYMPTOTIC = "asymptotic"
@@ -254,32 +255,40 @@ def outage(cfg: LinkConfig, gamma_th: float) -> MetricResult:
     a = model.n_cells * (cfg.fading.m + cfg.fading.m_s)
 
     def tail_weight_log(shape_lo: float, shape_hi: float, arg: float):
-        """log of C y^s 2F1(a, s; 1+s; -y) for the CDF-style kernel."""
+        """log of C y^s 2F1(a, s; 1+s; -y) for the CDF-style kernel, the
+        2F1 path, and the rounding bound of the log-space sum."""
         if arg < 1.0 and abs(a * shape_lo * arg / (1.0 + shape_lo)) <= 1.0:
             log_f = math.log(gauss_2f1(a, shape_lo, 1.0 + shape_lo, -arg))
             how = "direct_series"
         else:
             log_f = _log_2f1_pfaff(a, shape_lo, 1.0 + shape_lo, -arg)
             how = "pfaff"
-        log_w = (
-            gammaln(nm + nms)
-            - gammaln(1.0 + shape_lo)
-            - gammaln(shape_hi)
-            + shape_lo * math.log(arg)
-            + log_f
+        terms = (
+            gammaln(nm + nms),
+            gammaln(1.0 + shape_lo),
+            gammaln(shape_hi),
+            shape_lo * math.log(arg),
+            log_f,
         )
-        return log_w, how
+        log_w = terms[0] - terms[1] - terms[2] + terms[3] + terms[4]
+        # each term is good to about two ulps of its own size
+        rounding = 2.0 * _EPS * float(sum(abs(t) for t in terms))
+        return log_w, how, rounding
 
     if y <= 2.0:
-        log_value, path = tail_weight_log(nm, nms, y)
+        log_value, path, _ = tail_weight_log(nm, nms, y)
+        tail_err = 0.0
     else:
         # deep-threshold regime: the reciprocal channel power follows the
         # same family with the shape pair swapped, so the complementary
         # probability has a fast-converging small-argument series
-        log_tail, how = tail_weight_log(nms, nm, 1.0 / y)
+        log_tail, how, rounding = tail_weight_log(nms, nm, 1.0 / y)
         tail = math.exp(log_tail) if log_tail > -700.0 else 0.0
         log_value = math.log1p(-tail) if tail < 1.0 else -math.inf
         path = f"complement_{how}"
+        # 1 - tail inherits the tail's absolute error: relative to the
+        # value, the tail's own error times the cancellation tail/(1 - tail)
+        tail_err = tail * max(1e-12, rounding)
     value = math.exp(log_value) if log_value > math.log(UNDERFLOW_FLOOR) else 0.0
     diagnostics = {"log_value": log_value, "hyp_path": path}
     if value == 0.0 and log_value > -math.inf:
@@ -291,7 +300,7 @@ def outage(cfg: LinkConfig, gamma_th: float) -> MetricResult:
     return MetricResult(
         value=value,
         method=CLOSED_FORM,
-        error_estimate=abs(value) * 1e-12,
+        error_estimate=abs(value) * 1e-12 + tail_err,
         diagnostics=diagnostics,
     )
 

@@ -2,14 +2,12 @@
 
 Gamma-family wrappers, the Gaussian Q-function, the Gauss hypergeometric
 function for non-positive argument, and a numerical Meijer G evaluator.
-The Meijer G strategy is three-tiered:
+The Meijer G evaluator has two tiers:
 
   1. the elementary G^{1,1}_{1,1} reduction to a binomial kernel,
-  2. the residue (power) series over the right-hand pole family when all
-     of those poles are simple and the series is convergent and stable,
-  3. numerical Mellin-Barnes integration along a vertical contour placed
+  2. numerical Mellin-Barnes integration along a vertical contour placed
      at the saddle of the integrand magnitude inside the pole-separating
-     gap.
+     gap, for every other parameter set.
 
 Every gamma product is assembled in log space with sign tracking; values
 whose magnitude overflows a double are still available through the
@@ -178,7 +176,6 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
 # Meijer G
 # ---------------------------------------------------------------------------
 
-RESIDUE_SERIES = "residue_series"
 CONTOUR_QUADRATURE = "contour_quadrature"
 CLOSED_IDENTITY = "closed_identity"
 
@@ -235,16 +232,6 @@ class MeijerGSpec:
     def q(self) -> int:
         return len(self.b_front) + len(self.b_rest)
 
-    def reflected(self) -> "MeijerGSpec":
-        """The argument-inversion twin G^{n,m}_{q,p}(1/z | 1-b; 1-a)."""
-        return MeijerGSpec(
-            a_front=tuple(1.0 - b for b in self.b_front),
-            a_rest=tuple(1.0 - b for b in self.b_rest),
-            b_front=tuple(1.0 - a for a in self.a_front),
-            b_rest=tuple(1.0 - a for a in self.a_rest),
-            argument=1.0 / self.argument,
-        )
-
 
 @dataclass
 class EvalReport:
@@ -292,147 +279,6 @@ def _try_closed_identity(spec: MeijerGSpec) -> EvalReport | None:
     sign = float(_gammasgn(s))
     log_abs = float(_gammaln(s)) + b * math.log(z) - s * math.log1p(z)
     return _report(log_abs, sign, 1e-14, CLOSED_IDENTITY)
-
-
-def _simple_right_poles(spec: MeijerGSpec) -> bool:
-    bf = spec.b_front
-    for i in range(len(bf)):
-        for j in range(len(bf)):
-            if i == j:
-                continue
-            d = bf[i] - bf[j]
-            if d >= -1e-9 and abs(d - round(d)) < 1e-9:
-                return False
-    return True
-
-
-def _series_applicable(spec: MeijerGSpec) -> bool:
-    if not _simple_right_poles(spec):
-        return False
-    if spec.p < spec.q:
-        return True
-    return spec.p == spec.q and spec.argument < 1.0
-
-
-def _log_gamma_signed(x: float) -> tuple[float, float]:
-    """(log|Gamma(x)|, sign) for real non-pole x; (inf, 0) at a pole."""
-    if x > 0.0:
-        return float(_gammaln(x)), 1.0
-    if abs(x - round(x)) < 1e-300 or x == 0.0:
-        return math.inf, 0.0
-    # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
-    s = math.sin(math.pi * x)
-    log_abs = math.log(math.pi) - math.log(abs(s)) - float(_gammaln(1.0 - x))
-    return log_abs, math.copysign(1.0, s)
-
-
-def _try_residue_series(spec: MeijerGSpec) -> EvalReport | None:
-    """Sum residues over the b_front pole families (ascending powers of z).
-
-    Valid when those poles are all simple and the series converges
-    (p < q for any argument, p = q for argument < 1).  Each family is
-    summed on its own scale and may only stop once past the near-pole
-    hump region (terms can decay, regrow around k where a gamma argument
-    crosses zero, then decay for good).  A cancellation guard spanning
-    the per-family sums rejects evaluations where the families cancel
-    each other beyond the accuracy target, letting the caller fall
-    through to the contour.
-    """
-    if not _series_applicable(spec):
-        return None
-    z = spec.argument
-    log_z = math.log(z)
-    family_sums = []
-    max_abs = 0.0
-    terms_used = 0
-    for h, bh in enumerate(spec.b_front):
-        others = [b for i, b in enumerate(spec.b_front) if i != h]
-        # gamma arguments of the form (x - k) cross zero at k ~ x; no
-        # early stop before every crossing is safely passed
-        humps = [b - bh for b in others] + [a - bh for a in spec.a_front]
-        k_min = int(max(0.0, max(humps, default=0.0))) + 8
-        fam = 0.0
-        tail_small = 0
-        last_abs = math.inf
-        for k in range(MAX_SERIES_TERMS):
-            u = bh + k
-            log_mag = -float(_gammaln(k + 1.0)) + u * log_z
-            sign = 1.0 if k % 2 == 0 else -1.0
-            ok = True
-            for b in others:
-                lg, s = _log_gamma_signed(b - u)
-                if s == 0.0:
-                    ok = False  # coincident pole; should not happen, bail out
-                    break
-                log_mag += lg
-                sign *= s
-            if not ok:
-                return None
-            for a in spec.a_front:
-                lg, s = _log_gamma_signed(1.0 - a + u)
-                if s == 0.0:
-                    return None  # pinch; construction should have rejected
-                log_mag += lg
-                sign *= s
-            zero_term = False
-            for b in spec.b_rest:
-                x = 1.0 - b + u
-                if x <= 0.0 and abs(x - round(x)) < 1e-12:
-                    zero_term = True  # 1/Gamma(nonpositive integer) = 0
-                    break
-                lg, s = _log_gamma_signed(x)
-                log_mag -= lg
-                sign *= s
-            if not zero_term:
-                for a in spec.a_rest:
-                    x = a - u
-                    if x <= 0.0 and abs(x - round(x)) < 1e-12:
-                        zero_term = True
-                        break
-                    lg, s = _log_gamma_signed(x)
-                    log_mag -= lg
-                    sign *= s
-            terms_used += 1
-            if zero_term:
-                term = 0.0
-            else:
-                if log_mag > 700.0:
-                    return None  # would overflow; contour path handles it
-                term = sign * math.exp(log_mag)
-            fam += term
-            max_abs = max(max_abs, abs(term))
-            if (
-                k >= k_min
-                and abs(term) <= 1e-16 * max(abs(fam), 1e-300)
-                and abs(term) <= last_abs
-            ):
-                tail_small += 1
-                if tail_small >= 3:
-                    break
-            else:
-                tail_small = 0
-            last_abs = abs(term)
-        else:
-            raise NumericError(
-                f"Meijer G residue series did not converge within "
-                f"{MAX_SERIES_TERMS} terms for {spec}"
-            )
-        family_sums.append(fam)
-    total = math.fsum(family_sums)
-    scale = max([max_abs] + [abs(f) for f in family_sums])
-    cancellation = scale / max(abs(total), 1e-300)
-    rel_err = 1e-16 * cancellation * max(terms_used, 1)
-    if rel_err > 1e-10:
-        return None  # too much cancellation; defer to the contour
-    if total == 0.0:
-        return _report(-math.inf, 0.0, 0.0, RESIDUE_SERIES, terms=terms_used)
-    return _report(
-        math.log(abs(total)),
-        math.copysign(1.0, total),
-        rel_err,
-        RESIDUE_SERIES,
-        terms=terms_used,
-    )
 
 
 class _MellinBarnesIntegrand:
@@ -528,9 +374,8 @@ def _contour_quadrature(spec: MeijerGSpec) -> EvalReport:
     def panel(t0: float, t1: float, depth: int) -> tuple[float, float]:
         half = 0.5 * (t0 + t1)
         scale = 0.5 * (t1 - t0)
-        mid = 0.5 * (t0 + t1)
         coarse = scale * float(
-            np.dot(_GL_WEIGHTS, chi.on_line(c, mid + scale * _GL_NODES, w0))
+            np.dot(_GL_WEIGHTS, chi.on_line(c, half + scale * _GL_NODES, w0))
         )
         fine = 0.0
         for (a0, a1) in ((t0, half), (half, t1)):
@@ -592,22 +437,14 @@ def _contour_quadrature(spec: MeijerGSpec) -> EvalReport:
 
 
 def meijer_g(spec: MeijerGSpec) -> EvalReport:
-    """Evaluate G^{m,n}_{p,q} per the three-tier strategy.
+    """Evaluate G^{m,n}_{p,q} on the positive real axis.
 
-    The residue series is also attempted on the reflected spec
-    (argument 1/z with rows negated and swapped) when the direct
-    orientation does not converge; the contour is the reference path
-    and handles every parameter set with a separating gap and an
-    exponentially decaying integrand.
+    G^{1,1}_{1,1} takes its elementary closed form; every other spec
+    goes to the Mellin-Barnes contour, which handles each parameter set
+    with a separating gap and an exponentially decaying integrand and
+    raises otherwise.
     """
     report = _try_closed_identity(spec)
-    if report is not None:
-        return report
-    report = _try_residue_series(spec)
-    if report is not None:
-        return report
-    refl = spec.reflected()
-    report = _try_residue_series(refl)
     if report is not None:
         return report
     return _contour_quadrature(spec)

@@ -30,7 +30,7 @@ from .fading import (
     MODEL_DRAW,
     PHYSICAL_DRAW,
     FadingParams,
-    _sum_log_pdf,
+    SumFadingModel,
     sample_sum,
 )
 from .metrics import (
@@ -43,6 +43,8 @@ from .metrics import (
 )
 
 _SQRT2 = math.sqrt(2.0)
+_LN2 = math.log(2.0)
+_EPS = float(np.finfo(float).eps)
 QUAD_LIMIT = 400  # subdivision cap per quad call; ~30 evals each
 
 CAPACITY = "capacity"
@@ -80,32 +82,92 @@ class CiEstimate:
     n: int
 
 
-def _quad_unit(f, description: str) -> tuple[float, float]:
-    """Adaptive quadrature of f over (0, 1) with loud failure."""
-    val, err = quad(f, 0.0, 1.0, epsabs=1e-13, epsrel=1e-11, limit=QUAD_LIMIT)
-    if not np.isfinite(val):
-        raise NumericError(f"quadrature failed for {description}")
-    return val, err
+def _peak_normalized_quad(
+    log_h, what: str, u_peak: float | None = None, u_hi: float | None = None
+) -> tuple[float, float]:
+    """log of the integral of exp(log_h(u)) du, and its relative error.
+
+    The integrand is normalized by its peak, found numerically unless the
+    caller knows it in closed form, so the quadrature stays relatively
+    accurate however far the integral lies outside double range.  The
+    support runs where log_h lies within 100 of the peak, cut at u_hi;
+    a cut far beyond the support would let quad miss a narrow peak.
+    """
+    if u_peak is None:
+        peak = minimize_scalar(lambda u: -log_h(u), method="bounded",
+                               bounds=(-400.0, 400.0),
+                               options={"xatol": 1e-10})
+        u_peak = float(peak.x)
+    h_peak = log_h(u_peak)
+
+    def edge(direction: float) -> float:
+        step = 1.0
+        while log_h(u_peak + direction * step) > h_peak - 100.0:
+            step *= 2.0
+            if step > 1e6:
+                raise NumericError(f"{what} integrand support did not close")
+        return u_peak + direction * step
+
+    u_top = edge(+1.0) if u_hi is None else min(u_hi, edge(+1.0))
+    val, err = quad(lambda u: math.exp(log_h(u) - h_peak), edge(-1.0), u_top,
+                    epsabs=1e-13, epsrel=1e-11, limit=QUAD_LIMIT)
+    if not (np.isfinite(val) and val > 0.0):
+        raise NumericError(f"quadrature failed for {what} integral")
+    return h_peak + math.log(val), err / val
+
+
+def _quad_result(
+    model: SumFadingModel, log_front: float, log_integral: float, rel_err: float,
+    upper: float, what: str,
+) -> MetricResult:
+    """exp(log_front + log_integral) / B(Nm, Nms); raises above ``upper``.
+
+    The error estimate also carries the rounding of the log-space sum,
+    each term good to a few ulps of its own size: at large N that
+    rounding, not the quadrature, limits the accuracy.
+    """
+    lgammas = [math.lgamma(x) for x in (model.nm, model.nms, model.nm + model.nms)]
+    ln_b = lgammas[0] + lgammas[1] - lgammas[2]
+    log_value = log_front - ln_b + log_integral
+    rel_err += 8.0 * _EPS * (
+        abs(log_front) + sum(abs(t) for t in lgammas) + abs(log_integral)
+    )
+    value = math.exp(log_value) if log_value > -700.0 else 0.0
+    err = rel_err * value
+    if value > upper + err:
+        raise NumericError(
+            f"{what} quadrature gave {value!r}, above its bound {upper!r} "
+            f"by more than its error estimate {err:.3e}"
+        )
+    return MetricResult(value=value, method=QUADRATURE, error_estimate=err,
+                        diagnostics={"log_value": log_value})
+
+
+def _log_softplus(s: float) -> float:
+    """log(log(1 + e^s)), equal to s to double precision far below zero."""
+    return math.log(float(np.logaddexp(0.0, s))) if s > -700.0 else s
 
 
 def quad_capacity(cfg: LinkConfig) -> MetricResult:
-    """E[log2(1 + eta g)] by adaptive quadrature, g = t/(1-t) mapped."""
+    """E[log2(1 + eta g)] by peak-normalized adaptive quadrature.
+
+    On the axis u = ln(xi g) the expectation is B(Nm, Nms)^-1 times the
+    integral of ln(1 + (eta/xi) e^u) e^(Nm u) (1 + e^u)^(-A) du,
+    A = N(m + m_s).  Bounded above by Jensen's log2(1 + eta E[g]).
+    """
     model = cfg.model()
     eta = cfg.eta()
+    nm = model.nm
+    a_tot = model.n_cells * (cfg.fading.m + cfg.fading.m_s)
+    log_z = math.log(eta) - math.log(model.xi)
 
-    def integrand(t: float) -> float:
-        if t <= 0.0 or t >= 1.0:
-            return 0.0
-        g = t / (1.0 - t)
-        lf = _sum_log_pdf(model, np.asarray(g))
-        return math.log1p(eta * g) * math.exp(float(lf)) / (1.0 - t) ** 2
+    def log_h(u: float) -> float:
+        return _log_softplus(log_z + u) + nm * u - a_tot * float(np.logaddexp(0.0, u))
 
-    val, err = _quad_unit(integrand, "capacity integral")
-    return MetricResult(
-        value=val / math.log(2.0),
-        method=QUADRATURE,
-        error_estimate=err / math.log(2.0),
-        diagnostics={"log_value": math.log(max(val, 1e-320)) - math.log(math.log(2.0))},
+    log_integral, rel_err = _peak_normalized_quad(log_h, "capacity")
+    return _quad_result(
+        model, -math.log(_LN2), log_integral, rel_err,
+        math.log1p(eta * model.mean()) / _LN2, "capacity",
     )
 
 
@@ -121,19 +183,14 @@ def quad_ber(cfg: LinkConfig) -> MetricResult:
     out of the density leaves the integral of
     Q(sqrt(2x)) x^(Nm-1) (1 + eps x)^(-A).  It is evaluated on the log
     axis u = ln x, whose Jacobian makes the integrand peak interior for
-    every parameter combination; the peak is located numerically, the
-    integrand normalized by it, and the support cut where the log drops
-    100 below the top.  Exact on the log scale even when the BER
-    underflows doubles.
+    every parameter combination.  Exact on the log scale even when the
+    BER underflows doubles.
     """
     model = cfg.model()
     eta_lam = cfg.eta() * cfg.lambda_mod
     nm = model.nm
     a_tot = model.n_cells * (cfg.fading.m + cfg.fading.m_s)
     log_eps = math.log(model.xi) - math.log(eta_lam)
-    ln_b = (
-        math.lgamma(nm) + math.lgamma(model.nms) - math.lgamma(nm + model.nms)
-    )
 
     def log_h(u: float) -> float:
         # log of the u-axis integrand, overflow-safe via logaddexp
@@ -143,41 +200,8 @@ def quad_ber(cfg: LinkConfig) -> MetricResult:
             - a_tot * float(np.logaddexp(0.0, log_eps + u))
         )
 
-    peak = minimize_scalar(
-        lambda u: -log_h(u), bounds=(-400.0, 400.0), method="bounded",
-        options={"xatol": 1e-10},
-    )
-    u_star = float(peak.x)
-    h_star = -float(peak.fun)
-
-    def edge(direction: float) -> float:
-        step = 1.0
-        u = u_star
-        while log_h(u + direction * step) > h_star - 100.0:
-            step *= 2.0
-            if step > 1e6:
-                raise NumericError("BER integrand support did not close")
-        return u + direction * step
-
-    u_lo, u_hi = edge(-1.0), edge(+1.0)
-    val, err = quad(
-        lambda u: math.exp(log_h(u) - h_star),
-        u_lo,
-        u_hi,
-        epsabs=1e-13,
-        epsrel=1e-11,
-        limit=QUAD_LIMIT,
-    )
-    if not (np.isfinite(val) and val > 0.0):
-        raise NumericError("quadrature failed for BER integral")
-    log_value = nm * log_eps - ln_b + h_star + math.log(val)
-    value = math.exp(log_value) if log_value > -700.0 else 0.0
-    return MetricResult(
-        value=value,
-        method=QUADRATURE,
-        error_estimate=(err / val) * value,
-        diagnostics={"log_value": log_value},
-    )
+    log_integral, rel_err = _peak_normalized_quad(log_h, "BER")
+    return _quad_result(model, nm * log_eps, log_integral, rel_err, 0.5, "BER")
 
 
 def quad_outage(cfg: LinkConfig, gamma_th: float) -> MetricResult:
@@ -186,8 +210,7 @@ def quad_outage(cfg: LinkConfig, gamma_th: float) -> MetricResult:
     Substituting g = v e^u and factoring (xi v)^Nm / B leaves the
     integral of exp(h(u)) over u <= 0 with
     h(u) = Nm u - A log(1 + xi v e^u), a concave function whose maximum
-    is known in closed form; normalizing by the peak keeps the
-    quadrature relatively accurate at any outage depth.
+    is known in closed form.
     """
     if gamma_th <= 0.0:
         raise DomainError(f"gamma_th must be positive, got {gamma_th}")
@@ -196,42 +219,14 @@ def quad_outage(cfg: LinkConfig, gamma_th: float) -> MetricResult:
     nm = model.nm
     a_tot = model.n_cells * (cfg.fading.m + cfg.fading.m_s)
     log_xiv = math.log(model.xi) + math.log(v)
-    ln_b = (
-        math.lgamma(nm) + math.lgamma(model.nms) - math.lgamma(nm + model.nms)
-    )
 
     def h(u: float) -> float:
         return nm * u - a_tot * float(np.logaddexp(0.0, log_xiv + u))
 
     # stationary point of h: xi v e^u = Nm / (A - Nm), clamped to u <= 0
     u_star = min(0.0, math.log(nm / (a_tot - nm)) - log_xiv)
-    h_star = h(u_star)
-
-    u_lo = u_star - 1.0
-    step = 1.0
-    while h(u_lo) > h_star - 100.0:
-        step *= 2.0
-        u_lo = u_star - step
-        if step > 1e6:
-            raise NumericError("outage integrand support did not close")
-    val, err = quad(
-        lambda u: math.exp(h(u) - h_star),
-        u_lo,
-        0.0,
-        epsabs=1e-13,
-        epsrel=1e-11,
-        limit=QUAD_LIMIT,
-    )
-    if not (np.isfinite(val) and val > 0.0):
-        raise NumericError("quadrature failed for outage integral")
-    log_value = nm * log_xiv - ln_b + h_star + math.log(val)
-    value = math.exp(log_value) if log_value > -700.0 else 0.0
-    return MetricResult(
-        value=value,
-        method=QUADRATURE,
-        error_estimate=(err / val) * value,
-        diagnostics={"log_value": log_value},
-    )
+    log_integral, rel_err = _peak_normalized_quad(h, "outage", u_peak=u_star, u_hi=0.0)
+    return _quad_result(model, nm * log_xiv, log_integral, rel_err, 1.0, "outage")
 
 
 _CHUNK = 1 << 18

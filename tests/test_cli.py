@@ -194,6 +194,13 @@ class TestMain:
             6.0317707987276533, rel=1e-6
         )
 
+    def test_metrics_exact_ignores_mc_settings(self, capsys):
+        # MC settings are validated only where the mc variant uses them
+        assert main(["metrics", "--metric", "ber", "--mc-samples", "5000"]) == 0
+        assert main([
+            "metrics", "--metric", "ber", "--variant", "mc", "--mc-samples", "5000",
+        ]) == 2
+
     def test_bad_config_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(MINIMAL + "\n[link]\nm_s = 0.5\n")

@@ -178,6 +178,15 @@ class TestOutage:
         assert deep.diagnostics["hyp_path"].startswith("complement")
         assert deep.value == pytest.approx(1.0, abs=1e-6)
 
+    def test_complement_error_estimate_covers_cancellation(self):
+        # 1 - tail loses digits as the tail nears 1; the reference is
+        #   mpmath.betainc(2560, 768, 0, y / (1 + y), regularized=True)
+        # at 40 digits, y = gamma_th xi / eta = 2 (10/768) / 0.01
+        cfg = LinkConfig.from_eta(0.01, FadingParams(10.0, 3.0), 256)
+        r = outage(cfg, 2.0)
+        assert r.diagnostics["hyp_path"].startswith("complement")
+        assert abs(r.value - 4.2045067767614467e-10) <= r.error_estimate
+
     def test_domain(self):
         with pytest.raises(DomainError):
             outage(cfg_eta(1.0), 0.0)

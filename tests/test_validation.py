@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from rislink.errors import DomainError
+from rislink import validation
+from rislink.errors import DomainError, NumericError
 from rislink.fading import MODEL_DRAW, PHYSICAL_DRAW, FadingParams
 from rislink.metrics import LinkConfig, avg_ber, avg_capacity, outage
 from rislink.validation import (
@@ -55,6 +56,32 @@ class TestQuadCapacity:
     def test_near_asymptote_point(self):
         assert quad_capacity(cfg_eta(100.0)).value == pytest.approx(5.9597, abs=0.08)
 
+    # Reference capacities at m = 2.5, m_s = 3, from a 30-digit trapezoid
+    # rule on the u = ln(xi g) axis (geometrically convergent here):
+    #
+    #   import mpmath as mp
+    #   mp.mp.dps = 30
+    #   def capacity(n, m, m_s, eta_db):
+    #       nm, nms = n * mp.mpf(m), n * mp.mpf(m_s)
+    #       z = mp.mpf(10) ** (mp.mpf(eta_db) / 10) * nms / m    # eta / xi
+    #       dens = lambda u: mp.exp(nm * u - (nm + nms) * mp.log1p(mp.exp(u))) \
+    #           / mp.beta(nm, nms)
+    #       u0, s = mp.log(nm / nms), mp.sqrt(1 / nm + 1 / nms)
+    #       us = [u0 + j * s / 20 for j in range(-600, 601)]   # +-30 sigma
+    #       assert abs(sum(dens(u) for u in us) * s / 20 - 1) < 1e-25
+    #       return sum(mp.log1p(z * mp.exp(u)) * dens(u) for u in us) \
+    #           * s / 20 / mp.log(2)
+    @pytest.mark.parametrize("n,eta_db,ref", [
+        (256, 0.0, 8.0054453620820067),
+        (256, 30.0, 17.965601988395296),
+        (1024, 0.0, 10.001361775588183),
+        (1024, 30.0, 19.965738725759278),
+    ])
+    def test_large_n_matches_reference(self, n, eta_db, ref):
+        r = quad_capacity(cfg_eta(10.0 ** (eta_db / 10.0), FadingParams(2.5, 3.0), n))
+        assert r.value == pytest.approx(ref, rel=1e-9)
+        assert abs(r.value - ref) <= r.error_estimate
+
 
 class TestQuadBer:
     def test_deep_noise(self):
@@ -95,9 +122,35 @@ class TestQuadOutage:
         lc = outage(cfg, 6.382).diagnostics["log_value"]
         assert abs(math.expm1(lc - lq)) <= 1e-6
 
+    def test_narrow_peak_far_below_threshold(self):
+        # at N = 1024 the density is a spike 21 units below the cut u = 0;
+        # integrating all the way up to the cut misses it
+        r = quad_outage(cfg_eta(1e-12, FadingParams(10.0, 50.0), 1024), 2.0)
+        assert abs(r.value - 1.0) <= r.error_estimate
+
     def test_domain(self):
         with pytest.raises(DomainError):
             quad_outage(cfg_eta(1.0), -2.0)
+
+
+class TestRangeGuard:
+    @pytest.mark.parametrize("oracle,args", [
+        (quad_capacity, (cfg_eta(100.0),)),
+        (quad_ber, (cfg_eta(1e-2),)),
+        (quad_outage, (cfg_eta(0.1), 2.0)),
+    ])
+    def test_out_of_range_value_raises(self, monkeypatch, oracle, args):
+        # an integrand off by a factor e pushes each value past its
+        # feasible range: Jensen's bound, 1/2 and 1
+        good = validation._peak_normalized_quad
+
+        def broken(log_h, *a, **kw):
+            return good(lambda u: log_h(u) + 1.0, *a, **kw)
+
+        oracle(*args)
+        monkeypatch.setattr(validation, "_peak_normalized_quad", broken)
+        with pytest.raises(NumericError, match="above its bound"):
+            oracle(*args)
 
 
 class TestMcMetric:
