@@ -38,6 +38,7 @@ from scipy.special import gammaln
 from .errors import DomainError
 from .fading import FadingParams, SumFadingModel
 from .specfun import (
+    EvalReport,
     MeijerGSpec,
     _log_2f1_pfaff,
     digamma,
@@ -150,20 +151,42 @@ def _capacity_g_spec(model: SumFadingModel, eta: float) -> MeijerGSpec:
     )
 
 
+def _log_assembly(
+    log_terms: tuple[float, ...], report: EvalReport
+) -> tuple[float, float, dict]:
+    """log of the prefactor terms times G, its relative error, diagnostics.
+
+    The error adds the rounding of the log-space sum, each term good to
+    a few ulps of its own size, to the evaluator's own bound.
+    """
+    log_value = sum(log_terms) + report.log_abs_value
+    g_rel = report.details["rel_error"]
+    rel = g_rel + 8.0 * _EPS * (
+        sum(abs(t) for t in log_terms) + abs(report.log_abs_value)
+    )
+    diagnostics = {
+        "log_value": log_value,
+        "g_method": report.method,
+        "g_evals": report.details.get("evals", 0),
+        "g_rel_error": g_rel,
+    }
+    return log_value, rel, diagnostics
+
+
 def avg_capacity(cfg: LinkConfig) -> MetricResult:
     """Average capacity in bits/s/Hz, Meijer G closed form."""
     model = cfg.model()
     eta = cfg.eta()
     report = meijer_g(_capacity_g_spec(model, eta))
-    log_value = model.log_lambda_norm - math.log(model.xi) - math.log(_LN2) \
-        + report.log_abs_value
+    log_value, rel, diagnostics = _log_assembly(
+        (model.log_lambda_norm, -math.log(model.xi), -math.log(_LN2)), report
+    )
     value = math.exp(log_value)
-    rel = report.details.get("rel_error", 0.0)
     return MetricResult(
         value=value,
         method=CLOSED_FORM,
         error_estimate=value * rel,
-        diagnostics={"log_value": log_value, "g_method": report.method},
+        diagnostics=diagnostics,
     )
 
 
@@ -192,14 +215,14 @@ def avg_ber(cfg: LinkConfig) -> MetricResult:
     model = cfg.model()
     eta_lam = cfg.eta() * cfg.lambda_mod
     report = meijer_g(_ber_g_spec(model, eta_lam))
-    log_value = (
-        model.log_lambda_norm
-        - math.log(eta_lam)
-        - math.log(2.0 * math.sqrt(math.pi))
-        + report.log_abs_value
+    log_value, rel, diagnostics = _log_assembly(
+        (
+            model.log_lambda_norm,
+            -math.log(eta_lam),
+            -math.log(2.0 * math.sqrt(math.pi)),
+        ),
+        report,
     )
-    rel = report.details.get("rel_error", 0.0)
-    diagnostics = {"log_value": log_value, "g_method": report.method}
     value = math.exp(log_value) if log_value > math.log(UNDERFLOW_FLOOR) else 0.0
     if value == 0.0 and log_value > -math.inf:
         diagnostics["underflow"] = True
@@ -244,7 +267,8 @@ def outage(cfg: LinkConfig, gamma_th: float) -> MetricResult:
 
     The hypergeometric factor runs through the Pfaff-mapped positive
     series whenever the plain series would not converge or would cancel
-    badly; diagnostics record which path produced it.
+    badly; for y > 2 the complementary probability is summed instead
+    while it is at most 1/2.  Diagnostics record which path produced it.
     """
     if not (np.isfinite(gamma_th) and gamma_th > 0.0):
         raise DomainError(f"gamma_th must be positive and linear, got {gamma_th}")
@@ -275,20 +299,25 @@ def outage(cfg: LinkConfig, gamma_th: float) -> MetricResult:
         rounding = 2.0 * _EPS * float(sum(abs(t) for t in terms))
         return log_w, how, rounding
 
-    if y <= 2.0:
-        log_value, path, _ = tail_weight_log(nm, nms, y)
-        tail_err = 0.0
-    else:
+    tail = 1.0  # no complement for y <= 2
+    if y > 2.0:
         # deep-threshold regime: the reciprocal channel power follows the
         # same family with the shape pair swapped, so the complementary
         # probability has a fast-converging small-argument series
         log_tail, how, rounding = tail_weight_log(nms, nm, 1.0 / y)
         tail = math.exp(log_tail) if log_tail > -700.0 else 0.0
-        log_value = math.log1p(-tail) if tail < 1.0 else -math.inf
+    if tail <= 0.5:
+        # while the tail is the smaller side, 1 - tail cancels at most
+        # one bit; it inherits the tail's absolute error
+        log_value = math.log1p(-tail)
         path = f"complement_{how}"
-        # 1 - tail inherits the tail's absolute error: relative to the
-        # value, the tail's own error times the cancellation tail/(1 - tail)
         tail_err = tail * max(1e-12, rounding)
+        rel_err = 1e-12
+    else:
+        # summed directly, nothing cancels
+        log_value, path, rounding = tail_weight_log(nm, nms, y)
+        tail_err = 0.0
+        rel_err = max(1e-12, rounding)
     value = math.exp(log_value) if log_value > math.log(UNDERFLOW_FLOOR) else 0.0
     diagnostics = {"log_value": log_value, "hyp_path": path}
     if value == 0.0 and log_value > -math.inf:
@@ -300,7 +329,7 @@ def outage(cfg: LinkConfig, gamma_th: float) -> MetricResult:
     return MetricResult(
         value=value,
         method=CLOSED_FORM,
-        error_estimate=abs(value) * 1e-12 + tail_err,
+        error_estimate=abs(value) * rel_err + tail_err,
         diagnostics=diagnostics,
     )
 

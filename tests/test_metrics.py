@@ -9,6 +9,8 @@ from rislink.errors import DomainError
 from rislink.fading import FadingParams, SumFadingModel, sum_cdf
 from rislink.metrics import (
     LinkConfig,
+    _ber_g_spec,
+    _capacity_g_spec,
     avg_ber,
     avg_ber_asymptotic,
     avg_capacity,
@@ -18,6 +20,7 @@ from rislink.metrics import (
     power_from_dbm,
     snr_threshold_from_db,
 )
+from rislink.specfun import meijer_g
 from rislink.validation import quad_ber, quad_capacity
 
 F15 = FadingParams(m=1.0, m_s=5.0)
@@ -121,6 +124,11 @@ class TestBer:
         cfg = cfg_eta(100.0)
         assert avg_ber(cfg).value == pytest.approx(quad_ber(cfg).value, rel=1e-6)
 
+    def test_large_n_matches_quadrature(self):
+        # N = 256 with a near-Gaussian gamma product along the contour
+        cfg = cfg_eta(0.01, FadingParams(2.5, 50.0), 256)
+        assert avg_ber(cfg).value == pytest.approx(quad_ber(cfg).value, rel=1e-6)
+
     def test_near_asymptote(self):
         exact = avg_ber(cfg_eta(100.0)).value
         assert exact <= 1.15 * 2.5e-3 and exact >= 2.5e-3 / 1.15
@@ -147,6 +155,40 @@ class TestBerAsymptotic:
         bpsk = avg_ber_asymptotic(cfg_eta(100.0, F15, n, lam=1.0)).value
         bfsk = avg_ber_asymptotic(cfg_eta(100.0, F15, n, lam=0.5)).value
         assert bpsk / bfsk == pytest.approx(2.0 ** (-n), rel=1e-10)
+
+
+# Meijer G and metric values at 40 digits, for LinkConfig.from_eta(eta,
+# FadingParams(m, m_s), N) with lambda = 1:
+#   spec = _capacity_g_spec(model, eta)  # or _ber_g_spec(model, eta)
+#   g = mpmath.meijerg([list(spec.a_front), list(spec.a_rest)],
+#                      [list(spec.b_front), list(spec.b_rest)],
+#                      mpmath.mpf(spec.argument), maxterms=10**6).real
+#   capacity = g / (gamma(Nm) gamma(Nms) ln 2)
+#   ber = xi g / (gamma(Nm) gamma(Nms) eta 2 sqrt(pi))
+CLOSED_FORM_REFERENCES = [
+    ("capacity", 16, 1.0, 5.0, 1000.0, 1.1295203142203164683e130, 13.929362425446055057),
+    ("capacity", 16, 4.0, 5.0, 10.0, 9.010162112844710592e204, 7.3287935019350995113),
+    ("capacity", 32, 4.0, 2.0, 0.1, 8.6022365467343049003e300, 2.0777767029728391205),
+    ("ber", 16, 1.0, 5.0, 10.0, 1.6633808242649897428e115, 5.0137124794550249843e-18),
+    ("ber", 16, 4.0, 5.0, 10.0, 1.2180971768841333829e175, 9.6866219437757028667e-33),
+    ("ber", 32, 4.0, 2.0, 10.0, 2.0406154546748580186e248, 6.023504089903584409e-56),
+]
+
+
+class TestClosedFormErrorEstimates:
+    @pytest.mark.parametrize("metric,n,m,m_s,eta,g_ref,value_ref", CLOSED_FORM_REFERENCES)
+    def test_estimates_cover_mpmath(self, metric, n, m, m_s, eta, g_ref, value_ref):
+        cfg = cfg_eta(eta, FadingParams(m, m_s), n)
+        spec_of, metric_of = {
+            "capacity": (_capacity_g_spec, avg_capacity),
+            "ber": (_ber_g_spec, avg_ber),
+        }[metric]
+        g = meijer_g(spec_of(cfg.model(), eta))
+        assert abs(g.value - g_ref) <= g.abs_error_estimate
+        r = metric_of(cfg)
+        assert abs(r.value - value_ref) <= r.error_estimate
+        assert r.diagnostics["g_evals"] == g.details["evals"]
+        assert r.diagnostics["g_rel_error"] == g.details["rel_error"]
 
 
 class TestOutage:
@@ -179,13 +221,36 @@ class TestOutage:
         assert deep.value == pytest.approx(1.0, abs=1e-6)
 
     def test_complement_error_estimate_covers_cancellation(self):
-        # 1 - tail loses digits as the tail nears 1; the reference is
+        # the complement path serves tails up to 1/2, where 1 - tail
+        # cancels the most; the reference is
         #   mpmath.betainc(2560, 768, 0, y / (1 + y), regularized=True)
-        # at 40 digits, y = gamma_th xi / eta = 2 (10/768) / 0.01
-        cfg = LinkConfig.from_eta(0.01, FadingParams(10.0, 3.0), 256)
+        # at 40 digits, y = gamma_th xi / eta = 2 (10/768) / 0.0075
+        cfg = LinkConfig.from_eta(0.0075, FadingParams(10.0, 3.0), 256)
         r = outage(cfg, 2.0)
         assert r.diagnostics["hyp_path"].startswith("complement")
-        assert abs(r.value - 4.2045067767614467e-10) <= r.error_estimate
+        assert abs(r.value - 0.83672596206970876) <= r.error_estimate
+
+    def test_large_tail_takes_direct_path(self):
+        # y = 2 (10/768) / 0.01 > 2, but the complement's tail is near 1:
+        # 1 - tail would cancel nine digits, so the value is summed
+        # directly; mpmath.betainc(2560, 768, 0, y / (1 + y),
+        # regularized=True) at 40 digits
+        cfg = LinkConfig.from_eta(0.01, FadingParams(10.0, 3.0), 256)
+        r = outage(cfg, 2.0)
+        want = 4.2045067767614625e-10
+        assert r.diagnostics["hyp_path"] == "pfaff"
+        assert abs(r.value - want) <= 1e-10 * want
+        assert abs(r.value - want) <= r.error_estimate
+
+    def test_direct_error_estimate_covers_log_rounding(self):
+        # at N = 1024 the log-space gamma sum rounds to more than 1e-12;
+        # y = gamma_th xi / eta = 0.8 with xi = 2.5/3072, reference
+        #   mpmath.betainc(2560, 3072, 0, y / (1 + y), regularized=True)
+        # at 40 digits
+        cfg = LinkConfig.from_eta(2.0 * 2.5 / 3072 / 0.8, FadingParams(2.5, 3.0), 1024)
+        r = outage(cfg, 2.0)
+        assert r.diagnostics["hyp_path"] == "pfaff"
+        assert abs(r.value - 0.063809324418204114) <= r.error_estimate
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -1,6 +1,7 @@
 """Special-function kernel: oracle values, identities, method agreement."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from rislink.errors import DomainError, NumericError
 from rislink.specfun import (
     CLOSED_IDENTITY,
     CONTOUR_QUADRATURE,
+    MAX_CONTOUR_EVALS,
     EvalReport,
     MeijerGSpec,
     _contour_quadrature,
@@ -279,6 +281,24 @@ class TestMeijerGIdentities:
         got = meijer_g(spec)
         ref = complex(mp.meijerg([[0.2], []], [[12.5, 0.0], []], 0.3))
         assert got.value == pytest.approx(ref.real, rel=1e-9)
+
+    def test_over_budget_raises_before_evaluating_nodes(self):
+        # a pole-separating gap of 1e-5 narrows the analytic strip, so
+        # the step the rule needs makes the node count far exceed the budget
+        spec = MeijerGSpec([1.0], [], [1e-5, 0.5], [], 1.0)
+        with pytest.raises(NumericError, match="over the budget") as info:
+            meijer_g(spec)
+        needed, spent = map(int, re.search(
+            r"needs (\d+) more nodes after (\d+) integrand", str(info.value)
+        ).groups())
+        assert needed + spent > MAX_CONTOUR_EVALS
+        assert spent < 200
+
+    def test_trapezoid_diagnostics(self):
+        r = meijer_g(log_spec(0.25))
+        d = r.details
+        assert d["nodes"] <= d["evals"] <= MAX_CONTOUR_EVALS
+        assert d["t_max"] <= d["step"] * (d["nodes"] - 1) < d["t_max"] + 2 * d["step"]
 
     def test_no_separating_contour_is_loud(self):
         # overlapping pole families leave no separating contour
