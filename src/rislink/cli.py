@@ -34,29 +34,18 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, NumericError
 from .fading import MODEL_DRAW, PHYSICAL_DRAW, FadingParams
-from .metrics import (
-    LinkConfig,
-    avg_ber,
-    avg_ber_asymptotic,
-    avg_capacity,
-    avg_capacity_asymptotic,
-    outage,
-    outage_asymptotic,
-    power_from_dbm,
-    snr_threshold_from_db,
-)
+from .metrics import LinkConfig, snr_threshold_from_db
 from .validation import (
     BER,
     CAPACITY,
     OUTAGE,
     GridCheck,
     McConfig,
+    evaluate,
     ks_statistic,
     mc_metric,
+    metric_cases,
     physical_model_capacity_gap,
-    quad_ber,
-    quad_capacity,
-    quad_outage,
     run_oracle_grid,
 )
 
@@ -72,15 +61,15 @@ CSV_HEADER = [
 
 _SWEEP_KEYS = {"axis", "start", "stop", "steps", "metrics", "variants", "out"}
 _LINK_KEYS = {
-    "n_cells", "m", "m_s", "g_bar", "r_d", "beta", "n0_dbm", "lambda",
+    "n_cells", "m", "m_s", "r_d", "beta", "n0_dbm", "lambda",
     "gamma_th_db", "p_s_dbm", "eta_db",
 }
 _MC_KEYS = {"samples", "seed", "mode"}
+_MC_MODES = {"model": MODEL_DRAW, "physical": PHYSICAL_DRAW}
 
 _DEFAULTS = {
     "m": 1.0,
     "m_s": 5.0,
-    "g_bar": 1.0,
     "r_d": 1.0,
     "beta": 2.7,
     "n0_dbm": 0.0,
@@ -107,7 +96,6 @@ class SweepSpec:
     m_s: tuple[float, ...] = (5.0,)
     lambda_mod: tuple[float, ...] = (1.0,)
     gamma_th_db: tuple[float, ...] = (3.0,)
-    g_bar: float = 1.0
     r_d: float = 1.0
     beta: float = 2.7
     n0_dbm: float = 0.0
@@ -116,14 +104,6 @@ class SweepSpec:
     mc_seed: int = 42
     mc_mode: str = MODEL_DRAW
     out: str = "sweep.csv"
-
-    def __post_init__(self):
-        if self.axis not in AXES:
-            raise ConfigError(f"axis must be one of {AXES}, got {self.axis!r}")
-        if not self.start < self.stop:
-            raise ConfigError(f"start must be less than stop, got [{self.start}, {self.stop}]")
-        if self.steps < 2:
-            raise ConfigError(f"steps must be at least 2, got {self.steps}")
 
     def axis_values(self) -> np.ndarray:
         vals = np.linspace(self.start, self.stop, self.steps)
@@ -165,23 +145,23 @@ def _int_list(raw: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def parse_config(text: str) -> "SweepSpec | LinkConfig":
-    """Parse a config document into a SweepSpec, or a bare LinkConfig
-    when no [sweep] section is present.  Unknown keys and out-of-range
-    values fail loudly, naming the key and its line."""
+def parse_config(text: str) -> SweepSpec:
+    """Parse a sweep config document into a SweepSpec.  Unknown keys and
+    out-of-range values fail loudly, naming the key and its line."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
-    for section in cp.sections():
-        if section not in ("sweep", "link", "mc"):
-            raise ConfigError(f"unknown section [{section}]")
     allowed = {"sweep": _SWEEP_KEYS, "link": _LINK_KEYS, "mc": _MC_KEYS}
     for section in cp.sections():
+        if section not in allowed:
+            raise ConfigError(f"unknown section [{section}]")
         for key in cp[section]:
             if key not in allowed[section]:
                 raise _fail_key(text, section, key, "unknown key")
+    if not cp.has_section("sweep"):
+        raise ConfigError("config has no [sweep] section")
 
     link = cp["link"] if cp.has_section("link") else {}
 
@@ -223,13 +203,10 @@ def parse_config(text: str) -> "SweepSpec | LinkConfig":
             raise _fail_key(text, "link", key, "expected a single value")
         return vals[0]
 
-    g_bar = link_scalar("g_bar")
     r_d = link_scalar("r_d")
     beta_pl = link_scalar("beta")
     n0_dbm = link_scalar("n0_dbm")
     p_s_dbm = link_scalar("p_s_dbm")
-    if g_bar <= 0.0:
-        raise _fail_key(text, "link", "g_bar", "g_bar must be positive")
     if r_d <= 0.0:
         raise _fail_key(text, "link", "r_d", "r_d must be positive")
     if beta_pl <= 0.0:
@@ -252,22 +229,9 @@ def parse_config(text: str) -> "SweepSpec | LinkConfig":
                 raise _fail_key(text, "mc", "seed", f"bad value: {exc}")
         if "mode" in mc:
             raw = mc["mode"].strip().lower()
-            modes = {"model": MODEL_DRAW, "physical": PHYSICAL_DRAW,
-                     MODEL_DRAW: MODEL_DRAW, PHYSICAL_DRAW: PHYSICAL_DRAW}
-            if raw not in modes:
+            mc_mode = _MC_MODES.get(raw, raw)
+            if mc_mode not in _MC_MODES.values():
                 raise _fail_key(text, "mc", "mode", "mode must be model or physical")
-            mc_mode = modes[raw]
-
-    if not cp.has_section("sweep"):
-        if len(m_vals) != 1 or len(ms_vals) != 1 or len(n_vals) != 1 or len(lam_vals) != 1:
-            raise ConfigError("a bare link config must not contain value lists")
-        fading = FadingParams(m=m_vals[0], m_s=ms_vals[0], g_bar=g_bar)
-        p_s = power_from_dbm(p_s_dbm)
-        n0 = power_from_dbm(n0_dbm)
-        return LinkConfig(
-            fading=fading, n_cells=n_vals[0], p_s=p_s, n0=n0, r_d=r_d,
-            beta=beta_pl, lambda_mod=lam_vals[0],
-        )
 
     sweep = cp["sweep"]
     if "axis" not in sweep:
@@ -326,7 +290,6 @@ def parse_config(text: str) -> "SweepSpec | LinkConfig":
         m_s=ms_vals,
         lambda_mod=lam_vals,
         gamma_th_db=gth_vals,
-        g_bar=g_bar,
         r_d=r_d,
         beta=beta_pl,
         n0_dbm=n0_dbm,
@@ -346,62 +309,37 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _eta_for(spec: SweepSpec, axis_value: float, n_cells: int) -> float:
-    if spec.axis == "p_s_dbm":
-        return (
-            10.0 ** ((axis_value - spec.n0_dbm) / 10.0) * spec.r_d ** (-spec.beta)
-        )
-    if spec.axis == "eta_db":
-        return snr_threshold_from_db(axis_value)
-    return (
-        10.0 ** ((spec.p_s_dbm - spec.n0_dbm) / 10.0) * spec.r_d ** (-spec.beta)
-    )
+def _eta(p_s_dbm: float, n0_dbm: float, r_d: float, beta: float) -> float:
+    return 10.0 ** ((p_s_dbm - n0_dbm) / 10.0) * r_d ** (-beta)
 
 
 def _point_rows(spec: SweepSpec, axis_value: float) -> list[list[str]]:
+    if spec.axis == "eta_db":
+        eta = snr_threshold_from_db(axis_value)
+    else:
+        p_s = axis_value if spec.axis == "p_s_dbm" else spec.p_s_dbm
+        eta = _eta(p_s, spec.n0_dbm, spec.r_d, spec.beta)
+    gth_dbs = (axis_value,) if spec.axis == "gamma_th_db" else spec.gamma_th_db
     rows = []
     for n in spec.n_cells if spec.axis != "n_cells" else (int(axis_value),):
         for m in spec.m:
             for m_s in spec.m_s:
-                fading = FadingParams(m=m, m_s=m_s, g_bar=spec.g_bar)
-                eta = _eta_for(spec, axis_value, n)
+                fading = FadingParams(m=m, m_s=m_s)
                 for metric in spec.metrics:
-                    lam_list = spec.lambda_mod if metric == BER else (1.0,)
-                    if metric == OUTAGE:
-                        if spec.axis == "gamma_th_db":
-                            gth_list = (axis_value,)
-                        else:
-                            gth_list = spec.gamma_th_db
-                    else:
-                        gth_list = (float("nan"),)
-                    for lam in lam_list:
-                        cfg = LinkConfig(
-                            fading=fading,
-                            n_cells=n,
-                            p_s=eta,
-                            n0=1.0,
-                            r_d=1.0,
-                            beta=spec.beta,
-                            lambda_mod=lam,
-                        )
-                        for gth_db in gth_list:
-                            gth = (
-                                snr_threshold_from_db(gth_db)
-                                if metric == OUTAGE
-                                else float("nan")
+                    for lam, gth_db, gth in metric_cases(metric, spec.lambda_mod, gth_dbs):
+                        cfg = LinkConfig.from_eta(eta, fading, n, lambda_mod=lam)
+                        for variant in spec.variants:
+                            value, err = _evaluate(
+                                cfg, metric, variant, gth,
+                                spec.mc_samples, spec.mc_seed, spec.mc_mode,
                             )
-                            for variant in spec.variants:
-                                value, err = _evaluate(
-                                    cfg, metric, variant, gth,
-                                    spec.mc_samples, spec.mc_seed, spec.mc_mode,
-                                )
-                                rows.append([
-                                    spec.axis, _fmt(axis_value), metric, variant,
-                                    _fmt(n), _fmt(m), _fmt(m_s), _fmt(spec.g_bar),
-                                    _fmt(spec.r_d), _fmt(spec.beta),
-                                    _fmt(spec.n0_dbm), _fmt(lam), _fmt(gth_db),
-                                    _fmt(value), _fmt(err), _fmt(spec.mc_seed),
-                                ])
+                            rows.append([
+                                spec.axis, _fmt(axis_value), metric, variant,
+                                _fmt(n), _fmt(m), _fmt(m_s), "1",
+                                _fmt(spec.r_d), _fmt(spec.beta),
+                                _fmt(spec.n0_dbm), _fmt(lam), _fmt(gth_db),
+                                _fmt(value), _fmt(err), _fmt(spec.mc_seed),
+                            ])
     return rows
 
 
@@ -409,29 +347,8 @@ def _evaluate(
     cfg: LinkConfig, metric: str, variant: str, gamma_th: float,
     mc_samples: int, mc_seed: int, mc_mode: str,
 ) -> tuple[float, float]:
-    if variant == "exact":
-        if metric == CAPACITY:
-            r = avg_capacity(cfg)
-        elif metric == BER:
-            r = avg_ber(cfg)
-        else:
-            r = outage(cfg, gamma_th)
-        return r.value, r.error_estimate
-    if variant == "asymptotic":
-        if metric == CAPACITY:
-            r = avg_capacity_asymptotic(cfg)
-        elif metric == BER:
-            r = avg_ber_asymptotic(cfg)
-        else:
-            r = outage_asymptotic(cfg, gamma_th)
-        return r.value, r.error_estimate
-    if variant == "quadrature":
-        if metric == CAPACITY:
-            r = quad_capacity(cfg)
-        elif metric == BER:
-            r = quad_ber(cfg)
-        else:
-            r = quad_outage(cfg, gamma_th)
+    if variant != "mc":
+        r = evaluate(cfg, metric, variant, gamma_th)
         return r.value, r.error_estimate
     # mc: derive the substream from every varying coordinate so that rows
     # are reproducible independent of evaluation order (stable hash; the
@@ -510,7 +427,7 @@ def run_validate(
     Writes the report CSV and returns 0 when every check holds, 4
     otherwise.
     """
-    from .fading import FadingParams, SumFadingModel, cdf, sample, sample_sum, sum_cdf
+    from .fading import SumFadingModel, cdf, sample, sample_sum, sum_cdf
 
     checks = run_oracle_grid(
         preset, master_seed=master_seed, n_samples=n_samples,
@@ -605,19 +522,17 @@ def selftest() -> int:
 
 
 def _metrics_command(args) -> int:
-    fading = FadingParams(m=args.m, m_s=args.m_s, g_bar=args.g_bar)
     if args.eta_db is not None:
         eta = snr_threshold_from_db(args.eta_db)
     else:
-        eta = 10.0 ** ((args.p_s_dbm - args.n0_dbm) / 10.0) * args.r_d ** (-args.beta)
-    cfg = LinkConfig(
-        fading=fading, n_cells=args.n_cells, p_s=eta, n0=1.0, r_d=1.0,
-        beta=args.beta, lambda_mod=args.lam,
+        eta = _eta(args.p_s_dbm, args.n0_dbm, args.r_d, args.beta)
+    cfg = LinkConfig.from_eta(
+        eta, FadingParams(m=args.m, m_s=args.m_s), args.n_cells, lambda_mod=args.lam
     )
     gth = snr_threshold_from_db(args.gamma_th_db) if args.metric == OUTAGE else float("nan")
-    mode = MODEL_DRAW if args.mc_mode == "model" else PHYSICAL_DRAW
     value, err = _evaluate(
-        cfg, args.metric, args.variant, gth, args.mc_samples, args.seed, mode
+        cfg, args.metric, args.variant, gth, args.mc_samples, args.seed,
+        _MC_MODES[args.mc_mode],
     )
     axis_value = args.eta_db if args.eta_db is not None else args.p_s_dbm
     axis = "eta_db" if args.eta_db is not None else "p_s_dbm"
@@ -625,7 +540,7 @@ def _metrics_command(args) -> int:
     w.writerow(CSV_HEADER)
     w.writerow([
         axis, _fmt(axis_value), args.metric, args.variant, _fmt(args.n_cells),
-        _fmt(args.m), _fmt(args.m_s), _fmt(args.g_bar), _fmt(args.r_d),
+        _fmt(args.m), _fmt(args.m_s), "1", _fmt(args.r_d),
         _fmt(args.beta), _fmt(args.n0_dbm), _fmt(args.lam),
         _fmt(args.gamma_th_db if args.metric == OUTAGE else float("nan")),
         _fmt(value), _fmt(err), _fmt(args.seed),
@@ -646,7 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
     mp.add_argument("--n-cells", type=int, default=8, dest="n_cells")
     mp.add_argument("--m", type=float, default=1.0)
     mp.add_argument("--m-s", type=float, default=5.0, dest="m_s")
-    mp.add_argument("--g-bar", type=float, default=1.0, dest="g_bar")
     mp.add_argument("--r-d", type=float, default=1.0, dest="r_d")
     mp.add_argument("--beta", type=float, default=2.7)
     mp.add_argument("--n0-dbm", type=float, default=0.0, dest="n0_dbm")
@@ -656,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=(0.5, 1.0))
     mp.add_argument("--gamma-th-db", type=float, default=3.0, dest="gamma_th_db")
     mp.add_argument("--mc-samples", type=int, default=100_000)
-    mp.add_argument("--mc-mode", choices=("model", "physical"), default="model")
+    mp.add_argument("--mc-mode", choices=_MC_MODES, default="model")
     mp.add_argument("--seed", type=int, default=42)
 
     sp = sub.add_parser("sweep", help="run a sweep described by a config file")
@@ -665,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     sp.add_argument("--seed", type=int, default=None, help="override [mc] seed")
     sp.add_argument("--mc-samples", type=int, default=None)
-    sp.add_argument("--mc-mode", choices=("model", "physical"), default=None)
+    sp.add_argument("--mc-mode", choices=_MC_MODES, default=None)
 
     vp = sub.add_parser("validate", help="run the oracle-agreement grid")
     vp.add_argument("--preset", choices=("smoke", "full"), default="smoke")
@@ -673,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--out", default="validate_report.csv")
     vp.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     vp.add_argument("--mc-samples", type=int, default=None)
-    vp.add_argument("--mc-mode", choices=("model", "physical"), default="model")
+    vp.add_argument("--mc-mode", choices=_MC_MODES, default="model")
 
     sub.add_parser("selftest", help="special-function identity suite")
     return ap
@@ -688,8 +602,6 @@ def main(argv=None) -> int:
             with open(args.config) as fh:
                 text = fh.read()
             spec = parse_config(text)
-            if not isinstance(spec, SweepSpec):
-                raise ConfigError("config has no [sweep] section")
             if args.out is not None:
                 spec.out = args.out
             if args.seed is not None:
@@ -697,16 +609,15 @@ def main(argv=None) -> int:
             if args.mc_samples is not None:
                 spec.mc_samples = args.mc_samples
             if args.mc_mode is not None:
-                spec.mc_mode = MODEL_DRAW if args.mc_mode == "model" else PHYSICAL_DRAW
+                spec.mc_mode = _MC_MODES[args.mc_mode]
             rows = run_sweep(spec, threads=args.threads)
             write_csv(spec.out, CSV_HEADER, rows)
             print(f"wrote {len(rows)} rows to {spec.out}", file=sys.stderr)
             return 0
         if args.command == "validate":
-            mode = MODEL_DRAW if args.mc_mode == "model" else PHYSICAL_DRAW
             return run_validate(
                 args.preset, args.seed, args.out, threads=args.threads,
-                n_samples=args.mc_samples, mode=mode,
+                n_samples=args.mc_samples, mode=_MC_MODES[args.mc_mode],
             )
         if args.command == "selftest":
             return selftest()

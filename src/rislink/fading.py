@@ -68,24 +68,6 @@ class SumFadingModel:
             raise DomainError(f"n_cells must be an integer >= 1, got {self.n_cells}")
         object.__setattr__(self, "n_cells", int(self.n_cells))
 
-    @classmethod
-    def from_branches(cls, branches: list[FadingParams]) -> "SumFadingModel":
-        """Build from explicit per-branch parameters; rejects unequal ones.
-
-        The single-distribution sum form is derived for identical
-        branches only.
-        """
-        if not branches:
-            raise DomainError("at least one branch is required")
-        first = branches[0]
-        for b in branches[1:]:
-            if b != first:
-                raise DomainError(
-                    "sum model requires identically distributed branches; "
-                    f"got {b} != {first}"
-                )
-        return cls(params=first, n_cells=len(branches))
-
     @property
     def nm(self) -> float:
         return self.n_cells * self.params.m
@@ -184,23 +166,6 @@ def sum_pdf(model: SumFadingModel, g) -> float | np.ndarray:
         origin = np.inf if nm < 1.0 else 0.0
     out = np.where(g == 0.0, origin, out)
     return out if out.ndim else float(out)
-
-
-def sum_pdf_hyp2f1(model: SumFadingModel, g: float) -> float:
-    """Aggregate density through its hypergeometric form.
-
-    (xi g)^(Nm) / (g B(Nm,Nms)) * 2F1(N(m+m_s), Nm; Nm; -xi g); kept as
-    an independent cross-check of :func:`sum_pdf` (the 2F1 is evaluated
-    by the generic series, not collapsed to the binomial it equals).
-    """
-    from .specfun import gauss_2f1
-
-    if g <= 0.0:
-        raise DomainError("hypergeometric form needs g > 0")
-    nm, nms, xi = model.nm, model.nms, model.xi
-    a = model.n_cells * (model.params.m + model.params.m_s)
-    front = math.exp(nm * math.log(xi * g) - math.log(g) - ln_beta(nm, nms))
-    return front * gauss_2f1(a, nm, nm, -xi * g)
 
 
 def sum_pdf_origin(model: SumFadingModel, g) -> float | np.ndarray:

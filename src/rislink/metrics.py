@@ -141,6 +141,20 @@ def power_from_dbm(p_dbm: float) -> float:
     return 10.0 ** ((p_dbm - 30.0) / 10.0)
 
 
+def _from_log(log_value: float, diagnostics: dict) -> float:
+    """exp(log_value); 0.0 below UNDERFLOW_FLOOR and inf above double
+    range, each flagged in ``diagnostics`` while log_value stays exact."""
+    if not log_value > math.log(UNDERFLOW_FLOOR):
+        if log_value > -math.inf:
+            diagnostics["underflow"] = True
+        return 0.0
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        diagnostics["overflow"] = True
+        return math.inf
+
+
 def _capacity_g_spec(model: SumFadingModel, eta: float) -> MeijerGSpec:
     return MeijerGSpec(
         a_front=(1.0, 1.0, 1.0 - model.nm),
@@ -223,9 +237,7 @@ def avg_ber(cfg: LinkConfig) -> MetricResult:
         ),
         report,
     )
-    value = math.exp(log_value) if log_value > math.log(UNDERFLOW_FLOOR) else 0.0
-    if value == 0.0 and log_value > -math.inf:
-        diagnostics["underflow"] = True
+    value = _from_log(log_value, diagnostics)
     err = value * rel
     if value < -err or value > 0.5 + err:
         # numerically out of the feasible band by more than its own error
@@ -250,10 +262,8 @@ def avg_ber_asymptotic(cfg: LinkConfig) -> MetricResult:
         - math.log(nm)
         + nm * math.log(model.xi / eta_lam)
     )
-    value = math.exp(log_value) if log_value > math.log(UNDERFLOW_FLOOR) else 0.0
     diagnostics = {"log_value": log_value}
-    if value == 0.0:
-        diagnostics["underflow"] = True
+    value = _from_log(log_value, diagnostics)
     return MetricResult(
         value=value, method=ASYMPTOTIC, error_estimate=0.0, diagnostics=diagnostics
     )
@@ -318,10 +328,8 @@ def outage(cfg: LinkConfig, gamma_th: float) -> MetricResult:
         log_value, path, rounding = tail_weight_log(nm, nms, y)
         tail_err = 0.0
         rel_err = max(1e-12, rounding)
-    value = math.exp(log_value) if log_value > math.log(UNDERFLOW_FLOOR) else 0.0
     diagnostics = {"log_value": log_value, "hyp_path": path}
-    if value == 0.0 and log_value > -math.inf:
-        diagnostics["underflow"] = True
+    value = _from_log(log_value, diagnostics)
     if value > 1.0:
         # exact expression is <= 1; excess here is roundoff
         diagnostics["out_of_range"] = value
@@ -344,10 +352,8 @@ def outage_asymptotic(cfg: LinkConfig, gamma_th: float) -> MetricResult:
     log_value = (
         gammaln(nm + nms) - gammaln(1.0 + nm) - gammaln(nms) + nm * math.log(y)
     )
-    value = math.exp(log_value) if log_value > math.log(UNDERFLOW_FLOOR) else 0.0
     diagnostics = {"log_value": log_value}
-    if value == 0.0:
-        diagnostics["underflow"] = True
+    value = _from_log(log_value, diagnostics)
     return MetricResult(
         value=value, method=ASYMPTOTIC, error_estimate=0.0, diagnostics=diagnostics
     )

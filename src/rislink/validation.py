@@ -17,6 +17,7 @@ results identical no matter how the points are scheduled.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -38,8 +39,12 @@ from .metrics import (
     LinkConfig,
     MetricResult,
     avg_ber,
+    avg_ber_asymptotic,
     avg_capacity,
+    avg_capacity_asymptotic,
     outage,
+    outage_asymptotic,
+    snr_threshold_from_db,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -229,6 +234,47 @@ def quad_outage(cfg: LinkConfig, gamma_th: float) -> MetricResult:
     return _quad_result(model, nm * log_xiv, log_integral, rel_err, 1.0, "outage")
 
 
+def evaluate(
+    cfg: LinkConfig, metric: str, variant: str, gamma_th: float = float("nan")
+) -> MetricResult:
+    """One metric by the exact, asymptotic or quadrature route.
+
+    ``gamma_th`` (linear) is read by outage only.  The route table is
+    built per call from this module's names, so a function patched onto
+    the module, such as a tracing wrapper, is the one that runs.
+    """
+    routes = {
+        ("exact", CAPACITY): avg_capacity,
+        ("exact", BER): avg_ber,
+        ("exact", OUTAGE): outage,
+        ("asymptotic", CAPACITY): avg_capacity_asymptotic,
+        ("asymptotic", BER): avg_ber_asymptotic,
+        ("asymptotic", OUTAGE): outage_asymptotic,
+        ("quadrature", CAPACITY): quad_capacity,
+        ("quadrature", BER): quad_ber,
+        ("quadrature", OUTAGE): quad_outage,
+    }
+    route = routes.get((variant, metric))
+    if route is None:
+        raise DomainError(f"no {variant!r} route for metric {metric!r}")
+    return route(cfg, gamma_th) if metric == OUTAGE else route(cfg)
+
+
+def metric_cases(metric: str, lambdas, gammas_th_db):
+    """The (lambda, gamma_th_db, linear gamma_th) cases one metric runs at.
+
+    BER varies the modulation constant, outage the threshold; the
+    coordinate a metric does not read is 1 for lambda and nan for the
+    threshold.
+    """
+    nan = float("nan")
+    if metric == BER:
+        return [(lam, nan, nan) for lam in lambdas]
+    if metric == OUTAGE:
+        return [(1.0, g, snr_threshold_from_db(g)) for g in gammas_th_db]
+    return [(1.0, nan, nan)]
+
+
 _CHUNK = 1 << 18
 
 
@@ -301,17 +347,13 @@ def ks_statistic(samples, cdf_fn) -> float:
 REL_TOL_QUAD = 1e-6
 MC_SIGMA_BAND = 3.5
 
-FULL_GRID_N = (1, 8, 16, 32)
-FULL_GRID_M = (1.0, 4.0)
-FULL_GRID_MS = (2.0, 5.0)
-FULL_GRID_ETA_DB = (0.0, 10.0, 20.0, 30.0)
+# preset -> (N values, m values, m_s values, eta_db values)
+GRID_PRESETS = {
+    "full": ((1, 8, 16, 32), (1.0, 4.0), (2.0, 5.0), (0.0, 10.0, 20.0, 30.0)),
+    "smoke": ((1, 8), (1.0,), (5.0,), (0.0, 10.0, 20.0, 30.0)),
+}
 GRID_GAMMA_TH_DB = (3.0, 6.0)
 GRID_LAMBDA = (1.0, 0.5)
-
-SMOKE_GRID_N = (1, 8)
-SMOKE_GRID_M = (1.0,)
-SMOKE_GRID_MS = (5.0,)
-SMOKE_GRID_ETA_DB = (0.0, 10.0, 20.0, 30.0)
 
 
 @dataclass
@@ -396,25 +438,6 @@ def _mc_consistent(
     return abs(closed - est.mean) <= band, "normal"
 
 
-def _grid_points(preset: str):
-    if preset == "full":
-        ns, ms, mss, etas = FULL_GRID_N, FULL_GRID_M, FULL_GRID_MS, FULL_GRID_ETA_DB
-    elif preset == "smoke":
-        ns, ms, mss, etas = (
-            SMOKE_GRID_N,
-            SMOKE_GRID_M,
-            SMOKE_GRID_MS,
-            SMOKE_GRID_ETA_DB,
-        )
-    else:
-        raise DomainError(f"unknown preset {preset!r}; use 'smoke' or 'full'")
-    for n in ns:
-        for m in ms:
-            for m_s in mss:
-                for eta_db in etas:
-                    yield n, m, m_s, eta_db
-
-
 def run_oracle_grid(
     preset: str = "smoke",
     master_seed: int = 42,
@@ -430,67 +453,51 @@ def run_oracle_grid(
     threshold presets.  Rows come back in grid order independent of the
     worker count.
     """
+    if preset not in GRID_PRESETS:
+        raise DomainError(f"unknown preset {preset!r}; use 'smoke' or 'full'")
     if n_samples is None:
         n_samples = 100_000 if preset == "smoke" else 1_000_000
-    points = list(_grid_points(preset))
 
     def one_point(item) -> list[GridCheck]:
         idx, (n, m, m_s, eta_db) = item
         eta = 10.0 ** (eta_db / 10.0)
         fading = FadingParams(m=m, m_s=m_s)
         seed = int(np.random.SeedSequence((master_seed, idx)).generate_state(1)[0])
-        checks: list[GridCheck] = []
-
-        def record(metric, lam, gth_db, closed, quadr, est):
-            c_log = closed.diagnostics["log_value"]
-            q_log = quadr.diagnostics["log_value"]
-            gap = _rel_gap_from_logs(c_log, q_log)
-            c_val = math.exp(c_log) if c_log > -700 else 0.0
-            ok_mc, note = _mc_consistent(c_val, est, metric)
-            checks.append(
-                GridCheck(
-                    index=idx,
-                    n_cells=n,
-                    m=m,
-                    m_s=m_s,
-                    eta_db=eta_db,
-                    metric=metric,
-                    lambda_mod=lam,
-                    gamma_th_db=gth_db,
-                    closed_log=c_log,
-                    quad_log=q_log,
-                    mc_mean=est.mean,
-                    mc_std_error=est.std_error,
-                    rel_gap_quad=gap,
-                    mc_ok=ok_mc,
-                    quad_ok=gap <= REL_TOL_QUAD,
-                    note=note,
-                )
-            )
-
-        cfg = LinkConfig.from_eta(eta, fading, n)
         mc = McConfig(n_samples=n_samples, seed=seed, mode=mode)
-        record(
-            CAPACITY, 1.0, float("nan"),
-            avg_capacity(cfg), quad_capacity(cfg), mc_metric(cfg, CAPACITY, mc),
-        )
-        for lam in GRID_LAMBDA:
-            cfg_l = LinkConfig.from_eta(eta, fading, n, lambda_mod=lam)
-            record(
-                BER, lam, float("nan"),
-                avg_ber(cfg_l), quad_ber(cfg_l), mc_metric(cfg_l, BER, mc),
-            )
-        for gth_db in GRID_GAMMA_TH_DB:
-            gth = 10.0 ** (gth_db / 10.0)
-            record(
-                OUTAGE, 1.0, gth_db,
-                outage(cfg, gth),
-                quad_outage(cfg, gth),
-                mc_metric(cfg, OUTAGE, mc, gamma_th=gth),
-            )
+        checks: list[GridCheck] = []
+        for metric in (CAPACITY, BER, OUTAGE):
+            for lam, gth_db, gth in metric_cases(metric, GRID_LAMBDA, GRID_GAMMA_TH_DB):
+                cfg = LinkConfig.from_eta(eta, fading, n, lambda_mod=lam)
+                c_log = evaluate(cfg, metric, "exact", gth).diagnostics["log_value"]
+                q_log = evaluate(cfg, metric, "quadrature", gth).diagnostics["log_value"]
+                est = mc_metric(cfg, metric, mc, gamma_th=gth)
+                gap = _rel_gap_from_logs(c_log, q_log)
+                ok_mc, note = _mc_consistent(
+                    math.exp(c_log) if c_log > -700 else 0.0, est, metric
+                )
+                checks.append(
+                    GridCheck(
+                        index=idx,
+                        n_cells=n,
+                        m=m,
+                        m_s=m_s,
+                        eta_db=eta_db,
+                        metric=metric,
+                        lambda_mod=lam,
+                        gamma_th_db=gth_db,
+                        closed_log=c_log,
+                        quad_log=q_log,
+                        mc_mean=est.mean,
+                        mc_std_error=est.std_error,
+                        rel_gap_quad=gap,
+                        mc_ok=ok_mc,
+                        quad_ok=gap <= REL_TOL_QUAD,
+                        note=note,
+                    )
+                )
         return checks
 
-    items = list(enumerate(points))
+    items = list(enumerate(itertools.product(*GRID_PRESETS[preset])))
     if max_workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 

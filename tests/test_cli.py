@@ -17,7 +17,6 @@ from rislink.cli import (
     write_csv,
 )
 from rislink.errors import ConfigError
-from rislink.metrics import LinkConfig
 
 MINIMAL = """
 [sweep]
@@ -51,7 +50,6 @@ class TestParseConfig:
         assert spec.steps == 3
         assert spec.m == (1.0,)
         assert spec.m_s == (5.0,)
-        assert spec.g_bar == 1.0
         assert spec.r_d == 1.0
         assert spec.beta == 2.7
         assert spec.n0_dbm == 0.0
@@ -110,14 +108,25 @@ class TestParseConfig:
             parse_config(MINIMAL + "\n[mc]\nsamples = 100\n")
 
     def test_bare_link_config(self):
-        cfg = parse_config("[link]\nn_cells = 4\nm = 2\nm_s = 3\np_s_dbm = 10\n")
-        assert isinstance(cfg, LinkConfig)
-        assert cfg.n_cells == 4
-        assert cfg.fading.m == 2.0
-        # p_s carries dBm -> watts; eta folds the path loss
-        assert cfg.eta() == pytest.approx(
-            (10.0 ** ((10.0 - 30.0) / 10.0)) / (10.0 ** (-30.0 / 10.0)), rel=1e-12
-        )
+        # a config without [sweep] is not a sweep; single points go through
+        # the metrics subcommand
+        with pytest.raises(ConfigError) as err:
+            parse_config("[link]\nn_cells = 4\nm = 2\nm_s = 3\np_s_dbm = 10\n")
+        assert "[sweep]" in str(err.value)
+
+    def test_g_bar_rejected_with_line(self):
+        # only physical-mode MC would read a branch mean, so the schema has none
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + "\n[link]\ng_bar = 2\n")
+        msg = str(err.value)
+        assert "g_bar" in msg and "line 9" in msg
+
+    def test_mc_mode_spellings(self):
+        for raw, mode in (("model", "model_draw"), ("Physical", "physical_draw"),
+                          ("physical_draw", "physical_draw")):
+            assert parse_config(MINIMAL + f"\n[mc]\nmode = {raw}\n").mc_mode == mode
+        with pytest.raises(ConfigError):
+            parse_config(MINIMAL + "\n[mc]\nmode = both\n")
 
 
 class TestSweep:
@@ -209,6 +218,10 @@ class TestMain:
 
     def test_missing_file_exit_code(self, capsys):
         assert main(["sweep", "/nonexistent/path.ini"]) == 2
+
+    def test_g_bar_flag_removed(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["metrics", "--metric", "ber", "--g-bar", "2"])
 
     def test_sweep_writes_csv(self, tmp_path):
         cfg = tmp_path / "sweep.ini"

@@ -156,6 +156,23 @@ class TestBerAsymptotic:
         bfsk = avg_ber_asymptotic(cfg_eta(100.0, F15, n, lam=0.5)).value
         assert bpsk / bfsk == pytest.approx(2.0 ** (-n), rel=1e-10)
 
+    def test_overflow_kept_in_log(self):
+        # far below its regime the asymptote exceeds double range: the value
+        # reads inf with a flag, and the log stays exact
+        f = FadingParams(10.0, 3.0)
+        r = avg_ber_asymptotic(cfg_eta(0.01, f, 256))
+        assert r.value == math.inf
+        assert r.diagnostics["overflow"] is True
+        assert r.diagnostics["log_value"] == pytest.approx(19997.9006, rel=1e-8)
+        r = outage_asymptotic(cfg_eta(0.01, f, 256), 1.0)
+        assert r.value == math.inf and r.diagnostics["overflow"] is True
+        assert r.diagnostics["log_value"] == pytest.approx(2467.97508, rel=1e-8)
+
+    def test_underflow_flagged(self):
+        r = avg_ber_asymptotic(cfg_eta(1e6, FadingParams(10.0, 3.0), 256))
+        assert r.value == 0.0 and r.diagnostics["underflow"] is True
+        assert "overflow" not in r.diagnostics
+
 
 # Meijer G and metric values at 40 digits, for LinkConfig.from_eta(eta,
 # FadingParams(m, m_s), N) with lambda = 1:

@@ -8,15 +8,26 @@ import pytest
 from rislink import validation
 from rislink.errors import DomainError, NumericError
 from rislink.fading import MODEL_DRAW, PHYSICAL_DRAW, FadingParams
-from rislink.metrics import LinkConfig, avg_ber, avg_capacity, outage
+from rislink.metrics import (
+    LinkConfig,
+    MetricResult,
+    avg_ber,
+    avg_ber_asymptotic,
+    avg_capacity,
+    avg_capacity_asymptotic,
+    outage,
+    outage_asymptotic,
+)
 from rislink.validation import (
     BER,
     CAPACITY,
     OUTAGE,
     CiEstimate,
     McConfig,
+    evaluate,
     ks_statistic,
     mc_metric,
+    metric_cases,
     physical_model_capacity_gap,
     quad_ber,
     quad_capacity,
@@ -227,6 +238,53 @@ class TestKsStatistic:
     def test_minimum_size(self):
         with pytest.raises(DomainError):
             ks_statistic(np.arange(10), lambda v: v)
+
+
+class TestEvaluate:
+    ROUTES = {
+        ("exact", CAPACITY): avg_capacity,
+        ("exact", BER): avg_ber,
+        ("exact", OUTAGE): outage,
+        ("asymptotic", CAPACITY): avg_capacity_asymptotic,
+        ("asymptotic", BER): avg_ber_asymptotic,
+        ("asymptotic", OUTAGE): outage_asymptotic,
+        ("quadrature", CAPACITY): quad_capacity,
+        ("quadrature", BER): quad_ber,
+        ("quadrature", OUTAGE): quad_outage,
+    }
+
+    @pytest.mark.parametrize("variant,metric", sorted(ROUTES))
+    def test_every_route(self, variant, metric):
+        cfg = cfg_eta(30.0, F15, 4, lam=0.5)
+        route = self.ROUTES[(variant, metric)]
+        want = route(cfg, 2.0) if metric == OUTAGE else route(cfg)
+        got = evaluate(cfg, metric, variant, 2.0)
+        assert got.method == want.method
+        assert got.value == want.value
+
+    def test_patched_route_runs(self, monkeypatch):
+        # the table is built per call, so a wrapper patched onto the
+        # module (tracing, fault injection) is the function that runs
+        marker = MetricResult(value=0.125, method="patched")
+        monkeypatch.setattr(validation, "quad_ber", lambda cfg: marker)
+        assert evaluate(cfg_eta(10.0), BER, "quadrature") is marker
+
+    def test_unknown_route(self):
+        with pytest.raises(DomainError):
+            evaluate(cfg_eta(10.0), BER, "mc")
+        with pytest.raises(DomainError):
+            evaluate(cfg_eta(10.0), "snr", "exact")
+
+
+class TestMetricCases:
+    def test_each_metric_varies_its_own_coordinate(self):
+        [(lam, g_db, g)] = metric_cases(CAPACITY, (0.5, 1.0), (3.0,))
+        assert lam == 1.0 and math.isnan(g_db) and math.isnan(g)
+        ber = metric_cases(BER, (0.5, 1.0), (3.0, 6.0))
+        assert [lam for lam, _, _ in ber] == [0.5, 1.0]
+        assert all(math.isnan(g_db) and math.isnan(g) for _, g_db, g in ber)
+        out = metric_cases(OUTAGE, (0.5, 1.0), (0.0, 10.0))
+        assert out == [(1.0, 0.0, 1.0), (1.0, 10.0, 10.0)]
 
 
 class TestOracleGrid:
