@@ -526,10 +526,10 @@ def _metrics_command(args) -> int:
         eta = snr_threshold_from_db(args.eta_db)
     else:
         eta = _eta(args.p_s_dbm, args.n0_dbm, args.r_d, args.beta)
+    [(lam, gth_db, gth)] = metric_cases(args.metric, (args.lam,), (args.gamma_th_db,))
     cfg = LinkConfig.from_eta(
-        eta, FadingParams(m=args.m, m_s=args.m_s), args.n_cells, lambda_mod=args.lam
+        eta, FadingParams(m=args.m, m_s=args.m_s), args.n_cells, lambda_mod=lam
     )
-    gth = snr_threshold_from_db(args.gamma_th_db) if args.metric == OUTAGE else float("nan")
     value, err = _evaluate(
         cfg, args.metric, args.variant, gth, args.mc_samples, args.seed,
         _MC_MODES[args.mc_mode],
@@ -541,8 +541,7 @@ def _metrics_command(args) -> int:
     w.writerow([
         axis, _fmt(axis_value), args.metric, args.variant, _fmt(args.n_cells),
         _fmt(args.m), _fmt(args.m_s), "1", _fmt(args.r_d),
-        _fmt(args.beta), _fmt(args.n0_dbm), _fmt(args.lam),
-        _fmt(args.gamma_th_db if args.metric == OUTAGE else float("nan")),
+        _fmt(args.beta), _fmt(args.n0_dbm), _fmt(lam), _fmt(gth_db),
         _fmt(value), _fmt(err), _fmt(args.seed),
     ])
     return 0

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .fading import FadingParams, SumFadingModel
 from .specfun import (
     EvalReport,
@@ -277,8 +277,10 @@ def outage(cfg: LinkConfig, gamma_th: float) -> MetricResult:
 
     The hypergeometric factor runs through the Pfaff-mapped positive
     series whenever the plain series would not converge or would cancel
-    badly; for y > 2 the complementary probability is summed instead
-    while it is at most 1/2.  Diagnostics record which path produced it.
+    badly.  Past the Beta(Nm, Nms) mean (y > m/m_s) and for y > 2 the
+    complementary probability is summed instead while it is at most 1/2,
+    so the series runs on the smaller side, where its terms fall from the
+    start.  Diagnostics record which path produced it.
     """
     if not (np.isfinite(gamma_th) and gamma_th > 0.0):
         raise DomainError(f"gamma_th must be positive and linear, got {gamma_th}")
@@ -309,13 +311,19 @@ def outage(cfg: LinkConfig, gamma_th: float) -> MetricResult:
         rounding = 2.0 * _EPS * float(sum(abs(t) for t in terms))
         return log_w, how, rounding
 
-    tail = 1.0  # no complement for y <= 2
-    if y > 2.0:
-        # deep-threshold regime: the reciprocal channel power follows the
-        # same family with the shape pair swapped, so the complementary
-        # probability has a fast-converging small-argument series
-        log_tail, how, rounding = tail_weight_log(nms, nm, 1.0 / y)
-        tail = math.exp(log_tail) if log_tail > -700.0 else 0.0
+    tail = 1.0  # the direct sum unless the complement is the smaller side
+    if y > 2.0 or y > nm / nms:
+        # the reciprocal channel power follows the same family with the
+        # shape pair swapped, so the complementary probability is the
+        # same series at 1/y; past the mean it converges where the
+        # direct one grows for thousands of terms
+        try:
+            log_tail, how, rounding = tail_weight_log(nms, nm, 1.0 / y)
+            tail = math.exp(log_tail) if log_tail > -700.0 else 0.0
+        except NumericError:
+            # just past the mean with Nms >> Nm the complement's terms
+            # fall too slowly, while the direct ones fall fast
+            pass
     if tail <= 0.5:
         # while the tail is the smaller side, 1 - tail cancels at most
         # one bit; it inherits the tail's absolute error

@@ -38,6 +38,7 @@ from .metrics import (
     QUADRATURE,
     LinkConfig,
     MetricResult,
+    _from_log,
     avg_ber,
     avg_ber_asymptotic,
     avg_capacity,
@@ -137,7 +138,8 @@ def _quad_result(
     rel_err += 8.0 * _EPS * (
         abs(log_front) + sum(abs(t) for t in lgammas) + abs(log_integral)
     )
-    value = math.exp(log_value) if log_value > -700.0 else 0.0
+    diagnostics = {"log_value": log_value}
+    value = _from_log(log_value, diagnostics)
     err = rel_err * value
     if value > upper + err:
         raise NumericError(
@@ -145,7 +147,7 @@ def _quad_result(
             f"by more than its error estimate {err:.3e}"
         )
     return MetricResult(value=value, method=QUADRATURE, error_estimate=err,
-                        diagnostics={"log_value": log_value})
+                        diagnostics=diagnostics)
 
 
 def _log_softplus(s: float) -> float:
@@ -284,9 +286,58 @@ def _metric_samples(cfg: LinkConfig, which: str, gamma_th: float, g: np.ndarray)
         return np.log2(1.0 + eta * g)
     if which == BER:
         return 0.5 * erfc(np.sqrt(2.0 * eta * cfg.lambda_mod * g) / _SQRT2)
-    if which == OUTAGE:
-        return (eta * g < gamma_th).astype(float)
-    raise DomainError(f"unknown metric {which!r}")
+    return (eta * g < gamma_th).astype(float)  # outage
+
+
+def mc_metrics(cases, mc: McConfig) -> list[CiEstimate]:
+    """Seeded Monte-Carlo estimates of several metrics on one sample.
+
+    ``cases`` holds (cfg, metric, linear gamma_th) triples that share one
+    channel model; they may differ in eta, lambda and threshold.  Each
+    chunk of channel powers is drawn once and scored for every case, so
+    every case gets the estimate a lone call with the same seed gives.
+    Capacity averages log2(1 + eta g); BER averages the conditional
+    error probability Q(sqrt(2 eta lambda g)) directly (no bit flips),
+    outage averages the threshold indicator.  Aggregation merges
+    (count, mean, M2) triples over fixed-size chunks, so the result is
+    bit-identical for a given seed regardless of scheduling.
+    """
+    for cfg, which, gamma_th in cases:
+        if which not in (CAPACITY, BER, OUTAGE):
+            raise DomainError(f"unknown metric {which!r}")
+        if which == OUTAGE and not (np.isfinite(gamma_th) and gamma_th > 0.0):
+            raise DomainError("outage estimation needs a positive linear gamma_th")
+    models = {cfg.model() for cfg, _, _ in cases}
+    if len(models) != 1:
+        raise DomainError(
+            f"cases must share one channel model to share draws, got {len(models)}"
+        )
+    (model,) = models
+    rng = np.random.default_rng(np.random.SeedSequence(mc.seed))
+    n_total = 0
+    moments = [(0.0, 0.0)] * len(cases)  # (mean, M2) per case
+    remaining = mc.n_samples
+    while remaining > 0:
+        k = min(_CHUNK, remaining)
+        g = sample_sum(model, mc.mode, rng, size=k)
+        tot = n_total + k
+        for i, (cfg, which, gamma_th) in enumerate(cases):
+            vals = _metric_samples(cfg, which, gamma_th, g)
+            c_mean = float(vals.mean())
+            c_m2 = float(((vals - c_mean) ** 2).sum())
+            # Chan et al. pairwise merge of (n, mean, M2)
+            mean, m2 = moments[i]
+            delta = c_mean - mean
+            moments[i] = (mean + delta * k / tot,
+                          m2 + c_m2 + delta * delta * n_total * k / tot)
+        n_total = tot
+        remaining -= k
+    estimates = []
+    for mean, m2 in moments:
+        var = m2 / (n_total - 1) if n_total > 1 else 0.0
+        estimates.append(CiEstimate(
+            mean=mean, std_error=math.sqrt(max(var, 0.0) / n_total), n=n_total))
+    return estimates
 
 
 def mc_metric(
@@ -295,37 +346,9 @@ def mc_metric(
     mc: McConfig,
     gamma_th: float = float("nan"),
 ) -> CiEstimate:
-    """Seeded Monte-Carlo estimate of one metric.
-
-    Capacity averages log2(1 + eta g); BER averages the conditional
-    error probability Q(sqrt(2 eta lambda g)) directly (no bit flips),
-    outage averages the threshold indicator.  Aggregation merges
-    (count, mean, M2) triples over fixed-size chunks, so the result is
-    bit-identical for a given seed regardless of scheduling.
-    """
-    if which == OUTAGE and not (np.isfinite(gamma_th) and gamma_th > 0.0):
-        raise DomainError("outage estimation needs a positive linear gamma_th")
-    model = cfg.model()
-    rng = np.random.default_rng(np.random.SeedSequence(mc.seed))
-    n_total = 0
-    mean = 0.0
-    m2 = 0.0
-    remaining = mc.n_samples
-    while remaining > 0:
-        k = min(_CHUNK, remaining)
-        g = sample_sum(model, mc.mode, rng, size=k)
-        vals = _metric_samples(cfg, which, gamma_th, g)
-        c_mean = float(vals.mean())
-        c_m2 = float(((vals - c_mean) ** 2).sum())
-        # Chan et al. pairwise merge of (n, mean, M2)
-        delta = c_mean - mean
-        tot = n_total + k
-        m2 = m2 + c_m2 + delta * delta * n_total * k / tot
-        mean = mean + delta * k / tot
-        n_total = tot
-        remaining -= k
-    var = m2 / (n_total - 1) if n_total > 1 else 0.0
-    return CiEstimate(mean=mean, std_error=math.sqrt(max(var, 0.0) / n_total), n=n_total)
+    """Seeded Monte-Carlo estimate of one metric: one case of
+    :func:`mc_metrics`."""
+    return mc_metrics([(cfg, which, gamma_th)], mc)[0]
 
 
 def ks_statistic(samples, cdf_fn) -> float:
@@ -464,37 +487,39 @@ def run_oracle_grid(
         fading = FadingParams(m=m, m_s=m_s)
         seed = int(np.random.SeedSequence((master_seed, idx)).generate_state(1)[0])
         mc = McConfig(n_samples=n_samples, seed=seed, mode=mode)
+        cases = [
+            (LinkConfig.from_eta(eta, fading, n, lambda_mod=lam), metric, gth, gth_db)
+            for metric in (CAPACITY, BER, OUTAGE)
+            for lam, gth_db, gth in metric_cases(metric, GRID_LAMBDA, GRID_GAMMA_TH_DB)
+        ]
+        # one sample per point, scored for every row
+        estimates = mc_metrics([case[:3] for case in cases], mc)
         checks: list[GridCheck] = []
-        for metric in (CAPACITY, BER, OUTAGE):
-            for lam, gth_db, gth in metric_cases(metric, GRID_LAMBDA, GRID_GAMMA_TH_DB):
-                cfg = LinkConfig.from_eta(eta, fading, n, lambda_mod=lam)
-                c_log = evaluate(cfg, metric, "exact", gth).diagnostics["log_value"]
-                q_log = evaluate(cfg, metric, "quadrature", gth).diagnostics["log_value"]
-                est = mc_metric(cfg, metric, mc, gamma_th=gth)
-                gap = _rel_gap_from_logs(c_log, q_log)
-                ok_mc, note = _mc_consistent(
-                    math.exp(c_log) if c_log > -700 else 0.0, est, metric
+        for (cfg, metric, gth, gth_db), est in zip(cases, estimates):
+            c_log = evaluate(cfg, metric, "exact", gth).diagnostics["log_value"]
+            q_log = evaluate(cfg, metric, "quadrature", gth).diagnostics["log_value"]
+            gap = _rel_gap_from_logs(c_log, q_log)
+            ok_mc, note = _mc_consistent(_from_log(c_log, {}), est, metric)
+            checks.append(
+                GridCheck(
+                    index=idx,
+                    n_cells=n,
+                    m=m,
+                    m_s=m_s,
+                    eta_db=eta_db,
+                    metric=metric,
+                    lambda_mod=cfg.lambda_mod,
+                    gamma_th_db=gth_db,
+                    closed_log=c_log,
+                    quad_log=q_log,
+                    mc_mean=est.mean,
+                    mc_std_error=est.std_error,
+                    rel_gap_quad=gap,
+                    mc_ok=ok_mc,
+                    quad_ok=gap <= REL_TOL_QUAD,
+                    note=note,
                 )
-                checks.append(
-                    GridCheck(
-                        index=idx,
-                        n_cells=n,
-                        m=m,
-                        m_s=m_s,
-                        eta_db=eta_db,
-                        metric=metric,
-                        lambda_mod=lam,
-                        gamma_th_db=gth_db,
-                        closed_log=c_log,
-                        quad_log=q_log,
-                        mc_mean=est.mean,
-                        mc_std_error=est.std_error,
-                        rel_gap_quad=gap,
-                        mc_ok=ok_mc,
-                        quad_ok=gap <= REL_TOL_QUAD,
-                        note=note,
-                    )
-                )
+            )
         return checks
 
     items = list(enumerate(itertools.product(*GRID_PRESETS[preset])))

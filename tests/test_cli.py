@@ -210,6 +210,21 @@ class TestMain:
             "metrics", "--metric", "ber", "--variant", "mc", "--mc-samples", "5000",
         ]) == 2
 
+    def test_metrics_lambda_only_moves_ber(self, capsys):
+        # capacity and outage do not read lambda: their row, MC
+        # substream included, is the same for either value, and echoes 1
+        for metric in ("capacity", "outage"):
+            rows = []
+            for lam in ("0.5", "1"):
+                assert main([
+                    "metrics", "--metric", metric, "--variant", "mc",
+                    "--eta-db", "10", "--mc-samples", "10000", "--lambda", lam,
+                ]) == 0
+                rows.append(capsys.readouterr().out)
+            assert rows[0] == rows[1]
+            row = next(csv.DictReader(io.StringIO(rows[0])))
+            assert row["lambda"] == "1"
+
     def test_bad_config_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(MINIMAL + "\n[link]\nm_s = 0.5\n")

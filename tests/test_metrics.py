@@ -21,7 +21,7 @@ from rislink.metrics import (
     snr_threshold_from_db,
 )
 from rislink.specfun import meijer_g
-from rislink.validation import quad_ber, quad_capacity
+from rislink.validation import quad_ber, quad_capacity, quad_outage
 
 F15 = FadingParams(m=1.0, m_s=5.0)
 
@@ -229,7 +229,9 @@ class TestOutage:
             assert 0.0 <= v <= 1.0
 
     def test_path_recorded_when_argument_large(self):
-        r = outage(cfg_eta(0.5), 1.0)  # y = 0.4/0.5 in the Pfaff band
+        # y = 2 xi / 5 = 0.8 with xi = 2, below the mean y = m/m_s = 2:
+        # the direct sum, in the Pfaff band
+        r = outage(cfg_eta(5.0, FadingParams(4.0, 2.0)), 2.0)
         assert r.diagnostics["hyp_path"] in ("pfaff", "direct_series")
         r = outage(cfg_eta(0.1), 2.0)  # y = 4: complementary route
         assert r.diagnostics["hyp_path"].startswith("complement")
@@ -258,6 +260,16 @@ class TestOutage:
         assert r.diagnostics["hyp_path"] == "pfaff"
         assert abs(r.value - want) <= 1e-10 * want
         assert abs(r.value - want) <= r.error_estimate
+
+    def test_past_mean_takes_complement(self):
+        # y = 1.967 <= 2 lies past the Beta(Nm, Nms) mean (y = m/m_s =
+        # 0.2), where the direct Pfaff terms grow until k ~ 22,600 and
+        # raised; the complement at 1/y converges fast
+        cfg = LinkConfig.from_eta(2.0 * (10.0 / 12800) / 1.967, FadingParams(10.0, 50.0), 256)
+        r = outage(cfg, 2.0)
+        q = quad_outage(cfg, 2.0)
+        assert r.diagnostics["hyp_path"] == "complement_pfaff"
+        assert abs(r.value - q.value) <= r.error_estimate + q.error_estimate
 
     def test_direct_error_estimate_covers_log_rounding(self):
         # at N = 1024 the log-space gamma sum rounds to more than 1e-12;

@@ -27,6 +27,7 @@ from rislink.validation import (
     evaluate,
     ks_statistic,
     mc_metric,
+    mc_metrics,
     metric_cases,
     physical_model_capacity_gap,
     quad_ber,
@@ -100,6 +101,18 @@ class TestQuadBer:
         assert quad_ber(cfg_eta(1e-9)).value == pytest.approx(
             avg_ber(cfg_eta(1e-9)).value, rel=1e-6
         )
+
+    def test_shares_underflow_floor_with_closed_form(self):
+        # log BER = -695 lies below the reporting floor log(1e-300) but
+        # above exp's own underflow: both routes print 0.0 and flag it
+        cfg = cfg_eta(4.356793848805242e37, F15, 8)
+        closed, quad = avg_ber(cfg), quad_ber(cfg)
+        assert closed.diagnostics["log_value"] == pytest.approx(-695.0, abs=1e-6)
+        assert quad.diagnostics["log_value"] == pytest.approx(
+            closed.diagnostics["log_value"], rel=1e-9
+        )
+        for r in (closed, quad):
+            assert r.value == 0.0 and r.diagnostics["underflow"] is True
 
     def test_never_exceeds_half(self):
         for eta in (1e-6, 1e-2, 1.0, 1e2, 1e4):
@@ -199,6 +212,32 @@ class TestMcMetric:
     def test_unknown_metric(self):
         with pytest.raises(DomainError):
             mc_metric(cfg_eta(1.0), "snr", McConfig(10_000, 5))
+
+
+class TestMcMetrics:
+    @pytest.mark.parametrize("mode,n_samples", [
+        (MODEL_DRAW, 50_000),
+        (PHYSICAL_DRAW, 20_000),
+        (MODEL_DRAW, validation._CHUNK + 10_000),
+    ])
+    def test_each_case_equals_a_lone_call(self, mode, n_samples):
+        mc = McConfig(n_samples, 99, mode)
+        cases = [
+            (cfg_eta(10.0, F15, 4), CAPACITY, math.nan),
+            (cfg_eta(10.0, F15, 4, lam=0.5), BER, math.nan),
+            (cfg_eta(10.0, F15, 4), BER, math.nan),
+            (cfg_eta(10.0, F15, 4), OUTAGE, 2.0),
+            (cfg_eta(300.0, F15, 4), OUTAGE, 4.0),
+        ]
+        shared = mc_metrics(cases, mc)
+        lone = [mc_metric(cfg, which, mc, gamma_th=g) for cfg, which, g in cases]
+        assert shared == lone  # bit-identical dataclass equality
+
+    def test_cases_must_share_one_model(self):
+        cases = [(cfg_eta(10.0, F15, 1), CAPACITY, math.nan),
+                 (cfg_eta(10.0, F15, 4), CAPACITY, math.nan)]
+        with pytest.raises(DomainError, match="one channel model"):
+            mc_metrics(cases, McConfig(10_000, 5))
 
 
 class TestKsStatistic:
@@ -301,6 +340,18 @@ class TestOracleGrid:
         a = run_oracle_grid("smoke", master_seed=7, n_samples=10_000)
         b = run_oracle_grid("smoke", master_seed=7, n_samples=10_000, max_workers=4)
         assert [_check_row(c) for c in a] == [_check_row(c) for c in b]
+
+    def test_one_draw_per_point(self, monkeypatch):
+        calls = []
+        draw = validation.sample_sum
+
+        def counting(model, *args, **kwargs):
+            calls.append(model)
+            return draw(model, *args, **kwargs)
+
+        monkeypatch.setattr(validation, "sample_sum", counting)
+        checks = run_oracle_grid("smoke", n_samples=10_000)
+        assert len(calls) == len({c.index for c in checks}) == 8
 
     def test_unknown_preset(self):
         with pytest.raises(DomainError):
