@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, NumericError
 from .fading import MODEL_DRAW, PHYSICAL_DRAW, FadingParams
-from .metrics import LinkConfig, snr_threshold_from_db
+from .metrics import snr_threshold_from_db
 from .validation import (
     BER,
     CAPACITY,
@@ -43,9 +43,9 @@ from .validation import (
     McConfig,
     evaluate,
     ks_statistic,
-    mc_metric,
-    metric_cases,
+    mc_metrics,
     physical_model_capacity_gap,
+    point_cases,
     run_oracle_grid,
 )
 
@@ -324,45 +324,48 @@ def _point_rows(spec: SweepSpec, axis_value: float) -> list[list[str]]:
     for n in spec.n_cells if spec.axis != "n_cells" else (int(axis_value),):
         for m in spec.m:
             for m_s in spec.m_s:
-                fading = FadingParams(m=m, m_s=m_s)
-                for metric in spec.metrics:
-                    for lam, gth_db, gth in metric_cases(metric, spec.lambda_mod, gth_dbs):
-                        cfg = LinkConfig.from_eta(eta, fading, n, lambda_mod=lam)
-                        for variant in spec.variants:
-                            value, err = _evaluate(
-                                cfg, metric, variant, gth,
-                                spec.mc_samples, spec.mc_seed, spec.mc_mode,
-                            )
-                            rows.append([
-                                spec.axis, _fmt(axis_value), metric, variant,
-                                _fmt(n), _fmt(m), _fmt(m_s), "1",
-                                _fmt(spec.r_d), _fmt(spec.beta),
-                                _fmt(spec.n0_dbm), _fmt(lam), _fmt(gth_db),
-                                _fmt(value), _fmt(err), _fmt(spec.mc_seed),
-                            ])
+                cases = point_cases(eta, FadingParams(m=m, m_s=m_s), n, spec.metrics,
+                                    spec.lambda_mod, gth_dbs)
+                for cfg, metric, gth_db, variant, value, err in _case_rows(
+                    cases, spec.variants, spec.mc_samples, spec.mc_seed, spec.mc_mode,
+                ):
+                    rows.append([
+                        spec.axis, _fmt(axis_value), metric, variant,
+                        _fmt(n), _fmt(m), _fmt(m_s), "1",
+                        _fmt(spec.r_d), _fmt(spec.beta),
+                        _fmt(spec.n0_dbm), _fmt(cfg.lambda_mod), _fmt(gth_db),
+                        _fmt(value), _fmt(err), _fmt(spec.mc_seed),
+                    ])
     return rows
 
 
-def _evaluate(
-    cfg: LinkConfig, metric: str, variant: str, gamma_th: float,
-    mc_samples: int, mc_seed: int, mc_mode: str,
-) -> tuple[float, float]:
-    if variant != "mc":
-        r = evaluate(cfg, metric, variant, gamma_th)
-        return r.value, r.error_estimate
-    # mc: derive the substream from every varying coordinate so that rows
-    # are reproducible independent of evaluation order (stable hash; the
-    # builtin hash() is salted per process)
-    key = "|".join([
-        str(mc_seed), metric, str(cfg.n_cells),
-        f"{cfg.fading.m:.17g}", f"{cfg.fading.m_s:.17g}",
-        f"{cfg.lambda_mod:.17g}", f"{cfg.eta():.17g}", f"{gamma_th:.17g}",
-    ])
-    digest = hashlib.sha256(key.encode()).digest()
-    sub = int.from_bytes(digest[:8], "big")
-    mc = McConfig(n_samples=mc_samples, seed=sub, mode=mc_mode)
-    est = mc_metric(cfg, metric, mc, gamma_th=gamma_th)
-    return est.mean, est.std_error
+def _case_rows(cases, variants, mc_samples: int, mc_seed: int, mc_mode: str):
+    """(cfg, metric, gamma_th_db, variant, value, error) per case and variant.
+
+    ``cases`` are the :func:`point_cases` of one (point, N, m, m_s)
+    family.  The mc variant draws one sample for all of them, seeded from
+    seed|N|m|m_s|eta: metric, lambda and threshold stay out of the key,
+    so the family's MC rows are correlated, and no row depends on
+    evaluation order (stable hash; the builtin hash() is salted per
+    process).
+    """
+    if "mc" in variants:
+        cfg = cases[0][0]
+        key = "|".join([
+            str(mc_seed), str(cfg.n_cells), f"{cfg.fading.m:.17g}",
+            f"{cfg.fading.m_s:.17g}", f"{cfg.eta():.17g}",
+        ])
+        sub = int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big")
+        estimates = mc_metrics([case[:3] for case in cases],
+                               McConfig(n_samples=mc_samples, seed=sub, mode=mc_mode))
+    for i, (cfg, metric, gth, gth_db) in enumerate(cases):
+        for variant in variants:
+            if variant == "mc":
+                value, err = estimates[i].mean, estimates[i].std_error
+            else:
+                r = evaluate(cfg, metric, variant, gth)
+                value, err = r.value, r.error_estimate
+            yield cfg, metric, gth_db, variant, value, err
 
 
 def run_sweep(spec: SweepSpec, threads: int = 1, progress=None) -> list[list[str]]:
@@ -526,13 +529,10 @@ def _metrics_command(args) -> int:
         eta = snr_threshold_from_db(args.eta_db)
     else:
         eta = _eta(args.p_s_dbm, args.n0_dbm, args.r_d, args.beta)
-    [(lam, gth_db, gth)] = metric_cases(args.metric, (args.lam,), (args.gamma_th_db,))
-    cfg = LinkConfig.from_eta(
-        eta, FadingParams(m=args.m, m_s=args.m_s), args.n_cells, lambda_mod=lam
-    )
-    value, err = _evaluate(
-        cfg, args.metric, args.variant, gth, args.mc_samples, args.seed,
-        _MC_MODES[args.mc_mode],
+    cases = point_cases(eta, FadingParams(m=args.m, m_s=args.m_s), args.n_cells,
+                        (args.metric,), (args.lam,), (args.gamma_th_db,))
+    [(cfg, _, gth_db, _, value, err)] = _case_rows(
+        cases, (args.variant,), args.mc_samples, args.seed, _MC_MODES[args.mc_mode],
     )
     axis_value = args.eta_db if args.eta_db is not None else args.p_s_dbm
     axis = "eta_db" if args.eta_db is not None else "p_s_dbm"
@@ -541,7 +541,7 @@ def _metrics_command(args) -> int:
     w.writerow([
         axis, _fmt(axis_value), args.metric, args.variant, _fmt(args.n_cells),
         _fmt(args.m), _fmt(args.m_s), "1", _fmt(args.r_d),
-        _fmt(args.beta), _fmt(args.n0_dbm), _fmt(lam), _fmt(gth_db),
+        _fmt(args.beta), _fmt(args.n0_dbm), _fmt(cfg.lambda_mod), _fmt(gth_db),
         _fmt(value), _fmt(err), _fmt(args.seed),
     ])
     return 0

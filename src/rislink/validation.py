@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
 from scipy.special import erfc, log_ndtr
 
 from .errors import DomainError, NumericError
@@ -99,6 +97,11 @@ def _peak_normalized_quad(
     support runs where log_h lies within 100 of the peak, cut at u_hi;
     a cut far beyond the support would let quad miss a narrow peak.
     """
+    # imported here: only the quadrature routes need these, and they
+    # cost a CLI process that never runs one about 0.2 s of start-up
+    from scipy.integrate import quad
+    from scipy.optimize import minimize_scalar
+
     if u_peak is None:
         peak = minimize_scalar(lambda u: -log_h(u), method="bounded",
                                bounds=(-400.0, 400.0),
@@ -275,6 +278,21 @@ def metric_cases(metric: str, lambdas, gammas_th_db):
     if metric == OUTAGE:
         return [(1.0, g, snr_threshold_from_db(g)) for g in gammas_th_db]
     return [(1.0, nan, nan)]
+
+
+def point_cases(eta: float, fading: FadingParams, n_cells: int, metrics,
+                lambdas, gammas_th_db):
+    """The (cfg, metric, linear gamma_th, gamma_th_db) rows of one point.
+
+    Rows follow ``metrics``, then :func:`metric_cases` within a metric.
+    They all share one channel model, so :func:`mc_metrics` can score
+    them on one sample.
+    """
+    return [
+        (LinkConfig.from_eta(eta, fading, n_cells, lambda_mod=lam), metric, gth, gth_db)
+        for metric in metrics
+        for lam, gth_db, gth in metric_cases(metric, lambdas, gammas_th_db)
+    ]
 
 
 _CHUNK = 1 << 18
@@ -484,14 +502,10 @@ def run_oracle_grid(
     def one_point(item) -> list[GridCheck]:
         idx, (n, m, m_s, eta_db) = item
         eta = 10.0 ** (eta_db / 10.0)
-        fading = FadingParams(m=m, m_s=m_s)
         seed = int(np.random.SeedSequence((master_seed, idx)).generate_state(1)[0])
         mc = McConfig(n_samples=n_samples, seed=seed, mode=mode)
-        cases = [
-            (LinkConfig.from_eta(eta, fading, n, lambda_mod=lam), metric, gth, gth_db)
-            for metric in (CAPACITY, BER, OUTAGE)
-            for lam, gth_db, gth in metric_cases(metric, GRID_LAMBDA, GRID_GAMMA_TH_DB)
-        ]
+        cases = point_cases(eta, FadingParams(m=m, m_s=m_s), n, (CAPACITY, BER, OUTAGE),
+                            GRID_LAMBDA, GRID_GAMMA_TH_DB)
         # one sample per point, scored for every row
         estimates = mc_metrics([case[:3] for case in cases], mc)
         checks: list[GridCheck] = []

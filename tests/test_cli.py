@@ -3,9 +3,14 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import rislink
+from rislink import validation
 from rislink.cli import (
     CSV_HEADER,
     SweepSpec,
@@ -17,6 +22,7 @@ from rislink.cli import (
     write_csv,
 )
 from rislink.errors import ConfigError
+from rislink.fading import MODEL_DRAW, PHYSICAL_DRAW
 
 MINIMAL = """
 [sweep]
@@ -129,6 +135,31 @@ class TestParseConfig:
             parse_config(MINIMAL + "\n[mc]\nmode = both\n")
 
 
+# one family per (point, N, m, m_s); every metric, both lambdas, both thresholds
+MC_FAMILY_SWEEP = """
+[sweep]
+axis = eta_db
+start = 0
+stop = 20
+steps = 3
+metrics = capacity, ber, outage
+variants = exact, mc
+
+[link]
+n_cells = 1, 8
+lambda = 0.5, 1
+gamma_th_db = 3, 6
+
+[mc]
+samples = 20000
+seed = 7
+"""
+
+
+def _dict_rows(rows):
+    return [dict(zip(CSV_HEADER, r)) for r in rows]
+
+
 class TestSweep:
     def test_row_count_and_families(self):
         spec = parse_config(FIG_BER_STYLE)
@@ -155,6 +186,54 @@ class TestSweep:
         a = run_sweep(spec, threads=1, progress=lambda m: None)
         b = run_sweep(spec, threads=4, progress=lambda m: None)
         assert a == b
+
+    @pytest.mark.parametrize("mode", [MODEL_DRAW, PHYSICAL_DRAW])
+    def test_one_draw_per_family(self, monkeypatch, mode):
+        calls = []
+        draw = validation.sample_sum
+
+        def counting(model, *args, **kwargs):
+            calls.append(model)
+            return draw(model, *args, **kwargs)
+
+        monkeypatch.setattr(validation, "sample_sum", counting)
+        text = """
+[sweep]
+axis = n_cells
+start = 1
+stop = 2
+steps = 2
+metrics = capacity, ber, outage
+variants = mc
+
+[link]
+m = 1, 2
+lambda = 0.5, 1
+gamma_th_db = 3, 6
+"""
+        spec = SweepSpec(**{**parse_config(text).__dict__, "mc_mode": mode,
+                            "mc_samples": validation._CHUNK + 1000})
+        rows = run_sweep(spec, progress=lambda m: None)
+        # 2 points x 2 families x (1 capacity + 2 BER + 2 outage) rows,
+        # and one draw per family for each of the two chunks
+        assert len(rows) == 20
+        assert len(calls) == 2 * 2 * 2
+
+    def test_mc_rows_within_four_se_of_exact(self):
+        rows = _dict_rows(run_sweep(parse_config(MC_FAMILY_SWEEP), progress=lambda m: None))
+        coords = ("axis_value", "metric", "N", "lambda", "gamma_th_db")
+        exact = {tuple(r[k] for k in coords): float(r["value"])
+                 for r in rows if r["variant"] == "exact"}
+        resolved = 0
+        for r in rows:
+            if r["variant"] != "mc":
+                continue
+            mean, se = float(r["value"]), float(r["error_estimate"])
+            if not 0.0 < se <= 0.05 * mean:
+                continue  # unresolved: too few hits for a normal band
+            resolved += 1
+            assert abs(mean - exact[tuple(r[k] for k in coords)]) <= 4.0 * se, r
+        assert resolved >= 15  # at least half of the 30 MC rows
 
     def test_asymptotic_and_exact_converge_at_high_power(self):
         text = """
@@ -224,6 +303,34 @@ class TestMain:
             assert rows[0] == rows[1]
             row = next(csv.DictReader(io.StringIO(rows[0])))
             assert row["lambda"] == "1"
+
+    def test_metrics_mc_matches_sweep_row(self, capsys):
+        rows = _dict_rows(run_sweep(parse_config(MC_FAMILY_SWEEP), progress=lambda m: None))
+        matched = 0
+        for want in rows:
+            if want["variant"] != "mc" or want["axis_value"] != "10":
+                continue
+            args = ["metrics", "--metric", want["metric"], "--variant", "mc",
+                    "--eta-db", "10", "--n-cells", want["N"], "--mc-samples", "20000",
+                    "--seed", "7", "--lambda", want["lambda"]]
+            if want["metric"] == "outage":
+                args += ["--gamma-th-db", want["gamma_th_db"]]
+            assert main(args) == 0
+            got = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+            assert got == want  # value and error included
+            matched += 1
+        # 2 N x (1 capacity + 2 BER + 2 outage)
+        assert matched == 10
+
+    def test_cli_import_leaves_quadrature_modules_out(self):
+        src = os.path.dirname(os.path.dirname(rislink.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys, rislink.cli; "
+                "print(sorted(m for m in sys.modules "
+                "if m.startswith(('scipy.integrate', 'scipy.optimize'))))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
