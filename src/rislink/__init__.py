@@ -37,7 +37,6 @@ from .specfun import (
     MeijerGSpec,
     beta,
     digamma,
-    gauss_2f1,
     ln_gamma,
     meijer_g,
     q_function,
@@ -65,7 +64,7 @@ __all__ = [
     "outage", "outage_asymptotic",
     "snr_threshold_from_db", "power_from_dbm",
     "MeijerGSpec", "EvalReport", "meijer_g",
-    "ln_gamma", "digamma", "beta", "q_function", "gauss_2f1",
+    "ln_gamma", "digamma", "beta", "q_function",
     "McConfig", "CiEstimate", "mc_metric", "ks_statistic",
     "quad_capacity", "quad_ber", "quad_outage", "run_oracle_grid",
     "__version__",

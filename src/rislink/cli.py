@@ -498,7 +498,7 @@ def selftest() -> int:
     """Special-function identity suite; prints one line per identity."""
     from scipy.special import erfc as _erfc
 
-    from .specfun import MeijerGSpec, gauss_2f1, meijer_g, q_function
+    from .specfun import MeijerGSpec, log_betainc, meijer_g, q_function
 
     failures = 0
 
@@ -518,8 +518,8 @@ def selftest() -> int:
         spec = MeijerGSpec([], [1.0], [0.0, 0.5], [], z)
         want = math.sqrt(math.pi) * _erfc(math.sqrt(z))
         check(f"erfc kernel z={z}", meijer_g(spec).value, want, 1e-9)
-    check("2F1 log identity", gauss_2f1(1, 1, 2, -1.0), math.log(2.0), 1e-12)
-    check("2F1 Pfaff path", gauss_2f1(1, 1, 2, -4.0), math.log(5.0) / 4.0, 1e-12)
+    check("I_x(1,1) at y=1", math.exp(log_betainc(1.0, 1.0, 1.0)[0]), 0.5, 1e-12)
+    check("I_x(2,1) at y=3", math.exp(log_betainc(2.0, 1.0, 3.0)[0]), 9.0 / 16.0, 1e-12)
     check("Q(0)", q_function(0.0), 0.5, 1e-14)
     return 0 if failures == 0 else 4
 

@@ -148,7 +148,7 @@ def _sum_log_pdf(model: SumFadingModel, g: np.ndarray) -> np.ndarray:
     return (
         nm * math.log(xi)
         + (nm - 1.0) * np.log(gp)
-        - model.n_cells * (model.params.m + model.params.m_s) * np.log1p(xi * g)
+        - (nm + nms) * np.log1p(xi * g)
         - ln_beta(nm, nms)
     )
 

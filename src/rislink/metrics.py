@@ -10,8 +10,9 @@ eta = P_s r_d^(-beta) / N_0 and g_D the aggregate channel power from
 
 Capacity and BER evaluate Meijer G closed forms through
 :mod:`rislink.specfun`; outage reduces to a Gauss hypergeometric
-expression.  Every prefactor is combined in log space so that results
-remain exact when the gamma factors are far beyond double range.
+expression, the regularized incomplete beta.  Every prefactor is
+combined in log space so that results remain exact when the gamma
+factors are far beyond double range.
 
 The capacity kernel is evaluated as
 
@@ -35,16 +36,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DomainError, NumericError
+from .errors import DomainError
 from .fading import FadingParams, SumFadingModel
-from .specfun import (
-    EvalReport,
-    MeijerGSpec,
-    _log_2f1_pfaff,
-    digamma,
-    gauss_2f1,
-    meijer_g,
-)
+from .specfun import EvalReport, MeijerGSpec, digamma, log_betainc, meijer_g
 
 _LN2 = math.log(2.0)
 _EPS = float(np.finfo(float).eps)
@@ -273,70 +267,20 @@ def outage(cfg: LinkConfig, gamma_th: float) -> MetricResult:
     """Outage probability P{eta g_D < gamma_th}, gamma_th linear.
 
     Gamma(Nm+Nms) / (Gamma(1+Nm) Gamma(Nms)) y^Nm
-        * 2F1(N(m+m_s), Nm; 1+Nm; -y),  y = gamma_th xi / eta.
+        * 2F1(N(m+m_s), Nm; 1+Nm; -y),  y = gamma_th xi / eta,
 
-    The hypergeometric factor runs through the Pfaff-mapped positive
-    series whenever the plain series would not converge or would cancel
-    badly.  Past the Beta(Nm, Nms) mean (y > m/m_s) and for y > 2 the
-    complementary probability is summed instead while it is at most 1/2,
-    so the series runs on the smaller side, where its terms fall from the
-    start.  Diagnostics record which path produced it.
+    the regularized incomplete beta I_x(Nm, Nms) at x = y/(1+y), by the
+    log-space continued fraction of :func:`specfun.log_betainc`.
+    Diagnostics record its side as ``method``, its iterations as
+    ``evals`` and its relative bound as ``rel_error``.
     """
     if not (np.isfinite(gamma_th) and gamma_th > 0.0):
         raise DomainError(f"gamma_th must be positive and linear, got {gamma_th}")
     model = cfg.model()
-    eta = cfg.eta()
-    nm, nms = model.nm, model.nms
-    y = gamma_th * model.xi / eta
-    a = model.n_cells * (cfg.fading.m + cfg.fading.m_s)
-
-    def tail_weight_log(shape_lo: float, shape_hi: float, arg: float):
-        """log of C y^s 2F1(a, s; 1+s; -y) for the CDF-style kernel, the
-        2F1 path, and the rounding bound of the log-space sum."""
-        if arg < 1.0 and abs(a * shape_lo * arg / (1.0 + shape_lo)) <= 1.0:
-            log_f = math.log(gauss_2f1(a, shape_lo, 1.0 + shape_lo, -arg))
-            how = "direct_series"
-        else:
-            log_f = _log_2f1_pfaff(a, shape_lo, 1.0 + shape_lo, -arg)
-            how = "pfaff"
-        terms = (
-            gammaln(nm + nms),
-            gammaln(1.0 + shape_lo),
-            gammaln(shape_hi),
-            shape_lo * math.log(arg),
-            log_f,
-        )
-        log_w = terms[0] - terms[1] - terms[2] + terms[3] + terms[4]
-        # each term is good to about two ulps of its own size
-        rounding = 2.0 * _EPS * float(sum(abs(t) for t in terms))
-        return log_w, how, rounding
-
-    tail = 1.0  # the direct sum unless the complement is the smaller side
-    if y > 2.0 or y > nm / nms:
-        # the reciprocal channel power follows the same family with the
-        # shape pair swapped, so the complementary probability is the
-        # same series at 1/y; past the mean it converges where the
-        # direct one grows for thousands of terms
-        try:
-            log_tail, how, rounding = tail_weight_log(nms, nm, 1.0 / y)
-            tail = math.exp(log_tail) if log_tail > -700.0 else 0.0
-        except NumericError:
-            # just past the mean with Nms >> Nm the complement's terms
-            # fall too slowly, while the direct ones fall fast
-            pass
-    if tail <= 0.5:
-        # while the tail is the smaller side, 1 - tail cancels at most
-        # one bit; it inherits the tail's absolute error
-        log_value = math.log1p(-tail)
-        path = f"complement_{how}"
-        tail_err = tail * max(1e-12, rounding)
-        rel_err = 1e-12
-    else:
-        # summed directly, nothing cancels
-        log_value, path, rounding = tail_weight_log(nm, nms, y)
-        tail_err = 0.0
-        rel_err = max(1e-12, rounding)
-    diagnostics = {"log_value": log_value, "hyp_path": path}
+    y = gamma_th * model.xi / cfg.eta()
+    log_value, rel_err, side, evals = log_betainc(model.nm, model.nms, y)
+    diagnostics = {"log_value": log_value, "method": side, "evals": evals,
+                   "rel_error": rel_err}
     value = _from_log(log_value, diagnostics)
     if value > 1.0:
         # exact expression is <= 1; excess here is roundoff
@@ -345,7 +289,7 @@ def outage(cfg: LinkConfig, gamma_th: float) -> MetricResult:
     return MetricResult(
         value=value,
         method=CLOSED_FORM,
-        error_estimate=abs(value) * rel_err + tail_err,
+        error_estimate=value * rel_err,
         diagnostics=diagnostics,
     )
 

@@ -1,7 +1,7 @@
 """Double-precision special functions used by the closed-form link metrics.
 
-Gamma-family wrappers, the Gaussian Q-function, the Gauss hypergeometric
-function for non-positive argument, and a numerical Meijer G evaluator.
+Gamma-family wrappers, the Gaussian Q-function, the regularized
+incomplete beta in log space, and a numerical Meijer G evaluator.
 The Meijer G evaluator has two tiers:
 
   1. the elementary G^{1,1}_{1,1} reduction to a binomial kernel,
@@ -32,12 +32,11 @@ from scipy.special import loggamma as _loggamma
 
 from .errors import DomainError, NumericError
 
-_LN2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
 _EPS = float(np.finfo(float).eps)
 
 # Hard caps; exceeding them raises, never returns silently.
-MAX_SERIES_TERMS = 10_000
+MAX_CF_ITERATIONS = 10_000
 MAX_CONTOUR_EVALS = 100_000
 
 # Nodes per vectorized integrand call; bounds the contour's working set.
@@ -78,100 +77,67 @@ def q_function(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Gauss hypergeometric 2F1 for z <= 0
+# Regularized incomplete beta in log space
 # ---------------------------------------------------------------------------
 
+CF_DIRECT = "cf_direct"
+CF_COMPLEMENT = "cf_complement"
 
-def _is_nonpositive_int(x: float, tol: float = 1e-12) -> bool:
-    return x <= tol and abs(x - round(x)) <= tol
+
+def _nonzero(v: float) -> float:
+    return v if abs(v) > 1e-300 else 1e-300
 
 
-def _series_2f1(a: float, b: float, c: float, z: float, rtol: float = 1e-14):
-    """Direct power series; returns (sum, max_abs_term, n_terms).
+def _beta_cf(a: float, b: float, x: float) -> tuple[float, int]:
+    """Modified Lentz evaluation of the continued fraction h, with
+    I_x(a, b) = x^a (1-x)^b h / (a B(a, b)), and its iteration count.
+    It converges in about sqrt(max(a, b)) steps for x < (a+1)/(a+b+2)."""
+    c, d = 1.0, 1.0 / _nonzero(1.0 - (a + b) * x / (a + 1.0))
+    h = d
+    for k in range(1, MAX_CF_ITERATIONS + 1):
+        even = k * (b - k) * x / ((a + 2 * k - 1.0) * (a + 2 * k))
+        odd = -(a + k) * (a + b + k) * x / ((a + 2 * k) * (a + 2 * k + 1.0))
+        for coef in (even, odd):
+            d = 1.0 / _nonzero(1.0 + coef * d)
+            c = _nonzero(1.0 + coef / c)
+            h *= c * d
+        if abs(c * d - 1.0) <= _EPS:
+            return h, k
+    raise NumericError(f"incomplete beta continued fraction did not converge within "
+                       f"{MAX_CF_ITERATIONS} iterations at {(a, b, x)}")
 
-    Caller is responsible for convergence (|z| < 1) and for judging the
-    cancellation implied by max_abs_term.
+
+def log_betainc(a: float, b: float, y: float) -> tuple[float, float, str, int]:
+    """log I_x(a, b) at x = y/(1+y): (log value, relative error, side, iterations).
+
+    The fraction runs at x when x < (a+1)/(a+b+2), and otherwise at
+    1 - x = 1/(1+y) for the complement 1 - I_{1-x}(b, a).  The prefactor
+    is assembled in logs, so the value stays exact far below double range.
     """
-    term = 1.0
-    total = 1.0
-    max_abs = 1.0
-    for k in range(MAX_SERIES_TERMS):
-        term *= (a + k) * (b + k) * z / ((c + k) * (k + 1.0))
-        total += term
-        max_abs = max(max_abs, abs(term))
-        if abs(term) <= rtol * max(abs(total), 1e-300):
-            return total, max_abs, k + 1
-    raise NumericError(
-        f"2F1 series did not converge within {MAX_SERIES_TERMS} terms "
-        f"(a={a}, b={b}, c={c}, z={z})"
-    )
-
-
-def _log_2f1_pfaff(a: float, b: float, c: float, z: float) -> float:
-    """log 2F1(a,b;c;z) for z <= 0 via the Pfaff map w = z/(z-1) in [0, 1).
-
-    Requires a > 0, c > 0 and c - b >= 0 so that every term of the mapped
-    series is nonnegative; the sum is then accumulated with logaddexp and
-    never overflows.
-    """
-    if z == 0.0:
-        return 0.0
-    w = z / (z - 1.0)
-    bp = c - b
-    if bp < 0.0 or a <= 0.0 or c <= 0.0:
-        raise DomainError(
-            f"log-space Pfaff path needs a > 0, c > 0, c - b >= 0 "
-            f"(a={a}, b={b}, c={c})"
-        )
-    log_term = 0.0
-    log_sum = 0.0
-    for k in range(MAX_SERIES_TERMS):
-        ratio = (a + k) * (bp + k) * w / ((c + k) * (k + 1.0))
-        if ratio == 0.0:
-            break
-        log_term += math.log(ratio)
-        log_sum = np.logaddexp(log_sum, log_term)
-        if log_term < log_sum - 37.0:  # term below eps * partial sum
-            break
-    else:
-        raise NumericError(
-            f"Pfaff series did not converge within {MAX_SERIES_TERMS} terms "
-            f"(a={a}, b={b}, c={c}, z={z}, w={w})"
-        )
-    return float(-a * math.log1p(-z) + log_sum)
-
-
-def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
-    """Gauss hypergeometric 2F1(a, b; c; z) for real z <= 0.
-
-    For z in (-1, 0] the direct series is used when its terms stay small
-    enough that cancellation cannot eat the accuracy target; otherwise,
-    and always for z < -1, the Pfaff transformation
-
-        2F1(a, b; c; z) = (1 - z)^(-a) * 2F1(a, c - b; c; z / (z - 1))
-
-    maps the argument into [0, 1) where the series converges.
-    """
-    if z > 0.0 or not np.isfinite(z):
-        raise DomainError(f"gauss_2f1 supports z <= 0 only, got {z}")
-    if _is_nonpositive_int(c):
-        raise DomainError(f"2F1 pole: c must not be a non-positive integer, got {c}")
-    if z == 0.0:
-        return 1.0
-    if z > -1.0:
-        # First-term ratio bounds the growth of the alternating series; when
-        # terms grow, cancellation destroys double precision and the
-        # all-positive Pfaff series is used instead.  Slow convergence near
-        # z = -1 likewise falls through to the Pfaff map.
-        if abs(a * b * z / c) <= 1.0:
-            try:
-                total, max_abs, _ = _series_2f1(a, b, c, z)
-            except NumericError:
-                pass
-            else:
-                if max_abs <= 1e4 * max(abs(total), 1e-300):
-                    return total
-    return math.exp(_log_2f1_pfaff(a, b, c, z))
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf and y >= 0.0):
+        raise DomainError(f"log_betainc requires finite a, b > 0 and y >= 0, got {(a, b, y)}")
+    if y == 0.0 or y == math.inf:  # the end points, where a log below is infinite
+        return (-math.inf, 0.0, CF_DIRECT, 0) if y == 0.0 else (0.0, 0.0, CF_COMPLEMENT, 0)
+    log_x = math.log(y) - math.log1p(y)
+    log_1mx = -math.log1p(y)
+    x = y / (1.0 + y)
+    direct = x < (a + 1.0) / (a + b + 2.0)
+    if not direct:
+        a, b, x, log_x, log_1mx = b, a, 1.0 / (1.0 + y), log_1mx, log_x
+    h, evals = _beta_cf(a, b, x)
+    terms = (a * log_x, b * log_1mx, -math.log(a), math.log(h),
+             float(_gammaln(a + b)), -float(_gammaln(a)), -float(_gammaln(b)))
+    log_value = math.fsum(terms)
+    # each log term is good to about two ulps of its own size, and each
+    # iteration rounds the fraction by a few ulps
+    rel_err = 2.0 * _EPS * sum(abs(t) for t in terms) + 4.0 * _EPS * evals
+    if direct:
+        return log_value, rel_err, CF_DIRECT, evals
+    tail = math.exp(log_value)
+    if tail >= 1.0:
+        raise NumericError(f"incomplete beta complement lost to rounding at {(b, a, y)}")
+    # 1 - tail inherits the tail's absolute error, and rounds to an ulp
+    return math.log1p(-tail), rel_err * tail / (1.0 - tail) + _EPS, CF_COMPLEMENT, evals
 
 
 # ---------------------------------------------------------------------------

@@ -168,7 +168,7 @@ def quad_capacity(cfg: LinkConfig) -> MetricResult:
     model = cfg.model()
     eta = cfg.eta()
     nm = model.nm
-    a_tot = model.n_cells * (cfg.fading.m + cfg.fading.m_s)
+    a_tot = nm + model.nms
     log_z = math.log(eta) - math.log(model.xi)
 
     def log_h(u: float) -> float:
@@ -199,7 +199,7 @@ def quad_ber(cfg: LinkConfig) -> MetricResult:
     model = cfg.model()
     eta_lam = cfg.eta() * cfg.lambda_mod
     nm = model.nm
-    a_tot = model.n_cells * (cfg.fading.m + cfg.fading.m_s)
+    a_tot = nm + model.nms
     log_eps = math.log(model.xi) - math.log(eta_lam)
 
     def log_h(u: float) -> float:
@@ -227,14 +227,14 @@ def quad_outage(cfg: LinkConfig, gamma_th: float) -> MetricResult:
     model = cfg.model()
     v = gamma_th / cfg.eta()
     nm = model.nm
-    a_tot = model.n_cells * (cfg.fading.m + cfg.fading.m_s)
+    a_tot = nm + model.nms
     log_xiv = math.log(model.xi) + math.log(v)
 
     def h(u: float) -> float:
         return nm * u - a_tot * float(np.logaddexp(0.0, log_xiv + u))
 
-    # stationary point of h: xi v e^u = Nm / (A - Nm), clamped to u <= 0
-    u_star = min(0.0, math.log(nm / (a_tot - nm)) - log_xiv)
+    # stationary point of h: xi v e^u = Nm / Nms, clamped to u <= 0
+    u_star = min(0.0, math.log(nm / model.nms) - log_xiv)
     log_integral, rel_err = _peak_normalized_quad(h, "outage", u_peak=u_star, u_hi=0.0)
     return _quad_result(model, nm * log_xiv, log_integral, rel_err, 1.0, "outage")
 

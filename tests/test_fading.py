@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import hyp2f1
 
 from rislink.errors import DomainError
 from rislink.fading import (
@@ -20,7 +21,7 @@ from rislink.fading import (
     sum_pdf,
     sum_pdf_origin,
 )
-from rislink.specfun import MeijerGSpec, gauss_2f1, ln_beta, meijer_g
+from rislink.specfun import MeijerGSpec, ln_beta, meijer_g
 from rislink.validation import ks_statistic
 
 KS_CRIT_1PCT = 1.63  # times 1/sqrt(n)
@@ -35,12 +36,11 @@ def sum_pdf_hyp2f1(model: SumFadingModel, g: float) -> float:
 
     (xi g)^(Nm) / (g B(Nm,Nms)) * 2F1(N(m+m_s), Nm; Nm; -xi g); an
     independent cross-check of :func:`sum_pdf` (the 2F1 is evaluated
-    by the generic series, not collapsed to the binomial it equals).
+    by scipy's generic hyp2f1, not collapsed to the binomial it equals).
     """
     nm, nms, xi = model.nm, model.nms, model.xi
-    a = model.n_cells * (model.params.m + model.params.m_s)
     front = math.exp(nm * math.log(xi * g) - math.log(g) - ln_beta(nm, nms))
-    return front * gauss_2f1(a, nm, nm, -xi * g)
+    return front * float(hyp2f1(nm + nms, nm, nm, -xi * g))
 
 
 class TestParams:

@@ -208,6 +208,21 @@ class TestClosedFormErrorEstimates:
         assert r.diagnostics["g_rel_error"] == g.details["rel_error"]
 
 
+# I_x(Nm, Nms) at x = y/(1+y), y = y_over_mean m/m_s, at 40 digits, by the
+# positive series on the side where it converges (mpmath.betainc does not
+# converge at large a + b):
+#   def pos(a, b, x):
+#       return (x**a * (1 - x)**b / (a * mpmath.beta(a, b))
+#               * mpmath.hyp2f1(a + b, 1, a + 1, x))
+#   value = pos(a, b, x) if x < (a + 1) / (a + b) else 1 - pos(b, a, 1 / (1 + y))
+# The first row lies just past the Beta mean with Nms >> Nm.
+CF_REFERENCES = [
+    (1024, 0.5, 50.0, 1.01, 0.59440733689288196986),
+    (256, 10.0, 50.0, 0.98, 0.17717182354499819599),
+    (8, 1.0, 5.0, 0.3, 0.004554997161399601357),
+]
+
+
 class TestOutage:
     def test_vanishes_at_origin(self):
         r = outage(cfg_eta(100.0), 1e-280)
@@ -229,24 +244,24 @@ class TestOutage:
             assert 0.0 <= v <= 1.0
 
     def test_path_recorded_when_argument_large(self):
-        # y = 2 xi / 5 = 0.8 with xi = 2, below the mean y = m/m_s = 2:
-        # the direct sum, in the Pfaff band
+        # y = 2 xi / 5 = 0.8 with xi = 2, so x = 4/9 lies below the
+        # fraction's side boundary (a+1)/(a+b+2) = 5/8: the direct side
         r = outage(cfg_eta(5.0, FadingParams(4.0, 2.0)), 2.0)
-        assert r.diagnostics["hyp_path"] in ("pfaff", "direct_series")
+        assert r.diagnostics["method"] == "cf_direct"
         r = outage(cfg_eta(0.1), 2.0)  # y = 4: complementary route
-        assert r.diagnostics["hyp_path"].startswith("complement")
+        assert r.diagnostics["method"] == "cf_complement"
         deep = outage(cfg_eta(1e-4), 100.0)
-        assert deep.diagnostics["hyp_path"].startswith("complement")
+        assert deep.diagnostics["method"] == "cf_complement"
         assert deep.value == pytest.approx(1.0, abs=1e-6)
 
     def test_complement_error_estimate_covers_cancellation(self):
-        # the complement path serves tails up to 1/2, where 1 - tail
-        # cancels the most; the reference is
+        # x = 0.776 lies just past the side boundary (a+1)/(a+b+2) = 0.769,
+        # where 1 - tail cancels the most; the reference is
         #   mpmath.betainc(2560, 768, 0, y / (1 + y), regularized=True)
         # at 40 digits, y = gamma_th xi / eta = 2 (10/768) / 0.0075
         cfg = LinkConfig.from_eta(0.0075, FadingParams(10.0, 3.0), 256)
         r = outage(cfg, 2.0)
-        assert r.diagnostics["hyp_path"].startswith("complement")
+        assert r.diagnostics["method"] == "cf_complement"
         assert abs(r.value - 0.83672596206970876) <= r.error_estimate
 
     def test_large_tail_takes_direct_path(self):
@@ -257,18 +272,17 @@ class TestOutage:
         cfg = LinkConfig.from_eta(0.01, FadingParams(10.0, 3.0), 256)
         r = outage(cfg, 2.0)
         want = 4.2045067767614625e-10
-        assert r.diagnostics["hyp_path"] == "pfaff"
+        assert r.diagnostics["method"] == "cf_direct"
         assert abs(r.value - want) <= 1e-10 * want
         assert abs(r.value - want) <= r.error_estimate
 
     def test_past_mean_takes_complement(self):
         # y = 1.967 <= 2 lies past the Beta(Nm, Nms) mean (y = m/m_s =
-        # 0.2), where the direct Pfaff terms grow until k ~ 22,600 and
-        # raised; the complement at 1/y converges fast
+        # 0.2), so the fraction runs on the complement side
         cfg = LinkConfig.from_eta(2.0 * (10.0 / 12800) / 1.967, FadingParams(10.0, 50.0), 256)
         r = outage(cfg, 2.0)
         q = quad_outage(cfg, 2.0)
-        assert r.diagnostics["hyp_path"] == "complement_pfaff"
+        assert r.diagnostics["method"] == "cf_complement"
         assert abs(r.value - q.value) <= r.error_estimate + q.error_estimate
 
     def test_direct_error_estimate_covers_log_rounding(self):
@@ -278,8 +292,16 @@ class TestOutage:
         # at 40 digits
         cfg = LinkConfig.from_eta(2.0 * 2.5 / 3072 / 0.8, FadingParams(2.5, 3.0), 1024)
         r = outage(cfg, 2.0)
-        assert r.diagnostics["hyp_path"] == "pfaff"
+        assert r.diagnostics["method"] == "cf_direct"
         assert abs(r.value - 0.063809324418204114) <= r.error_estimate
+
+    @pytest.mark.parametrize("n,m,m_s,y_over_mean,value_ref", CF_REFERENCES)
+    def test_continued_fraction_regression(self, n, m, m_s, y_over_mean, value_ref):
+        y = y_over_mean * m / m_s
+        cfg = LinkConfig.from_eta(m / (n * m_s) / y, FadingParams(m, m_s), n)
+        r = outage(cfg, 1.0)
+        assert abs(r.value - value_ref) <= r.error_estimate
+        assert r.diagnostics["evals"] <= 200
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -9,20 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from rislink import specfun
 from rislink.errors import DomainError, NumericError
 from rislink.specfun import (
+    CF_COMPLEMENT,
+    CF_DIRECT,
     CLOSED_IDENTITY,
     CONTOUR_QUADRATURE,
     MAX_CONTOUR_EVALS,
     EvalReport,
     MeijerGSpec,
     _contour_quadrature,
-    _log_2f1_pfaff,
-    _series_2f1,
     beta,
     digamma,
-    gauss_2f1,
     ln_gamma,
+    log_betainc,
     meijer_g,
     q_function,
 )
@@ -119,51 +120,71 @@ class TestQFunction:
             q_function(float("nan"))
 
 
-class TestGauss2F1:
-    def test_empty_series(self):
-        assert gauss_2f1(3.7, 1.2, 2.5, 0.0) == 1.0
+def betainc_value(a: float, b: float, y: float) -> tuple[float, float, str, int]:
+    """I_x(a, b) at x = y/(1+y), its absolute error bound, side, iterations."""
+    log_value, rel, side, evals = log_betainc(a, b, y)
+    value = math.exp(log_value)
+    return value, value * rel, side, evals
 
-    def test_log_identity_inside_disk(self):
-        # 2F1(1,1;2;z) = -ln(1-z)/z
-        assert gauss_2f1(1.0, 1.0, 2.0, -1.0) == pytest.approx(math.log(2.0), rel=1e-13)
 
-    def test_log_identity_pfaff_region(self):
-        assert gauss_2f1(1.0, 1.0, 2.0, -4.0) == pytest.approx(
-            math.log(5.0) / 4.0, rel=1e-13
-        )
+class TestLogBetainc:
+    def test_end_points(self):
+        assert log_betainc(3.7, 1.2, 0.0) == (-math.inf, 0.0, CF_DIRECT, 0)
+        assert log_betainc(3.7, 1.2, math.inf) == (0.0, 0.0, CF_COMPLEMENT, 0)
 
-    @pytest.mark.parametrize("z", [-0.05, -0.2, -0.5, -0.8, -0.95])
-    def test_direct_vs_pfaff_agree(self, z):
-        direct, _, _ = _series_2f1(1.3, 0.7, 2.1, z)
-        via_pfaff = math.exp(_log_2f1_pfaff(1.3, 0.7, 2.1, z))
-        assert via_pfaff == pytest.approx(direct, rel=1e-10)
+    @pytest.mark.parametrize("y", [1e-3, 0.5, 4.0, 300.0])
+    @pytest.mark.parametrize("shape", [0.05, 0.5, 3.0, 40.0])
+    def test_power_identities(self, shape, y):
+        # I_x(a, 1) = x^a and I_x(1, b) = 1 - (1 - x)^b; at b = 0.05 the
+        # complement's tail is near 1, so its bound must carry the
+        # cancellation of 1 - tail
+        value, err, _, _ = betainc_value(shape, 1.0, y)
+        want = (y / (1.0 + y)) ** shape
+        assert abs(value - want) <= err + 4.0 * np.finfo(float).eps * want
+        value, err, _, _ = betainc_value(1.0, shape, y)
+        want = -math.expm1(-shape * math.log1p(y))
+        assert abs(value - want) <= err + 4.0 * np.finfo(float).eps * want
 
-    @pytest.mark.parametrize("z", [-0.3, -0.9, -2.0, -7.5, -40.0])
-    def test_scipy_cross_check(self, z):
-        from scipy.special import hyp2f1
+    @pytest.mark.parametrize("a", [1.0, 10.0, 1e3, 1e6])
+    def test_half_at_symmetric_point(self, a):
+        # x = 1/2 sits on the side boundary (a+1)/(2a+2), which goes to
+        # the complement
+        value, err, side, evals = betainc_value(a, a, 1.0)
+        assert side == CF_COMPLEMENT
+        assert abs(value - 0.5) <= err
+        assert evals <= 2000
 
-        assert gauss_2f1(2.2, 1.4, 3.1, z) == pytest.approx(
-            float(hyp2f1(2.2, 1.4, 3.1, z)), rel=1e-10
-        )
+    @pytest.mark.parametrize("a,b", [(0.5, 50.0), (2.2, 3.1), (40.0, 6.0), (2560.0, 768.0),
+                                     (512.0, 51200.0)])
+    def test_continuous_across_side_boundary(self, a, b):
+        x_b = (a + 1.0) / (a + b + 2.0)
+        lo = hi = x_b / (1.0 - x_b)
+        while log_betainc(a, b, lo)[2] != CF_DIRECT:
+            lo = math.nextafter(lo, 0.0)
+        while log_betainc(a, b, hi)[2] != CF_COMPLEMENT:
+            hi = math.nextafter(hi, math.inf)
+        v_lo, e_lo, _, _ = betainc_value(a, b, lo)
+        v_hi, e_hi, _, _ = betainc_value(a, b, hi)
+        assert abs(v_lo - v_hi) <= e_lo + e_hi
 
-    def test_large_params_stable(self):
-        # alternating direct series would cancel catastrophically here
-        from scipy.special import hyp2f1
+    @pytest.mark.parametrize("y", [1e-3, 0.3, 1.0, 7.5, 400.0])
+    def test_scipy_cross_check(self, y):
+        from scipy.special import betainc
 
-        got = gauss_2f1(288.0, 128.0, 129.0, -0.5)
-        assert got == pytest.approx(float(hyp2f1(288.0, 128.0, 129.0, -0.5)), rel=1e-9)
+        value, _, _, _ = betainc_value(2.2, 3.1, y)
+        assert value == pytest.approx(float(betainc(2.2, 3.1, y / (1.0 + y))), rel=1e-12)
 
-    def test_c_pole_rejected(self):
+    @pytest.mark.parametrize("a,b,y", [(0.0, 1.0, 1.0), (1.0, -2.0, 1.0),
+                                       (1.0, math.inf, 1.0), (1.0, 1.0, -0.5),
+                                       (1.0, 1.0, math.nan)])
+    def test_domain(self, a, b, y):
         with pytest.raises(DomainError):
-            gauss_2f1(1.0, 1.0, -3.0, -0.5)
+            log_betainc(a, b, y)
 
-    def test_positive_argument_rejected(self):
-        with pytest.raises(DomainError):
-            gauss_2f1(1.0, 1.0, 2.0, 0.5)
-
-    def test_term_cap_is_loud(self):
+    def test_iteration_cap_is_loud(self, monkeypatch):
+        monkeypatch.setattr(specfun, "MAX_CF_ITERATIONS", 3)
         with pytest.raises(NumericError):
-            gauss_2f1(1.0, 1.0, 2.0, -1e9)
+            log_betainc(1e4, 1e4, 1.0)
 
 
 def g11_spec(a: float, b: float, z: float) -> MeijerGSpec:
