@@ -249,33 +249,94 @@ def _try_closed_identity(spec: MeijerGSpec) -> EvalReport | None:
     return _report(log_abs, sign, 1e-14, CLOSED_IDENTITY)
 
 
+# Largest integer offset gap folded into log terms: Gamma(x+k)/Gamma(x) is
+# the product x(x+1)...(x+k-1), k logs in place of two log-gammas.
+_MAX_FOLD = 8
+
+
+def _merge_direction(nums, dens) -> tuple[dict, dict]:
+    """Gamma(o_i + x) numerator and denominator offsets in one direction
+    x = +-u, reduced to {offset: weight} log-gamma and log terms.
+
+    Equal offsets cancel or add up exactly.  A numerator and denominator
+    whose offsets differ by an exact integer k, 1 <= |k| <= _MAX_FOLD,
+    nearest first, fold into the |k| factors of their ratio.
+    """
+    gammas: dict[float, int] = {}
+    for offsets, weight in ((nums, 1), (dens, -1)):
+        for o in offsets:
+            gammas[o] = gammas.get(o, 0) + weight
+    pairs = sorted(
+        (abs(p - q), p, q)
+        for p in gammas for q in gammas
+        if gammas[p] > 0 > gammas[q] and p - q == round(p - q) and abs(p - q) <= _MAX_FOLD
+    )
+    logs: dict[float, int] = {}
+    for k, p, q in pairs:
+        while gammas[p] > 0 > gammas[q]:
+            gammas[p] -= 1
+            gammas[q] += 1
+            # Gamma(p + x) / Gamma(q + x) is a product of k factors
+            low, sign = (q, 1) if p > q else (p, -1)
+            for j in range(int(k)):
+                logs[low + j] = logs.get(low + j, 0) + sign
+    return ({o: w for o, w in gammas.items() if w},
+            {o: w for o, w in logs.items() if w})
+
+
+def _log_abs(x):
+    return np.log(np.abs(x))
+
+
 class _MellinBarnesIntegrand:
-    """log of the Mellin-Barnes integrand on the line u = c + i t."""
+    """log of the Mellin-Barnes integrand, from a term plan built once.
+
+    The integrand's gamma factors are Gamma(1 - a + u) and 1/Gamma(1 - b + u)
+    in the direction +u (a_front, b_rest), Gamma(b - u) and 1/Gamma(a - u)
+    in the direction -u (b_front, a_rest).  Each direction is reduced by
+    _merge_direction, so each distinct log-gamma is evaluated once per
+    node, times its weight.  Folding changes the log only by multiples of
+    2 pi i, which exp removes.
+    """
 
     def __init__(self, spec: MeijerGSpec):
         self.spec = spec
         self.log_z = math.log(spec.argument)
         self.evals = 0
+        # (direction, offset, weight) terms; direction 0 is +u, 1 is -u
+        self.gammas, self.logs = [], []
+        for d, (nums, dens) in enumerate((
+            ([1.0 - a for a in spec.a_front], [1.0 - b for b in spec.b_rest]),
+            (spec.b_front, spec.a_rest),
+        )):
+            gammas, logs = _merge_direction(nums, dens)
+            self.gammas += [(d, o, w) for o, w in gammas.items()]
+            self.logs += [(d, o, w) for o, w in logs.items()]
 
-    def _terms(self, u):
+    def _terms(self, u, log_gamma, log):
+        x = (u, -u)
         yield u * self.log_z
-        for b in self.spec.b_front:
-            yield _loggamma(b - u)
-        for a in self.spec.a_front:
-            yield _loggamma(1.0 - a + u)
-        for b in self.spec.b_rest:
-            yield -_loggamma(1.0 - b + u)
-        for a in self.spec.a_rest:
-            yield -_loggamma(a - u)
+        for d, o, w in self.gammas:
+            yield w * log_gamma(o + x[d])
+        for d, o, w in self.logs:
+            yield w * log(o + x[d])
 
     def __call__(self, u):
+        """Complex log integrand at the points u."""
         u = np.asarray(u, dtype=complex)
         self.evals += u.size
-        return sum(self._terms(u))
+        return sum(self._terms(u, _loggamma, np.log))
+
+    def real_axis(self, x):
+        """Re log integrand at real points x, in real arithmetic."""
+        x = np.asarray(x, dtype=float)
+        self.evals += x.size
+        return sum(self._terms(x, _gammaln, _log_abs))
 
     def log_scale(self, c: float) -> float:
-        """Summed magnitudes of the log terms at u = c: their rounding bound."""
-        return float(sum(abs(t.real) for t in self._terms(complex(c, 0.0))))
+        """Summed magnitudes of the evaluated log terms at u = c: their
+        rounding bound."""
+        return float(sum(abs(t) for t in self._terms(c, _gammaln, _log_abs)))
 
     def on_line(self, c: float, t: np.ndarray, w0: float) -> np.ndarray:
         """Re exp(logchi(c + i t) - w0), vectorized over t in blocks.
@@ -301,10 +362,11 @@ def _contour_position(spec: MeijerGSpec, chi: _MellinBarnesIntegrand):
 
     The gap is (max(a_front) - 1, min(b_front)).  Within it the contour
     is placed at the minimum of the integrand magnitude on the real
-    axis (the saddle), found by two 65-point grid passes; a mid-gap line
-    can be catastrophically cancelled when the result is many orders
-    below the integrand scale.  Returns c, log|chi(c)| and the distance
-    from c to the nearest pole.
+    axis (the saddle), found by two 65-point grid passes in real
+    arithmetic, where the integrand is real; a mid-gap line can be
+    catastrophically cancelled when the result is many orders below the
+    integrand scale.  Returns c, log|chi(c)| and the distance from c to
+    the nearest pole.
     """
     left = max((a - 1.0 for a in spec.a_front), default=-math.inf)
     right = min(spec.b_front, default=math.inf)
@@ -324,8 +386,9 @@ def _contour_position(spec: MeijerGSpec, chi: _MellinBarnesIntegrand):
         lo, hi = left + pad, right - pad
     for _ in range(2):
         grid = np.linspace(lo, hi, 65)
-        w = chi(grid).real
-        k = int(np.nanargmin(w))
+        w = chi.real_axis(grid)
+        # a denominator pole on the grid is a zero of chi, not a saddle
+        k = int(np.argmin(np.where(np.isfinite(w), w, np.inf)))
         lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, 64)]
     c, w0 = float(grid[k]), float(w[k])
     return c, w0, min(c - left, right - c)
@@ -334,6 +397,30 @@ def _contour_position(spec: MeijerGSpec, chi: _MellinBarnesIntegrand):
 def _decay_rate(spec: MeijerGSpec) -> float:
     """Exponential decay exponent of |integrand| in |Im u|, per Stirling."""
     return 0.5 * math.pi * (2.0 * (spec.m + spec.n) - spec.p - spec.q)
+
+
+def _truncation(chi: _MellinBarnesIntegrand, c: float, w0: float,
+                probes: np.ndarray, w: np.ndarray):
+    """(t_max, log|chi(c + i t_max)| - w0) for the cut of the line.
+
+    w holds the log values at the power-of-two probes.  The cut is the
+    first probe past the last one above 1e-18 of the saddle; three
+    quarter-octave probes refine the octave where that crossing lies.
+    """
+    floor = math.log(1e-18)
+    above = np.nonzero(w > floor)[0]
+    if not above.size:
+        return probes[0], float(w[0])
+    k = int(above[-1])
+    if k == probes.size - 1:
+        raise NumericError(
+            f"contour truncation bound not reached by t = {probes[-1]:.0f} for {chi.spec}"
+        )
+    t = np.append(probes[k] * 2.0 ** (np.arange(1, 4) / 4.0), probes[k + 1])
+    wt = np.append(chi(c + 1j * t[:3]).real - w0, w[k + 1])
+    above = np.nonzero(wt > floor)[0]
+    j = int(above[-1]) + 1 if above.size else 0
+    return t[j], float(wt[j])
 
 
 def _contour_quadrature(spec: MeijerGSpec) -> EvalReport:
@@ -345,8 +432,9 @@ def _contour_quadrature(spec: MeijerGSpec) -> EvalReport:
     growth being how far log|chi| rises at c +- d above the saddle, and
     is halved until the rule agrees with the one on its even nodes to
     1e-12 relative, or to within the nodes' rounding.  The line is cut
-    at the first power-of-two t past the last one where |chi| is above
-    1e-18 of the saddle value.
+    at the first probe past the last one where |chi| is above 1e-18 of
+    the saddle value: powers of two, refined to quarter octaves in the
+    octave where |chi| crosses that level.
     """
     delta = _decay_rate(spec)
     if delta <= 0.0:
@@ -358,17 +446,12 @@ def _contour_quadrature(spec: MeijerGSpec) -> EvalReport:
     c, w0, pole_gap = _contour_position(spec, chi)
 
     d = min(1.0, 0.5 * pole_gap)
-    growth = max(float(np.max(chi(np.array([c - d, c + d])).real)) - w0, 0.0)
-    h = 2.0 * math.pi * d / (growth + 40.0)
-
     probes = 2.0 ** np.arange(-2, 17)
-    above = np.nonzero(chi(c + 1j * probes).real - w0 > math.log(1e-18))[0]
-    if above.size and above[-1] == probes.size - 1:
-        raise NumericError(
-            f"contour truncation bound not reached by t = {probes[-1]:.0f} for {spec}"
-        )
-    t_max = probes[above[-1] + 1] if above.size else probes[0]
-    tail = float(np.exp(chi(complex(c, t_max)).real - w0)) / delta
+    w = chi(np.concatenate(([c - d, c + d], c + 1j * probes))).real - w0
+    growth = max(float(np.max(w[:2])), 0.0)
+    h = 2.0 * math.pi * d / (growth + 40.0)
+    t_max, w_tail = _truncation(chi, c, w0, probes, w[2:])
+    tail = math.exp(w_tail) / delta
 
     # each node's log terms round to a few ulps of their own size, and
     # exp carries that into the node value as a relative error
@@ -389,7 +472,8 @@ def _contour_quadrature(spec: MeijerGSpec) -> EvalReport:
         refined[1::2] = chi.on_line(c, h * np.arange(1, 2 * n, 2), w0)
         f, n = refined, 2 * n
 
-    details = dict(contour=c, evals=chi.evals, step=h, nodes=n + 1, t_max=float(t_max))
+    details = dict(contour=c, evals=chi.evals, step=h, nodes=n + 1, t_max=float(t_max),
+                   log_gammas=len(chi.gammas))
     if total == 0.0:
         return _report(-math.inf, 0.0, 0.0, CONTOUR_QUADRATURE, **details)
     log_abs = w0 + math.log(abs(total)) - math.log(math.pi)

@@ -153,9 +153,15 @@ def _quad_result(
                         diagnostics=diagnostics)
 
 
+def _softplus(u: float) -> float:
+    """log(1 + e^u) without overflow: the bits of numpy's logaddexp(0, u)
+    at a fraction of its cost per scalar call."""
+    return u + math.log1p(math.exp(-u)) if u > 0.0 else math.log1p(math.exp(u))
+
+
 def _log_softplus(s: float) -> float:
     """log(log(1 + e^s)), equal to s to double precision far below zero."""
-    return math.log(float(np.logaddexp(0.0, s))) if s > -700.0 else s
+    return math.log(_softplus(s)) if s > -700.0 else s
 
 
 def quad_capacity(cfg: LinkConfig) -> MetricResult:
@@ -172,7 +178,7 @@ def quad_capacity(cfg: LinkConfig) -> MetricResult:
     log_z = math.log(eta) - math.log(model.xi)
 
     def log_h(u: float) -> float:
-        return _log_softplus(log_z + u) + nm * u - a_tot * float(np.logaddexp(0.0, u))
+        return _log_softplus(log_z + u) + nm * u - a_tot * _softplus(u)
 
     log_integral, rel_err = _peak_normalized_quad(log_h, "capacity")
     return _quad_result(
@@ -203,11 +209,11 @@ def quad_ber(cfg: LinkConfig) -> MetricResult:
     log_eps = math.log(model.xi) - math.log(eta_lam)
 
     def log_h(u: float) -> float:
-        # log of the u-axis integrand, overflow-safe via logaddexp
+        # log of the u-axis integrand, overflow-safe via softplus
         return (
             _log_q_of_sqrt(math.exp(u))
             + nm * u
-            - a_tot * float(np.logaddexp(0.0, log_eps + u))
+            - a_tot * _softplus(log_eps + u)
         )
 
     log_integral, rel_err = _peak_normalized_quad(log_h, "BER")
@@ -231,7 +237,7 @@ def quad_outage(cfg: LinkConfig, gamma_th: float) -> MetricResult:
     log_xiv = math.log(model.xi) + math.log(v)
 
     def h(u: float) -> float:
-        return nm * u - a_tot * float(np.logaddexp(0.0, log_xiv + u))
+        return nm * u - a_tot * _softplus(log_xiv + u)
 
     # stationary point of h: xi v e^u = Nm / Nms, clamped to u <= 0
     u_star = min(0.0, math.log(nm / model.nms) - log_xiv)

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import loggamma
 from scipy.stats import norm
 
 from rislink import specfun
 from rislink.errors import DomainError, NumericError
+from rislink.fading import FadingParams
+from rislink.metrics import LinkConfig, _ber_g_spec, _capacity_g_spec
 from rislink.specfun import (
     CF_COMPLEMENT,
     CF_DIRECT,
@@ -19,7 +22,9 @@ from rislink.specfun import (
     MAX_CONTOUR_EVALS,
     EvalReport,
     MeijerGSpec,
+    _contour_position,
     _contour_quadrature,
+    _MellinBarnesIntegrand,
     beta,
     digamma,
     ln_gamma,
@@ -199,6 +204,11 @@ def erfc_spec(z: float) -> MeijerGSpec:
     return MeijerGSpec([], [1.0], [0.0, 0.5], [], z)
 
 
+# a repeated factor and a unit-shifted numerator/denominator pair in
+# each direction of the integrand
+SHIFTED_SPEC = MeijerGSpec([0.0, 0.0], [1.5], [0.5, 0.25], [-1.0], 4.0)
+
+
 class TestMeijerGSpec:
     def test_collision_rejected(self):
         with pytest.raises(DomainError):
@@ -342,6 +352,7 @@ class TestMeijerGIdentities:
                 MeijerGSpec([1.0, 1.0, -3.0], [], [8.0, 1.0], [0.0], 40.0),
                 ([[1.0, 1.0, -3.0], []], [[8.0, 1.0], [0.0]], 40.0),
             ),
+            (SHIFTED_SPEC, ([[0.0, 0.0], [1.5]], [[0.5, 0.25], [-1.0]], 4.0)),
         ],
     )
     def test_mpmath_cross_check(self, spec, mp_args):
@@ -351,3 +362,39 @@ class TestMeijerGIdentities:
         assert abs(ref.imag) <= 1e-12 * abs(ref.real)
         got = meijer_g(spec)
         assert got.value == pytest.approx(ref.real, rel=1e-9)
+
+
+def naive_log_integrand(spec: MeijerGSpec, u):
+    """Every gamma factor of the Mellin-Barnes integrand as its own loggamma."""
+    return (
+        u * math.log(spec.argument)
+        + sum(loggamma(b - u) for b in spec.b_front)
+        + sum(loggamma(1.0 - a + u) for a in spec.a_front)
+        - sum(loggamma(1.0 - b + u) for b in spec.b_rest)
+        - sum(loggamma(a - u) for a in spec.a_rest)
+    )
+
+
+_PLAN_MODEL = LinkConfig.from_eta(100.0, FadingParams(m=2.5, m_s=5.0), 8).model()
+
+
+class TestTermPlan:
+    @pytest.mark.parametrize("spec,log_gammas", [
+        (SHIFTED_SPEC, 2),
+        (_capacity_g_spec(_PLAN_MODEL, 100.0), 4),
+        (_ber_g_spec(_PLAN_MODEL, 100.0), 3),
+    ])
+    def test_merged_terms_match_every_factor(self, spec, log_gammas):
+        chi = _MellinBarnesIntegrand(spec)
+        c, _, _ = _contour_position(spec, chi)
+        u = c + 1j * np.linspace(0.0, 16.0, 257)
+        # exp drops the multiples of 2 pi i that merging may add
+        ratio = np.exp(chi(u) - naive_log_integrand(spec, u))
+        assert np.max(np.abs(ratio - 1.0)) <= 1e-13
+        # the gap, widened so that gammaln and log see negative arguments
+        left = max(a - 1.0 for a in spec.a_front)
+        x = np.linspace(left - 3.0, min(spec.b_front) + 3.0, 257) + 1e-3 * math.pi
+        real, cplx = chi.real_axis(x), chi(x.astype(complex)).real
+        assert np.all(np.isfinite(real))
+        assert np.all(np.abs(real - cplx) <= 1e-13 * (1.0 + np.abs(cplx)))
+        assert meijer_g(spec).details["log_gammas"] == log_gammas
