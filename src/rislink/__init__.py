@@ -29,7 +29,6 @@ from .metrics import (
     avg_capacity_asymptotic,
     outage,
     outage_asymptotic,
-    power_from_dbm,
     snr_threshold_from_db,
 )
 from .specfun import (
@@ -62,7 +61,7 @@ __all__ = [
     "avg_capacity", "avg_capacity_asymptotic",
     "avg_ber", "avg_ber_asymptotic",
     "outage", "outage_asymptotic",
-    "snr_threshold_from_db", "power_from_dbm",
+    "snr_threshold_from_db",
     "MeijerGSpec", "EvalReport", "meijer_g",
     "ln_gamma", "digamma", "beta", "q_function",
     "McConfig", "CiEstimate", "mc_metric", "ks_statistic",

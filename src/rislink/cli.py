@@ -24,11 +24,13 @@ import configparser
 import csv
 import hashlib
 import io
+import itertools
 import math
 import os
 import re
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -60,23 +62,54 @@ CSV_HEADER = [
 ]
 
 _SWEEP_KEYS = {"axis", "start", "stop", "steps", "metrics", "variants", "out"}
-_LINK_KEYS = {
-    "n_cells", "m", "m_s", "r_d", "beta", "n0_dbm", "lambda",
-    "gamma_th_db", "p_s_dbm", "eta_db",
-}
-_MC_KEYS = {"samples", "seed", "mode"}
 _MC_MODES = {"model": MODEL_DRAW, "physical": PHYSICAL_DRAW}
 
-_DEFAULTS = {
-    "m": 1.0,
-    "m_s": 5.0,
-    "r_d": 1.0,
-    "beta": 2.7,
-    "n0_dbm": 0.0,
-    "lambda": 1.0,
-    "gamma_th_db": 3.0,
-    "p_s_dbm": 0.0,
-    "n_cells": 8,
+
+def integer(tok: str) -> int:
+    """An integer token; "8" and "8.0" both read as 8."""
+    v = float(tok)
+    if not v.is_integer():
+        raise ValueError(f"{tok} is not an integer")
+    return int(v)
+
+
+def _mc_mode(tok: str) -> str:
+    return _MC_MODES.get(tok.lower(), tok.lower())
+
+
+@dataclass(frozen=True)
+class Param:
+    """One [link] or [mc] key.  ``many`` keys may hold a list, which forms
+    curve families; every value must pass ``check``, else ``message``."""
+
+    default: object
+    many: bool
+    check: Callable[[object], bool]
+    message: str
+    parse: Callable[[str], object] = float
+
+
+# The [link] keys are also the metrics flags (--n-cells ... --p-s-dbm).
+LINK_PARAMS = {
+    "n_cells": Param(8, True, lambda v: v >= 1, "n_cells must be >= 1", integer),
+    "m": Param(1.0, True, lambda v: v > 0.0, "m must be positive"),
+    "m_s": Param(5.0, True, lambda v: v > 1.0, "m_s must exceed 1"),
+    "r_d": Param(1.0, False, lambda v: v > 0.0, "r_d must be positive"),
+    "beta": Param(2.7, False, lambda v: v > 0.0, "beta must be positive"),
+    "n0_dbm": Param(0.0, False, math.isfinite, "n0_dbm must be finite"),
+    "lambda": Param(1.0, True, lambda v: v in (0.5, 1.0), "lambda must be 0.5 or 1"),
+    "gamma_th_db": Param(3.0, True, math.isfinite, "gamma_th_db must be finite"),
+    "p_s_dbm": Param(0.0, False, math.isfinite, "p_s_dbm must be finite"),
+}
+# --seed runs the seed check; --mc-samples leaves its bound to McConfig,
+# so a metrics row that draws no sample ignores it.
+MC_PARAMS = {
+    "samples": Param(100_000, False, lambda v: v >= 10_000, "mc samples must be >= 10^4",
+                     int),
+    "seed": Param(42, False, lambda v: v >= 0, "seed must be a non-negative integer",
+                  int),
+    "mode": Param(MODEL_DRAW, False, lambda v: v in _MC_MODES.values(),
+                  "mode must be model or physical", _mc_mode),
 }
 
 
@@ -89,21 +122,21 @@ class SweepSpec:
     stop: float
     steps: int
     metrics: tuple[str, ...]
-    variants: tuple[str, ...] = ("exact", "asymptotic")
+    variants: tuple[str, ...]
     # family dimensions; singleton tuples for fixed values
-    n_cells: tuple[int, ...] = (8,)
-    m: tuple[float, ...] = (1.0,)
-    m_s: tuple[float, ...] = (5.0,)
-    lambda_mod: tuple[float, ...] = (1.0,)
-    gamma_th_db: tuple[float, ...] = (3.0,)
-    r_d: float = 1.0
-    beta: float = 2.7
-    n0_dbm: float = 0.0
-    p_s_dbm: float = 0.0
-    mc_samples: int = 100_000
-    mc_seed: int = 42
-    mc_mode: str = MODEL_DRAW
-    out: str = "sweep.csv"
+    n_cells: tuple[int, ...]
+    m: tuple[float, ...]
+    m_s: tuple[float, ...]
+    lambda_mod: tuple[float, ...]
+    gamma_th_db: tuple[float, ...]
+    r_d: float
+    beta: float
+    n0_dbm: float
+    p_s_dbm: float
+    mc_samples: int
+    mc_seed: int
+    mc_mode: str
+    out: str
 
     def axis_values(self) -> np.ndarray:
         vals = np.linspace(self.start, self.stop, self.steps)
@@ -131,18 +164,23 @@ def _fail_key(text: str, section: str, key: str, msg: str) -> ConfigError:
     return ConfigError(f"{msg} (key '{key}', {where})")
 
 
-def _float_list(raw: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in raw.replace(",", " ").split())
-
-
-def _int_list(raw: str) -> tuple[int, ...]:
-    out = []
-    for tok in raw.replace(",", " ").split():
-        v = float(tok)
-        if v != int(v):
-            raise ValueError(f"{tok} is not an integer")
-        out.append(int(v))
-    return tuple(out)
+def _read(text: str, section: str, given, key: str, p: Param):
+    """The checked value of one table key: a tuple for ``many`` keys."""
+    if key not in given:
+        return (p.default,) if p.many else p.default
+    tokens = given[key].replace(",", " ").split()
+    if not tokens:
+        raise _fail_key(text, section, key, f"{key} must not be empty")
+    if not p.many and len(tokens) != 1:
+        raise _fail_key(text, section, key, "expected a single value")
+    try:
+        values = tuple(p.parse(tok) for tok in tokens)
+    except ValueError as exc:
+        raise _fail_key(text, section, key, f"bad value: {exc}")
+    for v in values:
+        if not p.check(v):
+            raise _fail_key(text, section, key, p.message)
+    return values if p.many else values[0]
 
 
 def parse_config(text: str) -> SweepSpec:
@@ -153,87 +191,16 @@ def parse_config(text: str) -> SweepSpec:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
-    allowed = {"sweep": _SWEEP_KEYS, "link": _LINK_KEYS, "mc": _MC_KEYS}
+    allowed = {"sweep": _SWEEP_KEYS, "link": LINK_PARAMS, "mc": MC_PARAMS}
     for section in cp.sections():
         if section not in allowed:
             raise ConfigError(f"unknown section [{section}]")
-        for key in cp[section]:
-            if key not in allowed[section]:
-                raise _fail_key(text, section, key, "unknown key")
     if not cp.has_section("sweep"):
         raise ConfigError("config has no [sweep] section")
-
-    link = cp["link"] if cp.has_section("link") else {}
-
-    def link_floats(key: str) -> tuple[float, ...]:
-        if key in link:
-            try:
-                return _float_list(link[key])
-            except ValueError as exc:
-                raise _fail_key(text, "link", key, f"bad value: {exc}")
-        return (float(_DEFAULTS[key]),)
-
-    m_vals = link_floats("m")
-    ms_vals = link_floats("m_s")
-    for v in ms_vals:
-        if v <= 1.0:
-            raise _fail_key(text, "link", "m_s", "m_s must exceed 1")
-    for v in m_vals:
-        if v <= 0.0:
-            raise _fail_key(text, "link", "m", "m must be positive")
-    lam_vals = link_floats("lambda")
-    for v in lam_vals:
-        if v not in (0.5, 1.0):
-            raise _fail_key(text, "link", "lambda", "lambda must be 0.5 or 1")
-    gth_vals = link_floats("gamma_th_db")
-    if "n_cells" in link:
-        try:
-            n_vals = _int_list(link["n_cells"])
-        except ValueError as exc:
-            raise _fail_key(text, "link", "n_cells", f"bad value: {exc}")
-    else:
-        n_vals = (int(_DEFAULTS["n_cells"]),)
-    for v in n_vals:
-        if v < 1:
-            raise _fail_key(text, "link", "n_cells", "n_cells must be >= 1")
-
-    def link_scalar(key: str) -> float:
-        vals = link_floats(key)
-        if len(vals) != 1:
-            raise _fail_key(text, "link", key, "expected a single value")
-        return vals[0]
-
-    r_d = link_scalar("r_d")
-    beta_pl = link_scalar("beta")
-    n0_dbm = link_scalar("n0_dbm")
-    p_s_dbm = link_scalar("p_s_dbm")
-    if r_d <= 0.0:
-        raise _fail_key(text, "link", "r_d", "r_d must be positive")
-    if beta_pl <= 0.0:
-        raise _fail_key(text, "link", "beta", "beta must be positive")
-
-    mc_samples, mc_seed, mc_mode = 100_000, 42, MODEL_DRAW
-    if cp.has_section("mc"):
-        mc = cp["mc"]
-        if "samples" in mc:
-            try:
-                mc_samples = int(mc["samples"])
-            except ValueError as exc:
-                raise _fail_key(text, "mc", "samples", f"bad value: {exc}")
-            if mc_samples < 10_000:
-                raise _fail_key(text, "mc", "samples", "mc samples must be >= 10^4")
-        if "seed" in mc:
-            try:
-                mc_seed = int(mc["seed"])
-            except ValueError as exc:
-                raise _fail_key(text, "mc", "seed", f"bad value: {exc}")
-        if "mode" in mc:
-            raw = mc["mode"].strip().lower()
-            mc_mode = _MC_MODES.get(raw, raw)
-            if mc_mode not in _MC_MODES.values():
-                raise _fail_key(text, "mc", "mode", "mode must be model or physical")
-
     sweep = cp["sweep"]
+    link = cp["link"] if cp.has_section("link") else {}
+    mc = cp["mc"] if cp.has_section("mc") else {}
+
     if "axis" not in sweep:
         raise ConfigError("missing required key 'axis' in [sweep]")
     axis = sweep["axis"].strip()
@@ -243,6 +210,11 @@ def parse_config(text: str) -> SweepSpec:
         raise _fail_key(
             text, "link", axis, "the sweep axis must not also be fixed in [link]"
         )
+    for section in cp.sections():
+        for key in cp[section]:
+            if key not in allowed[section]:
+                raise _fail_key(text, section, key, "unknown key")
+
     for key in ("start", "stop", "steps"):
         if key not in sweep:
             raise ConfigError(f"missing required key '{key}' in [sweep]")
@@ -278,6 +250,10 @@ def parse_config(text: str) -> SweepSpec:
     else:
         variants = ("exact", "asymptotic")
 
+    fixed = {key: _read(text, "link", link, key, p) for key, p in LINK_PARAMS.items()}
+    fixed["lambda_mod"] = fixed.pop("lambda")
+    for key, p in MC_PARAMS.items():
+        fixed["mc_" + key] = _read(text, "mc", mc, key, p)
     return SweepSpec(
         axis=axis,
         start=start,
@@ -285,19 +261,8 @@ def parse_config(text: str) -> SweepSpec:
         steps=steps,
         metrics=metrics,
         variants=variants,
-        n_cells=n_vals,
-        m=m_vals,
-        m_s=ms_vals,
-        lambda_mod=lam_vals,
-        gamma_th_db=gth_vals,
-        r_d=r_d,
-        beta=beta_pl,
-        n0_dbm=n0_dbm,
-        p_s_dbm=p_s_dbm,
-        mc_samples=mc_samples,
-        mc_seed=mc_seed,
-        mc_mode=mc_mode,
         out=sweep.get("out", "sweep.csv"),
+        **fixed,
     )
 
 
@@ -310,62 +275,58 @@ def _fmt(x) -> str:
 
 
 def _eta(p_s_dbm: float, n0_dbm: float, r_d: float, beta: float) -> float:
+    """Transmit SNR factor P_s r_d^(-beta) / N_0 from dBm and geometry."""
     return 10.0 ** ((p_s_dbm - n0_dbm) / 10.0) * r_d ** (-beta)
 
 
+def _family_mc(cases, spec: SweepSpec):
+    """One MC estimate per case of a (point, N, m, m_s) family.
+
+    The family draws one sample, seeded from seed|N|m|m_s|eta: metric,
+    lambda and threshold stay out of the key, so the family's MC rows are
+    correlated, and no row depends on evaluation order (stable hash; the
+    builtin hash() is salted per process).
+    """
+    cfg = cases[0][0]
+    key = "|".join([
+        str(spec.mc_seed), str(cfg.n_cells), f"{cfg.fading.m:.17g}",
+        f"{cfg.fading.m_s:.17g}", f"{cfg.eta:.17g}",
+    ])
+    sub = int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big")
+    return mc_metrics([case[:3] for case in cases],
+                      McConfig(n_samples=spec.mc_samples, seed=sub, mode=spec.mc_mode))
+
+
 def _point_rows(spec: SweepSpec, axis_value: float) -> list[list[str]]:
+    """The CSV rows of one axis point: every family, metric case and variant."""
     if spec.axis == "eta_db":
         eta = snr_threshold_from_db(axis_value)
     else:
         p_s = axis_value if spec.axis == "p_s_dbm" else spec.p_s_dbm
         eta = _eta(p_s, spec.n0_dbm, spec.r_d, spec.beta)
     gth_dbs = (axis_value,) if spec.axis == "gamma_th_db" else spec.gamma_th_db
+    ns = (int(axis_value),) if spec.axis == "n_cells" else spec.n_cells
     rows = []
-    for n in spec.n_cells if spec.axis != "n_cells" else (int(axis_value),):
-        for m in spec.m:
-            for m_s in spec.m_s:
-                cases = point_cases(eta, FadingParams(m=m, m_s=m_s), n, spec.metrics,
-                                    spec.lambda_mod, gth_dbs)
-                for cfg, metric, gth_db, variant, value, err in _case_rows(
-                    cases, spec.variants, spec.mc_samples, spec.mc_seed, spec.mc_mode,
-                ):
-                    rows.append([
-                        spec.axis, _fmt(axis_value), metric, variant,
-                        _fmt(n), _fmt(m), _fmt(m_s), "1",
-                        _fmt(spec.r_d), _fmt(spec.beta),
-                        _fmt(spec.n0_dbm), _fmt(cfg.lambda_mod), _fmt(gth_db),
-                        _fmt(value), _fmt(err), _fmt(spec.mc_seed),
-                    ])
+    for n, m, m_s in itertools.product(ns, spec.m, spec.m_s):
+        cases = point_cases(eta, FadingParams(m=m, m_s=m_s), n, spec.metrics,
+                            spec.lambda_mod, gth_dbs)
+        if "mc" in spec.variants:
+            estimates = _family_mc(cases, spec)
+        for i, (cfg, metric, gth, gth_db) in enumerate(cases):
+            for variant in spec.variants:
+                if variant == "mc":
+                    value, err = estimates[i].mean, estimates[i].std_error
+                else:
+                    r = evaluate(cfg, metric, variant, gth)
+                    value, err = r.value, r.error_estimate
+                rows.append([
+                    spec.axis, _fmt(axis_value), metric, variant,
+                    _fmt(n), _fmt(m), _fmt(m_s), "1",
+                    _fmt(spec.r_d), _fmt(spec.beta),
+                    _fmt(spec.n0_dbm), _fmt(cfg.lambda_mod), _fmt(gth_db),
+                    _fmt(value), _fmt(err), _fmt(spec.mc_seed),
+                ])
     return rows
-
-
-def _case_rows(cases, variants, mc_samples: int, mc_seed: int, mc_mode: str):
-    """(cfg, metric, gamma_th_db, variant, value, error) per case and variant.
-
-    ``cases`` are the :func:`point_cases` of one (point, N, m, m_s)
-    family.  The mc variant draws one sample for all of them, seeded from
-    seed|N|m|m_s|eta: metric, lambda and threshold stay out of the key,
-    so the family's MC rows are correlated, and no row depends on
-    evaluation order (stable hash; the builtin hash() is salted per
-    process).
-    """
-    if "mc" in variants:
-        cfg = cases[0][0]
-        key = "|".join([
-            str(mc_seed), str(cfg.n_cells), f"{cfg.fading.m:.17g}",
-            f"{cfg.fading.m_s:.17g}", f"{cfg.eta():.17g}",
-        ])
-        sub = int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big")
-        estimates = mc_metrics([case[:3] for case in cases],
-                               McConfig(n_samples=mc_samples, seed=sub, mode=mc_mode))
-    for i, (cfg, metric, gth, gth_db) in enumerate(cases):
-        for variant in variants:
-            if variant == "mc":
-                value, err = estimates[i].mean, estimates[i].std_error
-            else:
-                r = evaluate(cfg, metric, variant, gth)
-                value, err = r.value, r.error_estimate
-            yield cfg, metric, gth_db, variant, value, err
 
 
 def run_sweep(spec: SweepSpec, threads: int = 1, progress=None) -> list[list[str]]:
@@ -408,13 +369,14 @@ VALIDATE_HEADER = [
 ]
 
 
+def _report_row(cols: dict) -> list[str]:
+    """A VALIDATE_HEADER row; the columns a check does not use read nan."""
+    return [_fmt(cols.get(name, math.nan)) for name in VALIDATE_HEADER]
+
+
 def _check_row(c: GridCheck) -> list[str]:
-    return [
-        "oracle", str(c.index), _fmt(c.n_cells), _fmt(c.m), _fmt(c.m_s),
-        _fmt(c.eta_db), c.metric, _fmt(c.lambda_mod), _fmt(c.gamma_th_db),
-        _fmt(c.closed_log), _fmt(c.quad_log), _fmt(c.rel_gap_quad),
-        _fmt(c.mc_mean), _fmt(c.mc_std_error), c.note, str(c.ok),
-    ]
+    return _report_row({**vars(c), "kind": "oracle", "N": c.n_cells,
+                        "lambda": c.lambda_mod, "ok": str(c.ok)})
 
 
 def run_validate(
@@ -437,7 +399,6 @@ def run_validate(
         mode=mode, max_workers=threads,
     )
     rows = [_check_row(c) for c in checks]
-    all_ok = all(c.ok for c in checks)
 
     # distributional checks: single branch and model-draw sum
     ks_n = 100_000
@@ -447,43 +408,36 @@ def run_validate(
     ]
     for i, (m, m_s) in enumerate(ks_grid):
         p = FadingParams(m=m, m_s=m_s)
-        rng = np.random.default_rng(np.random.SeedSequence((master_seed, 7000 + i)))
-        stat = ks_statistic(sample(p, rng, size=ks_n), lambda x: cdf(p, x))
-        ok = stat < crit
-        all_ok = all_ok and ok
-        rows.append([
-            "ks", str(7000 + i), "1", _fmt(m), _fmt(m_s), "nan", "ks_single",
-            "nan", "nan", "nan", "nan", "nan", _fmt(stat), _fmt(crit),
-            f"n={ks_n}", str(ok),
-        ])
         model = SumFadingModel(p, 8)
-        rng = np.random.default_rng(np.random.SeedSequence((master_seed, 8000 + i)))
-        stat = ks_statistic(
-            sample_sum(model, MODEL_DRAW, rng, size=ks_n),
-            lambda x: sum_cdf(model, x),
-        )
-        ok = stat < crit
-        all_ok = all_ok and ok
-        rows.append([
-            "ks", str(8000 + i), "8", _fmt(m), _fmt(m_s), "nan", "ks_model_sum",
-            "nan", "nan", "nan", "nan", "nan", _fmt(stat), _fmt(crit),
-            f"n={ks_n}", str(ok),
-        ])
+        for index, n, name, draw, law in (
+            (7000 + i, 1, "ks_single", lambda rng: sample(p, rng, size=ks_n),
+             lambda x: cdf(p, x)),
+            (8000 + i, 8, "ks_model_sum",
+             lambda rng: sample_sum(model, MODEL_DRAW, rng, size=ks_n),
+             lambda x: sum_cdf(model, x)),
+        ):
+            rng = np.random.default_rng(np.random.SeedSequence((master_seed, index)))
+            stat = ks_statistic(draw(rng), law)
+            rows.append(_report_row({
+                "kind": "ks", "index": index, "N": n, "m": m, "m_s": m_s,
+                "metric": name, "mc_mean": stat, "mc_std_error": crit,
+                "note": f"n={ks_n}", "ok": str(stat < crit),
+            }))
 
     # physical vs model sampling gap (reported, bounded at 3 percent)
     gap_ns = (8,) if preset == "smoke" else (8, 16, 32)
+    fading, eta_db = FadingParams(1.0, 5.0), 20.0
     for i, n in enumerate(gap_ns):
         diag = physical_model_capacity_gap(
-            n, FadingParams(1.0, 5.0), eta=100.0, seed=master_seed + 9000 + i
+            n, fading, eta=snr_threshold_from_db(eta_db), seed=master_seed + 9000 + i
         )
-        ok = diag["rel_gap"] < 0.03
-        all_ok = all_ok and ok
-        rows.append([
-            "mode_gap", str(9000 + i), _fmt(n), "1", "5", "20", "capacity_gap",
-            "nan", "nan", "nan", "nan", _fmt(diag["rel_gap"]),
-            _fmt(diag["model_mean"]), _fmt(diag["physical_mean"]),
-            f"se={diag['combined_se']:.3e}", str(ok),
-        ])
+        rows.append(_report_row({
+            "kind": "mode_gap", "index": 9000 + i, "N": n, "m": fading.m,
+            "m_s": fading.m_s, "eta_db": eta_db, "metric": "capacity_gap",
+            "rel_gap_quad": diag["rel_gap"], "mc_mean": diag["model_mean"],
+            "mc_std_error": diag["physical_mean"],
+            "note": f"se={diag['combined_se']:.3e}", "ok": str(diag["rel_gap"] < 0.03),
+        }))
 
     write_csv(out, VALIDATE_HEADER, rows)
     n_fail = sum(1 for r in rows if r[-1] == "False")
@@ -491,7 +445,7 @@ def run_validate(
         f"validate[{preset}]: {len(rows)} checks, {n_fail} failures -> {out}",
         file=sys.stderr,
     )
-    return 0 if all_ok else 4
+    return 0 if n_fail == 0 else 4
 
 
 def selftest() -> int:
@@ -525,26 +479,33 @@ def selftest() -> int:
 
 
 def _metrics_command(args) -> int:
-    if args.eta_db is not None:
-        eta = snr_threshold_from_db(args.eta_db)
-    else:
-        eta = _eta(args.p_s_dbm, args.n0_dbm, args.r_d, args.beta)
-    cases = point_cases(eta, FadingParams(m=args.m, m_s=args.m_s), args.n_cells,
-                        (args.metric,), (args.lam,), (args.gamma_th_db,))
-    [(cfg, _, gth_db, _, value, err)] = _case_rows(
-        cases, (args.variant,), args.mc_samples, args.seed, _MC_MODES[args.mc_mode],
+    """One point as a one-point sweep: the row equals the sweep's row."""
+    axis = "p_s_dbm" if args.eta_db is None else "eta_db"
+    x = getattr(args, axis)
+    fixed = {key: (getattr(args, key),) if p.many else getattr(args, key)
+             for key, p in LINK_PARAMS.items()}
+    fixed["lambda_mod"] = fixed.pop("lambda")
+    spec = SweepSpec(
+        axis=axis, start=x, stop=x, steps=1, metrics=(args.metric,),
+        variants=(args.variant,), mc_samples=args.mc_samples, mc_seed=args.seed,
+        mc_mode=args.mc_mode, out="-", **fixed,
     )
-    axis_value = args.eta_db if args.eta_db is not None else args.p_s_dbm
-    axis = "eta_db" if args.eta_db is not None else "p_s_dbm"
     w = csv.writer(sys.stdout, lineterminator="\n")
     w.writerow(CSV_HEADER)
-    w.writerow([
-        axis, _fmt(axis_value), args.metric, args.variant, _fmt(args.n_cells),
-        _fmt(args.m), _fmt(args.m_s), "1", _fmt(args.r_d),
-        _fmt(args.beta), _fmt(args.n0_dbm), _fmt(cfg.lambda_mod), _fmt(gth_db),
-        _fmt(value), _fmt(err), _fmt(args.seed),
-    ])
+    w.writerows(_point_rows(spec, x))
     return 0
+
+
+def _check_flags(args) -> None:
+    """Run the table checks on the flags that set a table value: the link
+    flags of ``metrics`` and every ``--seed``."""
+    params = {"seed": MC_PARAMS["seed"]}
+    if args.command == "metrics":
+        params.update(LINK_PARAMS)
+    for key, p in params.items():
+        value = getattr(args, key, None)
+        if value is not None and not p.check(value):
+            raise ConfigError(f"{p.message} (flag --{key.replace('_', '-')})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -553,40 +514,35 @@ def build_parser() -> argparse.ArgumentParser:
         description="RIS link metrics over Fisher-Snedecor F fading",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    seed, samples, mode = MC_PARAMS["seed"], MC_PARAMS["samples"], MC_PARAMS["mode"]
+    modes = {"type": mode.parse, "choices": tuple(_MC_MODES.values()),
+             "metavar": "{model,physical}"}
 
     mp = sub.add_parser("metrics", help="evaluate one point, print one CSV row")
     mp.add_argument("--metric", choices=METRICS, required=True)
     mp.add_argument("--variant", choices=VARIANTS, default="exact")
-    mp.add_argument("--n-cells", type=int, default=8, dest="n_cells")
-    mp.add_argument("--m", type=float, default=1.0)
-    mp.add_argument("--m-s", type=float, default=5.0, dest="m_s")
-    mp.add_argument("--r-d", type=float, default=1.0, dest="r_d")
-    mp.add_argument("--beta", type=float, default=2.7)
-    mp.add_argument("--n0-dbm", type=float, default=0.0, dest="n0_dbm")
-    mp.add_argument("--p-s-dbm", type=float, default=0.0, dest="p_s_dbm")
-    mp.add_argument("--eta-db", type=float, default=None, dest="eta_db")
-    mp.add_argument("--lambda", type=float, default=1.0, dest="lam",
-                    choices=(0.5, 1.0))
-    mp.add_argument("--gamma-th-db", type=float, default=3.0, dest="gamma_th_db")
-    mp.add_argument("--mc-samples", type=int, default=100_000)
-    mp.add_argument("--mc-mode", choices=_MC_MODES, default="model")
-    mp.add_argument("--seed", type=int, default=42)
+    for key, p in LINK_PARAMS.items():
+        mp.add_argument("--" + key.replace("_", "-"), type=p.parse, default=p.default)
+    mp.add_argument("--eta-db", type=float, default=None)
+    mp.add_argument("--mc-samples", type=samples.parse, default=samples.default)
+    mp.add_argument("--mc-mode", default=mode.default, **modes)
+    mp.add_argument("--seed", type=seed.parse, default=seed.default)
 
     sp = sub.add_parser("sweep", help="run a sweep described by a config file")
     sp.add_argument("config", help="path to the sweep config")
     sp.add_argument("--out", default=None, help="output CSV (overrides config)")
     sp.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-    sp.add_argument("--seed", type=int, default=None, help="override [mc] seed")
-    sp.add_argument("--mc-samples", type=int, default=None)
-    sp.add_argument("--mc-mode", choices=_MC_MODES, default=None)
+    sp.add_argument("--seed", type=seed.parse, default=None, help="override [mc] seed")
+    sp.add_argument("--mc-samples", type=samples.parse, default=None)
+    sp.add_argument("--mc-mode", default=None, **modes)
 
     vp = sub.add_parser("validate", help="run the oracle-agreement grid")
     vp.add_argument("--preset", choices=("smoke", "full"), default="smoke")
-    vp.add_argument("--seed", type=int, default=42)
+    vp.add_argument("--seed", type=seed.parse, default=seed.default)
     vp.add_argument("--out", default="validate_report.csv")
     vp.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-    vp.add_argument("--mc-samples", type=int, default=None)
-    vp.add_argument("--mc-mode", choices=_MC_MODES, default="model")
+    vp.add_argument("--mc-samples", type=samples.parse, default=None)
+    vp.add_argument("--mc-mode", default=mode.default, **modes)
 
     sub.add_parser("selftest", help="special-function identity suite")
     return ap
@@ -595,6 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         if args.command == "metrics":
             return _metrics_command(args)
         if args.command == "sweep":
@@ -608,7 +565,7 @@ def main(argv=None) -> int:
             if args.mc_samples is not None:
                 spec.mc_samples = args.mc_samples
             if args.mc_mode is not None:
-                spec.mc_mode = _MC_MODES[args.mc_mode]
+                spec.mc_mode = args.mc_mode
             rows = run_sweep(spec, threads=args.threads)
             write_csv(spec.out, CSV_HEADER, rows)
             print(f"wrote {len(rows)} rows to {spec.out}", file=sys.stderr)
@@ -616,7 +573,7 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return run_validate(
                 args.preset, args.seed, args.out, threads=args.threads,
-                n_samples=args.mc_samples, mode=_MC_MODES[args.mc_mode],
+                n_samples=args.mc_samples, mode=args.mc_mode,
             )
         if args.command == "selftest":
             return selftest()

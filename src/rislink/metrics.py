@@ -55,24 +55,20 @@ UNDERFLOW_FLOOR = 1e-300
 
 @dataclass(frozen=True)
 class LinkConfig:
-    """Geometry and radio parameters of one source-destination link."""
+    """One source-destination link: the channel and the transmit SNR factor
+    eta = P_s r_d^(-beta) / N_0 (the CLI derives eta from dBm and geometry)."""
 
     fading: FadingParams
     n_cells: int
-    p_s: float = 1.0
-    n0: float = 1.0
-    r_d: float = 1.0
-    beta: float = 2.7
+    eta: float = 1.0
     lambda_mod: float = 1.0
 
     def __post_init__(self):
         if int(self.n_cells) != self.n_cells or self.n_cells < 1:
             raise DomainError(f"n_cells must be an integer >= 1, got {self.n_cells}")
         object.__setattr__(self, "n_cells", int(self.n_cells))
-        for name in ("p_s", "n0", "r_d", "beta"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0.0):
-                raise DomainError(f"{name} must be positive and finite, got {v}")
+        if not (np.isfinite(self.eta) and self.eta > 0.0):
+            raise DomainError(f"eta must be positive and finite, got {self.eta}")
         if self.lambda_mod not in (0.5, 1.0):
             raise DomainError(
                 f"lambda_mod must be 0.5 (BFSK) or 1 (BPSK), got {self.lambda_mod}"
@@ -86,21 +82,8 @@ class LinkConfig:
         n_cells: int,
         lambda_mod: float = 1.0,
     ) -> "LinkConfig":
-        """Unit-distance, unit-noise link with the given transmit SNR factor."""
-        if not (np.isfinite(eta) and eta > 0.0):
-            raise DomainError(f"eta must be positive, got {eta}")
-        return cls(
-            fading=fading,
-            n_cells=n_cells,
-            p_s=eta,
-            n0=1.0,
-            r_d=1.0,
-            lambda_mod=lambda_mod,
-        )
-
-    def eta(self) -> float:
-        """Transmit SNR factor P_s r_d^(-beta) / N_0."""
-        return self.p_s * self.r_d ** (-self.beta) / self.n0
+        """The link with the given transmit SNR factor."""
+        return cls(fading=fading, n_cells=n_cells, eta=eta, lambda_mod=lambda_mod)
 
     def model(self) -> SumFadingModel:
         return SumFadingModel(params=self.fading, n_cells=self.n_cells)
@@ -126,13 +109,6 @@ def snr_threshold_from_db(x_db: float) -> float:
     if not np.isfinite(x_db):
         raise DomainError(f"finite dB value required, got {x_db}")
     return 10.0 ** (x_db / 10.0)
-
-
-def power_from_dbm(p_dbm: float) -> float:
-    """dBm -> watts."""
-    if not np.isfinite(p_dbm):
-        raise DomainError(f"finite dBm value required, got {p_dbm}")
-    return 10.0 ** ((p_dbm - 30.0) / 10.0)
 
 
 def _from_log(log_value: float, diagnostics: dict) -> float:
@@ -184,7 +160,7 @@ def _log_assembly(
 def avg_capacity(cfg: LinkConfig) -> MetricResult:
     """Average capacity in bits/s/Hz, Meijer G closed form."""
     model = cfg.model()
-    eta = cfg.eta()
+    eta = cfg.eta
     report = meijer_g(_capacity_g_spec(model, eta))
     log_value, rel, diagnostics = _log_assembly(
         (model.log_lambda_norm, -math.log(model.xi), -math.log(_LN2)), report
@@ -201,7 +177,7 @@ def avg_capacity(cfg: LinkConfig) -> MetricResult:
 def avg_capacity_asymptotic(cfg: LinkConfig) -> MetricResult:
     """High-SNR capacity [ln(eta/xi) + psi(Nm) - psi(Nms)] / ln 2."""
     model = cfg.model()
-    eta = cfg.eta()
+    eta = cfg.eta
     value = (
         math.log(eta / model.xi) + digamma(model.nm) - digamma(model.nms)
     ) / _LN2
@@ -221,7 +197,7 @@ def _ber_g_spec(model: SumFadingModel, eta_lam: float) -> MeijerGSpec:
 def avg_ber(cfg: LinkConfig) -> MetricResult:
     """Average bit error rate, Meijer G closed form."""
     model = cfg.model()
-    eta_lam = cfg.eta() * cfg.lambda_mod
+    eta_lam = cfg.eta * cfg.lambda_mod
     report = meijer_g(_ber_g_spec(model, eta_lam))
     log_value, rel, diagnostics = _log_assembly(
         (
@@ -247,7 +223,7 @@ def avg_ber(cfg: LinkConfig) -> MetricResult:
 def avg_ber_asymptotic(cfg: LinkConfig) -> MetricResult:
     """High-SNR BER: Gamma(1/2+Nm) (xi/(eta lambda))^Nm / (2 sqrt(pi) B Nm)."""
     model = cfg.model()
-    eta_lam = cfg.eta() * cfg.lambda_mod
+    eta_lam = cfg.eta * cfg.lambda_mod
     nm, nms = model.nm, model.nms
     log_value = (
         gammaln(0.5 + nm)
@@ -277,7 +253,7 @@ def outage(cfg: LinkConfig, gamma_th: float) -> MetricResult:
     if not (np.isfinite(gamma_th) and gamma_th > 0.0):
         raise DomainError(f"gamma_th must be positive and linear, got {gamma_th}")
     model = cfg.model()
-    y = gamma_th * model.xi / cfg.eta()
+    y = gamma_th * model.xi / cfg.eta
     log_value, rel_err, side, evals = log_betainc(model.nm, model.nms, y)
     diagnostics = {"log_value": log_value, "method": side, "evals": evals,
                    "rel_error": rel_err}
@@ -300,7 +276,7 @@ def outage_asymptotic(cfg: LinkConfig, gamma_th: float) -> MetricResult:
         raise DomainError(f"gamma_th must be positive and linear, got {gamma_th}")
     model = cfg.model()
     nm, nms = model.nm, model.nms
-    y = gamma_th * model.xi / cfg.eta()
+    y = gamma_th * model.xi / cfg.eta
     log_value = (
         gammaln(nm + nms) - gammaln(1.0 + nm) - gammaln(nms) + nm * math.log(y)
     )

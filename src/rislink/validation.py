@@ -172,7 +172,7 @@ def quad_capacity(cfg: LinkConfig) -> MetricResult:
     A = N(m + m_s).  Bounded above by Jensen's log2(1 + eta E[g]).
     """
     model = cfg.model()
-    eta = cfg.eta()
+    eta = cfg.eta
     nm = model.nm
     a_tot = nm + model.nms
     log_z = math.log(eta) - math.log(model.xi)
@@ -203,7 +203,7 @@ def quad_ber(cfg: LinkConfig) -> MetricResult:
     BER underflows doubles.
     """
     model = cfg.model()
-    eta_lam = cfg.eta() * cfg.lambda_mod
+    eta_lam = cfg.eta * cfg.lambda_mod
     nm = model.nm
     a_tot = nm + model.nms
     log_eps = math.log(model.xi) - math.log(eta_lam)
@@ -231,7 +231,7 @@ def quad_outage(cfg: LinkConfig, gamma_th: float) -> MetricResult:
     if gamma_th <= 0.0:
         raise DomainError(f"gamma_th must be positive, got {gamma_th}")
     model = cfg.model()
-    v = gamma_th / cfg.eta()
+    v = gamma_th / cfg.eta
     nm = model.nm
     a_tot = nm + model.nms
     log_xiv = math.log(model.xi) + math.log(v)
@@ -305,7 +305,7 @@ _CHUNK = 1 << 18
 
 
 def _metric_samples(cfg: LinkConfig, which: str, gamma_th: float, g: np.ndarray):
-    eta = cfg.eta()
+    eta = cfg.eta
     if which == CAPACITY:
         return np.log2(1.0 + eta * g)
     if which == BER:

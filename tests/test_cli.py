@@ -13,6 +13,7 @@ import rislink
 from rislink import validation
 from rislink.cli import (
     CSV_HEADER,
+    LINK_PARAMS,
     SweepSpec,
     build_parser,
     main,
@@ -133,6 +134,60 @@ class TestParseConfig:
             assert parse_config(MINIMAL + f"\n[mc]\nmode = {raw}\n").mc_mode == mode
         with pytest.raises(ConfigError):
             parse_config(MINIMAL + "\n[mc]\nmode = both\n")
+
+    def test_link_eta_db_is_unknown(self):
+        # eta_db is an axis, never a fixed [link] value
+        text = MINIMAL.replace("axis = eta_db", "axis = p_s_dbm") + "\n[link]\neta_db = 40\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert "unknown key" in str(err.value)
+        assert "'eta_db', line 9" in str(err.value)
+
+    @pytest.mark.parametrize("key", ["m", "n_cells", "r_d"])
+    def test_empty_link_value_rejected(self, key):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + f"\n[link]\n{key} =\n")
+        assert f"'{key}', line 9" in str(err.value)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + "\n[mc]\nseed = -1\n")
+        assert "'seed', line 9" in str(err.value)
+
+
+# one out-of-range value per [link] key; the same value as a metrics flag
+BAD_LINK_VALUES = [
+    ("n_cells", "0"), ("m", "0"), ("m_s", "1"), ("r_d", "-1"), ("r_d", "0"),
+    ("beta", "-1"), ("n0_dbm", "inf"), ("lambda", "0.7"), ("gamma_th_db", "nan"),
+    ("p_s_dbm", "inf"),
+]
+
+
+def test_bad_link_values_cover_the_table():
+    assert {key for key, _ in BAD_LINK_VALUES} == set(LINK_PARAMS)
+
+
+@pytest.mark.parametrize("key,bad", BAD_LINK_VALUES)
+def test_bad_link_value_fails_as_key_and_as_flag(key, bad, capsys):
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL + f"\n[link]\n{key} = {bad}\n")
+    assert f"{LINK_PARAMS[key].message} (key '{key}', line 9)" in str(err.value)
+    flag = "--" + key.replace("_", "-")
+    assert main(["metrics", "--metric", "capacity", flag, bad]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {LINK_PARAMS[key].message} (flag {flag})\n"
+    )
+
+
+@pytest.mark.parametrize("command", [
+    ["validate", "--preset", "smoke"], ["sweep", "unused.ini"],
+    ["metrics", "--metric", "ber"],
+])
+def test_negative_seed_flag_exits_2(command, capsys):
+    assert main([*command, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: seed must be a non-negative integer (flag --seed)\n"
+    )
 
 
 # one family per (point, N, m, m_s); every metric, both lambdas, both thresholds

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from rislink.cli import _eta
 from rislink.errors import DomainError
 from rislink.fading import FadingParams, SumFadingModel, sum_cdf
 from rislink.metrics import (
@@ -17,7 +18,6 @@ from rislink.metrics import (
     avg_capacity_asymptotic,
     outage,
     outage_asymptotic,
-    power_from_dbm,
     snr_threshold_from_db,
 )
 from rislink.specfun import meijer_g
@@ -37,14 +37,18 @@ def cfg_eta(eta, fading=F15, n=1, lam=1.0):
 
 class TestLinkConfig:
     def test_eta(self):
-        cfg = LinkConfig(F15, 4, p_s=2.0, n0=0.5, r_d=2.0, beta=2.0)
-        assert cfg.eta() == pytest.approx(2.0 * 2.0**-2.0 / 0.5)
+        # the CLI derives eta = P_s r_d^(-beta) / N_0 from dBm and geometry;
+        # LinkConfig holds the result
+        eta = _eta(p_s_dbm=3.0, n0_dbm=-3.0, r_d=2.0, beta=2.0)
+        assert eta == pytest.approx(10.0**0.6 * 2.0**-2.0, rel=1e-15)
+        assert _eta(0.0, 0.0, 1.0, 2.7) == 1.0
+        assert LinkConfig(F15, 4, eta).eta == LinkConfig.from_eta(eta, F15, 4).eta == eta
 
     def test_validation(self):
         with pytest.raises(DomainError):
             LinkConfig(F15, 0)
         with pytest.raises(DomainError):
-            LinkConfig(F15, 1, p_s=-1.0)
+            LinkConfig(F15, 1, eta=-1.0)
         with pytest.raises(DomainError):
             LinkConfig(F15, 1, lambda_mod=0.7)
 
@@ -55,10 +59,6 @@ class TestUnits:
 
     def test_three_db(self):
         assert snr_threshold_from_db(3.0) == pytest.approx(1.9953, abs=1e-4)
-
-    def test_dbm(self):
-        assert power_from_dbm(30.0) == pytest.approx(1.0, rel=1e-12)
-        assert power_from_dbm(0.0) == pytest.approx(1e-3, rel=1e-12)
 
     def test_domain(self):
         with pytest.raises(DomainError):
