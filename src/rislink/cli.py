@@ -101,6 +101,13 @@ LINK_PARAMS = {
     "gamma_th_db": Param(3.0, True, math.isfinite, "gamma_th_db must be finite"),
     "p_s_dbm": Param(0.0, False, math.isfinite, "p_s_dbm must be finite"),
 }
+# The [sweep] range keys, checked like the table keys; start and stop
+# also pass the check of the axis key.
+RANGE_PARAMS = {
+    "start": Param(None, False, math.isfinite, "start must be finite"),
+    "stop": Param(None, False, math.isfinite, "stop must be finite"),
+    "steps": Param(None, False, lambda v: v >= 2, "steps must be at least 2", int),
+}
 # --seed runs the seed check; --mc-samples leaves its bound to McConfig,
 # so a metrics row that draws no sample ignores it.
 MC_PARAMS = {
@@ -164,13 +171,25 @@ def _fail_key(text: str, section: str, key: str, msg: str) -> ConfigError:
     return ConfigError(f"{msg} (key '{key}', {where})")
 
 
+def _tokens(text: str, section: str, given, key: str) -> list[str]:
+    tokens = given[key].replace(",", " ").split()
+    if not tokens:
+        raise _fail_key(text, section, key, f"{key} must not be empty")
+    return tokens
+
+
+def _unique(text: str, section: str, key: str, values: tuple) -> tuple:
+    """A list key's values; one given twice would repeat every row it forms."""
+    if len(set(values)) != len(values):
+        raise _fail_key(text, section, key, f"{key} repeats a value")
+    return values
+
+
 def _read(text: str, section: str, given, key: str, p: Param):
     """The checked value of one table key: a tuple for ``many`` keys."""
     if key not in given:
         return (p.default,) if p.many else p.default
-    tokens = given[key].replace(",", " ").split()
-    if not tokens:
-        raise _fail_key(text, section, key, f"{key} must not be empty")
+    tokens = _tokens(text, section, given, key)
     if not p.many and len(tokens) != 1:
         raise _fail_key(text, section, key, "expected a single value")
     try:
@@ -180,7 +199,7 @@ def _read(text: str, section: str, given, key: str, p: Param):
     for v in values:
         if not p.check(v):
             raise _fail_key(text, section, key, p.message)
-    return values if p.many else values[0]
+    return _unique(text, section, key, values) if p.many else values[0]
 
 
 def parse_config(text: str) -> SweepSpec:
@@ -215,40 +234,30 @@ def parse_config(text: str) -> SweepSpec:
             if key not in allowed[section]:
                 raise _fail_key(text, section, key, "unknown key")
 
-    for key in ("start", "stop", "steps"):
+    for key in RANGE_PARAMS:
         if key not in sweep:
             raise ConfigError(f"missing required key '{key}' in [sweep]")
-    try:
-        start = float(sweep["start"])
-        stop = float(sweep["stop"])
-        steps = int(sweep["steps"])
-    except ValueError as exc:
-        raise ConfigError(f"bad sweep range: {exc}") from exc
+    start, stop, steps = (_read(text, "sweep", sweep, key, p)
+                          for key, p in RANGE_PARAMS.items())
+    axis_param = LINK_PARAMS.get(axis)
+    for key, value in (("start", start), ("stop", stop)):
+        if axis_param is not None and not axis_param.check(value):
+            raise _fail_key(text, "sweep", key,
+                            f"{axis_param.message} on the {axis} axis")
     if not start < stop:
         raise _fail_key(text, "sweep", "start", "start must be less than stop")
-    if steps < 2:
-        raise _fail_key(text, "sweep", "steps", "steps must be at least 2")
 
-    if "metrics" in sweep:
-        metrics = tuple(tok for tok in sweep["metrics"].replace(",", " ").split())
-        if not metrics:
-            raise _fail_key(text, "sweep", "metrics", "metric set must not be empty")
-        for tok in metrics:
-            if tok not in METRICS:
-                raise _fail_key(
-                    text, "sweep", "metrics", f"unknown metric '{tok}'"
-                )
-    else:
-        metrics = METRICS
-    if "variants" in sweep:
-        variants = tuple(tok for tok in sweep["variants"].replace(",", " ").split())
-        if not variants:
-            raise _fail_key(text, "sweep", "variants", "variant set must not be empty")
-        for tok in variants:
-            if tok not in VARIANTS:
-                raise _fail_key(text, "sweep", "variants", f"unknown variant '{tok}'")
-    else:
-        variants = ("exact", "asymptotic")
+    sets = {}
+    for key, known, default in (("metrics", METRICS, METRICS),
+                                ("variants", VARIANTS, ("exact", "asymptotic"))):
+        if key not in sweep:
+            sets[key] = default
+            continue
+        tokens = tuple(_tokens(text, "sweep", sweep, key))
+        for tok in tokens:
+            if tok not in known:
+                raise _fail_key(text, "sweep", key, f"unknown {key[:-1]} '{tok}'")
+        sets[key] = _unique(text, "sweep", key, tokens)
 
     fixed = {key: _read(text, "link", link, key, p) for key, p in LINK_PARAMS.items()}
     fixed["lambda_mod"] = fixed.pop("lambda")
@@ -259,9 +268,8 @@ def parse_config(text: str) -> SweepSpec:
         start=start,
         stop=stop,
         steps=steps,
-        metrics=metrics,
-        variants=variants,
         out=sweep.get("out", "sweep.csv"),
+        **sets,
         **fixed,
     )
 
@@ -274,9 +282,23 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
+def _linear(what: str, keys: str, compute: Callable[[], float]) -> float:
+    """The linear value compute() of a link quantity; a ConfigError naming
+    the keys it comes from when it leaves the positive finite doubles."""
+    try:
+        x = compute()
+    except OverflowError:
+        x = math.inf
+    if not 0.0 < x < math.inf:
+        raise ConfigError(
+            f"{what} = {x!r} from {keys} is outside the positive finite doubles")
+    return x
+
+
 def _eta(p_s_dbm: float, n0_dbm: float, r_d: float, beta: float) -> float:
     """Transmit SNR factor P_s r_d^(-beta) / N_0 from dBm and geometry."""
-    return 10.0 ** ((p_s_dbm - n0_dbm) / 10.0) * r_d ** (-beta)
+    return _linear("eta", "p_s_dbm, n0_dbm, r_d and beta",
+                   lambda: 10.0 ** ((p_s_dbm - n0_dbm) / 10.0) * r_d ** (-beta))
 
 
 def _family_mc(cases, spec: SweepSpec):
@@ -297,15 +319,26 @@ def _family_mc(cases, spec: SweepSpec):
                       McConfig(n_samples=spec.mc_samples, seed=sub, mode=spec.mc_mode))
 
 
-def _point_rows(spec: SweepSpec, axis_value: float) -> list[list[str]]:
-    """The CSV rows of one axis point: every family, metric case and variant."""
+def _point_link(spec: SweepSpec, axis_value: float):
+    """eta, cell counts and thresholds (dB) of one axis point; checks that
+    eta and every threshold an outage row reads are positive doubles."""
     if spec.axis == "eta_db":
-        eta = snr_threshold_from_db(axis_value)
+        eta = _linear("eta", f"eta_db = {axis_value!r}",
+                      lambda: 10.0 ** (axis_value / 10.0))
     else:
         p_s = axis_value if spec.axis == "p_s_dbm" else spec.p_s_dbm
         eta = _eta(p_s, spec.n0_dbm, spec.r_d, spec.beta)
     gth_dbs = (axis_value,) if spec.axis == "gamma_th_db" else spec.gamma_th_db
+    if OUTAGE in spec.metrics:
+        for g in gth_dbs:
+            _linear("gamma_th", f"gamma_th_db = {g!r}", lambda: 10.0 ** (g / 10.0))
     ns = (int(axis_value),) if spec.axis == "n_cells" else spec.n_cells
+    return eta, ns, gth_dbs
+
+
+def _point_rows(spec: SweepSpec, axis_value: float) -> list[list[str]]:
+    """The CSV rows of one axis point: every family, metric case and variant."""
+    eta, ns, gth_dbs = _point_link(spec, axis_value)
     rows = []
     for n, m, m_s in itertools.product(ns, spec.m, spec.m_s):
         cases = point_cases(eta, FadingParams(m=m, m_s=m_s), n, spec.metrics,
@@ -332,6 +365,8 @@ def _point_rows(spec: SweepSpec, axis_value: float) -> list[list[str]]:
 def run_sweep(spec: SweepSpec, threads: int = 1, progress=None) -> list[list[str]]:
     """Evaluate the grid; returns rows in deterministic axis order."""
     values = spec.axis_values()
+    for v in values:  # a point outside double range fails before any work
+        _point_link(spec, float(v))
     if progress is None:
         progress = lambda msg: print(msg, file=sys.stderr)
     results: list[list[list[str]]] = [None] * len(values)
@@ -490,9 +525,10 @@ def _metrics_command(args) -> int:
         variants=(args.variant,), mc_samples=args.mc_samples, mc_seed=args.seed,
         mc_mode=args.mc_mode, out="-", **fixed,
     )
+    rows = _point_rows(spec, x)  # a failing point prints nothing
     w = csv.writer(sys.stdout, lineterminator="\n")
     w.writerow(CSV_HEADER)
-    w.writerows(_point_rows(spec, x))
+    w.writerows(rows)
     return 0
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .fading import FadingParams, SumFadingModel
 from .specfun import EvalReport, MeijerGSpec, digamma, log_betainc, meijer_g
 
@@ -46,11 +46,13 @@ _EPS = float(np.finfo(float).eps)
 CLOSED_FORM = "closed_form"
 ASYMPTOTIC = "asymptotic"
 QUADRATURE = "quadrature"
-MONTE_CARLO = "monte_carlo"
 
-# Below this, a BER/outage value is reported as 0.0 with a flag rather
-# than as a denormal.
+# Below this, a value is reported as 0.0 with a flag rather than as a
+# denormal.
 UNDERFLOW_FLOOR = 1e-300
+
+# Feasible upper bounds of BER and outage; capacity's is capacity_bound(cfg).
+BER_BOUND, OUTAGE_BOUND = 0.5, 1.0
 
 
 @dataclass(frozen=True)
@@ -111,18 +113,42 @@ def snr_threshold_from_db(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
 
 
-def _from_log(log_value: float, diagnostics: dict) -> float:
-    """exp(log_value); 0.0 below UNDERFLOW_FLOOR and inf above double
-    range, each flagged in ``diagnostics`` while log_value stays exact."""
-    if not log_value > math.log(UNDERFLOW_FLOOR):
-        if log_value > -math.inf:
-            diagnostics["underflow"] = True
-        return 0.0
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        diagnostics["overflow"] = True
-        return math.inf
+def check_gamma_th(gamma_th: float) -> None:
+    """The outage threshold check shared by every outage route."""
+    if not (np.isfinite(gamma_th) and gamma_th > 0.0):
+        raise DomainError(f"gamma_th must be positive and linear, got {gamma_th}")
+
+
+def result(route: str, log_value: float, rel_err: float, upper: float = math.inf,
+           **diagnostics) -> MetricResult:
+    """The result of every route that computes the log of its value.
+
+    The value is exp(log_value), read as 0.0 below UNDERFLOW_FLOOR and
+    inf above double range, each flagged in ``diagnostics``, and its
+    error estimate value * rel_err (0.0 when it overflows).  A value
+    above ``upper`` by more than that estimate raises NumericError.
+    """
+    diagnostics = {"log_value": log_value, **diagnostics}
+    value = err = 0.0
+    if log_value > math.log(UNDERFLOW_FLOOR):
+        try:
+            value = math.exp(log_value)
+            err = value * rel_err
+        except OverflowError:
+            diagnostics["overflow"] = True
+            value = math.inf
+    elif log_value > -math.inf:
+        diagnostics["underflow"] = True
+    if value > upper + err:
+        raise NumericError(f"{route} value {value!r} is above its bound {upper!r} "
+                           f"by more than its error estimate {err:.3e}")
+    return MetricResult(value=value, method=route, error_estimate=err,
+                        diagnostics=diagnostics)
+
+
+def capacity_bound(cfg: LinkConfig) -> float:
+    """Jensen's upper bound log2(1 + eta E[g]) on the average capacity."""
+    return math.log1p(cfg.eta * cfg.model().mean()) / _LN2
 
 
 def _capacity_g_spec(model: SumFadingModel, eta: float) -> MeijerGSpec:
@@ -135,52 +161,35 @@ def _capacity_g_spec(model: SumFadingModel, eta: float) -> MeijerGSpec:
     )
 
 
-def _log_assembly(
-    log_terms: tuple[float, ...], report: EvalReport
-) -> tuple[float, float, dict]:
-    """log of the prefactor terms times G, its relative error, diagnostics.
+def _closed_form(log_terms, report: EvalReport, upper: float) -> MetricResult:
+    """The product of exp(log_terms) and a positive G, as a closed form.
 
     The error adds the rounding of the log-space sum, each term good to
     a few ulps of its own size, to the evaluator's own bound.
     """
-    log_value = sum(log_terms) + report.log_abs_value
+    if not report.sign > 0.0:
+        raise NumericError(f"Meijer G has sign {report.sign}; the metric needs G > 0")
     g_rel = report.details["rel_error"]
     rel = g_rel + 8.0 * _EPS * (
-        sum(abs(t) for t in log_terms) + abs(report.log_abs_value)
-    )
-    diagnostics = {
-        "log_value": log_value,
-        "g_method": report.method,
-        "g_evals": report.details.get("evals", 0),
-        "g_rel_error": g_rel,
-    }
-    return log_value, rel, diagnostics
+        sum(abs(t) for t in log_terms) + abs(report.log_abs_value))
+    return result(CLOSED_FORM, sum(log_terms) + report.log_abs_value, rel, upper,
+                  g_method=report.method, g_evals=report.details.get("evals", 0),
+                  g_rel_error=g_rel)
 
 
 def avg_capacity(cfg: LinkConfig) -> MetricResult:
     """Average capacity in bits/s/Hz, Meijer G closed form."""
     model = cfg.model()
-    eta = cfg.eta
-    report = meijer_g(_capacity_g_spec(model, eta))
-    log_value, rel, diagnostics = _log_assembly(
-        (model.log_lambda_norm, -math.log(model.xi), -math.log(_LN2)), report
-    )
-    value = math.exp(log_value)
-    return MetricResult(
-        value=value,
-        method=CLOSED_FORM,
-        error_estimate=value * rel,
-        diagnostics=diagnostics,
-    )
+    report = meijer_g(_capacity_g_spec(model, cfg.eta))
+    return _closed_form((model.log_lambda_norm, -math.log(model.xi), -math.log(_LN2)),
+                        report, capacity_bound(cfg))
 
 
 def avg_capacity_asymptotic(cfg: LinkConfig) -> MetricResult:
     """High-SNR capacity [ln(eta/xi) + psi(Nm) - psi(Nms)] / ln 2."""
     model = cfg.model()
-    eta = cfg.eta
-    value = (
-        math.log(eta / model.xi) + digamma(model.nm) - digamma(model.nms)
-    ) / _LN2
+    value = (math.log(cfg.eta / model.xi) + digamma(model.nm)
+             - digamma(model.nms)) / _LN2
     return MetricResult(value=value, method=ASYMPTOTIC, error_estimate=0.0)
 
 
@@ -199,25 +208,8 @@ def avg_ber(cfg: LinkConfig) -> MetricResult:
     model = cfg.model()
     eta_lam = cfg.eta * cfg.lambda_mod
     report = meijer_g(_ber_g_spec(model, eta_lam))
-    log_value, rel, diagnostics = _log_assembly(
-        (
-            model.log_lambda_norm,
-            -math.log(eta_lam),
-            -math.log(2.0 * math.sqrt(math.pi)),
-        ),
-        report,
-    )
-    value = _from_log(log_value, diagnostics)
-    err = value * rel
-    if value < -err or value > 0.5 + err:
-        # numerically out of the feasible band by more than its own error
-        diagnostics["out_of_range"] = value
-    return MetricResult(
-        value=value,
-        method=CLOSED_FORM,
-        error_estimate=err,
-        diagnostics=diagnostics,
-    )
+    return _closed_form((model.log_lambda_norm, -math.log(eta_lam),
+                         -math.log(2.0 * math.sqrt(math.pi))), report, BER_BOUND)
 
 
 def avg_ber_asymptotic(cfg: LinkConfig) -> MetricResult:
@@ -232,11 +224,7 @@ def avg_ber_asymptotic(cfg: LinkConfig) -> MetricResult:
         - math.log(nm)
         + nm * math.log(model.xi / eta_lam)
     )
-    diagnostics = {"log_value": log_value}
-    value = _from_log(log_value, diagnostics)
-    return MetricResult(
-        value=value, method=ASYMPTOTIC, error_estimate=0.0, diagnostics=diagnostics
-    )
+    return result(ASYMPTOTIC, log_value, 0.0)
 
 
 def outage(cfg: LinkConfig, gamma_th: float) -> MetricResult:
@@ -250,38 +238,21 @@ def outage(cfg: LinkConfig, gamma_th: float) -> MetricResult:
     Diagnostics record its side as ``method``, its iterations as
     ``evals`` and its relative bound as ``rel_error``.
     """
-    if not (np.isfinite(gamma_th) and gamma_th > 0.0):
-        raise DomainError(f"gamma_th must be positive and linear, got {gamma_th}")
+    check_gamma_th(gamma_th)
     model = cfg.model()
     y = gamma_th * model.xi / cfg.eta
     log_value, rel_err, side, evals = log_betainc(model.nm, model.nms, y)
-    diagnostics = {"log_value": log_value, "method": side, "evals": evals,
-                   "rel_error": rel_err}
-    value = _from_log(log_value, diagnostics)
-    if value > 1.0:
-        # exact expression is <= 1; excess here is roundoff
-        diagnostics["out_of_range"] = value
-        value = 1.0
-    return MetricResult(
-        value=value,
-        method=CLOSED_FORM,
-        error_estimate=value * rel_err,
-        diagnostics=diagnostics,
-    )
+    return result(CLOSED_FORM, log_value, rel_err, OUTAGE_BOUND,
+                  method=side, evals=evals, rel_error=rel_err)
 
 
 def outage_asymptotic(cfg: LinkConfig, gamma_th: float) -> MetricResult:
     """High-SNR outage: the y^Nm power law without the 2F1 correction."""
-    if not (np.isfinite(gamma_th) and gamma_th > 0.0):
-        raise DomainError(f"gamma_th must be positive and linear, got {gamma_th}")
+    check_gamma_th(gamma_th)
     model = cfg.model()
     nm, nms = model.nm, model.nms
     y = gamma_th * model.xi / cfg.eta
     log_value = (
         gammaln(nm + nms) - gammaln(1.0 + nm) - gammaln(nms) + nm * math.log(y)
     )
-    diagnostics = {"log_value": log_value}
-    value = _from_log(log_value, diagnostics)
-    return MetricResult(
-        value=value, method=ASYMPTOTIC, error_estimate=0.0, diagnostics=diagnostics
-    )
+    return result(ASYMPTOTIC, log_value, 0.0)

@@ -2,14 +2,12 @@
 
 Gamma-family wrappers, the Gaussian Q-function, the regularized
 incomplete beta in log space, and a numerical Meijer G evaluator.
-The Meijer G evaluator has two tiers:
-
-  1. the elementary G^{1,1}_{1,1} reduction to a binomial kernel,
-  2. numerical Mellin-Barnes integration along a vertical contour placed
-     at the saddle of the integrand magnitude inside the pole-separating
-     gap, for every other parameter set.  The integrand is analytic and
-     decays exponentially along that line, so a fixed-step trapezoidal
-     rule converges geometrically; all nodes are evaluated as arrays.
+The Meijer G evaluator has one method for every parameter set:
+numerical Mellin-Barnes integration along a vertical contour placed at
+the saddle of the integrand magnitude inside the pole-separating gap.
+The integrand is analytic and decays exponentially along that line, so
+a fixed-step trapezoidal rule converges geometrically; all nodes are
+evaluated as arrays.
 
 Every gamma product is assembled in log space with sign tracking; values
 whose magnitude overflows a double are still available through the
@@ -27,7 +25,6 @@ import numpy as np
 from scipy.special import erfc as _erfc
 from scipy.special import digamma as _digamma
 from scipy.special import gammaln as _gammaln
-from scipy.special import gammasgn as _gammasgn
 from scipy.special import loggamma as _loggamma
 
 from .errors import DomainError, NumericError
@@ -145,7 +142,6 @@ def log_betainc(a: float, b: float, y: float) -> tuple[float, float, str, int]:
 # ---------------------------------------------------------------------------
 
 CONTOUR_QUADRATURE = "contour_quadrature"
-CLOSED_IDENTITY = "closed_identity"
 
 
 @dataclass(frozen=True)
@@ -236,17 +232,6 @@ def _report(log_abs: float, sign: float, rel_err: float, method: str, **details)
         sign=float(sign),
         details=dict(details),
     )
-
-
-def _try_closed_identity(spec: MeijerGSpec) -> EvalReport | None:
-    """G^{1,1}_{1,1}(z | a; b) = Gamma(1+b-a) z^b (1+z)^(a-b-1)."""
-    if (spec.m, spec.n, spec.p, spec.q) != (1, 1, 1, 1):
-        return None
-    a, b, z = spec.a_front[0], spec.b_front[0], spec.argument
-    s = 1.0 + b - a
-    sign = float(_gammasgn(s))
-    log_abs = float(_gammaln(s)) + b * math.log(z) - s * math.log1p(z)
-    return _report(log_abs, sign, 1e-14, CLOSED_IDENTITY)
 
 
 # Largest integer offset gap folded into log terms: Gamma(x+k)/Gamma(x) is
@@ -484,14 +469,8 @@ def _contour_quadrature(spec: MeijerGSpec) -> EvalReport:
 
 
 def meijer_g(spec: MeijerGSpec) -> EvalReport:
-    """Evaluate G^{m,n}_{p,q} on the positive real axis.
-
-    G^{1,1}_{1,1} takes its elementary closed form; every other spec
-    goes to the Mellin-Barnes contour, which handles each parameter set
-    with a separating gap and an exponentially decaying integrand and
-    raises otherwise.
-    """
-    report = _try_closed_identity(spec)
-    if report is not None:
-        return report
+    """Evaluate G^{m,n}_{p,q} on the positive real axis by the
+    Mellin-Barnes contour, which handles each parameter set with a
+    separating gap and an exponentially decaying integrand and raises
+    otherwise."""
     return _contour_quadrature(spec)

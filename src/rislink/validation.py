@@ -33,16 +33,20 @@ from .fading import (
     sample_sum,
 )
 from .metrics import (
+    BER_BOUND,
+    OUTAGE_BOUND,
     QUADRATURE,
     LinkConfig,
     MetricResult,
-    _from_log,
     avg_ber,
     avg_ber_asymptotic,
     avg_capacity,
     avg_capacity_asymptotic,
+    capacity_bound,
+    check_gamma_th,
     outage,
     outage_asymptotic,
+    result,
     snr_threshold_from_db,
 )
 
@@ -125,10 +129,8 @@ def _peak_normalized_quad(
     return h_peak + math.log(val), err / val
 
 
-def _quad_result(
-    model: SumFadingModel, log_front: float, log_integral: float, rel_err: float,
-    upper: float, what: str,
-) -> MetricResult:
+def _quad_result(model: SumFadingModel, log_front: float, log_integral: float,
+                 rel_err: float, upper: float) -> MetricResult:
     """exp(log_front + log_integral) / B(Nm, Nms); raises above ``upper``.
 
     The error estimate also carries the rounding of the log-space sum,
@@ -137,20 +139,10 @@ def _quad_result(
     """
     lgammas = [math.lgamma(x) for x in (model.nm, model.nms, model.nm + model.nms)]
     ln_b = lgammas[0] + lgammas[1] - lgammas[2]
-    log_value = log_front - ln_b + log_integral
     rel_err += 8.0 * _EPS * (
         abs(log_front) + sum(abs(t) for t in lgammas) + abs(log_integral)
     )
-    diagnostics = {"log_value": log_value}
-    value = _from_log(log_value, diagnostics)
-    err = rel_err * value
-    if value > upper + err:
-        raise NumericError(
-            f"{what} quadrature gave {value!r}, above its bound {upper!r} "
-            f"by more than its error estimate {err:.3e}"
-        )
-    return MetricResult(value=value, method=QUADRATURE, error_estimate=err,
-                        diagnostics=diagnostics)
+    return result(QUADRATURE, log_front - ln_b + log_integral, rel_err, upper)
 
 
 def _softplus(u: float) -> float:
@@ -181,10 +173,8 @@ def quad_capacity(cfg: LinkConfig) -> MetricResult:
         return _log_softplus(log_z + u) + nm * u - a_tot * _softplus(u)
 
     log_integral, rel_err = _peak_normalized_quad(log_h, "capacity")
-    return _quad_result(
-        model, -math.log(_LN2), log_integral, rel_err,
-        math.log1p(eta * model.mean()) / _LN2, "capacity",
-    )
+    return _quad_result(model, -math.log(_LN2), log_integral, rel_err,
+                        capacity_bound(cfg))
 
 
 def _log_q_of_sqrt(x: float) -> float:
@@ -217,7 +207,7 @@ def quad_ber(cfg: LinkConfig) -> MetricResult:
         )
 
     log_integral, rel_err = _peak_normalized_quad(log_h, "BER")
-    return _quad_result(model, nm * log_eps, log_integral, rel_err, 0.5, "BER")
+    return _quad_result(model, nm * log_eps, log_integral, rel_err, BER_BOUND)
 
 
 def quad_outage(cfg: LinkConfig, gamma_th: float) -> MetricResult:
@@ -228,8 +218,7 @@ def quad_outage(cfg: LinkConfig, gamma_th: float) -> MetricResult:
     h(u) = Nm u - A log(1 + xi v e^u), a concave function whose maximum
     is known in closed form.
     """
-    if gamma_th <= 0.0:
-        raise DomainError(f"gamma_th must be positive, got {gamma_th}")
+    check_gamma_th(gamma_th)
     model = cfg.model()
     v = gamma_th / cfg.eta
     nm = model.nm
@@ -242,7 +231,7 @@ def quad_outage(cfg: LinkConfig, gamma_th: float) -> MetricResult:
     # stationary point of h: xi v e^u = Nm / Nms, clamped to u <= 0
     u_star = min(0.0, math.log(nm / model.nms) - log_xiv)
     log_integral, rel_err = _peak_normalized_quad(h, "outage", u_peak=u_star, u_hi=0.0)
-    return _quad_result(model, nm * log_xiv, log_integral, rel_err, 1.0, "outage")
+    return _quad_result(model, nm * log_xiv, log_integral, rel_err, OUTAGE_BOUND)
 
 
 def evaluate(
@@ -329,8 +318,8 @@ def mc_metrics(cases, mc: McConfig) -> list[CiEstimate]:
     for cfg, which, gamma_th in cases:
         if which not in (CAPACITY, BER, OUTAGE):
             raise DomainError(f"unknown metric {which!r}")
-        if which == OUTAGE and not (np.isfinite(gamma_th) and gamma_th > 0.0):
-            raise DomainError("outage estimation needs a positive linear gamma_th")
+        if which == OUTAGE:
+            check_gamma_th(gamma_th)
     models = {cfg.model() for cfg, _, _ in cases}
     if len(models) != 1:
         raise DomainError(
@@ -516,10 +505,11 @@ def run_oracle_grid(
         estimates = mc_metrics([case[:3] for case in cases], mc)
         checks: list[GridCheck] = []
         for (cfg, metric, gth, gth_db), est in zip(cases, estimates):
-            c_log = evaluate(cfg, metric, "exact", gth).diagnostics["log_value"]
+            exact = evaluate(cfg, metric, "exact", gth)
+            c_log = exact.diagnostics["log_value"]
             q_log = evaluate(cfg, metric, "quadrature", gth).diagnostics["log_value"]
             gap = _rel_gap_from_logs(c_log, q_log)
-            ok_mc, note = _mc_consistent(_from_log(c_log, {}), est, metric)
+            ok_mc, note = _mc_consistent(exact.value, est, metric)
             checks.append(
                 GridCheck(
                     index=idx,

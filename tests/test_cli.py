@@ -190,6 +190,82 @@ def test_negative_seed_flag_exits_2(command, capsys):
     )
 
 
+# metrics flags and sweep ranges whose linear value leaves the doubles, and
+# the keys the error must name
+OUT_OF_DOUBLES = [
+    (["--metric", "capacity", "--p-s-dbm", "4000"], "p_s_dbm, n0_dbm, r_d and beta"),
+    (["--metric", "capacity", "--r-d", "1e-200"], "p_s_dbm, n0_dbm, r_d and beta"),
+    (["--metric", "capacity", "--p-s-dbm", "-4000"], "p_s_dbm, n0_dbm, r_d and beta"),
+    (["--metric", "capacity", "--eta-db", "4000"], "eta_db"),
+    (["--metric", "capacity", "--eta-db", "-4000"], "eta_db"),
+    (["--metric", "capacity", "--eta-db", "inf"], "eta_db"),
+    (["--metric", "outage", "--gamma-th-db", "4000"], "gamma_th_db"),
+    (["--metric", "outage", "--gamma-th-db", "-4000"], "gamma_th_db"),
+    ("axis = eta_db\nstart = 0\nstop = 5000\nsteps = 3", "eta_db"),
+    ("axis = p_s_dbm\nstart = 0\nstop = 5000\nsteps = 3",
+     "p_s_dbm, n0_dbm, r_d and beta"),
+    ("axis = gamma_th_db\nstart = 0\nstop = 5000\nsteps = 3\nmetrics = outage",
+     "gamma_th_db"),
+]
+
+
+@pytest.mark.parametrize("args,keys", OUT_OF_DOUBLES,
+                         ids=[" ".join(a) if isinstance(a, list) else a.split("\n")[0]
+                              + " sweep" for a, _ in OUT_OF_DOUBLES])
+def test_value_outside_doubles_is_a_config_error(args, keys, tmp_path, capsys):
+    if isinstance(args, str):
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(f"[sweep]\n{args}\n")
+        args = ["sweep", str(cfg), "--out", str(tmp_path / "out.csv"), "--threads", "1"]
+    else:
+        args = ["metrics", *args]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+    assert f"from {keys}" in captured.err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_threshold_outside_doubles_ignored_without_outage(capsys):
+    # only outage reads gamma_th_db
+    assert main(["metrics", "--metric", "capacity", "--gamma-th-db", "4000"]) == 0
+    assert capsys.readouterr().out.count("\n") == 2
+
+
+# a bad [sweep] range or list value, and the key and line it must name
+BAD_SWEEP = [
+    ("axis = eta_db\nstart = 0\nstop = inf\nsteps = 3", "stop must be finite", "'stop', line 4"),
+    ("axis = eta_db\nstart = nan\nstop = 1\nsteps = 3", "start must be finite",
+     "'start', line 3"),
+    ("axis = p_s_dbm\nstart = -inf\nstop = 1\nsteps = 3", "start must be finite",
+     "'start', line 3"),
+    ("axis = n_cells\nstart = 0\nstop = 4\nsteps = 3", "n_cells must be >= 1",
+     "'start', line 3"),
+    ("axis = eta_db\nstart = 0\nstop = 1\nsteps = two", "bad value", "'steps', line 5"),
+    ("axis = eta_db\nstart = 0\nstop = 1\nsteps = 1", "steps must be at least 2",
+     "'steps', line 5"),
+    ("axis = eta_db\nstart = 0\nstop = 1\nsteps = 3\nmetrics = capacity, capacity",
+     "metrics repeats a value", "'metrics', line 6"),
+    ("axis = eta_db\nstart = 0\nstop = 1\nsteps = 3\nvariants = exact exact",
+     "variants repeats a value", "'variants', line 6"),
+    ("axis = eta_db\nstart = 0\nstop = 1\nsteps = 3\n[link]\nn_cells = 8, 8.0",
+     "n_cells repeats a value", "'n_cells', line 7"),
+    ("axis = eta_db\nstart = 0\nstop = 1\nsteps = 3\n[link]\nlambda = 1, 0.5, 1",
+     "lambda repeats a value", "'lambda', line 7"),
+    ("axis = p_s_dbm\nstart = 0\nstop = 1\nsteps = 3\n[link]\ngamma_th_db = 3, 3.0",
+     "gamma_th_db repeats a value", "'gamma_th_db', line 7"),
+]
+
+
+@pytest.mark.parametrize("body,message,where", BAD_SWEEP, ids=[m for _, m, _ in BAD_SWEEP])
+def test_bad_sweep_value_named_with_line(body, message, where):
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"[sweep]\n{body}\n")
+    assert message in str(err.value)
+    assert where in str(err.value)
+
+
 # one family per (point, N, m, m_s); every metric, both lambdas, both thresholds
 MC_FAMILY_SWEEP = """
 [sweep]

@@ -1,11 +1,12 @@
 """Oracles: quadrature routes, Monte-Carlo estimators, KS machinery."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from rislink import validation
+from rislink import metrics, validation
 from rislink.errors import DomainError, NumericError
 from rislink.fading import MODEL_DRAW, PHYSICAL_DRAW, FadingParams
 from rislink.metrics import (
@@ -175,6 +176,73 @@ class TestRangeGuard:
         monkeypatch.setattr(validation, "_peak_normalized_quad", broken)
         with pytest.raises(NumericError, match="above its bound"):
             oracle(*args)
+
+
+    @pytest.mark.parametrize("route,args", [
+        (avg_capacity, (cfg_eta(100.0),)),
+        (avg_ber, (cfg_eta(1e-2),)),
+    ])
+    def test_closed_form_above_bound_raises(self, monkeypatch, route, args):
+        # G off by a factor e pushes capacity past Jensen's bound and BER
+        # past 1/2
+        good = metrics.meijer_g
+
+        def broken(spec):
+            r = good(spec)
+            return dataclasses.replace(r, log_abs_value=r.log_abs_value + 1.0)
+
+        route(*args)
+        monkeypatch.setattr(metrics, "meijer_g", broken)
+        with pytest.raises(NumericError, match="above its bound"):
+            route(*args)
+
+    def test_outage_above_bound_raises(self, monkeypatch):
+        good = metrics.log_betainc
+
+        def broken(*a):
+            log_value, *rest = good(*a)
+            return (log_value + 1.0, *rest)
+
+        cfg = cfg_eta(0.1)
+        outage(cfg, 2.0)
+        monkeypatch.setattr(metrics, "log_betainc", broken)
+        with pytest.raises(NumericError, match="above its bound"):
+            outage(cfg, 2.0)
+
+    @pytest.mark.parametrize("route", [avg_capacity, avg_ber])
+    def test_negative_meijer_g_raises(self, monkeypatch, route):
+        # the metric is positive; |G| of a negative G would be a silent
+        # wrong number
+        good = metrics.meijer_g
+
+        def negated(spec):
+            r = good(spec)
+            return dataclasses.replace(r, value=-r.value, sign=-1.0)
+
+        monkeypatch.setattr(metrics, "meijer_g", negated)
+        with pytest.raises(NumericError, match="sign -1"):
+            route(cfg_eta(10.0))
+
+    def test_overflowing_asymptote_keeps_zero_error(self):
+        # the asymptote has no feasible bound: its value overflows to inf
+        # with a flag, and inf * 0 must not make the estimate nan
+        cfg = cfg_eta(1e-30, FadingParams(4.0, 3.0), 64)
+        for r in (avg_ber_asymptotic(cfg), outage_asymptotic(cfg, 1.0)):
+            assert r.value == math.inf
+            assert r.error_estimate == 0.0
+            assert r.diagnostics["overflow"] is True
+            assert math.isfinite(r.diagnostics["log_value"])
+
+
+class TestOutageThreshold:
+    @pytest.mark.parametrize("gamma_th", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("route", [
+        outage, outage_asymptotic, quad_outage,
+        lambda cfg, g: mc_metric(cfg, OUTAGE, McConfig(10_000, 5), gamma_th=g),
+    ], ids=["exact", "asymptotic", "quadrature", "mc"])
+    def test_every_route_rejects(self, route, gamma_th):
+        with pytest.raises(DomainError, match="gamma_th must be positive"):
+            route(cfg_eta(1.0), gamma_th)
 
 
 class TestMcMetric:
