@@ -107,10 +107,14 @@ class MetricResult:
 
 
 def snr_threshold_from_db(x_db: float) -> float:
-    """dB -> linear power ratio."""
-    if not np.isfinite(x_db):
-        raise DomainError(f"finite dB value required, got {x_db}")
-    return 10.0 ** (x_db / 10.0)
+    """dB -> linear power ratio, which must be a positive finite double."""
+    try:
+        x = 10.0 ** (x_db / 10.0)
+    except OverflowError:
+        x = math.inf
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"{x_db!r} dB is {x!r} linear, outside the positive finite doubles")
+    return x
 
 
 def check_gamma_th(gamma_th: float) -> None:
@@ -161,16 +165,18 @@ def _capacity_g_spec(model: SumFadingModel, eta: float) -> MeijerGSpec:
     )
 
 
-def _closed_form(log_terms, report: EvalReport, upper: float) -> MetricResult:
+def _closed_form(log_terms, report: EvalReport, upper: float,
+                 spec_rel: float = 0.0) -> MetricResult:
     """The product of exp(log_terms) and a positive G, as a closed form.
 
     The error adds the rounding of the log-space sum, each term good to
-    a few ulps of its own size, to the evaluator's own bound.
+    a few ulps of its own size, and spec_rel, the rounding of G's
+    parameters, to the evaluator's own bound.
     """
     if not report.sign > 0.0:
         raise NumericError(f"Meijer G has sign {report.sign}; the metric needs G > 0")
     g_rel = report.details["rel_error"]
-    rel = g_rel + 8.0 * _EPS * (
+    rel = g_rel + spec_rel + 8.0 * _EPS * (
         sum(abs(t) for t in log_terms) + abs(report.log_abs_value))
     return result(CLOSED_FORM, sum(log_terms) + report.log_abs_value, rel, upper,
                   g_method=report.method, g_evals=report.details.get("evals", 0),
@@ -207,9 +213,15 @@ def avg_ber(cfg: LinkConfig) -> MetricResult:
     """Average bit error rate, Meijer G closed form."""
     model = cfg.model()
     eta_lam = cfg.eta * cfg.lambda_mod
-    report = meijer_g(_ber_g_spec(model, eta_lam))
+    spec = _ber_g_spec(model, eta_lam)
+    report = meijer_g(spec)
+    # the double b = Nm - 1 is off by up to half an ulp, and G, whose
+    # poles pinch the gap (-1, b), carries Gamma(1 + b): log G moves with
+    # b at the rate psi(Nm), about -1/Nm for a small Nm
+    b_rounding = 0.5 * math.ulp(spec.b_front[0]) * abs(digamma(model.nm))
     return _closed_form((model.log_lambda_norm, -math.log(eta_lam),
-                         -math.log(2.0 * math.sqrt(math.pi))), report, BER_BOUND)
+                         -math.log(2.0 * math.sqrt(math.pi))), report, BER_BOUND,
+                        b_rounding)
 
 
 def avg_ber_asymptotic(cfg: LinkConfig) -> MetricResult:

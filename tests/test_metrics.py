@@ -64,6 +64,16 @@ class TestUnits:
         with pytest.raises(DomainError):
             snr_threshold_from_db(float("inf"))
 
+    @pytest.mark.parametrize("x_db", [4000.0, -4000.0, float("nan")])
+    def test_outside_double_range_is_a_domain_error(self, x_db):
+        # 10^400 overflows and 10^-400 underflows to 0.0
+        with pytest.raises(DomainError, match="outside the positive finite doubles"):
+            snr_threshold_from_db(x_db)
+
+    def test_range_ends(self):
+        assert snr_threshold_from_db(3080.0) == pytest.approx(1e308, rel=1e-12)
+        assert 0.0 < snr_threshold_from_db(-3230.0) < 1e-300
+
 
 class TestCapacity:
     def test_vanishes_with_power(self):
@@ -128,6 +138,25 @@ class TestBer:
         # N = 256 with a near-Gaussian gamma product along the contour
         cfg = cfg_eta(0.01, FadingParams(2.5, 50.0), 256)
         assert avg_ber(cfg).value == pytest.approx(quad_ber(cfg).value, rel=1e-6)
+
+    # BER at N=1, m_s=3, eta=10 for a pole gap (-1, m - 1) down to 1e-7,
+    # at 40 digits from the defining integral, with phi(x) = Q(sqrt(2x))
+    # (1 + eps x)^(-m - m_s), eps = xi / eta and xi = m / m_s as a double:
+    #   head = mpmath.quad(lambda x: x**(m - 1) * (phi(x) - 0.5), [0, 1])
+    #   tail = mpmath.quad(lambda x: x**(m - 1) * phi(x), [1, 10, 100, mpmath.inf])
+    #   ber = eps**m / mpmath.beta(m, m_s) * (0.5 / m + head + tail)
+    @pytest.mark.parametrize("m,ref", [
+        (1e-3, 0.4946435616167852646035),
+        (5e-4, 0.4971420207325907407343),
+        (1e-5, 0.4999231178367285585149),
+        (1e-7, 0.4999990008608543102717),
+    ])
+    def test_narrow_pole_gap_within_estimate(self, m, ref):
+        # b = m - 1 rounds by up to 5.5e-17, which G feels as that times
+        # psi(m), about 1/m: 1e-9 relative at m = 1e-7
+        r = avg_ber(cfg_eta(10.0, FadingParams(m, 3.0)))
+        assert abs(r.value - ref) <= r.error_estimate
+        assert r.error_estimate <= 1e-8 * ref
 
     def test_near_asymptote(self):
         exact = avg_ber(cfg_eta(100.0)).value

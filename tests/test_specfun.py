@@ -312,23 +312,34 @@ class TestMeijerGIdentities:
         ref = complex(mp.meijerg([[0.2], []], [[12.5, 0.0], []], 0.3))
         assert got.value == pytest.approx(ref.real, rel=1e-9)
 
-    def test_over_budget_raises_before_evaluating_nodes(self):
-        # a pole-separating gap of 1e-5 narrows the analytic strip, so
-        # the step the rule needs makes the node count far exceed the budget
+    def test_over_budget_raises_before_evaluating_nodes(self, monkeypatch):
+        # the saddle search and the probes fit a budget of 200; the nodes
+        # of the rule do not
+        monkeypatch.setattr(specfun, "MAX_CONTOUR_EVALS", 200)
         spec = MeijerGSpec([1.0], [], [1e-5, 0.5], [], 1.0)
         with pytest.raises(NumericError, match="over the budget") as info:
             meijer_g(spec)
         needed, spent = map(int, re.search(
             r"needs (\d+) more nodes after (\d+) integrand", str(info.value)
         ).groups())
-        assert needed + spent > MAX_CONTOUR_EVALS
+        assert needed + spent > specfun.MAX_CONTOUR_EVALS
         assert spent < 200
 
     def test_trapezoid_diagnostics(self):
         r = meijer_g(log_spec(0.25))
         d = r.details
         assert d["nodes"] <= d["evals"] <= MAX_CONTOUR_EVALS
-        assert d["t_max"] <= d["step"] * (d["nodes"] - 1) < d["t_max"] + 2 * d["step"]
+        # the nodes run over x, t = scale sinh(x), to the first even
+        # node count past the cut
+        x_max = math.asinh(d["t_max"] / d["scale"])
+        assert x_max <= d["step"] * (d["nodes"] - 1) < x_max + 2 * d["step"]
+
+    def test_narrow_pole_gap_matches_mpmath(self):
+        # a gap of 1e-5 between the poles at 0 and 1e-5; 40 digits from
+        #   mpmath.meijerg([[1.0], []], [[mpmath.mpf(1e-5), 0.5], []], 1)
+        r = meijer_g(MeijerGSpec([1.0], [], [1e-5, 0.5], [], 1.0))
+        assert abs(r.value - 177243.7754066813630087) <= r.abs_error_estimate
+        assert r.details["scale"] < 1e-5 and r.details["evals"] < 1000
 
     def test_no_separating_contour_is_loud(self):
         # overlapping pole families leave no separating contour
