@@ -18,7 +18,6 @@ from .fading import (
     sample_sum,
     sum_cdf,
     sum_pdf,
-    sum_pdf_origin,
 )
 from .metrics import (
     LinkConfig,
@@ -34,9 +33,7 @@ from .metrics import (
 from .specfun import (
     EvalReport,
     MeijerGSpec,
-    beta,
     digamma,
-    ln_gamma,
     meijer_g,
     q_function,
 )
@@ -56,14 +53,14 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError", "DomainError", "NumericError",
     "FadingParams", "SumFadingModel", "MODEL_DRAW", "PHYSICAL_DRAW",
-    "pdf", "cdf", "sample", "sum_pdf", "sum_pdf_origin", "sum_cdf", "sample_sum",
+    "pdf", "cdf", "sample", "sum_pdf", "sum_cdf", "sample_sum",
     "LinkConfig", "MetricResult",
     "avg_capacity", "avg_capacity_asymptotic",
     "avg_ber", "avg_ber_asymptotic",
     "outage", "outage_asymptotic",
     "snr_threshold_from_db",
     "MeijerGSpec", "EvalReport", "meijer_g",
-    "ln_gamma", "digamma", "beta", "q_function",
+    "digamma", "q_function",
     "McConfig", "CiEstimate", "mc_metric", "ks_statistic",
     "quad_capacity", "quad_ber", "quad_outage", "run_oracle_grid",
     "__version__",

@@ -13,6 +13,10 @@ branches is modelled by a single F-shaped density with parameters
 
     f_D(g) = (xi g)^(N m) / (g B(Nm, Nms) (1 + xi g)^(N(m + m_s))).
 
+Both are the F (beta-prime) law with shapes (a, b) and rate c: (m, m_s,
+L) for a branch, (Nm, Nms, xi) for the aggregate.  One set of private
+helpers holds its density, CDF and draw for both.
+
 Draws are exact scaled gamma ratios, so sampling is independent of the
 density code paths it is tested against.  All distribution objects are
 immutable; random draws consume an explicitly passed numpy Generator.
@@ -86,48 +90,54 @@ class SumFadingModel:
         """log of Lambda = xi / (Gamma(Nm) Gamma(Nms))."""
         return math.log(self.xi) - float(gammaln(self.nm) + gammaln(self.nms))
 
-    @property
-    def lambda_norm(self) -> float:
-        """Lambda = xi / (Gamma(Nm) Gamma(Nms)); underflows to 0 for large N."""
-        return math.exp(self.log_lambda_norm) if self.log_lambda_norm > -745 else 0.0
-
     def mean(self) -> float:
         """First moment Nm (Nms / m) / (Nms - 1) of the model density."""
         return self.nm * (self.nms / self.params.m) / (self.nms - 1.0)
 
 
-def pdf(p: FadingParams, g) -> float | np.ndarray:
-    """Single-branch channel-power density at g >= 0."""
-    g = np.asarray(g, dtype=float)
-    if np.any(g < 0.0) or not np.all(np.isfinite(g)):
-        raise DomainError("pdf requires finite g >= 0")
-    L = p.rate
-    ln_front = (
-        gammaln(p.m + p.m_s)
-        - gammaln(p.m)
-        - gammaln(p.m_s)
-        + p.m * math.log(L)
-    )
+def _support(x, name: str, var: str) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0.0) or not np.all(np.isfinite(x)):
+        raise DomainError(f"{name} requires finite {var} >= 0")
+    return x
+
+
+# The F law with shapes (a, b) and rate c, shared by one branch
+# (m, m_s, L) and the aggregate (Nm, Nms, xi).
+
+def _f_pdf(a: float, b: float, c: float, g: np.ndarray) -> float | np.ndarray:
+    """Density c^a g^(a-1) / (B(a, b) (1 + c g)^(a+b)), assembled in logs."""
+    log_front = a * math.log(c) - ln_beta(a, b)
     gp = np.where(g > 0.0, g, 1.0)
-    out = np.exp(ln_front + (p.m - 1.0) * np.log(gp) - (p.m + p.m_s) * np.log1p(L * g))
-    # at g = 0 the g^(m-1) factor decides: 0 above m=1, finite at m=1, diverging below
-    origin = math.exp(ln_front) if p.m == 1.0 else (np.inf if p.m < 1.0 else 0.0)
+    out = np.exp(log_front + (a - 1.0) * np.log(gp) - (a + b) * np.log1p(c * g))
+    # at g = 0 the g^(a-1) factor decides: 0 above a=1, finite at a=1, diverging below
+    origin = math.exp(log_front) if a == 1.0 else (np.inf if a < 1.0 else 0.0)
     out = np.where(g == 0.0, origin, out)
     return out if out.ndim else float(out)
 
 
-def cdf(p: FadingParams, v) -> float | np.ndarray:
-    """Single-branch CDF via the regularized incomplete beta reduction.
-
-    F(v) = I_x(m, m_s) with x = L v / (1 + L v); this route is kept
-    independent of both the sampler and the generic Meijer G evaluator.
-    """
-    v = np.asarray(v, dtype=float)
-    if np.any(v < 0.0) or not np.all(np.isfinite(v)):
-        raise DomainError("cdf requires finite v >= 0")
-    x = p.rate * v / (1.0 + p.rate * v)
-    out = betainc(p.m, p.m_s, x)
+def _f_cdf(a: float, b: float, c: float, v: np.ndarray) -> float | np.ndarray:
+    """CDF I_x(a, b), x = c v / (1 + c v): the regularized incomplete beta."""
+    out = betainc(a, b, c * v / (1.0 + c * v))
     return out if out.ndim else float(out)
+
+
+def _f_draw(a: float, b: float, scale: float, rng: np.random.Generator, size):
+    """Exact draws scale * X / Y, X ~ Gamma(a) drawn before Y ~ Gamma(b)."""
+    x = rng.gamma(a, size=size)
+    y = rng.gamma(b, size=size)
+    return scale * x / y
+
+
+def pdf(p: FadingParams, g) -> float | np.ndarray:
+    """Single-branch channel-power density at g >= 0."""
+    return _f_pdf(p.m, p.m_s, p.rate, _support(g, "pdf", "g"))
+
+
+def cdf(p: FadingParams, v) -> float | np.ndarray:
+    """Single-branch CDF, kept independent of the sampler and of the
+    generic Meijer G evaluator."""
+    return _f_cdf(p.m, p.m_s, p.rate, _support(v, "cdf", "v"))
 
 
 def sample(p: FadingParams, rng: np.random.Generator, size=None):
@@ -136,61 +146,17 @@ def sample(p: FadingParams, rng: np.random.Generator, size=None):
     The ratio construction is exact (E[g] = g_bar) and independently
     checkable against the density by a KS test.
     """
-    x = rng.gamma(p.m, size=size)
-    y = rng.gamma(p.m_s, size=size)
-    return p.g_bar * (p.m_s - 1.0) / p.m * x / y
-
-
-def _sum_log_pdf(model: SumFadingModel, g: np.ndarray) -> np.ndarray:
-    """log density for g > 0 (entries at g = 0 are not meaningful)."""
-    nm, nms, xi = model.nm, model.nms, model.xi
-    gp = np.where(g > 0.0, g, 1.0)
-    return (
-        nm * math.log(xi)
-        + (nm - 1.0) * np.log(gp)
-        - (nm + nms) * np.log1p(xi * g)
-        - ln_beta(nm, nms)
-    )
+    return _f_draw(p.m, p.m_s, p.g_bar * (p.m_s - 1.0) / p.m, rng, size)
 
 
 def sum_pdf(model: SumFadingModel, g) -> float | np.ndarray:
-    """Aggregate channel-power density, algebraic form, log-space assembled."""
-    g = np.asarray(g, dtype=float)
-    if np.any(g < 0.0) or not np.all(np.isfinite(g)):
-        raise DomainError("sum_pdf requires finite g >= 0")
-    out = np.exp(_sum_log_pdf(model, g))
-    nm = model.nm
-    if nm == 1.0:
-        origin = math.exp(math.log(model.xi) - ln_beta(1.0, model.nms))
-    else:
-        origin = np.inf if nm < 1.0 else 0.0
-    out = np.where(g == 0.0, origin, out)
-    return out if out.ndim else float(out)
-
-
-def sum_pdf_origin(model: SumFadingModel, g) -> float | np.ndarray:
-    """Small-g approximation g^(Nm-1) xi^Nm / B(Nm, Nms) of the sum density."""
-    g = np.asarray(g, dtype=float)
-    nm = model.nm
-    ln_front = nm * math.log(model.xi) - ln_beta(nm, model.nms)
-    gp = np.where(g > 0.0, g, 1.0)
-    out = np.exp(ln_front + (nm - 1.0) * np.log(gp))
-    if nm == 1.0:
-        origin = math.exp(ln_front)
-    else:
-        origin = np.inf if nm < 1.0 else 0.0
-    out = np.where(g == 0.0, origin, out)
-    return out if out.ndim else float(out)
+    """Aggregate channel-power density at g >= 0."""
+    return _f_pdf(model.nm, model.nms, model.xi, _support(g, "sum_pdf", "g"))
 
 
 def sum_cdf(model: SumFadingModel, v) -> float | np.ndarray:
-    """CDF of the aggregate model density: I_x(Nm, Nms), x = xi v/(1 + xi v)."""
-    v = np.asarray(v, dtype=float)
-    if np.any(v < 0.0) or not np.all(np.isfinite(v)):
-        raise DomainError("sum_cdf requires finite v >= 0")
-    x = model.xi * v / (1.0 + model.xi * v)
-    out = betainc(model.nm, model.nms, x)
-    return out if out.ndim else float(out)
+    """CDF of the aggregate model density."""
+    return _f_cdf(model.nm, model.nms, model.xi, _support(v, "sum_cdf", "v"))
 
 
 def sample_sum(
@@ -209,9 +175,7 @@ def sample_sum(
     validation tooling.
     """
     if mode == MODEL_DRAW:
-        x = rng.gamma(model.nm, size=size)
-        y = rng.gamma(model.nms, size=size)
-        return (model.nms / model.params.m) * x / y
+        return _f_draw(model.nm, model.nms, model.nms / model.params.m, rng, size)
     if mode == PHYSICAL_DRAW:
         total = sample(model.params, rng, size=size)
         for _ in range(model.n_cells - 1):

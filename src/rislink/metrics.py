@@ -66,9 +66,8 @@ class LinkConfig:
     lambda_mod: float = 1.0
 
     def __post_init__(self):
-        if int(self.n_cells) != self.n_cells or self.n_cells < 1:
-            raise DomainError(f"n_cells must be an integer >= 1, got {self.n_cells}")
-        object.__setattr__(self, "n_cells", int(self.n_cells))
+        # the channel model checks n_cells and makes it an int
+        object.__setattr__(self, "n_cells", self.model().n_cells)
         if not (np.isfinite(self.eta) and self.eta > 0.0):
             raise DomainError(f"eta must be positive and finite, got {self.eta}")
         if self.lambda_mod not in (0.5, 1.0):

@@ -41,23 +41,11 @@ MAX_CONTOUR_EVALS = 100_000
 _CONTOUR_BLOCK = 4096
 
 
-def ln_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if not np.isfinite(x) or x <= 0.0:
-        raise DomainError(f"ln_gamma requires finite x > 0, got {x}")
-    return float(_gammaln(x))
-
-
 def digamma(x: float) -> float:
     """Logarithmic derivative of the gamma function for x > 0."""
     if not np.isfinite(x) or x <= 0.0:
         raise DomainError(f"digamma requires finite x > 0, got {x}")
     return float(_digamma(x))
-
-
-def beta(x: float, y: float) -> float:
-    """Beta function B(x, y) = Gamma(x)Gamma(y)/Gamma(x+y), via log space."""
-    return math.exp(ln_beta(x, y))
 
 
 def ln_beta(x: float, y: float) -> float:

@@ -29,7 +29,6 @@ from .fading import (
     MODEL_DRAW,
     PHYSICAL_DRAW,
     FadingParams,
-    SumFadingModel,
     sample_sum,
 )
 from .metrics import (
@@ -129,22 +128,6 @@ def _peak_normalized_quad(
     return h_peak + math.log(val), err / val
 
 
-def _quad_result(model: SumFadingModel, log_front: float, log_integral: float,
-                 rel_err: float, upper: float) -> MetricResult:
-    """exp(log_front + log_integral) / B(Nm, Nms); raises above ``upper``.
-
-    The error estimate also carries the rounding of the log-space sum,
-    each term good to a few ulps of its own size: at large N that
-    rounding, not the quadrature, limits the accuracy.
-    """
-    lgammas = [math.lgamma(x) for x in (model.nm, model.nms, model.nm + model.nms)]
-    ln_b = lgammas[0] + lgammas[1] - lgammas[2]
-    rel_err += 8.0 * _EPS * (
-        abs(log_front) + sum(abs(t) for t in lgammas) + abs(log_integral)
-    )
-    return result(QUADRATURE, log_front - ln_b + log_integral, rel_err, upper)
-
-
 def _softplus(u: float) -> float:
     """log(1 + e^u) without overflow: the bits of numpy's logaddexp(0, u)
     at a fraction of its cost per scalar call."""
@@ -156,6 +139,36 @@ def _log_softplus(s: float) -> float:
     return math.log(_softplus(s)) if s > -700.0 else s
 
 
+def _quad_expectation(cfg: LinkConfig, what: str, log_kernel, shift: float,
+                      log_front: float, upper: float, **where) -> MetricResult:
+    """exp(log_front) / B(Nm, Nms) times the integral of
+    exp(log_kernel(u)) e^(Nm u) (1 + e^(shift + u))^(-A) du, A = N(m + m_s).
+
+    This is the expectation of a metric's kernel under the aggregate
+    density on one log axis of g; each oracle picks the axis (``shift``),
+    the kernel and the factor taken outside the integral.  ``where``
+    passes a known peak or upper cut to :func:`_peak_normalized_quad`,
+    and a value above ``upper`` raises.  The error estimate also carries
+    the rounding of the log-space sum, each term good to a few ulps of
+    its own size: at large N that rounding, not the quadrature, limits
+    the accuracy.
+    """
+    model = cfg.model()
+    nm = model.nm
+    a_tot = nm + model.nms
+
+    def log_h(u: float) -> float:
+        return log_kernel(u) + nm * u - a_tot * _softplus(shift + u)
+
+    log_integral, rel_err = _peak_normalized_quad(log_h, what, **where)
+    lgammas = [math.lgamma(x) for x in (nm, model.nms, a_tot)]
+    ln_b = lgammas[0] + lgammas[1] - lgammas[2]
+    rel_err += 8.0 * _EPS * (
+        abs(log_front) + sum(abs(t) for t in lgammas) + abs(log_integral)
+    )
+    return result(QUADRATURE, log_front - ln_b + log_integral, rel_err, upper)
+
+
 def quad_capacity(cfg: LinkConfig) -> MetricResult:
     """E[log2(1 + eta g)] by peak-normalized adaptive quadrature.
 
@@ -163,23 +176,9 @@ def quad_capacity(cfg: LinkConfig) -> MetricResult:
     integral of ln(1 + (eta/xi) e^u) e^(Nm u) (1 + e^u)^(-A) du,
     A = N(m + m_s).  Bounded above by Jensen's log2(1 + eta E[g]).
     """
-    model = cfg.model()
-    eta = cfg.eta
-    nm = model.nm
-    a_tot = nm + model.nms
-    log_z = math.log(eta) - math.log(model.xi)
-
-    def log_h(u: float) -> float:
-        return _log_softplus(log_z + u) + nm * u - a_tot * _softplus(u)
-
-    log_integral, rel_err = _peak_normalized_quad(log_h, "capacity")
-    return _quad_result(model, -math.log(_LN2), log_integral, rel_err,
-                        capacity_bound(cfg))
-
-
-def _log_q_of_sqrt(x: float) -> float:
-    """log Q(sqrt(2x)) for x >= 0, safe far into the tail."""
-    return float(log_ndtr(-math.sqrt(2.0 * x)))
+    log_z = math.log(cfg.eta) - math.log(cfg.model().xi)
+    return _quad_expectation(cfg, "capacity", lambda u: _log_softplus(log_z + u), 0.0,
+                             -math.log(_LN2), capacity_bound(cfg))
 
 
 def quad_ber(cfg: LinkConfig) -> MetricResult:
@@ -193,21 +192,13 @@ def quad_ber(cfg: LinkConfig) -> MetricResult:
     BER underflows doubles.
     """
     model = cfg.model()
-    eta_lam = cfg.eta * cfg.lambda_mod
-    nm = model.nm
-    a_tot = nm + model.nms
-    log_eps = math.log(model.xi) - math.log(eta_lam)
+    log_eps = math.log(model.xi) - math.log(cfg.eta * cfg.lambda_mod)
 
-    def log_h(u: float) -> float:
-        # log of the u-axis integrand, overflow-safe via softplus
-        return (
-            _log_q_of_sqrt(math.exp(u))
-            + nm * u
-            - a_tot * _softplus(log_eps + u)
-        )
+    def log_q(u: float) -> float:
+        """log Q(sqrt(2x)) at x = e^u, safe far into the tail."""
+        return float(log_ndtr(-math.sqrt(2.0 * math.exp(u))))
 
-    log_integral, rel_err = _peak_normalized_quad(log_h, "BER")
-    return _quad_result(model, nm * log_eps, log_integral, rel_err, BER_BOUND)
+    return _quad_expectation(cfg, "BER", log_q, log_eps, model.nm * log_eps, BER_BOUND)
 
 
 def quad_outage(cfg: LinkConfig, gamma_th: float) -> MetricResult:
@@ -220,18 +211,11 @@ def quad_outage(cfg: LinkConfig, gamma_th: float) -> MetricResult:
     """
     check_gamma_th(gamma_th)
     model = cfg.model()
-    v = gamma_th / cfg.eta
-    nm = model.nm
-    a_tot = nm + model.nms
-    log_xiv = math.log(model.xi) + math.log(v)
-
-    def h(u: float) -> float:
-        return nm * u - a_tot * _softplus(log_xiv + u)
-
+    log_xiv = math.log(model.xi) + math.log(gamma_th / cfg.eta)
     # stationary point of h: xi v e^u = Nm / Nms, clamped to u <= 0
-    u_star = min(0.0, math.log(nm / model.nms) - log_xiv)
-    log_integral, rel_err = _peak_normalized_quad(h, "outage", u_peak=u_star, u_hi=0.0)
-    return _quad_result(model, nm * log_xiv, log_integral, rel_err, OUTAGE_BOUND)
+    u_star = min(0.0, math.log(model.nm / model.nms) - log_xiv)
+    return _quad_expectation(cfg, "outage", lambda u: 0.0, log_xiv, model.nm * log_xiv,
+                             OUTAGE_BOUND, u_peak=u_star, u_hi=0.0)
 
 
 def evaluate(

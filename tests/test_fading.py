@@ -19,7 +19,6 @@ from rislink.fading import (
     sample_sum,
     sum_cdf,
     sum_pdf,
-    sum_pdf_origin,
 )
 from rislink.specfun import MeijerGSpec, ln_beta, meijer_g
 from rislink.validation import ks_statistic
@@ -135,13 +134,13 @@ class TestSumModel:
         assert model.nm == 16.0
         assert model.nms == 40.0
         assert model.xi == pytest.approx(2.0 / 40.0)
-        assert model.lambda_norm == pytest.approx(
+        assert math.exp(model.log_lambda_norm) == pytest.approx(
             model.xi / (math.gamma(16.0) * math.gamma(40.0)), rel=1e-12
         )
 
     def test_lambda_norm_underflow_kept_in_logs(self):
         model = SumFadingModel(FadingParams(4.0, 5.0), 32)
-        assert model.lambda_norm == 0.0
+        assert math.exp(model.log_lambda_norm) == 0.0
         assert np.isfinite(model.log_lambda_norm)
 
     def test_two_pdf_forms_agree(self):
@@ -160,14 +159,16 @@ class TestSumModel:
     def test_origin_behavior(self):
         model = SumFadingModel(FadingParams(2.0, 5.0), 2)
         assert sum_pdf(model, 0.0) == 0.0  # Nm > 1
-        ratio = sum_pdf_origin(model, 1e-6) / sum_pdf(model, 1e-6)
-        assert ratio == pytest.approx(1.0, abs=1e-3)
+        # near 0 the density is g^(Nm-1) xi^Nm / B(Nm, Nms)
+        nm, g = model.nm, 1e-6
+        origin = math.exp(nm * math.log(model.xi) - ln_beta(nm, model.nms)) * g ** (nm - 1.0)
+        assert origin / sum_pdf(model, g) == pytest.approx(1.0, abs=1e-3)
 
     def test_origin_constant_case(self):
         # Nm = 1: density at the origin is xi / B(1, Nms) = 1.0 here
         model = SumFadingModel(FadingParams(1.0, 5.0), 1)
-        assert sum_pdf_origin(model, 3.3) == pytest.approx(1.0, rel=1e-12)
-        assert sum_pdf_origin(model, 0.0) == pytest.approx(1.0, rel=1e-12)
+        assert sum_pdf(model, 0.0) == pytest.approx(1.0, rel=1e-12)
+        assert sum_pdf(model, 1e-12) == pytest.approx(1.0, rel=1e-10)
 
     def test_single_branch_correspondence(self):
         # the aggregate form at N=1 is the single-branch density whose
