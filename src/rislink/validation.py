@@ -99,6 +99,10 @@ def _peak_normalized_quad(
     accurate however far the integral lies outside double range.  The
     support runs where log_h lies within 100 of the peak, cut at u_hi;
     a cut far beyond the support would let quad miss a narrow peak.
+    The support walk's points u_peak +- 2^k are quad's breakpoints, so
+    its panels widen away from the peak: a peak narrow beside a long
+    shallow tail (BER at N m ~ 1e-3) is neither stepped over nor
+    missed by a tail panel's nodes.
     """
     # imported here: only the quadrature routes need these, and they
     # cost a CLI process that never runs one about 0.2 s of start-up
@@ -112,16 +116,21 @@ def _peak_normalized_quad(
         u_peak = float(peak.x)
     h_peak = log_h(u_peak)
 
+    breaks = [u_peak]
+
     def edge(direction: float) -> float:
         step = 1.0
         while log_h(u_peak + direction * step) > h_peak - 100.0:
+            breaks.append(u_peak + direction * step)
             step *= 2.0
             if step > 1e6:
                 raise NumericError(f"{what} integrand support did not close")
         return u_peak + direction * step
 
+    u_low = edge(-1.0)
     u_top = edge(+1.0) if u_hi is None else min(u_hi, edge(+1.0))
-    val, err = quad(lambda u: math.exp(log_h(u) - h_peak), edge(-1.0), u_top,
+    points = [u for u in breaks if u_low < u < u_top] or None
+    val, err = quad(lambda u: math.exp(log_h(u) - h_peak), u_low, u_top, points=points,
                     epsabs=1e-13, epsrel=1e-11, limit=QUAD_LIMIT)
     if not (np.isfinite(val) and val > 0.0):
         raise NumericError(f"quadrature failed for {what} integral")

@@ -233,3 +233,27 @@ class TestSampleSum:
         a = sample_sum(model, PHYSICAL_DRAW, np.random.default_rng(8), size=256)
         b = sample_sum(model, PHYSICAL_DRAW, np.random.default_rng(8), size=256)
         assert np.array_equal(a, b)
+
+
+class TestPinnedStreams:
+    """The first draws at a fixed seed, as repr literals: a reordered
+    gamma pair or a rescaled ratio changes them, where the statistical
+    tests above would not notice."""
+
+    def test_sample(self):
+        p = FadingParams(1.5, 4.0, g_bar=2.0)
+        draws = sample(p, np.random.default_rng(2024), size=4)
+        assert draws.tolist() == [
+            1.279654979621855, 2.3009517810214724, 0.44859795322485124, 2.516537013328231,
+        ]
+        assert sample(p, np.random.default_rng(2024)) == 1.6860483410232339
+
+    @pytest.mark.parametrize("mode,want", [
+        (MODEL_DRAW,
+         [2.7975483289451826, 3.850108855453934, 2.0487408300098924, 4.02614867624656]),
+        (PHYSICAL_DRAW,
+         [1.396914815368974, 2.4839348572336615, 3.130413475975213, 2.7696259961973664]),
+    ])
+    def test_sample_sum(self, mode, want):
+        model = SumFadingModel(FadingParams(2.0, 5.0), 3)
+        assert sample_sum(model, mode, np.random.default_rng(2024), size=4).tolist() == want

@@ -126,6 +126,25 @@ class TestQuadBer:
             lc = avg_ber(cfg).diagnostics["log_value"]
             assert abs(math.expm1(lc - lq)) <= 1e-6
 
+    # a narrow peak beside a tail x^(Nm) that decays over ~1/Nm in u;
+    # 40-digit references from TestBer.test_narrow_pole_gap_within_estimate
+    @pytest.mark.parametrize("m,ref", [
+        (1e-3, 0.4946435616167852646035),
+        (5e-4, 0.4971420207325907407343),
+    ])
+    def test_narrow_pole_gap_within_estimate(self, m, ref):
+        r = quad_ber(cfg_eta(10.0, FadingParams(m, 3.0)))
+        assert abs(r.value - ref) <= r.error_estimate
+
+    def test_narrow_pole_gap_agrees_with_closed_form(self):
+        cfg = cfg_eta(10.0, FadingParams(2.5e-4, 3.0))
+        q, c = quad_ber(cfg), avg_ber(cfg)
+        assert abs(q.value - c.value) <= q.error_estimate + c.error_estimate
+
+    def test_support_too_wide_raises(self):
+        with pytest.raises(NumericError, match="did not close"):
+            quad_ber(cfg_eta(10.0, FadingParams(1e-5, 3.0)))
+
 
 class TestQuadOutage:
     def test_agrees_with_closed_form_in_logs(self):
