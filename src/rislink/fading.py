@@ -102,9 +102,6 @@ def _support(x, name: str, var: str) -> np.ndarray:
     return x
 
 
-# The F law with shapes (a, b) and rate c, shared by one branch
-# (m, m_s, L) and the aggregate (Nm, Nms, xi).
-
 def _f_pdf(a: float, b: float, c: float, g: np.ndarray) -> float | np.ndarray:
     """Density c^a g^(a-1) / (B(a, b) (1 + c g)^(a+b)), assembled in logs."""
     log_front = a * math.log(c) - ln_beta(a, b)
