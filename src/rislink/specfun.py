@@ -313,17 +313,7 @@ class _MellinBarnesIntegrand:
         return float(sum(abs(t) for t in self._terms(c, _gammaln, _log_abs)))
 
     def on_line(self, c: float, t: np.ndarray, w0: float) -> np.ndarray:
-        """Re exp(logchi(c + i t) - w0), vectorized over t in blocks.
-
-        Raises before evaluating when the nodes would take the total
-        past MAX_CONTOUR_EVALS.
-        """
-        if self.evals + t.size > MAX_CONTOUR_EVALS:
-            raise NumericError(
-                f"contour quadrature needs {t.size} more nodes after "
-                f"{self.evals} integrand evaluations, over the budget of "
-                f"{MAX_CONTOUR_EVALS}"
-            )
+        """Re exp(logchi(c + i t) - w0), vectorized over t in blocks."""
         out = np.empty(t.size)
         for k in range(0, t.size, _CONTOUR_BLOCK):
             part = t[k:k + _CONTOUR_BLOCK]
@@ -392,6 +382,44 @@ def _truncation(chi: _MellinBarnesIntegrand, c: float, w0: float):
     return float(probes[k]), float(w[k])
 
 
+def _halving_trapezoid(f, h: float, n: int, rel_tol: float, floor: float,
+                       node_rounding: float, what: str, spent: int, budget: int):
+    """h (f(0)/2 + f(h) + ... + f(n h)), with the step halved until it holds.
+
+    f maps an array of nodes x >= 0 to the integrand there; n is even.
+    The error is the difference from the rule on the even nodes, and
+    the step is halved, each pass evaluating only the new odd nodes,
+    until it is at most rel_tol * max(|total|, floor) or the rounding,
+    node_rounding relative in each node: a smaller step cannot resolve
+    a difference below that.  Raises NumericError before evaluating
+    nodes that would take the spent evaluations past the budget.
+    Returns (total, error, rounding, step, n).
+    """
+    def evaluate(x):
+        nonlocal spent
+        if spent + x.size > budget:
+            raise NumericError(
+                f"{what} needs {x.size} more nodes after {spent} integrand "
+                f"evaluations, over the budget of {budget}"
+            )
+        spent += x.size
+        return f(x)
+
+    values = evaluate(h * np.arange(n + 1))
+    while True:
+        total = h * (0.5 * values[0] + values[1:].sum())
+        coarse = 2.0 * h * (0.5 * values[0] + values[2::2].sum())
+        err = abs(total - coarse)
+        rounding = node_rounding * h * float(np.abs(values).sum())
+        if err <= max(rel_tol * max(abs(total), floor), rounding):
+            return total, err, rounding, h, n
+        h *= 0.5
+        refined = np.empty(2 * n + 1)
+        refined[::2] = values
+        refined[1::2] = evaluate(h * np.arange(1, 2 * n, 2))
+        values, n = refined, 2 * n
+
+
 def _contour_quadrature(spec: MeijerGSpec) -> EvalReport:
     """Integrate the Mellin-Barnes integrand along Re(u) = c.
 
@@ -425,22 +453,10 @@ def _contour_quadrature(spec: MeijerGSpec) -> EvalReport:
     # each node's log terms round to a few ulps of their own size, and
     # exp carries that into the node value as a relative error
     node_rounding = 4.0 * _EPS * chi.log_scale(c)
-    h = 0.05
-    n = 2 * math.ceil(0.5 * math.asinh(t_max / scale) / h)
-    f = mapped(h * np.arange(n + 1))
-    while True:
-        total = h * (0.5 * f[0] + f[1:].sum())
-        coarse = 2.0 * h * (0.5 * f[0] + f[2::2].sum())
-        err = abs(total - coarse)
-        rounding = node_rounding * h * float(np.abs(f).sum())
-        # a smaller step cannot resolve a difference below the rounding
-        if err <= max(1e-12 * max(abs(total), 1e-3), rounding):
-            break
-        h *= 0.5
-        refined = np.empty(2 * n + 1)
-        refined[::2] = f
-        refined[1::2] = mapped(h * np.arange(1, 2 * n, 2))
-        f, n = refined, 2 * n
+    h0 = 0.05
+    total, err, rounding, h, n = _halving_trapezoid(
+        mapped, h0, 2 * math.ceil(0.5 * math.asinh(t_max / scale) / h0), 1e-12, 1e-3,
+        node_rounding, "contour quadrature", chi.evals, MAX_CONTOUR_EVALS)
 
     details = dict(contour=c, evals=chi.evals, step=h, nodes=n + 1, t_max=t_max,
                    scale=scale, log_gammas=len(chi.gammas))

@@ -63,6 +63,18 @@ OUTAGE = "outage"
 ALPHA_3P5 = 4.6525e-4
 
 
+def _whole(value, low: int, message: str) -> int:
+    """value as an int, when it is a whole number >= low; DomainError otherwise."""
+    try:
+        whole = int(value)
+        ok = whole == value and whole >= low
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise DomainError(f"{message}, got {value!r}")
+    return whole
+
+
 @dataclass(frozen=True)
 class McConfig:
     """Monte-Carlo run parameters."""
@@ -72,10 +84,13 @@ class McConfig:
     mode: str = MODEL_DRAW
 
     def __post_init__(self):
-        if self.n_samples < 10_000:
-            raise DomainError(
-                f"n_samples must be at least 10^4 for usable CIs, got {self.n_samples}"
-            )
+        # an infinite count would never end the draw loop, and other
+        # non-integers fail only once MC runs, inside numpy
+        object.__setattr__(self, "n_samples", _whole(
+            self.n_samples, 10_000, "n_samples must be a whole number of at least "
+            "10^4 for usable CIs"))
+        object.__setattr__(self, "seed", _whole(
+            self.seed, 0, "seed must be a non-negative integer"))
         if self.mode not in (MODEL_DRAW, PHYSICAL_DRAW):
             raise DomainError(f"unknown MC mode {self.mode!r}")
 
@@ -534,24 +549,3 @@ def run_oracle_grid(
     else:
         grouped = [one_point(it) for it in items]
     return [c for group in grouped for c in group]
-
-
-def physical_model_capacity_gap(
-    n_cells: int,
-    fading: FadingParams,
-    eta: float,
-    seed: int,
-    n_samples: int = 200_000,
-) -> dict:
-    """Relative capacity gap between the two sampling modes (diagnostic)."""
-    cfg = LinkConfig.from_eta(eta, fading, n_cells)
-    est_model = mc_metric(cfg, CAPACITY, McConfig(n_samples, seed, MODEL_DRAW))
-    est_phys = mc_metric(cfg, CAPACITY, McConfig(n_samples, seed + 1, PHYSICAL_DRAW))
-    gap = abs(est_model.mean - est_phys.mean) / est_phys.mean
-    return {
-        "n_cells": n_cells,
-        "model_mean": est_model.mean,
-        "physical_mean": est_phys.mean,
-        "rel_gap": gap,
-        "combined_se": math.hypot(est_model.std_error, est_phys.std_error),
-    }

@@ -511,6 +511,11 @@ class TestMain:
         rows = list(csv.reader(out.open()))
         kinds = {r[0] for r in rows[1:]}
         assert kinds == {"oracle", "ks", "mode_gap"}
+        # the mode gap compares two exact routes: no Monte Carlo columns
+        (gap,) = [dict(zip(rows[0], r)) for r in rows[1:] if r[0] == "mode_gap"]
+        assert math.isfinite(float(gap["closed_log"]))
+        assert math.isfinite(float(gap["quad_log"]))
+        assert math.isnan(float(gap["mc_mean"])) and math.isnan(float(gap["mc_std_error"]))
 
     def test_write_csv_newline_discipline(self, tmp_path):
         p = tmp_path / "x.csv"

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from rislink import metrics
 from rislink.cli import _eta
-from rislink.errors import DomainError
-from rislink.fading import FadingParams, SumFadingModel, sum_cdf
+from rislink.errors import DomainError, NumericError
+from rislink.fading import PHYSICAL_DRAW, FadingParams, SumFadingModel, sum_cdf
 from rislink.metrics import (
     LinkConfig,
     _ber_g_spec,
@@ -18,10 +19,11 @@ from rislink.metrics import (
     avg_capacity_asymptotic,
     outage,
     outage_asymptotic,
+    physical_capacity,
     snr_threshold_from_db,
 )
 from rislink.specfun import meijer_g
-from rislink.validation import quad_ber, quad_capacity, quad_outage
+from rislink.validation import CAPACITY, McConfig, mc_metric, quad_ber, quad_capacity, quad_outage
 
 F15 = FadingParams(m=1.0, m_s=5.0)
 
@@ -235,6 +237,51 @@ class TestClosedFormErrorEstimates:
         assert abs(r.value - value_ref) <= r.error_estimate
         assert r.diagnostics["g_evals"] == g.details["evals"]
         assert r.diagnostics["g_rel_error"] == g.details["rel_error"]
+
+
+class TestPhysicalCapacity:
+    # one branch of mean m_s/(m_s - 1) is the aggregate model's law at N=1;
+    # (4, 20, 30 dB) is where 1 - M1 rounds past 1 unless log M1 is a
+    # log-sum-exp at large s
+    @pytest.mark.parametrize("m,m_s,eta_db", [
+        (0.5, 1.1, -20.0), (0.5, 50.0, 50.0), (1.0, 5.0, 20.0), (1.0, 1.5, 0.0),
+        (2.5, 3.0, 10.0), (4.0, 20.0, 30.0), (10.0, 1.1, 50.0), (10.0, 50.0, -20.0),
+        (0.7, 2.0, 40.0), (3.0, 10.0, -10.0), (6.0, 1.3, 20.0), (1.5, 30.0, 0.0),
+    ])
+    def test_one_branch_is_the_closed_form(self, m, m_s, eta_db):
+        cfg = cfg_eta(10.0 ** (eta_db / 10.0), FadingParams(m, m_s, m_s / (m_s - 1.0)))
+        r, closed = physical_capacity(cfg), avg_capacity(cfg)
+        assert r.method == "physical"
+        assert abs(r.value - closed.value) <= r.error_estimate + closed.error_estimate
+        assert r.error_estimate == r.value * r.diagnostics["rel_error"]
+        assert r.diagnostics["rel_error"] < 1e-11
+
+    @pytest.mark.parametrize("n,fading,eta,seed", [
+        (2, FadingParams(2.0, 3.0), 10.0, 1),
+        (8, FadingParams(0.7, 1.6, 2.0), 1000.0, 2),
+        (32, FadingParams(4.0, 20.0), 1000.0, 3),
+    ])
+    def test_agrees_with_physical_draws(self, n, fading, eta, seed):
+        cfg = cfg_eta(eta, fading, n)
+        est = mc_metric(cfg, CAPACITY, McConfig(100_000, seed, PHYSICAL_DRAW))
+        assert abs(physical_capacity(cfg).value - est.mean) <= 3.5 * est.std_error
+
+    def test_two_branches_match_mpmath(self):
+        # 40 digits of Hamdi's integral with the branch MGF in closed form,
+        # M1(s) = Gamma(m + m_s) / Gamma(m_s) U(m, 1 - m_s, s / L):
+        #   mpmath.mp.dps = 60  (50 gives the same 40 digits)
+        #   m, m_s, L, eta = mpf(1.5), mpf(3), mpf(1.5) / 2, mpf(10)
+        #   m1 = lambda s: gamma(m + m_s) / gamma(m_s) * hyperu(m, 1 - m_s, s / L)
+        #   f = lambda s: (1 - m1(eta * s) ** 2) * exp(-s) / s
+        #   quad(f, [0, 1 / eta, 1, 10, inf]) / log(2)
+        ref = 3.969529375257873414688495815233178483089
+        r = physical_capacity(cfg_eta(10.0, FadingParams(1.5, 3.0), 2))
+        assert abs(r.value - ref) <= r.error_estimate
+
+    def test_over_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(metrics, "MAX_PHYSICAL_NODES", 200)
+        with pytest.raises(NumericError, match="physical capacity needs .* over the budget"):
+            physical_capacity(cfg_eta(100.0, F15, 8))
 
 
 # I_x(Nm, Nms) at x = y/(1+y), y = y_over_mean m/m_s, at 40 digits, by the

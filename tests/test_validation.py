@@ -30,7 +30,6 @@ from rislink.validation import (
     mc_metric,
     mc_metrics,
     metric_cases,
-    physical_model_capacity_gap,
     quad_ber,
     quad_capacity,
     quad_outage,
@@ -52,6 +51,21 @@ class TestMcConfig:
     def test_mode_validated(self):
         with pytest.raises(DomainError):
             McConfig(n_samples=10_000, seed=1, mode="nope")
+
+    # an infinite count never ends the draw loop; the others fail inside
+    # numpy, or divide by zero, once MC runs
+    @pytest.mark.parametrize("n_samples,seed", [
+        (math.inf, 1), (math.nan, 1), (100_000.5, 1), ("100000", 1), (None, 1),
+        (100_000, -1), (100_000, 1.5), (100_000, math.inf), (100_000, "1"),
+    ])
+    def test_rejects_non_whole_counts_and_seeds(self, n_samples, seed):
+        with pytest.raises(DomainError):
+            McConfig(n_samples=n_samples, seed=seed)
+
+    def test_whole_floats_become_ints(self):
+        mc = McConfig(n_samples=1e5, seed=2.0)
+        assert (mc.n_samples, mc.seed) == (100_000, 2)
+        assert type(mc.n_samples) is int and type(mc.seed) is int
 
 
 class TestQuadCapacity:
@@ -447,5 +461,8 @@ class TestOracleGrid:
 
 class TestModeGap:
     def test_capacity_gap_small_for_many_cells(self):
-        diag = physical_model_capacity_gap(8, F15, eta=100.0, seed=5)
-        assert diag["rel_gap"] < 0.03
+        # the aggregate model's closed form against the exact capacity of
+        # the sum of 8 unit-mean branches
+        cfg = cfg_eta(100.0, n=8)
+        model, physical = avg_capacity(cfg), metrics.physical_capacity(cfg)
+        assert abs(model.value - physical.value) / physical.value < 0.03
