@@ -29,23 +29,25 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericError
 from .fading import MODEL_DRAW, PHYSICAL_DRAW, FadingParams
-from .metrics import LinkConfig, avg_capacity, physical_capacity, snr_threshold_from_db
 from .validation import (
     BER,
     CAPACITY,
     OUTAGE,
-    GridCheck,
+    PRESETS,
+    REPORT_HEADER,
     McConfig,
     evaluate,
-    ks_statistic,
+    ks_checks,
     mc_metrics,
+    mode_gap_checks,
+    ordered_map,
     point_cases,
     run_oracle_grid,
 )
@@ -117,6 +119,9 @@ MC_PARAMS = {
     "mode": Param(MODEL_DRAW, False, lambda v: v in _MC_MODES.values(),
                   "mode must be model or physical", _mc_mode),
 }
+# --threads of sweep and validate
+THREADS = Param(os.cpu_count() or 1, False, lambda v: v >= 1, "threads must be at least 1",
+                int)
 
 
 @dataclass
@@ -274,8 +279,8 @@ def parse_config(text: str) -> SweepSpec:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
+    if isinstance(x, (str, bool)):
+        return str(x)
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return f"{float(x):.17g}"
@@ -368,23 +373,12 @@ def run_sweep(spec: SweepSpec, threads: int = 1, progress=None) -> list[list[str
         _point_link(spec, float(v))
     if progress is None:
         progress = lambda msg: print(msg, file=sys.stderr)
-    results: list[list[list[str]]] = [None] * len(values)
-
-    def work(i):
-        return i, _point_rows(spec, float(values[i]))
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for i, rows in pool.map(work, range(len(values))):
-                results[i] = rows
-                progress(f"sweep point {i + 1}/{len(values)} done")
-    else:
-        for i in range(len(values)):
-            results[i] = work(i)[1]
-            progress(f"sweep point {i + 1}/{len(values)} done")
-    return [row for group in results for row in group]
+    rows = []
+    point_rows = ordered_map(lambda v: _point_rows(spec, float(v)), values, threads)
+    for i, group in enumerate(point_rows):
+        rows += group
+        progress(f"sweep point {i + 1}/{len(values)} done")
+    return rows
 
 
 def write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
@@ -394,23 +388,6 @@ def write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
     w.writerows(rows)
     with open(path, "w", newline="") as fh:
         fh.write(buf.getvalue())
-
-
-VALIDATE_HEADER = [
-    "kind", "index", "N", "m", "m_s", "eta_db", "metric", "lambda",
-    "gamma_th_db", "closed_log", "quad_log", "rel_gap_quad", "mc_mean",
-    "mc_std_error", "note", "ok",
-]
-
-
-def _report_row(cols: dict) -> list[str]:
-    """A VALIDATE_HEADER row; the columns a check does not use read nan."""
-    return [_fmt(cols.get(name, math.nan)) for name in VALIDATE_HEADER]
-
-
-def _check_row(c: GridCheck) -> list[str]:
-    return _report_row({**vars(c), "kind": "oracle", "N": c.n_cells,
-                        "lambda": c.lambda_mod, "ok": str(c.ok)})
 
 
 def run_validate(
@@ -426,59 +403,15 @@ def run_validate(
     Writes the report CSV and returns 0 when every check holds, 4
     otherwise.
     """
-    from .fading import SumFadingModel, cdf, sample, sample_sum, sum_cdf
-
-    checks = run_oracle_grid(
-        preset, master_seed=master_seed, n_samples=n_samples,
-        mode=mode, max_workers=threads,
-    )
-    rows = [_check_row(c) for c in checks]
-
-    # distributional checks: single branch and model-draw sum
-    ks_n = 100_000
-    crit = 1.63 / math.sqrt(ks_n)
-    ks_grid = [(1.0, 5.0), (4.0, 2.0)] if preset == "smoke" else [
-        (1.0, 2.0), (1.0, 5.0), (4.0, 2.0), (4.0, 5.0),
+    checks = [
+        *run_oracle_grid(preset, master_seed, n_samples, mode, max_workers=threads),
+        *ks_checks(preset, master_seed),
+        *mode_gap_checks(preset),
     ]
-    for i, (m, m_s) in enumerate(ks_grid):
-        p = FadingParams(m=m, m_s=m_s)
-        model = SumFadingModel(p, 8)
-        for index, n, name, draw, law in (
-            (7000 + i, 1, "ks_single", lambda rng: sample(p, rng, size=ks_n),
-             lambda x: cdf(p, x)),
-            (8000 + i, 8, "ks_model_sum",
-             lambda rng: sample_sum(model, MODEL_DRAW, rng, size=ks_n),
-             lambda x: sum_cdf(model, x)),
-        ):
-            rng = np.random.default_rng(np.random.SeedSequence((master_seed, index)))
-            stat = ks_statistic(draw(rng), law)
-            rows.append(_report_row({
-                "kind": "ks", "index": index, "N": n, "m": m, "m_s": m_s,
-                "metric": name, "mc_mean": stat, "mc_std_error": crit,
-                "note": f"n={ks_n}", "ok": str(stat < crit),
-            }))
-
-    # the aggregate model's closed form against the exact physical branch
-    # sum (reported, bounded at 3 percent)
-    gap_ns = (8,) if preset == "smoke" else (8, 16, 32)
-    fading, eta_db = FadingParams(1.0, 5.0), 20.0
-    for i, n in enumerate(gap_ns):
-        cfg = LinkConfig.from_eta(snr_threshold_from_db(eta_db), fading, n)
-        model, physical = avg_capacity(cfg), physical_capacity(cfg)
-        gap = abs(model.value - physical.value) / physical.value
-        rows.append(_report_row({
-            "kind": "mode_gap", "index": 9000 + i, "N": n, "m": fading.m,
-            "m_s": fading.m_s, "eta_db": eta_db, "metric": "capacity_gap",
-            "closed_log": model.diagnostics["log_value"],
-            "quad_log": physical.diagnostics["log_value"], "rel_gap_quad": gap,
-            "note": f"rel_error={physical.diagnostics['rel_error']:.3e}",
-            "ok": str(gap < 0.03),
-        }))
-
-    write_csv(out, VALIDATE_HEADER, rows)
-    n_fail = sum(1 for r in rows if r[-1] == "False")
+    write_csv(out, REPORT_HEADER, [[_fmt(v) for v in astuple(c)] for c in checks])
+    n_fail = sum(not c.ok for c in checks)
     print(
-        f"validate[{preset}]: {len(rows)} checks, {n_fail} failures -> {out}",
+        f"validate[{preset}]: {len(checks)} checks, {n_fail} failures -> {out}",
         file=sys.stderr,
     )
     return 0 if n_fail == 0 else 4
@@ -533,8 +466,8 @@ def _metrics_command(args) -> int:
 
 def _check_flags(args) -> None:
     """Run the table checks on the flags that set a table value: the link
-    flags of ``metrics`` and every ``--seed``."""
-    params = {"seed": MC_PARAMS["seed"]}
+    flags of ``metrics``, every ``--seed`` and every ``--threads``."""
+    params = {"seed": MC_PARAMS["seed"], "threads": THREADS}
     if args.command == "metrics":
         params.update(LINK_PARAMS)
     for key, p in params.items():
@@ -566,16 +499,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="run a sweep described by a config file")
     sp.add_argument("config", help="path to the sweep config")
     sp.add_argument("--out", default=None, help="output CSV (overrides config)")
-    sp.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    sp.add_argument("--threads", type=THREADS.parse, default=THREADS.default)
     sp.add_argument("--seed", type=seed.parse, default=None, help="override [mc] seed")
     sp.add_argument("--mc-samples", type=samples.parse, default=None)
     sp.add_argument("--mc-mode", default=None, **modes)
 
     vp = sub.add_parser("validate", help="run the oracle-agreement grid")
-    vp.add_argument("--preset", choices=("smoke", "full"), default="smoke")
+    vp.add_argument("--preset", choices=tuple(PRESETS), default="smoke")
     vp.add_argument("--seed", type=seed.parse, default=seed.default)
     vp.add_argument("--out", default="validate_report.csv")
-    vp.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    vp.add_argument("--threads", type=THREADS.parse, default=THREADS.default)
     vp.add_argument("--mc-samples", type=samples.parse, default=None)
     vp.add_argument("--mc-mode", default=mode.default, **modes)
 
@@ -613,7 +546,7 @@ def main(argv=None) -> int:
         if args.command == "selftest":
             return selftest()
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, DomainError, FileNotFoundError) as exc:
+    except (ConfigError, DomainError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -359,11 +359,6 @@ def _contour_position(spec: MeijerGSpec, chi: _MellinBarnesIntegrand):
     return c, w0, min(c - left, right - c)
 
 
-def _decay_rate(spec: MeijerGSpec) -> float:
-    """Exponential decay exponent of |integrand| in |Im u|, per Stirling."""
-    return 0.5 * math.pi * (2.0 * (spec.m + spec.n) - spec.p - spec.q)
-
-
 def _truncation(chi: _MellinBarnesIntegrand, c: float, w0: float):
     """(t_max, log|chi(c + i t_max)| - w0) for the cut of the line.
 
@@ -420,12 +415,15 @@ def _halving_trapezoid(f, h: float, n: int, rel_tol: float, floor: float,
         values, n = refined, 2 * n
 
 
-def _contour_quadrature(spec: MeijerGSpec) -> EvalReport:
-    """Integrate the Mellin-Barnes integrand along Re(u) = c.
+def meijer_g(spec: MeijerGSpec) -> EvalReport:
+    """Evaluate G^{m,n}_{p,q} on the positive real axis by integrating the
+    Mellin-Barnes integrand along Re(u) = c.
 
-    The line t >= 0 (the integrand is conjugate-symmetric) is mapped
-    through t = a sinh(x), a being the distance from c to the nearest
-    pole, so those poles sit at x = +-i pi/2 however narrow the gap, and
+    Each parameter set needs a separating gap and an exponentially
+    decaying integrand; any other raises.  The line t >= 0 (the
+    integrand is conjugate-symmetric) is mapped through t = a sinh(x), a
+    being the distance from c to the nearest pole, so those poles sit at
+    x = +-i pi/2 however narrow the gap, and
     the nodes bunch near t = 0 where the integrand peaks.  The
     trapezoidal rule in x converges geometrically in 1/h (Trefethen &
     Weideman, SIAM Review 56(3), 2014).  The step starts at 1/20 and is
@@ -435,7 +433,8 @@ def _contour_quadrature(spec: MeijerGSpec) -> EvalReport:
     1e-18 of the saddle value.  The error adds that difference, the
     tail beyond the cut and the rounding of the nodes' log terms.
     """
-    delta = _decay_rate(spec)
+    # exponential decay exponent of |integrand| in |Im u|, per Stirling
+    delta = 0.5 * math.pi * (2.0 * (spec.m + spec.n) - spec.p - spec.q)
     if delta <= 0.0:
         raise DomainError(
             "contour integrand lacks exponential decay "
@@ -468,10 +467,3 @@ def _contour_quadrature(spec: MeijerGSpec) -> EvalReport:
         log_abs, math.copysign(1.0, total), rel_err, CONTOUR_QUADRATURE, **details
     )
 
-
-def meijer_g(spec: MeijerGSpec) -> EvalReport:
-    """Evaluate G^{m,n}_{p,q} on the positive real axis by the
-    Mellin-Barnes contour, which handles each parameter set with a
-    separating gap and an exponentially decaying integrand and raises
-    otherwise."""
-    return _contour_quadrature(spec)

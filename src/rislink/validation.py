@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import erfc, log_ndtr
@@ -29,7 +29,11 @@ from .fading import (
     MODEL_DRAW,
     PHYSICAL_DRAW,
     FadingParams,
+    SumFadingModel,
+    cdf,
+    sample,
     sample_sum,
+    sum_cdf,
 )
 from .metrics import (
     BER_BOUND,
@@ -45,6 +49,7 @@ from .metrics import (
     check_gamma_th,
     outage,
     outage_asymptotic,
+    physical_capacity,
     result,
     snr_threshold_from_db,
 )
@@ -385,45 +390,81 @@ def ks_statistic(samples, cdf_fn) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Oracle-agreement grid
+# The validate report: oracle-agreement grid, KS and mode-gap checks
 # ---------------------------------------------------------------------------
 
 REL_TOL_QUAD = 1e-6
 MC_SIGMA_BAND = 3.5
+KS_SAMPLES = 100_000
+MODE_GAP_TOL = 0.03
 
-# preset -> (N values, m values, m_s values, eta_db values)
-GRID_PRESETS = {
-    "full": ((1, 8, 16, 32), (1.0, 4.0), (2.0, 5.0), (0.0, 10.0, 20.0, 30.0)),
-    "smoke": ((1, 8), (1.0,), (5.0,), (0.0, 10.0, 20.0, 30.0)),
+
+@dataclass(frozen=True)
+class Preset:
+    """What one validate preset checks."""
+
+    grid: tuple  # oracle axes: (N values, m values, m_s values, eta_db values)
+    ks_pairs: tuple  # (m, m_s) of the KS checks
+    gap_ns: tuple  # N of the mode-gap checks
+    n_samples: int  # default MC draws per grid point
+
+
+_ETA_DB = (0.0, 10.0, 20.0, 30.0)
+PRESETS = {
+    "smoke": Preset(((1, 8), (1.0,), (5.0,), _ETA_DB), ((1.0, 5.0), (4.0, 2.0)),
+                    (8,), 100_000),
+    "full": Preset(((1, 8, 16, 32), (1.0, 4.0), (2.0, 5.0), _ETA_DB),
+                   ((1.0, 2.0), (1.0, 5.0), (4.0, 2.0), (4.0, 5.0)), (8, 16, 32),
+                   1_000_000),
 }
 GRID_GAMMA_TH_DB = (3.0, 6.0)
 GRID_LAMBDA = (1.0, 0.5)
 
 
-@dataclass
-class GridCheck:
-    """One metric at one grid point: three routes and their verdict."""
+def _preset(name: str) -> Preset:
+    if name not in PRESETS:
+        raise DomainError(f"unknown preset {name!r}; use one of {', '.join(PRESETS)}")
+    return PRESETS[name]
 
+
+@dataclass(frozen=True, kw_only=True)
+class Check:
+    """One row of the validate report, one field per column in column
+    order; a column the row's kind does not use reads nan."""
+
+    kind: str
     index: int
     n_cells: int
     m: float
     m_s: float
-    eta_db: float
+    eta_db: float = math.nan
     metric: str
-    lambda_mod: float
-    gamma_th_db: float
-    closed_log: float
-    quad_log: float
-    mc_mean: float
-    mc_std_error: float
-    rel_gap_quad: float
-    mc_ok: bool
-    quad_ok: bool
-    note: str = ""
+    lambda_mod: float = math.nan
+    gamma_th_db: float = math.nan
+    closed_log: float = math.nan
+    quad_log: float = math.nan
+    rel_gap_quad: float = math.nan
+    mc_mean: float = math.nan
+    mc_std_error: float = math.nan
+    note: str
+    ok: bool
 
-    @property
-    def ok(self) -> bool:
-        return self.mc_ok and self.quad_ok
+
+REPORT_HEADER = [{"n_cells": "N", "lambda_mod": "lambda"}.get(f.name, f.name)
+                 for f in fields(Check)]
+
+
+def ordered_map(fn, items, workers: int = 1):
+    """fn over items, results yielded in item order, each once it and
+    those before it are done; on a pool of ``workers`` threads when
+    workers > 1."""
+    if workers <= 1:
+        yield from map(fn, items)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(fn, items)
 
 
 def _rel_gap_from_logs(log_a: float, log_b: float) -> float:
@@ -488,21 +529,20 @@ def run_oracle_grid(
     n_samples: int | None = None,
     mode: str = MODEL_DRAW,
     max_workers: int = 1,
-) -> list[GridCheck]:
+) -> list[Check]:
     """Run the triple-agreement check over the preset grid.
 
     Per point and metric the closed form must match quadrature within
     1e-6 relative and sit inside the Monte-Carlo acceptance band.  The
     BER is checked for both modulation constants and the outage at both
-    threshold presets.  Rows come back in grid order independent of the
-    worker count.
+    threshold presets.  ``n_samples`` None takes the preset's draws.
+    Rows come back in grid order independent of the worker count.
     """
-    if preset not in GRID_PRESETS:
-        raise DomainError(f"unknown preset {preset!r}; use 'smoke' or 'full'")
+    p = _preset(preset)
     if n_samples is None:
-        n_samples = 100_000 if preset == "smoke" else 1_000_000
+        n_samples = p.n_samples
 
-    def one_point(item) -> list[GridCheck]:
+    def one_point(item) -> list[Check]:
         idx, (n, m, m_s, eta_db) = item
         eta = 10.0 ** (eta_db / 10.0)
         seed = int(np.random.SeedSequence((master_seed, idx)).generate_state(1)[0])
@@ -511,41 +551,67 @@ def run_oracle_grid(
                             GRID_LAMBDA, GRID_GAMMA_TH_DB)
         # one sample per point, scored for every row
         estimates = mc_metrics([case[:3] for case in cases], mc)
-        checks: list[GridCheck] = []
+        checks = []
         for (cfg, metric, gth, gth_db), est in zip(cases, estimates):
             exact = evaluate(cfg, metric, "exact", gth)
             c_log = exact.diagnostics["log_value"]
             q_log = evaluate(cfg, metric, "quadrature", gth).diagnostics["log_value"]
             gap = _rel_gap_from_logs(c_log, q_log)
             ok_mc, note = _mc_consistent(exact.value, est, metric)
-            checks.append(
-                GridCheck(
-                    index=idx,
-                    n_cells=n,
-                    m=m,
-                    m_s=m_s,
-                    eta_db=eta_db,
-                    metric=metric,
-                    lambda_mod=cfg.lambda_mod,
-                    gamma_th_db=gth_db,
-                    closed_log=c_log,
-                    quad_log=q_log,
-                    mc_mean=est.mean,
-                    mc_std_error=est.std_error,
-                    rel_gap_quad=gap,
-                    mc_ok=ok_mc,
-                    quad_ok=gap <= REL_TOL_QUAD,
-                    note=note,
-                )
-            )
+            checks.append(Check(
+                kind="oracle", index=idx, n_cells=n, m=m, m_s=m_s, eta_db=eta_db,
+                metric=metric, lambda_mod=cfg.lambda_mod, gamma_th_db=gth_db,
+                closed_log=c_log, quad_log=q_log, rel_gap_quad=gap, mc_mean=est.mean,
+                mc_std_error=est.std_error, note=note,
+                ok=bool(ok_mc) and gap <= REL_TOL_QUAD,
+            ))
         return checks
 
-    items = list(enumerate(itertools.product(*GRID_PRESETS[preset])))
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    items = enumerate(itertools.product(*p.grid))
+    return [c for group in ordered_map(one_point, items, max_workers) for c in group]
 
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            grouped = list(pool.map(one_point, items))
-    else:
-        grouped = [one_point(it) for it in items]
-    return [c for group in grouped for c in group]
+
+def ks_checks(preset: str, master_seed: int) -> list[Check]:
+    """KS distance of a single branch and of the model-draw sum of 8 from
+    their CDFs, at each of the preset's (m, m_s) pairs; each must fall
+    below the 1.63 / sqrt(n) critical value."""
+    crit = 1.63 / math.sqrt(KS_SAMPLES)
+    checks = []
+    for i, (m, m_s) in enumerate(_preset(preset).ks_pairs):
+        p = FadingParams(m=m, m_s=m_s)
+        model = SumFadingModel(p, 8)
+        for index, n, name, draw, law in (
+            (7000 + i, 1, "ks_single", lambda rng: sample(p, rng, size=KS_SAMPLES),
+             lambda x: cdf(p, x)),
+            (8000 + i, 8, "ks_model_sum",
+             lambda rng: sample_sum(model, MODEL_DRAW, rng, size=KS_SAMPLES),
+             lambda x: sum_cdf(model, x)),
+        ):
+            rng = np.random.default_rng(np.random.SeedSequence((master_seed, index)))
+            stat = ks_statistic(draw(rng), law)
+            checks.append(Check(
+                kind="ks", index=index, n_cells=n, m=m, m_s=m_s, metric=name,
+                mc_mean=stat, mc_std_error=crit, note=f"n={KS_SAMPLES}", ok=stat < crit,
+            ))
+    return checks
+
+
+def mode_gap_checks(preset: str) -> list[Check]:
+    """The aggregate model's capacity closed form against the exact
+    capacity of the physical branch sum, at each of the preset's N;
+    the relative gap is reported and bounded at 3 percent."""
+    fading, eta_db = FadingParams(1.0, 5.0), 20.0
+    checks = []
+    for i, n in enumerate(_preset(preset).gap_ns):
+        cfg = LinkConfig.from_eta(snr_threshold_from_db(eta_db), fading, n)
+        model, physical = avg_capacity(cfg), physical_capacity(cfg)
+        gap = abs(model.value - physical.value) / physical.value
+        checks.append(Check(
+            kind="mode_gap", index=9000 + i, n_cells=n, m=fading.m, m_s=fading.m_s,
+            eta_db=eta_db, metric="capacity_gap",
+            closed_log=model.diagnostics["log_value"],
+            quad_log=physical.diagnostics["log_value"], rel_gap_quad=gap,
+            note=f"rel_error={physical.diagnostics['rel_error']:.3e}",
+            ok=gap < MODE_GAP_TOL,
+        ))
+    return checks

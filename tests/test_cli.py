@@ -1,5 +1,6 @@
 """CLI: config parsing, sweep output, validation runner, exit codes."""
 
+import argparse
 import csv
 import io
 import math
@@ -19,11 +20,13 @@ from rislink.cli import (
     main,
     parse_config,
     run_sweep,
+    run_validate,
     selftest,
     write_csv,
 )
-from rislink.errors import ConfigError
+from rislink.errors import ConfigError, DomainError
 from rislink.fading import MODEL_DRAW, PHYSICAL_DRAW
+from rislink.validation import PRESETS
 
 MINIMAL = """
 [sweep]
@@ -190,6 +193,65 @@ def test_negative_seed_flag_exits_2(command, capsys):
     )
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+@pytest.mark.parametrize("command", [["validate", "--preset", "smoke"], ["sweep", "unused.ini"]])
+def test_threads_below_one_exits_2(command, threads, capsys):
+    assert main([*command, "--threads", threads]) == 2
+    assert capsys.readouterr().err == (
+        "config error: threads must be at least 1 (flag --threads)\n"
+    )
+
+
+def test_config_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    assert main(["sweep", str(tmp_path), "--threads", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+
+
+def test_out_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(MINIMAL)
+    assert main(["sweep", str(cfg), "--out", str(tmp_path), "--threads", "1"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("config error: ")
+
+
+def test_preset_choices_are_the_preset_table():
+    ap = build_parser()
+    (sub,) = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+    (preset,) = [a for a in sub.choices["validate"]._actions if a.dest == "preset"]
+    assert tuple(preset.choices) == tuple(PRESETS)
+
+
+# rows per kind and the index of each; ok is left out, since 10^4-draw MC
+# bands are statistical
+REPORT_SHAPES = {
+    "smoke": {"oracle": (40, set(range(8))), "ks": (4, {7000, 7001, 8000, 8001}),
+              "mode_gap": (1, {9000})},
+    "full": {"oracle": (320, set(range(64))),
+             "ks": (8, {7000, 7001, 7002, 7003, 8000, 8001, 8002, 8003}),
+             "mode_gap": (3, {9000, 9001, 9002})},
+}
+
+
+@pytest.mark.parametrize("preset", sorted(REPORT_SHAPES))
+def test_validate_report_shape(preset, tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    assert run_validate(preset, 42, str(out), threads=1, n_samples=10_000) in (0, 4)
+    rows = list(csv.DictReader(out.open()))
+    shape = {}
+    for r in rows:
+        count, indexes = shape.get(r["kind"], (0, set()))
+        shape[r["kind"]] = (count + 1, indexes | {int(r["index"])})
+    assert shape == REPORT_SHAPES[preset]
+    assert {r["ok"] for r in rows} <= {"True", "False"}
+    assert f"validate[{preset}]: {len(rows)} checks" in capsys.readouterr().err
+
+
+def test_validate_zero_samples_is_not_the_default(tmp_path):
+    with pytest.raises(DomainError):
+        run_validate("smoke", 42, str(tmp_path / "report.csv"), n_samples=0)
+
+
 # metrics flags and sweep ranges whose linear value leaves the doubles, and
 # the keys the error must name
 OUT_OF_DOUBLES = [
@@ -309,6 +371,12 @@ class TestSweep:
         assert {r[i_n] for r in rows} == {"8"}
         assert {r[i_beta] for r in rows} == {"2.7000000000000002"}
         assert {r[i_axis] for r in rows} == {"0", "10", "20"}
+
+    def test_progress_line_per_point_in_order(self):
+        spec = parse_config(MINIMAL)
+        lines = []
+        run_sweep(spec, threads=2, progress=lines.append)
+        assert lines == [f"sweep point {i}/3 done" for i in (1, 2, 3)]
 
     def test_deterministic_across_threads(self):
         spec = parse_config(FIG_BER_STYLE)

@@ -436,11 +436,10 @@ class TestOracleGrid:
         assert worst <= 1e-6
 
     def test_thread_invariance(self):
-        from rislink.cli import _check_row
-
         a = run_oracle_grid("smoke", master_seed=7, n_samples=10_000)
         b = run_oracle_grid("smoke", master_seed=7, n_samples=10_000, max_workers=4)
-        assert [_check_row(c) for c in a] == [_check_row(c) for c in b]
+        # repr spells every float exactly, and nan fields compare equal
+        assert repr(a) == repr(b)
 
     def test_one_draw_per_point(self, monkeypatch):
         calls = []
@@ -457,6 +456,17 @@ class TestOracleGrid:
     def test_unknown_preset(self):
         with pytest.raises(DomainError):
             run_oracle_grid("quick")
+
+    def test_every_check_names_the_presets(self):
+        for check in (run_oracle_grid, lambda p: validation.ks_checks(p, 42),
+                      validation.mode_gap_checks):
+            with pytest.raises(DomainError, match="use one of smoke, full"):
+                check("quick")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_ordered_map_keeps_item_order(self, workers):
+        got = list(validation.ordered_map(lambda x: x * x, range(10), workers))
+        assert got == [x * x for x in range(10)]
 
 
 class TestModeGap:
