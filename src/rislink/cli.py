@@ -3,8 +3,8 @@
 Sweeps are described by an INI-style config file (see README for the
 schema); results land in a CSV whose rows each echo the complete
 parameter tuple, so the file is reproducible from its own content plus
-the seed.  All dB/dBm conversion happens here; the library modules work
-strictly in linear units.
+the seed.  The power keys and the eta_db axis become eta here; each
+gamma_th_db becomes a linear threshold in validation.metric_cases.
 
 The power axis maps to the SNR factor as
 
@@ -62,7 +62,6 @@ CSV_HEADER = [
     "error_estimate", "seed",
 ]
 
-_SWEEP_KEYS = {"axis", "start", "stop", "steps", "metrics", "variants", "out"}
 _MC_MODES = {"model": MODEL_DRAW, "physical": PHYSICAL_DRAW}
 
 
@@ -109,6 +108,7 @@ RANGE_PARAMS = {
     "stop": Param(None, False, math.isfinite, "stop must be finite"),
     "steps": Param(None, False, lambda v: v >= 2, "steps must be at least 2", int),
 }
+_SWEEP_KEYS = {"axis", "metrics", "variants", "out", *RANGE_PARAMS}
 # --seed runs the seed check; --mc-samples leaves its bound to McConfig,
 # so a metrics row that draws no sample ignores it.
 MC_PARAMS = {
@@ -126,7 +126,9 @@ THREADS = Param(os.cpu_count() or 1, False, lambda v: v >= 1, "threads must be a
 
 @dataclass
 class SweepSpec:
-    """A parameter grid: one axis, fixed values, curve families, outputs."""
+    """A parameter grid: one axis, its range, outputs, and the [link] and
+    [mc] values keyed as in LINK_PARAMS and MC_PARAMS (``many`` keys hold
+    tuples, whose products form the curve families)."""
 
     axis: str
     start: float
@@ -134,19 +136,8 @@ class SweepSpec:
     steps: int
     metrics: tuple[str, ...]
     variants: tuple[str, ...]
-    # family dimensions; singleton tuples for fixed values
-    n_cells: tuple[int, ...]
-    m: tuple[float, ...]
-    m_s: tuple[float, ...]
-    lambda_mod: tuple[float, ...]
-    gamma_th_db: tuple[float, ...]
-    r_d: float
-    beta: float
-    n0_dbm: float
-    p_s_dbm: float
-    mc_samples: int
-    mc_seed: int
-    mc_mode: str
+    link: dict
+    mc: dict
     out: str
 
     def axis_values(self) -> np.ndarray:
@@ -263,18 +254,11 @@ def parse_config(text: str) -> SweepSpec:
                 raise _fail_key(text, "sweep", key, f"unknown {key[:-1]} '{tok}'")
         sets[key] = _unique(text, "sweep", key, tokens)
 
-    fixed = {key: _read(text, "link", link, key, p) for key, p in LINK_PARAMS.items()}
-    fixed["lambda_mod"] = fixed.pop("lambda")
-    for key, p in MC_PARAMS.items():
-        fixed["mc_" + key] = _read(text, "mc", mc, key, p)
     return SweepSpec(
-        axis=axis,
-        start=start,
-        stop=stop,
-        steps=steps,
+        axis=axis, start=start, stop=stop, steps=steps, **sets,
+        link={key: _read(text, "link", link, key, p) for key, p in LINK_PARAMS.items()},
+        mc={key: _read(text, "mc", mc, key, p) for key, p in MC_PARAMS.items()},
         out=sweep.get("out", "sweep.csv"),
-        **sets,
-        **fixed,
     )
 
 
@@ -315,38 +299,40 @@ def _family_mc(cases, spec: SweepSpec):
     """
     cfg = cases[0][0]
     key = "|".join([
-        str(spec.mc_seed), str(cfg.n_cells), f"{cfg.fading.m:.17g}",
+        str(spec.mc["seed"]), str(cfg.n_cells), f"{cfg.fading.m:.17g}",
         f"{cfg.fading.m_s:.17g}", f"{cfg.eta:.17g}",
     ])
     sub = int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big")
     return mc_metrics([case[:3] for case in cases],
-                      McConfig(n_samples=spec.mc_samples, seed=sub, mode=spec.mc_mode))
+                      McConfig(n_samples=spec.mc["samples"], seed=sub, mode=spec.mc["mode"]))
 
 
 def _point_link(spec: SweepSpec, axis_value: float):
-    """eta, cell counts and thresholds (dB) of one axis point; checks that
-    eta and every threshold an outage row reads are positive doubles."""
+    """eta and the [link] values of one axis point, the axis key set to the
+    point; checks that eta and every threshold an outage row reads are
+    positive doubles."""
+    link = dict(spec.link)
     if spec.axis == "eta_db":
         eta = _linear("eta", f"eta_db = {axis_value!r}",
                       lambda: 10.0 ** (axis_value / 10.0))
     else:
-        p_s = axis_value if spec.axis == "p_s_dbm" else spec.p_s_dbm
-        eta = _eta(p_s, spec.n0_dbm, spec.r_d, spec.beta)
-    gth_dbs = (axis_value,) if spec.axis == "gamma_th_db" else spec.gamma_th_db
+        p = LINK_PARAMS[spec.axis]
+        value = p.parse(axis_value)  # n_cells points are whole floats
+        link[spec.axis] = (value,) if p.many else value
+        eta = _eta(link["p_s_dbm"], link["n0_dbm"], link["r_d"], link["beta"])
     if OUTAGE in spec.metrics:
-        for g in gth_dbs:
+        for g in link["gamma_th_db"]:
             _linear("gamma_th", f"gamma_th_db = {g!r}", lambda: 10.0 ** (g / 10.0))
-    ns = (int(axis_value),) if spec.axis == "n_cells" else spec.n_cells
-    return eta, ns, gth_dbs
+    return eta, link
 
 
 def _point_rows(spec: SweepSpec, axis_value: float) -> list[list[str]]:
     """The CSV rows of one axis point: every family, metric case and variant."""
-    eta, ns, gth_dbs = _point_link(spec, axis_value)
+    eta, link = _point_link(spec, axis_value)
     rows = []
-    for n, m, m_s in itertools.product(ns, spec.m, spec.m_s):
+    for n, m, m_s in itertools.product(link["n_cells"], link["m"], link["m_s"]):
         cases = point_cases(eta, FadingParams(m=m, m_s=m_s), n, spec.metrics,
-                            spec.lambda_mod, gth_dbs)
+                            link["lambda"], link["gamma_th_db"])
         if "mc" in spec.variants:
             estimates = _family_mc(cases, spec)
         for i, (cfg, metric, gth, gth_db) in enumerate(cases):
@@ -359,9 +345,9 @@ def _point_rows(spec: SweepSpec, axis_value: float) -> list[list[str]]:
                 rows.append([
                     spec.axis, _fmt(axis_value), metric, variant,
                     _fmt(n), _fmt(m), _fmt(m_s), "1",
-                    _fmt(spec.r_d), _fmt(spec.beta),
-                    _fmt(spec.n0_dbm), _fmt(cfg.lambda_mod), _fmt(gth_db),
-                    _fmt(value), _fmt(err), _fmt(spec.mc_seed),
+                    _fmt(link["r_d"]), _fmt(link["beta"]),
+                    _fmt(link["n0_dbm"]), _fmt(cfg.lambda_mod), _fmt(gth_db),
+                    _fmt(value), _fmt(err), _fmt(spec.mc["seed"]),
                 ])
     return rows
 
@@ -379,6 +365,16 @@ def run_sweep(spec: SweepSpec, threads: int = 1, progress=None) -> list[list[str
         rows += group
         progress(f"sweep point {i + 1}/{len(values)} done")
     return rows
+
+
+def _check_out(path: str) -> None:
+    """Fail before any work when ``path`` cannot take the output CSV: it is
+    a directory, or its directory does not exist.  Nothing is created."""
+    if os.path.isdir(path):
+        raise ConfigError(f"output path {path!r} is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ConfigError(f"output path {path!r}: no directory {parent!r}")
 
 
 def write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
@@ -449,13 +445,12 @@ def _metrics_command(args) -> int:
     """One point as a one-point sweep: the row equals the sweep's row."""
     axis = "p_s_dbm" if args.eta_db is None else "eta_db"
     x = getattr(args, axis)
-    fixed = {key: (getattr(args, key),) if p.many else getattr(args, key)
-             for key, p in LINK_PARAMS.items()}
-    fixed["lambda_mod"] = fixed.pop("lambda")
     spec = SweepSpec(
         axis=axis, start=x, stop=x, steps=1, metrics=(args.metric,),
-        variants=(args.variant,), mc_samples=args.mc_samples, mc_seed=args.seed,
-        mc_mode=args.mc_mode, out="-", **fixed,
+        variants=(args.variant,),
+        link={key: (getattr(args, key),) if p.many else getattr(args, key)
+              for key, p in LINK_PARAMS.items()},
+        mc={key: getattr(args, key) for key in MC_PARAMS}, out="-",
     )
     rows = _point_rows(spec, x)  # a failing point prints nothing
     w = csv.writer(sys.stdout, lineterminator="\n")
@@ -483,7 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
     seed, samples, mode = MC_PARAMS["seed"], MC_PARAMS["samples"], MC_PARAMS["mode"]
-    modes = {"type": mode.parse, "choices": tuple(_MC_MODES.values()),
+    # the MC flags' dests are the MC_PARAMS keys
+    modes = {"dest": "mode", "type": mode.parse, "choices": tuple(_MC_MODES.values()),
              "metavar": "{model,physical}"}
 
     mp = sub.add_parser("metrics", help="evaluate one point, print one CSV row")
@@ -492,7 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
     for key, p in LINK_PARAMS.items():
         mp.add_argument("--" + key.replace("_", "-"), type=p.parse, default=p.default)
     mp.add_argument("--eta-db", type=float, default=None)
-    mp.add_argument("--mc-samples", type=samples.parse, default=samples.default)
+    mp.add_argument("--mc-samples", dest="samples", type=samples.parse,
+                    default=samples.default)
     mp.add_argument("--mc-mode", default=mode.default, **modes)
     mp.add_argument("--seed", type=seed.parse, default=seed.default)
 
@@ -501,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None, help="output CSV (overrides config)")
     sp.add_argument("--threads", type=THREADS.parse, default=THREADS.default)
     sp.add_argument("--seed", type=seed.parse, default=None, help="override [mc] seed")
-    sp.add_argument("--mc-samples", type=samples.parse, default=None)
+    sp.add_argument("--mc-samples", dest="samples", type=samples.parse, default=None)
     sp.add_argument("--mc-mode", default=None, **modes)
 
     vp = sub.add_parser("validate", help="run the oracle-agreement grid")
@@ -509,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--seed", type=seed.parse, default=seed.default)
     vp.add_argument("--out", default="validate_report.csv")
     vp.add_argument("--threads", type=THREADS.parse, default=THREADS.default)
-    vp.add_argument("--mc-samples", type=samples.parse, default=None)
+    vp.add_argument("--mc-samples", dest="samples", type=samples.parse, default=None)
     vp.add_argument("--mc-mode", default=mode.default, **modes)
 
     sub.add_parser("selftest", help="special-function identity suite")
@@ -528,20 +525,19 @@ def main(argv=None) -> int:
             spec = parse_config(text)
             if args.out is not None:
                 spec.out = args.out
-            if args.seed is not None:
-                spec.mc_seed = args.seed
-            if args.mc_samples is not None:
-                spec.mc_samples = args.mc_samples
-            if args.mc_mode is not None:
-                spec.mc_mode = args.mc_mode
+            for key in MC_PARAMS:
+                if getattr(args, key) is not None:
+                    spec.mc[key] = getattr(args, key)
+            _check_out(spec.out)
             rows = run_sweep(spec, threads=args.threads)
             write_csv(spec.out, CSV_HEADER, rows)
             print(f"wrote {len(rows)} rows to {spec.out}", file=sys.stderr)
             return 0
         if args.command == "validate":
+            _check_out(args.out)
             return run_validate(
                 args.preset, args.seed, args.out, threads=args.threads,
-                n_samples=args.mc_samples, mode=args.mc_mode,
+                n_samples=args.samples, mode=args.mode,
             )
         if args.command == "selftest":
             return selftest()

@@ -340,9 +340,8 @@ def _contour_position(spec: MeijerGSpec, chi: _MellinBarnesIntegrand):
             f"no separating contour: left poles reach {left}, "
             f"right poles start at {right}"
         )
-    if math.isinf(left) and math.isinf(right):
-        lo, hi = -20.0, 20.0
-    elif math.isinf(left):
+    # meijer_g has rejected m = n = 0 (no decay), so one edge is finite
+    if math.isinf(left):
         lo, hi = right - 40.0, right - 1e-6
     elif math.isinf(right):
         lo, hi = left + 1e-6, left + 40.0

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import io
 import math
 import os
@@ -11,7 +12,7 @@ import sys
 import pytest
 
 import rislink
-from rislink import validation
+from rislink import cli, validation
 from rislink.cli import (
     CSV_HEADER,
     LINK_PARAMS,
@@ -58,11 +59,11 @@ class TestParseConfig:
         assert isinstance(spec, SweepSpec)
         assert spec.axis == "eta_db"
         assert spec.steps == 3
-        assert spec.m == (1.0,)
-        assert spec.m_s == (5.0,)
-        assert spec.r_d == 1.0
-        assert spec.beta == 2.7
-        assert spec.n0_dbm == 0.0
+        assert spec.link["m"] == (1.0,)
+        assert spec.link["m_s"] == (5.0,)
+        assert spec.link["r_d"] == 1.0
+        assert spec.link["beta"] == 2.7
+        assert spec.link["n0_dbm"] == 0.0
         assert spec.metrics == ("capacity", "ber", "outage")
         assert spec.variants == ("exact", "asymptotic")
 
@@ -105,8 +106,8 @@ class TestParseConfig:
 
     def test_figure_style_families(self):
         spec = parse_config(FIG_BER_STYLE)
-        assert spec.n_cells == (8, 16)
-        assert spec.lambda_mod == (0.5, 1.0)
+        assert spec.link["n_cells"] == (8, 16)
+        assert spec.link["lambda"] == (0.5, 1.0)
         assert spec.metrics == ("ber",)
 
     def test_bad_mc_values_are_config_errors(self):
@@ -134,7 +135,7 @@ class TestParseConfig:
     def test_mc_mode_spellings(self):
         for raw, mode in (("model", "model_draw"), ("Physical", "physical_draw"),
                           ("physical_draw", "physical_draw")):
-            assert parse_config(MINIMAL + f"\n[mc]\nmode = {raw}\n").mc_mode == mode
+            assert parse_config(MINIMAL + f"\n[mc]\nmode = {raw}\n").mc["mode"] == mode
         with pytest.raises(ConfigError):
             parse_config(MINIMAL + "\n[mc]\nmode = both\n")
 
@@ -213,6 +214,26 @@ def test_out_path_that_is_a_directory_exits_2(tmp_path, capsys):
     cfg.write_text(MINIMAL)
     assert main(["sweep", str(cfg), "--out", str(tmp_path), "--threads", "1"]) == 2
     assert capsys.readouterr().err.splitlines()[-1].startswith("config error: ")
+
+
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_unwritable_sweep_out_fails_before_any_point(where, tmp_path, capsys):
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(MINIMAL)
+    out = tmp_path if where == "directory" else tmp_path / "no" / "out.csv"
+    assert main(["sweep", str(cfg), "--out", str(out), "--threads", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: output path ") and "sweep point" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.ini"]
+
+
+def test_unwritable_validate_out_fails_before_the_grid(tmp_path, monkeypatch, capsys):
+    def grid(*args, **kwargs):
+        raise AssertionError("the oracle grid ran")
+
+    monkeypatch.setattr(cli, "run_oracle_grid", grid)
+    assert main(["validate", "--preset", "smoke", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: output path ")
 
 
 def test_preset_choices_are_the_preset_table():
@@ -356,7 +377,7 @@ def _dict_rows(rows):
 class TestSweep:
     def test_row_count_and_families(self):
         spec = parse_config(FIG_BER_STYLE)
-        spec = SweepSpec(**{**spec.__dict__, "steps": 3})
+        spec = dataclasses.replace(spec, steps=3)
         rows = run_sweep(spec, progress=lambda m: None)
         # 3 axis points x 2 N x 2 lambda x 1 variant
         assert len(rows) == 12
@@ -380,8 +401,8 @@ class TestSweep:
 
     def test_deterministic_across_threads(self):
         spec = parse_config(FIG_BER_STYLE)
-        spec = SweepSpec(**{**spec.__dict__, "steps": 4, "variants": ("exact", "mc"),
-                            "mc_samples": 10_000})
+        spec = dataclasses.replace(spec, steps=4, variants=("exact", "mc"),
+                                   mc={**spec.mc, "samples": 10_000})
         a = run_sweep(spec, threads=1, progress=lambda m: None)
         b = run_sweep(spec, threads=4, progress=lambda m: None)
         assert a == b
@@ -410,8 +431,8 @@ m = 1, 2
 lambda = 0.5, 1
 gamma_th_db = 3, 6
 """
-        spec = SweepSpec(**{**parse_config(text).__dict__, "mc_mode": mode,
-                            "mc_samples": validation._CHUNK + 1000})
+        spec = parse_config(text)
+        spec.mc.update(mode=mode, samples=validation._CHUNK + 1000)
         rows = run_sweep(spec, progress=lambda m: None)
         # 2 points x 2 families x (1 capacity + 2 BER + 2 outage) rows,
         # and one draw per family for each of the two chunks
@@ -568,6 +589,22 @@ class TestMain:
             assert rc == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+    def test_sweep_flags_override_the_mc_section(self, tmp_path):
+        # the flags must land where the [mc] keys do: same bytes, seed echoed
+        body = MINIMAL + "metrics = capacity, outage\nvariants = mc\n[link]\nn_cells = 2\n"
+        outs = []
+        for mc, flags in (("samples = 10000\nseed = 3\nmode = model",
+                           ["--seed", "7", "--mc-samples", "20000", "--mc-mode", "physical"]),
+                          ("samples = 20000\nseed = 7\nmode = physical", [])):
+            cfg = tmp_path / "sweep.ini"
+            cfg.write_text(f"{body}[mc]\n{mc}\n")
+            out = tmp_path / f"{len(outs)}.csv"
+            assert main(["sweep", str(cfg), "--out", str(out), "--threads", "1", *flags]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        rows = list(csv.DictReader(io.StringIO(outs[0].decode())))
+        assert len(rows) == 3 * 2 and {r["seed"] for r in rows} == {"7"}
 
     def test_validate_smoke(self, tmp_path):
         out = tmp_path / "report.csv"

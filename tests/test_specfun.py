@@ -351,6 +351,11 @@ class TestMeijerGIdentities:
         with pytest.raises(DomainError):
             meijer_g(spec)
 
+    def test_no_front_parameters_lack_decay(self):
+        # m = n = 0: no pole family on either side, and no exponential decay
+        with pytest.raises(DomainError, match="lacks exponential decay"):
+            meijer_g(MeijerGSpec([], [1.0], [], [0.0], 1.0))
+
     @pytest.mark.parametrize(
         "spec,mp_args",
         [
