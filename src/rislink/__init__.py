@@ -1,9 +1,9 @@
 """RIS-assisted link analytics over Fisher-Snedecor F composite fading.
 
 Closed-form average capacity, average BER and outage probability, their
-high-SNR asymptotes, and the independent validation machinery (adaptive
-quadrature oracles, seeded Monte-Carlo simulation, KS tests) behind
-them.
+high-SNR asymptotes, and the independent validation machinery (quadrature
+oracles on a log-axis trapezoid, seeded Monte-Carlo simulation, KS tests)
+behind them.
 """
 
 from .errors import ConfigError, DomainError, NumericError

@@ -2,15 +2,18 @@
 
 Two families:
 
-  * adaptive quadrature of the defining integrals, computed on a
-    peak-normalized log scale so that relative accuracy survives even
-    when the metric itself is hundreds of orders below double range;
+  * quadrature of the defining integrals: a trapezoidal rule on array
+    nodes along a sinh-mapped log axis, normalized by the integrand's
+    peak so that relative accuracy survives even when the metric
+    itself is hundreds of orders below double range;
   * seeded Monte-Carlo estimators over the channel sampler, with
     standard errors and exact small-count fallbacks.
 
 Neither path touches the Meijer G evaluator or the hypergeometric
 closed forms, so agreement between the three routes is a genuine
-cross-check.  Grid points evaluate independently; every one owns a
+cross-check.  The quadrature shares only the step-halving rule,
+``specfun._halving_trapezoid``, with the Meijer G contour, not its
+integrand.  Grid points evaluate independently; every one owns a
 private RNG substream derived from (master seed, point index), making
 results identical no matter how the points are scheduled.
 """
@@ -22,7 +25,7 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import erfc, log_ndtr
+from scipy.special import erfc, expit, gammaincinv, log_ndtr
 
 from .errors import DomainError, NumericError
 from .fading import (
@@ -53,11 +56,18 @@ from .metrics import (
     result,
     snr_threshold_from_db,
 )
+from .specfun import _halving_trapezoid
 
 _SQRT2 = math.sqrt(2.0)
 _LN2 = math.log(2.0)
 _EPS = float(np.finfo(float).eps)
-QUAD_LIMIT = 400  # subdivision cap per quad call; ~30 evals each
+# Integrand nodes per quadrature oracle call, peak search and support walk
+# included; the peak search's step cap; the widest support walked, in
+# units of the oracle's axis; and the rule's relative tolerance
+MAX_QUAD_EVALS = 1 << 14
+_PEAK_STEPS = 100
+_SUPPORT_SPAN = 1e6
+_QUAD_REL_TOL = 1e-13
 
 CAPACITY = "capacity"
 BER = "ber"
@@ -109,142 +119,202 @@ class CiEstimate:
     n: int
 
 
-def _peak_normalized_quad(
-    log_h, what: str, u_peak: float | None = None, u_hi: float | None = None
-) -> tuple[float, float]:
-    """log of the integral of exp(log_h(u)) du, and its relative error.
+def _peak(slopes, y: float, what: str) -> tuple[float, float, int]:
+    """The peak of a log integrand with one maximum, its curvature there
+    and the steps spent, from slopes(y) = (log h'(y), log h''(y)).
 
-    The integrand is normalized by its peak, found numerically unless the
-    caller knows it in closed form, so the quadrature stays relatively
-    accurate however far the integral lies outside double range.  The
-    support runs where log_h lies within 100 of the peak, cut at u_hi;
-    a cut far beyond the support would let quad miss a narrow peak.
-    The support walk's points u_peak +- 2^k are quad's breakpoints, so
-    its panels widen away from the peak: a peak narrow beside a long
-    shallow tail (BER at N m ~ 1e-3) is neither stepped over nor
-    missed by a tail panel's nodes.
+    A Newton step on the slope is taken while it at most halves the step
+    before it and stays inside the sign bracket found so far; otherwise
+    the bracket is bisected, or, while a side is still open, a step of
+    1, 2, 4, ... is taken toward it.  The search stops once the Newton
+    step is below 1e-3 of the peak's width 1/sqrt(-log h'').
     """
-    # imported here: only the quadrature routes need these, and they
-    # cost a CLI process that never runs one about 0.2 s of start-up
-    from scipy.integrate import quad
-    from scipy.optimize import minimize_scalar
-
-    if u_peak is None:
-        peak = minimize_scalar(lambda u: -log_h(u), method="bounded",
-                               bounds=(-400.0, 400.0),
-                               options={"xatol": 1e-10})
-        u_peak = float(peak.x)
-    h_peak = log_h(u_peak)
-
-    breaks = [u_peak]
-
-    def edge(direction: float) -> float:
-        step = 1.0
-        while log_h(u_peak + direction * step) > h_peak - 100.0:
-            breaks.append(u_peak + direction * step)
-            step *= 2.0
-            if step > 1e6:
-                raise NumericError(f"{what} integrand support did not close")
-        return u_peak + direction * step
-
-    u_low = edge(-1.0)
-    u_top = edge(+1.0) if u_hi is None else min(u_hi, edge(+1.0))
-    points = [u for u in breaks if u_low < u < u_top] or None
-    val, err = quad(lambda u: math.exp(log_h(u) - h_peak), u_low, u_top, points=points,
-                    epsabs=1e-13, epsrel=1e-11, limit=QUAD_LIMIT)
-    if not (np.isfinite(val) and val > 0.0):
-        raise NumericError(f"quadrature failed for {what} integral")
-    return h_peak + math.log(val), err / val
+    lo, hi, reach, last = -math.inf, math.inf, 1.0, math.inf
+    for k in range(1, _PEAK_STEPS + 1):
+        d, c = slopes(y)
+        lo, hi = (y, hi) if d > 0.0 else (lo, y)
+        step = -d / c if c < 0.0 else math.copysign(math.inf, d)
+        if c < 0.0 and abs(d) <= 1e-3 * math.sqrt(-c):
+            return y + step, c, k
+        if math.isfinite(lo) and math.isfinite(hi):
+            if not (abs(step) <= 0.5 * last and lo < y + step < hi):
+                step = 0.5 * (lo + hi) - y
+        elif not abs(step) <= min(reach, 0.5 * last):
+            step = math.copysign(reach, d)
+            reach *= 2.0
+        y, last = y + step, abs(step)
+    raise NumericError(f"{what} integrand peak search did not converge in {k} steps")
 
 
-def _softplus(u: float) -> float:
-    """log(1 + e^u) without overflow: the bits of numpy's logaddexp(0, u)
-    at a fraction of its cost per scalar call."""
-    return u + math.log1p(math.exp(-u)) if u > 0.0 else math.log1p(math.exp(u))
+def _log_axis_integral(log_terms, slopes, start: float, what: str):
+    """log of the integral of exp(log h(y)) dy over the real line, log h
+    the sum of log_terms(y) with one peak; its relative error, the
+    integrand nodes spent (peak search and support walk included) and
+    the final step.
+
+    The peak's curvature sets the scale s = 1/sqrt(-log h''), and the
+    rule is :func:`specfun._halving_trapezoid` on y = y_peak + s sinh(x),
+    the map of the Meijer G contour, with the integrand normalized by
+    its peak value: it stays relatively accurate however far the
+    integral lies outside double range, and sinh's growth brings a tail
+    that falls only linearly in y, a power law of g, within a few units
+    of x.  log h is analytic in a strip about the axis (softplus's
+    nearest singularities are at +-i pi), so the rule converges
+    geometrically.  The support is walked in whole units of x until
+    log h lies 100 below its peak, at most _SUPPORT_SPAN from it.  Each
+    node's log terms round to a few ulps of their size at the peak.
+    """
+    y_peak, curvature, spent = _peak(slopes, start, what)
+    scale = 1.0 / math.sqrt(-curvature)
+    peak_terms = log_terms(np.float64(y_peak))
+    h_peak = float(sum(peak_terms))
+    reach = np.arange(1.0, math.ceil(math.asinh(_SUPPORT_SPAN / scale)) + 1.0)
+    probes = np.concatenate([-reach, reach])
+    below = sum(log_terms(y_peak + scale * np.sinh(probes))) < h_peak - 100.0
+    spent += 1 + probes.size
+    if not (below[:reach.size].any() and below[reach.size:].any()):
+        raise NumericError(f"{what} integrand support did not close")
+    x_lo, x_hi = probes[np.argmax(below)], reach[np.argmax(below[reach.size:])]
+
+    def integrand(x):
+        x = x_lo + x
+        return np.exp(sum(log_terms(y_peak + scale * np.sinh(x))) - h_peak) * (
+            scale * np.cosh(x))
+
+    node_rounding = 4.0 * _EPS * sum(abs(float(t)) for t in peak_terms)
+    h0 = 0.0625
+    total, err, rounding, h, n = _halving_trapezoid(
+        integrand, h0, int((x_hi - x_lo) / h0), _QUAD_REL_TOL, 0.0, node_rounding,
+        f"{what} quadrature", spent, MAX_QUAD_EVALS)
+    return h_peak + math.log(total), float((err + rounding) / total), spent + n + 1, h
 
 
-def _log_softplus(s: float) -> float:
-    """log(log(1 + e^s)), equal to s to double precision far below zero."""
-    return math.log(_softplus(s)) if s > -700.0 else s
-
-
-def _quad_expectation(cfg: LinkConfig, what: str, log_kernel, shift: float,
-                      log_front: float, upper: float, **where) -> MetricResult:
+def _quad_expectation(cfg: LinkConfig, what: str, kernel, shift: float,
+                      log_front: float, upper: float, start: float,
+                      log_axis: bool = False) -> MetricResult:
     """exp(log_front) / B(Nm, Nms) times the integral of
-    exp(log_kernel(u)) e^(Nm u) (1 + e^(shift + u))^(-A) du, A = N(m + m_s).
+    exp(K(u)) e^(Nm u) (1 + e^(shift + u))^(-A) du, A = N(m + m_s).
 
     This is the expectation of a metric's kernel under the aggregate
     density on one log axis of g; each oracle picks the axis (``shift``),
-    the kernel and the factor taken outside the integral.  ``where``
-    passes a known peak or upper cut to :func:`_peak_normalized_quad`,
-    and a value above ``upper`` raises.  The error estimate also carries
-    the rounding of the log-space sum, each term good to a few ulps of
-    its own size: at large N that rounding, not the quadrature, limits
-    the accuracy.
+    the log kernel K and the factor taken outside the integral.
+    ``kernel(u)`` gives K at an array u, and ``kernel(u, True)`` K, K'
+    and K''.  With ``log_axis`` the integral runs over u < 0 only, on
+    y = ln(-u), where the cut at u = 0 becomes a smooth tail; otherwise
+    y = u.  ``start`` is where the peak search starts on y, and a value
+    above ``upper`` raises.  The density's log slope is
+    Nm - A sigma(shift + u), sigma the logistic function.  The error
+    estimate also carries the rounding of the log-space sum, each term
+    good to a few ulps of its own size: at large N that rounding, not
+    the quadrature, limits the accuracy.
     """
     model = cfg.model()
     nm = model.nm
     a_tot = nm + model.nms
 
-    def log_h(u: float) -> float:
-        return log_kernel(u) + nm * u - a_tot * _softplus(shift + u)
+    def axis(y):
+        """u at y, and log du/dy."""
+        return (-np.exp(np.minimum(y, 300.0)), y) if log_axis else (y, 0.0)
 
-    log_integral, rel_err = _peak_normalized_quad(log_h, what, **where)
+    def log_terms(y):
+        u, log_jacobian = axis(y)
+        return kernel(u), nm * u, -a_tot * np.logaddexp(0.0, shift + u), log_jacobian
+
+    def slopes(y):
+        u, _ = axis(y)
+        k, k1, k2 = kernel(u, True)
+        sig = expit(shift + u)
+        d = k1 + nm - a_tot * sig
+        c = k2 - a_tot * sig * expit(-shift - u)
+        # on y = ln(-u), du/dy = u and d2u/dy2 = u
+        return (1.0 + u * d, u * (u * c + d)) if log_axis else (d, c)
+
+    log_integral, rel_err, evals, step = _log_axis_integral(log_terms, slopes, start, what)
     lgammas = [math.lgamma(x) for x in (nm, model.nms, a_tot)]
     ln_b = lgammas[0] + lgammas[1] - lgammas[2]
     rel_err += 8.0 * _EPS * (
         abs(log_front) + sum(abs(t) for t in lgammas) + abs(log_integral)
     )
-    return result(QUADRATURE, log_front - ln_b + log_integral, rel_err, upper)
+    return result(QUADRATURE, log_front - ln_b + log_integral, rel_err, upper,
+                  evals=evals, step=step, rel_error=rel_err)
 
 
 def quad_capacity(cfg: LinkConfig) -> MetricResult:
-    """E[log2(1 + eta g)] by peak-normalized adaptive quadrature.
+    """E[log2(1 + eta g)] by the peak-normalized log-axis trapezoid.
 
     On the axis u = ln(xi g) the expectation is B(Nm, Nms)^-1 times the
     integral of ln(1 + (eta/xi) e^u) e^(Nm u) (1 + e^u)^(-A) du,
-    A = N(m + m_s).  Bounded above by Jensen's log2(1 + eta E[g]).
+    A = N(m + m_s).  The peak search starts at the density's mode.
+    Bounded above by Jensen's log2(1 + eta E[g]).
     """
-    log_z = math.log(cfg.eta) - math.log(cfg.model().xi)
-    return _quad_expectation(cfg, "capacity", lambda u: _log_softplus(log_z + u), 0.0,
-                             -math.log(_LN2), capacity_bound(cfg))
+    model = cfg.model()
+    log_z = math.log(cfg.eta) - math.log(model.xi)
+
+    def log_softplus(u, slopes=False):
+        """K = log(log(1 + e^p)), p = log_z + u; equal to p far below zero."""
+        p = log_z + u
+        k = np.where(p > -700.0, np.log(np.logaddexp(0.0, np.maximum(p, -700.0))), p)
+        if not slopes:
+            return k
+        k1 = np.exp(-np.logaddexp(0.0, -p) - k)  # sigma(p) / softplus(p)
+        return k, k1, k1 * (expit(-p) - k1)
+
+    return _quad_expectation(cfg, "capacity", log_softplus, 0.0, -math.log(_LN2),
+                             capacity_bound(cfg), math.log(model.nm / model.nms))
 
 
 def quad_ber(cfg: LinkConfig) -> MetricResult:
-    """E[Q(sqrt(2 eta lambda g))] by peak-normalized adaptive quadrature.
+    """E[Q(sqrt(2 eta lambda g))] by the peak-normalized log-axis trapezoid.
 
     Substituting x = eta lambda g and factoring (xi/(eta lambda))^Nm / B
     out of the density leaves the integral of
     Q(sqrt(2x)) x^(Nm-1) (1 + eps x)^(-A).  It is evaluated on the log
     axis u = ln x, whose Jacobian makes the integrand peak interior for
     every parameter combination.  Exact on the log scale even when the
-    BER underflows doubles.
+    BER underflows doubles.  The kernel's slope is below -x, so the peak
+    lies below both the density's mode and ln(Nm), and the search
+    starts at the lower of the two.
     """
     model = cfg.model()
     log_eps = math.log(model.xi) - math.log(cfg.eta * cfg.lambda_mod)
 
-    def log_q(u: float) -> float:
-        """log Q(sqrt(2x)) at x = e^u, safe far into the tail."""
-        return float(log_ndtr(-math.sqrt(2.0 * math.exp(u))))
+    def log_q(u, slopes=False):
+        """K = log Q(sqrt(2x)) at x = e^u, safe far into the tail."""
+        u = np.minimum(u, 700.0)
+        x = np.exp(u)
+        k = log_ndtr(-np.sqrt(2.0 * x))
+        if not slopes:
+            return k
+        # K' = -sqrt(x / 2) phi / Q at sqrt(2x), phi the normal density
+        k1 = -np.exp(0.5 * u - x - k - 0.5 * math.log(4.0 * math.pi))
+        return k, k1, k1 * (0.5 - x - k1)
 
-    return _quad_expectation(cfg, "BER", log_q, log_eps, model.nm * log_eps, BER_BOUND)
+    start = min(math.log(model.nm / model.nms) - log_eps, math.log(model.nm))
+    return _quad_expectation(cfg, "BER", log_q, log_eps, model.nm * log_eps, BER_BOUND,
+                             start)
 
 
 def quad_outage(cfg: LinkConfig, gamma_th: float) -> MetricResult:
     """P{eta g < gamma_th} by quadrature of the density over (0, v).
 
     Substituting g = v e^u and factoring (xi v)^Nm / B leaves the
-    integral of exp(h(u)) over u <= 0 with
+    integral of exp(h(u)) over u < 0 with
     h(u) = Nm u - A log(1 + xi v e^u), a concave function whose maximum
-    is known in closed form.
+    u* is known in closed form.  It runs on y = ln(-u), where the peak
+    of h(u) + y solves -u h'(u) = 1; the search starts at
+    y = ln(-u* + 1/Nm), which is that root when the density's mode lies
+    far below the cut or far above it.
     """
     check_gamma_th(gamma_th)
     model = cfg.model()
     log_xiv = math.log(model.xi) + math.log(gamma_th / cfg.eta)
     # stationary point of h: xi v e^u = Nm / Nms, clamped to u <= 0
     u_star = min(0.0, math.log(model.nm / model.nms) - log_xiv)
-    return _quad_expectation(cfg, "outage", lambda u: 0.0, log_xiv, model.nm * log_xiv,
-                             OUTAGE_BOUND, u_peak=u_star, u_hi=0.0)
+    def no_kernel(u, slopes=False):
+        return (0.0, 0.0, 0.0) if slopes else 0.0
+
+    return _quad_expectation(cfg, "outage", no_kernel, log_xiv, model.nm * log_xiv,
+                             OUTAGE_BOUND, math.log(1.0 / model.nm - u_star), log_axis=True)
 
 
 def evaluate(
@@ -503,11 +573,10 @@ def _mc_consistent(
     if which == OUTAGE:
         k = int(round(est.mean * est.n))
         if k < 10:
-            # Garwood bounds at total mass ALPHA_3P5
-            from scipy.stats import chi2
-
-            lo = 0.5 * chi2.ppf(ALPHA_3P5 / 2.0, 2 * k) / est.n if k > 0 else 0.0
-            hi = 0.5 * chi2.ppf(1.0 - ALPHA_3P5 / 2.0, 2 * k + 2) / est.n
+            # Garwood bounds at total mass ALPHA_3P5; chi2.ppf(q, 2k) / 2
+            # is the Gamma(k) quantile gammaincinv(k, q)
+            lo = gammaincinv(k, ALPHA_3P5 / 2.0) / est.n if k > 0 else 0.0
+            hi = gammaincinv(k + 1, 1.0 - ALPHA_3P5 / 2.0) / est.n
             ok = lo <= closed <= hi
             return ok, f"poisson k={k}"
         band = MC_SIGMA_BAND * est.std_error

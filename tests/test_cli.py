@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -542,12 +543,31 @@ class TestMain:
         # 2 N x (1 capacity + 2 BER + 2 outage)
         assert matched == 10
 
-    def test_cli_import_leaves_quadrature_modules_out(self):
+    def test_routes_leave_scipy_integrate_optimize_and_stats_out(self):
+        # a fresh interpreter runs every route once, and a Garwood bound
+        # (3 outage hits in 10^5 draws); none may load these modules
         src = os.path.dirname(os.path.dirname(rislink.__file__))
         env = dict(os.environ, PYTHONPATH=src)
-        code = ("import sys, rislink.cli; "
-                "print(sorted(m for m in sys.modules "
-                "if m.startswith(('scipy.integrate', 'scipy.optimize'))))")
+        code = textwrap.dedent("""
+            import sys
+            import rislink.cli
+            from rislink import fading, metrics, validation
+
+            cfg = metrics.LinkConfig.from_eta(10.0, fading.FadingParams(1.0, 5.0), 8)
+            for route in (metrics.avg_capacity, metrics.avg_capacity_asymptotic,
+                          validation.quad_capacity, metrics.avg_ber,
+                          metrics.avg_ber_asymptotic, validation.quad_ber):
+                route(cfg)
+            for route in (metrics.outage, metrics.outage_asymptotic, validation.quad_outage):
+                route(cfg, 2.0)
+            for mode in (fading.MODEL_DRAW, fading.PHYSICAL_DRAW):
+                validation.mc_metric(cfg, validation.CAPACITY,
+                                     validation.McConfig(10_000, seed=1, mode=mode))
+            est = validation.CiEstimate(mean=3e-5, std_error=0.0, n=100_000)
+            assert validation._mc_consistent(1e-5, est, validation.OUTAGE) == (True, "poisson k=3")
+            print(sorted(m for m in sys.modules
+                         if m.startswith(("scipy.integrate", "scipy.optimize", "scipy.stats"))))
+        """)
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "[]"

@@ -191,6 +191,109 @@ class TestQuadOutage:
             quad_outage(cfg_eta(1.0), -2.0)
 
 
+def _softplus(p):
+    return p + math.log1p(math.exp(-p)) if p > 0.0 else math.log1p(math.exp(p))
+
+
+def scipy_oracle(cfg, metric, gamma_th):
+    """An oracle's (log value, relative error) by scipy quad on the natural
+    log axis u of g, independent of the package's trapezoid: the peak by
+    minimize_scalar, the support walked from it in steps of 2^k until
+    the integrand is 100 below its peak, the walk's points as breakpoints."""
+    from scipy.integrate import quad
+    from scipy.optimize import minimize_scalar
+    from scipy.special import log_ndtr
+
+    model = cfg.model()
+    nm, nms = model.nm, model.nms
+    ln_b = math.lgamma(nm) + math.lgamma(nms) - math.lgamma(nm + nms)
+    top = 400.0
+    if metric == CAPACITY:
+        log_z = math.log(cfg.eta / model.xi)
+        shift, front = 0.0, -math.log(math.log(2.0))
+
+        def kernel(u):
+            return math.log(_softplus(log_z + u)) if log_z + u > -700.0 else log_z + u
+    elif metric == BER:
+        shift = math.log(model.xi / (cfg.eta * cfg.lambda_mod))
+        front = nm * shift
+
+        def kernel(u):
+            return float(log_ndtr(-math.sqrt(2.0 * math.exp(u))))
+    else:
+        shift = math.log(model.xi * gamma_th / cfg.eta)
+        front, top = nm * shift, 0.0
+
+        def kernel(u):
+            return 0.0
+
+    def log_h(u):
+        return kernel(u) + nm * u - (nm + nms) * _softplus(shift + u)
+
+    u_peak = minimize_scalar(lambda u: -log_h(u), bounds=(-400.0, top), method="bounded",
+                             options={"xatol": 1e-10}).x
+    h_peak = log_h(u_peak)
+    points, ends = [u_peak], []
+    for direction in (-1.0, 1.0):
+        step = 1.0
+        while log_h(u_peak + direction * step) > h_peak - 100.0:
+            points.append(u_peak + direction * step)
+            step *= 2.0
+        ends.append(min(u_peak + direction * step, top))
+    val, err = quad(lambda u: math.exp(log_h(u) - h_peak), *ends, epsabs=0.0, epsrel=1e-11,
+                    limit=400, points=[p for p in points if ends[0] < p < ends[1]] or None)
+    return front - ln_b + h_peak + math.log(val), err / val
+
+
+def _scatter_points(n_points, seed):
+    """(N, m, m_s, eta, lambda, gamma_th), log-uniform over N 1-1024,
+    m 0.5-10, m_s 1.1-50, eta -20..60 dB and gamma_th 0..10 dB."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n_points):
+        yield (int(round(math.exp(rng.uniform(0.0, math.log(1024.0))))),
+               math.exp(rng.uniform(math.log(0.5), math.log(10.0))),
+               math.exp(rng.uniform(math.log(1.1), math.log(50.0))),
+               10.0 ** (rng.uniform(-20.0, 60.0) / 10.0), float(rng.choice([0.5, 1.0])),
+               10.0 ** (rng.uniform(0.0, 10.0) / 10.0))
+
+
+class TestQuadAgainstScipy:
+    @pytest.mark.parametrize("metric", [CAPACITY, BER, OUTAGE])
+    def test_agrees_with_scipy_quad(self, metric):
+        # the oracles share the step-halving trapezoid with the Meijer G
+        # contour; scipy's adaptive quad keeps an independent integrator
+        for n, m, m_s, eta, lam, gth in _scatter_points(50, 2014):
+            cfg = cfg_eta(eta, FadingParams(m, m_s), n, lam)
+            ours = evaluate(cfg, metric, "quadrature", gth)
+            log_ref, rel_ref = scipy_oracle(cfg, metric, gth)
+            gap = abs(math.expm1(ours.diagnostics["log_value"] - log_ref))
+            assert gap <= ours.diagnostics["rel_error"] + rel_ref + 1e-9, (n, m, m_s, eta)
+
+    @pytest.mark.parametrize("oracle,args", [
+        (quad_capacity, (cfg_eta(100.0, F15, 8),)),
+        (quad_ber, (cfg_eta(100.0, F15, 8),)),
+        (quad_outage, (cfg_eta(100.0, F15, 8), 2.0)),
+    ])
+    def test_reports_evals_step_and_rel_error(self, monkeypatch, oracle, args):
+        # evals counts every integrand node: the rule's, and those of the
+        # peak search and the support walk before it
+        rules = []
+        good = validation._halving_trapezoid
+
+        def recorded(*a):
+            rules.append(good(*a))
+            return rules[-1]
+
+        monkeypatch.setattr(validation, "_halving_trapezoid", recorded)
+        r = oracle(*args)
+        d = r.diagnostics
+        (_, _, _, step, n), = rules
+        assert type(d["evals"]) is int and d["evals"] > n + 1
+        assert d["step"] == step and 0.0 < step <= 0.0625
+        assert type(d["rel_error"]) is float and 0.0 < d["rel_error"] < 1e-10
+        assert r.error_estimate == r.value * d["rel_error"]
+
+
 class TestRangeGuard:
     @pytest.mark.parametrize("oracle,args", [
         (quad_capacity, (cfg_eta(100.0),)),
@@ -200,13 +303,13 @@ class TestRangeGuard:
     def test_out_of_range_value_raises(self, monkeypatch, oracle, args):
         # an integrand off by a factor e pushes each value past its
         # feasible range: Jensen's bound, 1/2 and 1
-        good = validation._peak_normalized_quad
+        good = validation._log_axis_integral
 
-        def broken(log_h, *a, **kw):
-            return good(lambda u: log_h(u) + 1.0, *a, **kw)
+        def broken(log_terms, *a, **kw):
+            return good(lambda y: (*log_terms(y), 1.0), *a, **kw)
 
         oracle(*args)
-        monkeypatch.setattr(validation, "_peak_normalized_quad", broken)
+        monkeypatch.setattr(validation, "_log_axis_integral", broken)
         with pytest.raises(NumericError, match="above its bound"):
             oracle(*args)
 
