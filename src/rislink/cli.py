@@ -101,6 +101,9 @@ LINK_PARAMS = {
     "gamma_th_db": Param(3.0, True, math.isfinite, "gamma_th_db must be finite"),
     "p_s_dbm": Param(0.0, False, math.isfinite, "p_s_dbm must be finite"),
 }
+# The keys eta comes from off the eta_db axis; that axis sets eta itself.
+POWER_KEYS = ("p_s_dbm", "n0_dbm", "r_d", "beta")
+_POWER_MESSAGE = "eta_db sets eta itself, so p_s_dbm, n0_dbm, r_d and beta do not apply"
 # The [sweep] range keys, checked like the table keys; start and stop
 # also pass the check of the axis key.
 RANGE_PARAMS = {
@@ -254,9 +257,12 @@ def parse_config(text: str) -> SweepSpec:
                 raise _fail_key(text, "sweep", key, f"unknown {key[:-1]} '{tok}'")
         sets[key] = _unique(text, "sweep", key, tokens)
 
+    values = {key: _read(text, "link", link, key, p) for key, p in LINK_PARAMS.items()}
+    for key in POWER_KEYS:
+        if axis == "eta_db" and key in link:
+            raise _fail_key(text, "link", key, _POWER_MESSAGE)
     return SweepSpec(
-        axis=axis, start=start, stop=stop, steps=steps, **sets,
-        link={key: _read(text, "link", link, key, p) for key, p in LINK_PARAMS.items()},
+        axis=axis, start=start, stop=stop, steps=steps, **sets, link=values,
         mc={key: _read(text, "mc", mc, key, p) for key, p in MC_PARAMS.items()},
         out=sweep.get("out", "sweep.csv"),
     )
@@ -319,7 +325,7 @@ def _point_link(spec: SweepSpec, axis_value: float):
         p = LINK_PARAMS[spec.axis]
         value = p.parse(axis_value)  # n_cells points are whole floats
         link[spec.axis] = (value,) if p.many else value
-        eta = _eta(link["p_s_dbm"], link["n0_dbm"], link["r_d"], link["beta"])
+        eta = _eta(*(link[key] for key in POWER_KEYS))
     if OUTAGE in spec.metrics:
         for g in link["gamma_th_db"]:
             _linear("gamma_th", f"gamma_th_db = {g!r}", lambda: 10.0 ** (g / 10.0))
@@ -369,7 +375,10 @@ def run_sweep(spec: SweepSpec, threads: int = 1, progress=None) -> list[list[str
 
 def _check_out(path: str) -> None:
     """Fail before any work when ``path`` cannot take the output CSV: it is
-    a directory, or its directory does not exist.  Nothing is created."""
+    empty or a directory, or its directory does not exist.  Nothing is
+    created."""
+    if not path:
+        raise ConfigError("output path is empty")
     if os.path.isdir(path):
         raise ConfigError(f"output path {path!r} is a directory")
     parent = os.path.dirname(path) or "."
@@ -443,13 +452,12 @@ def selftest() -> int:
 
 def _metrics_command(args) -> int:
     """One point as a one-point sweep: the row equals the sweep's row."""
-    axis = "p_s_dbm" if args.eta_db is None else "eta_db"
-    x = getattr(args, axis)
+    link = {key: getattr(args, key, p.default) for key, p in LINK_PARAMS.items()}
+    axis, x = ("p_s_dbm", link["p_s_dbm"]) if args.eta_db is None else ("eta_db", args.eta_db)
     spec = SweepSpec(
         axis=axis, start=x, stop=x, steps=1, metrics=(args.metric,),
         variants=(args.variant,),
-        link={key: (getattr(args, key),) if p.many else getattr(args, key)
-              for key, p in LINK_PARAMS.items()},
+        link={key: (v,) if LINK_PARAMS[key].many else v for key, v in link.items()},
         mc={key: getattr(args, key) for key in MC_PARAMS}, out="-",
     )
     rows = _point_rows(spec, x)  # a failing point prints nothing
@@ -461,7 +469,8 @@ def _metrics_command(args) -> int:
 
 def _check_flags(args) -> None:
     """Run the table checks on the flags that set a table value: the link
-    flags of ``metrics``, every ``--seed`` and every ``--threads``."""
+    flags of ``metrics``, every ``--seed`` and every ``--threads``; and
+    reject a ``metrics`` power flag given with ``--eta-db``."""
     params = {"seed": MC_PARAMS["seed"], "threads": THREADS}
     if args.command == "metrics":
         params.update(LINK_PARAMS)
@@ -469,6 +478,8 @@ def _check_flags(args) -> None:
         value = getattr(args, key, None)
         if value is not None and not p.check(value):
             raise ConfigError(f"{p.message} (flag --{key.replace('_', '-')})")
+        if key in POWER_KEYS and value is not None and args.eta_db is not None:
+            raise ConfigError(f"{_POWER_MESSAGE} (flag --{key.replace('_', '-')})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -485,8 +496,10 @@ def build_parser() -> argparse.ArgumentParser:
     mp = sub.add_parser("metrics", help="evaluate one point, print one CSV row")
     mp.add_argument("--metric", choices=METRICS, required=True)
     mp.add_argument("--variant", choices=VARIANTS, default="exact")
+    # a link flag left out is absent from args and takes its table default
     for key, p in LINK_PARAMS.items():
-        mp.add_argument("--" + key.replace("_", "-"), type=p.parse, default=p.default)
+        mp.add_argument("--" + key.replace("_", "-"), type=p.parse,
+                        default=argparse.SUPPRESS)
     mp.add_argument("--eta-db", type=float, default=None)
     mp.add_argument("--mc-samples", dest="samples", type=samples.parse,
                     default=samples.default)

@@ -96,9 +96,8 @@ class LinkConfig:
 class MetricResult:
     """One computed metric value with method tag and error estimate.
 
-    ``diagnostics`` may carry ``log_value`` (natural log of the value,
-    exact even when ``value`` under- or overflows), evaluator notes, and
-    range flags.
+    ``diagnostics`` holds the schema that :func:`result` writes for
+    every log-space route; the capacity asymptote leaves it empty.
     """
 
     value: float
@@ -125,15 +124,22 @@ def check_gamma_th(gamma_th: float) -> None:
 
 
 def result(route: str, log_value: float, rel_err: float, upper: float = math.inf,
-           **diagnostics) -> MetricResult:
+           method: str | None = None, evals: int = 0,
+           step: float = math.nan) -> MetricResult:
     """The result of every route that computes the log of its value.
 
     The value is exp(log_value), read as 0.0 below UNDERFLOW_FLOOR and
     inf above double range, each flagged in ``diagnostics``, and its
     error estimate value * rel_err (0.0 when it overflows).  A value
     above ``upper`` by more than that estimate raises NumericError.
+    ``diagnostics`` holds plain Python values: ``log_value`` (exact
+    when the value under- or overflows), ``method`` (the route unless
+    given), ``evals``, ``rel_error`` (rel_err) and ``step``, the final
+    step of a step-halving rule or nan where none ran.
     """
-    diagnostics = {"log_value": log_value, **diagnostics}
+    log_value = float(log_value)
+    diagnostics = {"log_value": log_value, "method": method or route, "evals": int(evals),
+                   "rel_error": float(rel_err), "step": float(step)}
     value = err = 0.0
     if log_value > math.log(UNDERFLOW_FLOOR):
         try:
@@ -176,12 +182,11 @@ def _closed_form(log_terms, report: EvalReport, upper: float,
     """
     if not report.sign > 0.0:
         raise NumericError(f"Meijer G has sign {report.sign}; the metric needs G > 0")
-    g_rel = report.details["rel_error"]
-    rel = g_rel + spec_rel + 8.0 * _EPS * (
+    d = report.details
+    rel = d["rel_error"] + spec_rel + 8.0 * _EPS * (
         sum(abs(t) for t in log_terms) + abs(report.log_abs_value))
     return result(CLOSED_FORM, sum(log_terms) + report.log_abs_value, rel, upper,
-                  g_method=report.method, g_evals=report.details.get("evals", 0),
-                  g_rel_error=g_rel)
+                  report.method, d["evals"], d["step"])
 
 
 def avg_capacity(cfg: LinkConfig) -> MetricResult:
@@ -264,9 +269,8 @@ def physical_capacity(cfg: LinkConfig) -> MetricResult:
             out[i:i + rows] = f
         return out
 
-    h0 = 0.4
     total, err, rounding, h, n = _halving_trapezoid(
-        integrand, h0, 2 * math.ceil(0.5 * (v_hi - v_lo) / h0), 1e-12, 0.0,
+        integrand, 0.4, v_hi - v_lo, 1e-12, 0.0,
         4.0 * _EPS * float(np.max(p.m_s * np.abs(u) + np.exp(u))),
         "physical capacity", 0, MAX_PHYSICAL_NODES)
     cut = mean_eta * math.exp(v_lo) + min(1.0 / tail, mean_eta) * math.exp(-tail)
@@ -274,8 +278,7 @@ def physical_capacity(cfg: LinkConfig) -> MetricResult:
     cut += 2.0 * n_cells * math.exp(-tail) * (v_hi - v_lo)
     rel_err = (err + rounding + h * inner_err + cut) / total
     return result(PHYSICAL, math.log(total) - math.log(_LN2), rel_err,
-                  math.log1p(mean_eta) / _LN2, evals=n + 1, rel_error=rel_err,
-                  step=h, inner_nodes=u.size)
+                  math.log1p(mean_eta) / _LN2, evals=(n + 1) * u.size, step=h)
 
 
 def avg_capacity_asymptotic(cfg: LinkConfig) -> MetricResult:
@@ -334,15 +337,14 @@ def outage(cfg: LinkConfig, gamma_th: float) -> MetricResult:
 
     the regularized incomplete beta I_x(Nm, Nms) at x = y/(1+y), by the
     log-space continued fraction of :func:`specfun.log_betainc`.
-    Diagnostics record its side as ``method``, its iterations as
-    ``evals`` and its relative bound as ``rel_error``.
+    Diagnostics record its side as ``method`` and its iterations as
+    ``evals``.
     """
     check_gamma_th(gamma_th)
     model = cfg.model()
     y = gamma_th * model.xi / cfg.eta
     log_value, rel_err, side, evals = log_betainc(model.nm, model.nms, y)
-    return result(CLOSED_FORM, log_value, rel_err, OUTAGE_BOUND,
-                  method=side, evals=evals, rel_error=rel_err)
+    return result(CLOSED_FORM, log_value, rel_err, OUTAGE_BOUND, side, evals)
 
 
 def outage_asymptotic(cfg: LinkConfig, gamma_th: float) -> MetricResult:

@@ -188,39 +188,22 @@ class MeijerGSpec:
 
 @dataclass
 class EvalReport:
-    """One Meijer G evaluation: value, error bound and the method used.
-
-    ``value`` may overflow to inf or underflow to 0.0 for extreme
-    parameter magnitudes; ``log_abs_value`` and ``sign`` always carry the
-    full result.  ``abs_error_estimate`` is finite: |value| times the
-    relative error when ``value`` is representable, the bare relative
-    error otherwise.  ``details['rel_error']`` always holds the relative
-    bound.
+    """One Meijer G evaluation: the method used, the result as
+    ``log_abs_value`` and ``sign``, and ``details``, whose ``rel_error``
+    is the relative error bound.  ``value`` may overflow to inf or
+    underflow to 0.0 for extreme parameter magnitudes; the log and sign
+    always carry the full result.
     """
 
-    value: float
-    abs_error_estimate: float
     method: str
-    log_abs_value: float = -math.inf
-    sign: float = 0.0
+    log_abs_value: float
+    sign: float
     details: dict = field(default_factory=dict)
 
-
-def _report(log_abs: float, sign: float, rel_err: float, method: str, **details) -> EvalReport:
-    with np.errstate(over="ignore"):
-        value = float(sign * np.exp(log_abs))
-    abs_err = float(abs(value) * rel_err)
-    if not np.isfinite(abs_err):
-        abs_err = float(rel_err)
-    details["rel_error"] = float(rel_err)
-    return EvalReport(
-        value=value,
-        abs_error_estimate=abs_err,
-        method=method,
-        log_abs_value=float(log_abs),
-        sign=float(sign),
-        details=dict(details),
-    )
+    @property
+    def value(self) -> float:
+        with np.errstate(over="ignore"):
+            return float(self.sign * np.exp(self.log_abs_value))
 
 
 # Largest integer offset gap folded into log terms: Gamma(x+k)/Gamma(x) is
@@ -376,11 +359,12 @@ def _truncation(chi: _MellinBarnesIntegrand, c: float, w0: float):
     return float(probes[k]), float(w[k])
 
 
-def _halving_trapezoid(f, h: float, n: int, rel_tol: float, floor: float,
+def _halving_trapezoid(f, h: float, span: float, rel_tol: float, floor: float,
                        node_rounding: float, what: str, spent: int, budget: int):
     """h (f(0)/2 + f(h) + ... + f(n h)), with the step halved until it holds.
 
-    f maps an array of nodes x >= 0 to the integrand there; n is even.
+    f maps an array of nodes x >= 0 to the integrand there; n is the
+    least even count with n h >= span.
     The error is the difference from the rule on the even nodes, and
     the step is halved, each pass evaluating only the new odd nodes,
     until it is at most rel_tol * max(|total|, floor) or the rounding,
@@ -399,6 +383,7 @@ def _halving_trapezoid(f, h: float, n: int, rel_tol: float, floor: float,
         spent += x.size
         return f(x)
 
+    n = 2 * math.ceil(span / (2.0 * h))
     values = evaluate(h * np.arange(n + 1))
     while True:
         total = h * (0.5 * values[0] + values[1:].sum())
@@ -451,18 +436,15 @@ def meijer_g(spec: MeijerGSpec) -> EvalReport:
     # each node's log terms round to a few ulps of their own size, and
     # exp carries that into the node value as a relative error
     node_rounding = 4.0 * _EPS * chi.log_scale(c)
-    h0 = 0.05
     total, err, rounding, h, n = _halving_trapezoid(
-        mapped, h0, 2 * math.ceil(0.5 * math.asinh(t_max / scale) / h0), 1e-12, 1e-3,
-        node_rounding, "contour quadrature", chi.evals, MAX_CONTOUR_EVALS)
+        mapped, 0.05, math.asinh(t_max / scale), 1e-12, 1e-3, node_rounding,
+        "contour quadrature", chi.evals, MAX_CONTOUR_EVALS)
 
     details = dict(contour=c, evals=chi.evals, step=h, nodes=n + 1, t_max=t_max,
-                   scale=scale, log_gammas=len(chi.gammas))
+                   scale=scale, log_gammas=len(chi.gammas), rel_error=0.0)
     if total == 0.0:
-        return _report(-math.inf, 0.0, 0.0, CONTOUR_QUADRATURE, **details)
+        return EvalReport(CONTOUR_QUADRATURE, -math.inf, 0.0, details)
+    details["rel_error"] = float((err + tail + rounding) / abs(total) + 1e-14)
     log_abs = w0 + math.log(abs(total)) - math.log(math.pi)
-    rel_err = (err + tail + rounding) / abs(total) + 1e-14
-    return _report(
-        log_abs, math.copysign(1.0, total), rel_err, CONTOUR_QUADRATURE, **details
-    )
+    return EvalReport(CONTOUR_QUADRATURE, log_abs, math.copysign(1.0, total), details)
 

@@ -182,9 +182,8 @@ def _log_axis_integral(log_terms, slopes, start: float, what: str):
             scale * np.cosh(x))
 
     node_rounding = 4.0 * _EPS * sum(abs(float(t)) for t in peak_terms)
-    h0 = 0.0625
     total, err, rounding, h, n = _halving_trapezoid(
-        integrand, h0, int((x_hi - x_lo) / h0), _QUAD_REL_TOL, 0.0, node_rounding,
+        integrand, 0.0625, x_hi - x_lo, _QUAD_REL_TOL, 0.0, node_rounding,
         f"{what} quadrature", spent, MAX_QUAD_EVALS)
     return h_peak + math.log(total), float((err + rounding) / total), spent + n + 1, h
 
@@ -236,7 +235,7 @@ def _quad_expectation(cfg: LinkConfig, what: str, kernel, shift: float,
         abs(log_front) + sum(abs(t) for t in lgammas) + abs(log_integral)
     )
     return result(QUADRATURE, log_front - ln_b + log_integral, rel_err, upper,
-                  evals=evals, step=step, rel_error=rel_err)
+                  evals=evals, step=step)
 
 
 def quad_capacity(cfg: LinkConfig) -> MetricResult:

@@ -228,6 +228,42 @@ def test_unwritable_sweep_out_fails_before_any_point(where, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.ini"]
 
 
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_empty_sweep_out_fails_before_any_point(how, tmp_path, capsys):
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(MINIMAL + "out =\n" if how == "config" else MINIMAL)
+    flags = ["--out", ""] if how == "flag" else []
+    assert main(["sweep", str(cfg), *flags, "--threads", "1"]) == 2
+    assert capsys.readouterr().err == "config error: output path is empty\n"
+
+
+def test_empty_validate_out_fails_before_the_grid(monkeypatch, capsys):
+    def grid(*args, **kwargs):
+        raise AssertionError("the oracle grid ran")
+
+    monkeypatch.setattr(cli, "run_oracle_grid", grid)
+    assert main(["validate", "--preset", "smoke", "--out", ""]) == 2
+    assert capsys.readouterr().err == "config error: output path is empty\n"
+
+
+# off the eta_db axis these keys make eta; on it they would be echoed
+# into every row and change nothing
+POWER_KEYS = ["p_s_dbm", "n0_dbm", "r_d", "beta"]
+NOT_ON_ETA_DB = "eta_db sets eta itself, so p_s_dbm, n0_dbm, r_d and beta do not apply"
+
+
+@pytest.mark.parametrize("key", POWER_KEYS)
+def test_power_key_on_eta_db_axis_fails_as_key_and_as_flag(key, capsys):
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL + f"\n[link]\n{key} = 3\n")
+    assert str(err.value) == f"{NOT_ON_ETA_DB} (key '{key}', line 9)"
+    flag = "--" + key.replace("_", "-")
+    assert main(["metrics", "--metric", "capacity", "--eta-db", "10", flag, "3"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"config error: {NOT_ON_ETA_DB} (flag {flag})\n")
+    assert main(["metrics", "--metric", "capacity", flag, "3"]) == 0
+
+
 def test_unwritable_validate_out_fails_before_the_grid(tmp_path, monkeypatch, capsys):
     def grid(*args, **kwargs):
         raise AssertionError("the oracle grid ran")

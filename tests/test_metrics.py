@@ -232,11 +232,77 @@ class TestClosedFormErrorEstimates:
             "ber": (_ber_g_spec, avg_ber),
         }[metric]
         g = meijer_g(spec_of(cfg.model(), eta))
-        assert abs(g.value - g_ref) <= g.abs_error_estimate
+        assert abs(g.value - g_ref) <= abs(g.value) * g.details["rel_error"]
         r = metric_of(cfg)
-        assert abs(r.value - value_ref) <= r.error_estimate
-        assert r.diagnostics["g_evals"] == g.details["evals"]
-        assert r.diagnostics["g_rel_error"] == g.details["rel_error"]
+        d = r.diagnostics
+        assert abs(r.value - value_ref) <= abs(r.value) * d["rel_error"]
+        assert (d["method"], d["evals"], d["step"]) == (
+            g.method, g.details["evals"], g.details["step"])
+        assert d["rel_error"] >= g.details["rel_error"]
+
+
+# every route that computes a log value, and the method its diagnostics
+# name (None: either continued-fraction side); the routes without a
+# step-halving rule report step nan
+SCHEMA = {"log_value", "method", "evals", "rel_error", "step"}
+LOG_SPACE_ROUTES = [
+    (avg_capacity, (), "contour_quadrature"),
+    (avg_ber, (), "contour_quadrature"),
+    (outage, (2.0,), None),
+    (avg_ber_asymptotic, (), "asymptotic"),
+    (outage_asymptotic, (2.0,), "asymptotic"),
+    (quad_capacity, (), "quadrature"),
+    (quad_ber, (), "quadrature"),
+    (quad_outage, (2.0,), "quadrature"),
+    (physical_capacity, (), "physical"),
+]
+# N=64, m=4, m_s=5 at eta = 40 dB: the BER underflows to 0.0
+UNDERFLOWING_BER = cfg_eta(1e4, FadingParams(4.0, 5.0), 64)
+
+
+class TestDiagnosticsSchema:
+    @pytest.mark.parametrize("cfg", [cfg_eta(100.0, F15, 8), UNDERFLOWING_BER],
+                             ids=["N8", "N64"])
+    @pytest.mark.parametrize("route,args,method", LOG_SPACE_ROUTES,
+                             ids=[r.__name__ for r, _, _ in LOG_SPACE_ROUTES])
+    def test_every_log_space_route_has_one_schema(self, route, args, method, cfg):
+        r = route(cfg, *args)
+        d = r.diagnostics
+        assert set(d) - {"underflow", "overflow"} == SCHEMA
+        assert {k: type(v) for k, v in d.items()} == {
+            "log_value": float, "method": str, "evals": int, "rel_error": float,
+            "step": float, **{flag: bool for flag in ("underflow", "overflow") if flag in d}}
+        if method is None:
+            assert d["method"] in ("cf_direct", "cf_complement") and d["evals"] > 0
+        else:
+            assert d["method"] == method
+        assert (d["evals"] == 0) == (method == "asymptotic")
+        assert math.isnan(d["step"]) == (method in (None, "asymptotic"))
+        if math.isfinite(r.value) and r.value != 0.0:
+            assert r.error_estimate == r.value * d["rel_error"]
+
+    def test_underflowing_ber_reports_its_total_error(self):
+        # the value and its estimate read 0.0; the relative error behind
+        # them is G's plus the log terms' rounding
+        r = avg_ber(UNDERFLOWING_BER)
+        g = meijer_g(_ber_g_spec(UNDERFLOWING_BER.model(), UNDERFLOWING_BER.eta))
+        assert (r.value, r.error_estimate, r.diagnostics["underflow"]) == (0.0, 0.0, True)
+        assert r.diagnostics["rel_error"] >= g.details["rel_error"]
+
+    def test_physical_evals_are_outer_times_inner_nodes(self, monkeypatch):
+        rules = []
+        good = metrics._halving_trapezoid
+
+        def recorded(*a):
+            rules.append(good(*a))
+            return rules[-1]
+
+        monkeypatch.setattr(metrics, "_halving_trapezoid", recorded)
+        d = physical_capacity(cfg_eta(100.0, F15, 8)).diagnostics
+        (_, _, _, step, n), = rules
+        assert d["step"] == step
+        # every outer node runs one inner rule, here of 93 nodes
+        assert d["evals"] == (n + 1) * 93
 
 
 class TestPhysicalCapacity:

@@ -264,8 +264,7 @@ class TestMeijerGIdentities:
         for spec in (g11_spec(-1.0, 1.0, 1.0), log_spec(5.0), erfc_spec(1.0)):
             r = meijer_g(spec)
             assert isinstance(r, EvalReport)
-            assert np.isfinite(r.abs_error_estimate)
-            assert r.abs_error_estimate >= 0.0
+            assert 0.0 <= r.details["rel_error"] < math.inf
             assert r.sign in (-1.0, 0.0, 1.0)
             assert r.value == pytest.approx(
                 r.sign * math.exp(r.log_abs_value), rel=1e-12
@@ -279,11 +278,12 @@ class TestMeijerGIdentities:
         contour = meijer_g(erfc_spec(1.0))
         assert contour.method == CONTOUR_QUADRATURE
         want = math.sqrt(math.pi) * float(erfc(1.0))
-        assert abs(contour.value - want) <= contour.abs_error_estimate
+        assert abs(contour.value - want) <= abs(contour.value) * contour.details["rel_error"]
 
     def test_methods_agree_log_kernel(self):
         contour = meijer_g(log_spec(0.25))
-        assert abs(contour.value - math.log1p(0.25)) <= contour.abs_error_estimate
+        assert abs(contour.value - math.log1p(0.25)) <= (
+            abs(contour.value) * contour.details["rel_error"])
 
     def test_cancelling_pole_families_fall_through_to_contour(self):
         # two far-apart lower parameters whose residue families would
@@ -342,7 +342,7 @@ class TestMeijerGIdentities:
         # a gap of 1e-5 between the poles at 0 and 1e-5; 40 digits from
         #   mpmath.meijerg([[1.0], []], [[mpmath.mpf(1e-5), 0.5], []], 1)
         r = meijer_g(MeijerGSpec([1.0], [], [1e-5, 0.5], [], 1.0))
-        assert abs(r.value - 177243.7754066813630087) <= r.abs_error_estimate
+        assert abs(r.value - 177243.7754066813630087) <= abs(r.value) * r.details["rel_error"]
         assert r.details["scale"] < 1e-5 and r.details["evals"] < 1000
 
     def test_no_separating_contour_is_loud(self):

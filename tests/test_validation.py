@@ -353,7 +353,7 @@ class TestRangeGuard:
 
         def negated(spec):
             r = good(spec)
-            return dataclasses.replace(r, value=-r.value, sign=-1.0)
+            return dataclasses.replace(r, sign=-1.0)
 
         monkeypatch.setattr(metrics, "meijer_g", negated)
         with pytest.raises(NumericError, match="sign -1"):
