@@ -335,26 +335,28 @@ def _point_link(spec: SweepSpec, axis_value: float):
 def _point_rows(spec: SweepSpec, axis_value: float) -> list[list[str]]:
     """The CSV rows of one axis point: every family, metric case and variant."""
     eta, link = _point_link(spec, axis_value)
+    # the columns that hold for the point, then for a family and a case,
+    # are formatted once each
+    axis_cols = [spec.axis, _fmt(axis_value)]
+    link_cols = ["1", *(_fmt(link[key]) for key in ("r_d", "beta", "n0_dbm"))]
+    seed = _fmt(spec.mc["seed"])
     rows = []
     for n, m, m_s in itertools.product(link["n_cells"], link["m"], link["m_s"]):
         cases = point_cases(eta, FadingParams(m=m, m_s=m_s), n, spec.metrics,
                             link["lambda"], link["gamma_th_db"])
         if "mc" in spec.variants:
             estimates = _family_mc(cases, spec)
+        family_cols = [_fmt(n), _fmt(m), _fmt(m_s), *link_cols]
         for i, (cfg, metric, gth, gth_db) in enumerate(cases):
+            case_cols = [*family_cols, _fmt(cfg.lambda_mod), _fmt(gth_db)]
             for variant in spec.variants:
                 if variant == "mc":
                     value, err = estimates[i].mean, estimates[i].std_error
                 else:
                     r = evaluate(cfg, metric, variant, gth)
                     value, err = r.value, r.error_estimate
-                rows.append([
-                    spec.axis, _fmt(axis_value), metric, variant,
-                    _fmt(n), _fmt(m), _fmt(m_s), "1",
-                    _fmt(link["r_d"]), _fmt(link["beta"]),
-                    _fmt(link["n0_dbm"]), _fmt(cfg.lambda_mod), _fmt(gth_db),
-                    _fmt(value), _fmt(err), _fmt(spec.mc["seed"]),
-                ])
+                rows.append([*axis_cols, metric, variant, *case_cols,
+                             _fmt(value), _fmt(err), seed])
     return rows
 
 

@@ -37,6 +37,18 @@ MODEL_DRAW = "model_draw"
 PHYSICAL_DRAW = "physical_draw"
 
 
+def _whole(value, low: int, message: str) -> int:
+    """value as an int, when it is a whole number >= low; DomainError otherwise."""
+    try:
+        whole = int(value)
+        ok = whole == value and whole >= low
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise DomainError(f"{message}, got {value!r}")
+    return whole
+
+
 @dataclass(frozen=True)
 class FadingParams:
     """Single-branch F fading parameters (m, m_s, mean power g_bar)."""
@@ -68,9 +80,8 @@ class SumFadingModel:
     n_cells: int
 
     def __post_init__(self):
-        if int(self.n_cells) != self.n_cells or self.n_cells < 1:
-            raise DomainError(f"n_cells must be an integer >= 1, got {self.n_cells}")
-        object.__setattr__(self, "n_cells", int(self.n_cells))
+        object.__setattr__(self, "n_cells", _whole(self.n_cells, 1,
+                                                   "n_cells must be an integer >= 1"))
 
     @property
     def nm(self) -> float:

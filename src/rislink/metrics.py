@@ -68,8 +68,10 @@ class LinkConfig:
     lambda_mod: float = 1.0
 
     def __post_init__(self):
-        # the channel model checks n_cells and makes it an int
-        object.__setattr__(self, "n_cells", self.model().n_cells)
+        # the channel model, built once, checks n_cells and makes it an int
+        model = SumFadingModel(params=self.fading, n_cells=self.n_cells)
+        object.__setattr__(self, "_model", model)
+        object.__setattr__(self, "n_cells", model.n_cells)
         if not (np.isfinite(self.eta) and self.eta > 0.0):
             raise DomainError(f"eta must be positive and finite, got {self.eta}")
         if self.lambda_mod not in (0.5, 1.0):
@@ -89,7 +91,7 @@ class LinkConfig:
         return cls(fading=fading, n_cells=n_cells, eta=eta, lambda_mod=lambda_mod)
 
     def model(self) -> SumFadingModel:
-        return SumFadingModel(params=self.fading, n_cells=self.n_cells)
+        return self._model
 
 
 @dataclass

@@ -14,13 +14,16 @@ Every gamma product is assembled in log space with sign tracking; values
 whose magnitude overflows a double are still available through the
 ``log_abs_value``/``sign`` fields of :class:`EvalReport`.
 
-All functions are pure and safe to call concurrently.
+All functions are pure and safe to call concurrently; the Meijer G
+set-up cached per parameter block holds read-only arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import erfc as _erfc
@@ -158,6 +161,10 @@ class MeijerGSpec:
         object.__setattr__(self, "b_front", tuple(float(b) for b in b_front))
         object.__setattr__(self, "b_rest", tuple(float(b) for b in b_rest))
         object.__setattr__(self, "argument", float(argument))
+        for row in ("a_front", "a_rest", "b_front", "b_rest"):
+            if not all(map(math.isfinite, getattr(self, row))):
+                raise DomainError(f"Meijer G parameters {row} must be finite, "
+                                  f"got {getattr(self, row)}")
         if not np.isfinite(self.argument) or self.argument <= 0.0:
             raise DomainError(f"Meijer G argument must be positive, got {argument}")
         for a in self.a_front:
@@ -245,79 +252,63 @@ def _log_abs(x):
     return np.log(np.abs(x))
 
 
-class _MellinBarnesIntegrand:
-    """log of the Mellin-Barnes integrand, from a term plan built once.
+def _log_terms(gammas, logs, u, log_gamma, log) -> list:
+    """The weighted log-gamma and log terms of the integrand at the points
+    u, in plan order; each term is (direction, offset, weight), direction
+    0 being +u and 1 being -u."""
+    x = (u, -u)
+    return ([w * log_gamma(o + x[d]) for d, o, w in gammas]
+            + [w * log(o + x[d]) for d, o, w in logs])
+
+
+_SADDLE_INDEX = np.arange(65.0)
+
+
+def _saddle_grid(lo: float, hi: float) -> np.ndarray:
+    """np.linspace(lo, hi, 65), bit for bit, without its set-up."""
+    grid = _SADDLE_INDEX * ((hi - lo) / 64) + lo
+    grid[-1] = hi
+    return grid
+
+
+class _BlockPlan(NamedTuple):
+    """What the contour needs of a parameter block, whatever the argument:
+    the integrand's term plan, the pole-separating gap (left, right), and
+    the first saddle pass's grid and log terms, both read-only."""
+
+    gammas: tuple
+    logs: tuple
+    left: float
+    right: float
+    grid: np.ndarray
+    terms: tuple
+
+
+@functools.lru_cache(maxsize=256)
+def _block_plan(a_front, a_rest, b_front, b_rest) -> _BlockPlan:
+    """The plan of one parameter block, built once and shared by every
+    argument z: a sweep family's points differ only in z.
 
     The integrand's gamma factors are Gamma(1 - a + u) and 1/Gamma(1 - b + u)
     in the direction +u (a_front, b_rest), Gamma(b - u) and 1/Gamma(a - u)
     in the direction -u (b_front, a_rest).  Each direction is reduced by
     _merge_direction, so each distinct log-gamma is evaluated once per
     node, times its weight.  Folding changes the log only by multiples of
-    2 pi i, which exp removes.
+    2 pi i, which exp removes.  The gap is (max(a_front) - 1,
+    min(b_front)); the first saddle pass spans it, 1e-6 clear of each
+    pole or a quarter of a narrower gap, or 40 wide beside a lone pole
+    family.
     """
-
-    def __init__(self, spec: MeijerGSpec):
-        self.spec = spec
-        self.log_z = math.log(spec.argument)
-        self.evals = 0
-        # (direction, offset, weight) terms; direction 0 is +u, 1 is -u
-        self.gammas, self.logs = [], []
-        for d, (nums, dens) in enumerate((
-            ([1.0 - a for a in spec.a_front], [1.0 - b for b in spec.b_rest]),
-            (spec.b_front, spec.a_rest),
-        )):
-            gammas, logs = _merge_direction(nums, dens)
-            self.gammas += [(d, o, w) for o, w in gammas.items()]
-            self.logs += [(d, o, w) for o, w in logs.items()]
-
-    def _terms(self, u, log_gamma, log):
-        x = (u, -u)
-        yield u * self.log_z
-        for d, o, w in self.gammas:
-            yield w * log_gamma(o + x[d])
-        for d, o, w in self.logs:
-            yield w * log(o + x[d])
-
-    def __call__(self, u):
-        """Complex log integrand at the points u."""
-        u = np.asarray(u, dtype=complex)
-        self.evals += u.size
-        return sum(self._terms(u, _loggamma, np.log))
-
-    def real_axis(self, x):
-        """Re log integrand at real points x, in real arithmetic."""
-        x = np.asarray(x, dtype=float)
-        self.evals += x.size
-        return sum(self._terms(x, _gammaln, _log_abs))
-
-    def log_scale(self, c: float) -> float:
-        """Summed magnitudes of the evaluated log terms at u = c: their
-        rounding bound."""
-        return float(sum(abs(t) for t in self._terms(c, _gammaln, _log_abs)))
-
-    def on_line(self, c: float, t: np.ndarray, w0: float) -> np.ndarray:
-        """Re exp(logchi(c + i t) - w0), vectorized over t in blocks."""
-        out = np.empty(t.size)
-        for k in range(0, t.size, _CONTOUR_BLOCK):
-            part = t[k:k + _CONTOUR_BLOCK]
-            out[k:k + _CONTOUR_BLOCK] = np.exp(self(c + 1j * part) - w0).real
-        return out
-
-
-def _contour_position(spec: MeijerGSpec, chi: _MellinBarnesIntegrand):
-    """Pick the vertical line Re(u) = c inside the pole-separating gap.
-
-    The gap is (max(a_front) - 1, min(b_front)).  Within it the contour
-    is placed at the minimum of the integrand magnitude on the real
-    axis (the saddle), found by two 65-point grid passes in real
-    arithmetic, where the integrand is real; a mid-gap line can be
-    catastrophically cancelled when the result is many orders below the
-    integrand scale.  The grid stays 1e-6 clear of each pole, or a
-    quarter of a narrower gap.  Returns c, log|chi(c)| and the distance
-    from c to the nearest pole.
-    """
-    left = max((a - 1.0 for a in spec.a_front), default=-math.inf)
-    right = min(spec.b_front, default=math.inf)
+    gammas, logs = [], []
+    for d, (nums, dens) in enumerate((
+        ([1.0 - a for a in a_front], [1.0 - b for b in b_rest]),
+        (b_front, a_rest),
+    )):
+        merged_gammas, merged_logs = _merge_direction(nums, dens)
+        gammas += [(d, o, w) for o, w in merged_gammas.items()]
+        logs += [(d, o, w) for o, w in merged_logs.items()]
+    left = max((a - 1.0 for a in a_front), default=-math.inf)
+    right = min(b_front, default=math.inf)
     if not left < right:
         raise DomainError(
             f"no separating contour: left poles reach {left}, "
@@ -331,14 +322,75 @@ def _contour_position(spec: MeijerGSpec, chi: _MellinBarnesIntegrand):
     else:
         pad = min(1e-6 * max(1.0, right - left), 0.25 * (right - left))
         lo, hi = left + pad, right - pad
-    for _ in range(2):
-        grid = np.linspace(lo, hi, 65)
-        w = chi.real_axis(grid)
+    grid = _saddle_grid(lo, hi)
+    terms = _log_terms(gammas, logs, grid, _gammaln, _log_abs)
+    for a in (grid, *terms):
+        a.flags.writeable = False
+    return _BlockPlan(tuple(gammas), tuple(logs), left, right, grid, tuple(terms))
+
+
+class _MellinBarnesIntegrand:
+    """log of the Mellin-Barnes integrand at one argument z, from the
+    block's cached plan (see _block_plan)."""
+
+    def __init__(self, spec: MeijerGSpec):
+        self.spec = spec
+        self.plan = _block_plan(spec.a_front, spec.a_rest, spec.b_front, spec.b_rest)
+        self.log_z = math.log(spec.argument)
+        self.evals = 0
+
+    def __call__(self, u):
+        """Complex log integrand at the points u."""
+        u = np.asarray(u, dtype=complex)
+        self.evals += u.size
+        return sum((u * self.log_z,
+                    *_log_terms(self.plan.gammas, self.plan.logs, u, _loggamma, np.log)))
+
+    def real_terms(self, x) -> list:
+        """The log terms at real points x, in real arithmetic."""
+        return _log_terms(self.plan.gammas, self.plan.logs, x, _gammaln, _log_abs)
+
+    def real_axis(self, x: np.ndarray, terms) -> np.ndarray:
+        """Re log integrand at real points x, from their log terms: cached
+        or not, x counts as evaluated."""
+        self.evals += x.size
+        return sum((x * self.log_z, *terms))
+
+    def on_line(self, c: float, t: np.ndarray, w0: float) -> np.ndarray:
+        """Re exp(logchi(c + i t) - w0), vectorized over t in blocks."""
+        out = np.empty(t.size)
+        for k in range(0, t.size, _CONTOUR_BLOCK):
+            part = t[k:k + _CONTOUR_BLOCK]
+            out[k:k + _CONTOUR_BLOCK] = np.exp(self(c + 1j * part) - w0).real
+        return out
+
+
+def _contour_position(chi: _MellinBarnesIntegrand):
+    """Pick the vertical line Re(u) = c inside the pole-separating gap.
+
+    The contour is placed at the minimum of the integrand magnitude on
+    the real axis (the saddle), found by two 65-point grid passes in
+    real arithmetic, where the integrand is real; a mid-gap line can be
+    catastrophically cancelled when the result is many orders below the
+    integrand scale.  The first pass spans the gap; its log terms come
+    from the block's plan, so it adds only the z^u term.  The second
+    pass spans the first one's two steps about its minimum, and is
+    evaluated in full.  Returns c, log|chi(c)|, the distance from c to
+    the nearest pole, and the summed magnitudes of the log terms at c,
+    their rounding bound.
+    """
+    plan = chi.plan
+    grid, terms = plan.grid, plan.terms
+    for second in (False, True):
+        if second:
+            grid = _saddle_grid(grid[max(k - 1, 0)], grid[min(k + 1, 64)])
+            terms = chi.real_terms(grid)
+        w = chi.real_axis(grid, terms)
         # a denominator pole on the grid is a zero of chi, not a saddle
         k = int(np.argmin(np.where(np.isfinite(w), w, np.inf)))
-        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, 64)]
-    c, w0 = float(grid[k]), float(w[k])
-    return c, w0, min(c - left, right - c)
+    c = float(grid[k])
+    log_scale = float(sum([abs(c * chi.log_z)] + [abs(t[k]) for t in terms]))
+    return c, float(w[k]), min(c - plan.left, plan.right - c), log_scale
 
 
 def _truncation(chi: _MellinBarnesIntegrand, c: float, w0: float):
@@ -416,6 +468,12 @@ def meijer_g(spec: MeijerGSpec) -> EvalReport:
     at the power-of-two probe after the last one where |chi| is above
     1e-18 of the saddle value.  The error adds that difference, the
     tail beyond the cut and the rounding of the nodes' log terms.
+
+    The term plan and the first saddle pass depend on the parameter
+    block alone, and are built once per block (_block_plan); everything
+    that moves with z is computed per call.  ``details['evals']`` counts
+    every node the evaluation used, the shared first pass included,
+    so it does not depend on what the cache holds.
     """
     # exponential decay exponent of |integrand| in |Im u|, per Stirling
     delta = 0.5 * math.pi * (2.0 * (spec.m + spec.n) - spec.p - spec.q)
@@ -425,7 +483,7 @@ def meijer_g(spec: MeijerGSpec) -> EvalReport:
             f"(2(m+n) <= p+q for {spec})"
         )
     chi = _MellinBarnesIntegrand(spec)
-    c, w0, scale = _contour_position(spec, chi)
+    c, w0, scale, log_scale = _contour_position(chi)
     t_max, w_tail = _truncation(chi, c, w0)
     tail = math.exp(w_tail) / delta
 
@@ -435,13 +493,13 @@ def meijer_g(spec: MeijerGSpec) -> EvalReport:
 
     # each node's log terms round to a few ulps of their own size, and
     # exp carries that into the node value as a relative error
-    node_rounding = 4.0 * _EPS * chi.log_scale(c)
+    node_rounding = 4.0 * _EPS * log_scale
     total, err, rounding, h, n = _halving_trapezoid(
         mapped, 0.05, math.asinh(t_max / scale), 1e-12, 1e-3, node_rounding,
         "contour quadrature", chi.evals, MAX_CONTOUR_EVALS)
 
     details = dict(contour=c, evals=chi.evals, step=h, nodes=n + 1, t_max=t_max,
-                   scale=scale, log_gammas=len(chi.gammas), rel_error=0.0)
+                   scale=scale, log_gammas=len(chi.plan.gammas), rel_error=0.0)
     if total == 0.0:
         return EvalReport(CONTOUR_QUADRATURE, -math.inf, 0.0, details)
     details["rel_error"] = float((err + tail + rounding) / abs(total) + 1e-14)

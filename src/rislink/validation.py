@@ -37,6 +37,7 @@ from .fading import (
     sample,
     sample_sum,
     sum_cdf,
+    _whole,
 )
 from .metrics import (
     BER_BOUND,
@@ -76,18 +77,6 @@ OUTAGE = "outage"
 # Two-sided normal tail mass at 3.5 sigma; the exact small-count
 # fallbacks below are calibrated to the same false-alarm rate.
 ALPHA_3P5 = 4.6525e-4
-
-
-def _whole(value, low: int, message: str) -> int:
-    """value as an int, when it is a whole number >= low; DomainError otherwise."""
-    try:
-        whole = int(value)
-        ok = whole == value and whole >= low
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
-        raise DomainError(f"{message}, got {value!r}")
-    return whole
 
 
 @dataclass(frozen=True)

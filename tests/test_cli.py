@@ -13,7 +13,7 @@ import textwrap
 import pytest
 
 import rislink
-from rislink import cli, validation
+from rislink import cli, specfun, validation
 from rislink.cli import (
     CSV_HEADER,
     LINK_PARAMS,
@@ -29,6 +29,8 @@ from rislink.cli import (
 from rislink.errors import ConfigError, DomainError
 from rislink.fading import MODEL_DRAW, PHYSICAL_DRAW
 from rislink.validation import PRESETS
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 MINIMAL = """
 [sweep]
@@ -443,6 +445,18 @@ class TestSweep:
         a = run_sweep(spec, threads=1, progress=lambda m: None)
         b = run_sweep(spec, threads=4, progress=lambda m: None)
         assert a == b
+
+    @pytest.mark.parametrize("name", ["capacity_vs_power", "ber_vs_power"])
+    def test_threads_share_the_block_cache(self, name):
+        # two threads fill the Meijer G block cache from cold, and read it
+        # after, with the rows of one thread
+        with open(os.path.join(CONFIGS, f"{name}.ini")) as fh:
+            spec = parse_config(fh.read())
+        rows = []
+        for threads in (1, 2):
+            specfun._block_plan.cache_clear()
+            rows.append(run_sweep(spec, threads=threads, progress=lambda m: None))
+        assert rows[0] == rows[1]
 
     @pytest.mark.parametrize("mode", [MODEL_DRAW, PHYSICAL_DRAW])
     def test_one_draw_per_family(self, monkeypatch, mode):

@@ -54,6 +54,20 @@ class TestLinkConfig:
         with pytest.raises(DomainError):
             LinkConfig(F15, 1, lambda_mod=0.7)
 
+    @pytest.mark.parametrize("n_cells", [math.inf, -math.inf, math.nan, 8.5, "8"])
+    def test_n_cells_not_whole_is_a_domain_error(self, n_cells):
+        # inf and nan once escaped int() as OverflowError and ValueError
+        for build in (lambda: SumFadingModel(F15, n_cells),
+                      lambda: LinkConfig.from_eta(10.0, F15, n_cells)):
+            with pytest.raises(DomainError, match="n_cells must be an integer >= 1"):
+                build()
+
+    def test_model_built_once(self):
+        cfg = LinkConfig.from_eta(10.0, F15, 8.0)
+        assert cfg.model() is cfg.model()
+        assert cfg.model() == SumFadingModel(F15, 8) and cfg.n_cells == 8
+        assert isinstance(cfg.n_cells, int)
+
 
 class TestUnits:
     def test_zero_db(self):

@@ -21,8 +21,10 @@ from rislink.specfun import (
     MAX_CONTOUR_EVALS,
     EvalReport,
     MeijerGSpec,
+    _block_plan,
     _contour_position,
     _MellinBarnesIntegrand,
+    _saddle_grid,
     digamma,
     ln_beta,
     log_betainc,
@@ -232,6 +234,16 @@ class TestMeijerGSpec:
         s = MeijerGSpec([0.1, 0.2], [0.3], [1.5], [2.5, 3.5], 1.0)
         assert (s.m, s.n, s.p, s.q) == (1, 2, 3, 3)
 
+    @pytest.mark.parametrize("row", ["a_front", "a_rest", "b_front", "b_rest"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_parameter_rejected(self, row, bad):
+        # b_front = (inf,) once ran 67,734 evaluations before failing, and
+        # a_rest = (inf,) raised OverflowError from the term plan
+        rows = {"a_front": [1.0], "a_rest": [], "b_front": [0.5], "b_rest": []}
+        rows[row] = rows[row] + [bad]
+        with pytest.raises(DomainError, match=f"parameters {row} must be finite"):
+            MeijerGSpec(**rows, argument=1.0)
+
 
 class TestMeijerGIdentities:
     def test_binomial_kernel_example(self):
@@ -405,7 +417,7 @@ class TestTermPlan:
     ])
     def test_merged_terms_match_every_factor(self, spec, log_gammas):
         chi = _MellinBarnesIntegrand(spec)
-        c, _, _ = _contour_position(spec, chi)
+        c = _contour_position(chi)[0]
         u = c + 1j * np.linspace(0.0, 16.0, 257)
         # exp drops the multiples of 2 pi i that merging may add
         ratio = np.exp(chi(u) - naive_log_integrand(spec, u))
@@ -413,7 +425,52 @@ class TestTermPlan:
         # the gap, widened so that gammaln and log see negative arguments
         left = max(a - 1.0 for a in spec.a_front)
         x = np.linspace(left - 3.0, min(spec.b_front) + 3.0, 257) + 1e-3 * math.pi
-        real, cplx = chi.real_axis(x), chi(x.astype(complex)).real
+        real, cplx = chi.real_axis(x, chi.real_terms(x)), chi(x.astype(complex)).real
         assert np.all(np.isfinite(real))
         assert np.all(np.abs(real - cplx) <= 1e-13 * (1.0 + np.abs(cplx)))
         assert meijer_g(spec).details["log_gammas"] == log_gammas
+
+
+class TestBlockPlan:
+    """The per-block set-up is cached on the parameter rows alone."""
+
+    FAMILY = [_capacity_g_spec(_PLAN_MODEL, eta) for eta in np.logspace(-2, 6, 12)]
+
+    def test_family_builds_its_plan_once(self):
+        _block_plan.cache_clear()
+        reports = [meijer_g(spec) for spec in self.FAMILY]
+        info = _block_plan.cache_info()
+        assert (info.misses, info.hits) == (1, len(self.FAMILY) - 1)
+        # each report equals one computed from an empty cache
+        for spec, report in zip(self.FAMILY, reports):
+            _block_plan.cache_clear()
+            assert meijer_g(spec) == report
+
+    def test_evals_count_the_shared_pass(self):
+        # two 65-node saddle passes, 19 truncation probes and the rule's
+        # nodes, whether the first pass comes from the cache or not
+        _block_plan.cache_clear()
+        for _ in range(2):
+            d = meijer_g(self.FAMILY[0]).details
+            assert d["evals"] == 2 * 65 + 19 + d["nodes"]
+
+    def test_cached_arrays_are_read_only(self):
+        plan = _MellinBarnesIntegrand(self.FAMILY[0]).plan
+        assert plan.grid.size == 65 and len(plan.terms) == len(plan.gammas) + len(plan.logs)
+        for a in (plan.grid, *plan.terms):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    def test_no_gap_is_not_cached(self):
+        spec = MeijerGSpec([3.2], [], [0.5, 1.5], [], 0.5)
+        _block_plan.cache_clear()
+        for _ in range(2):
+            with pytest.raises(DomainError, match="no separating contour"):
+                meijer_g(spec)
+        assert _block_plan.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("lo,hi", [(-1.0 + 1e-6, 8.0 - 1e-6), (0.3, 0.30000000001),
+                                       (-41.0, -1.000001), (1e-6, 40.0)])
+    def test_saddle_grid_is_linspace(self, lo, hi):
+        assert np.array_equal(_saddle_grid(lo, hi), np.linspace(lo, hi, 65))
