@@ -29,7 +29,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -44,6 +44,7 @@ from .validation import (
     REPORT_HEADER,
     McConfig,
     evaluate,
+    evaluate_exact,
     ks_checks,
     mc_metrics,
     mode_gap_checks,
@@ -340,20 +341,27 @@ def _point_rows(spec: SweepSpec, axis_value: float) -> list[list[str]]:
     axis_cols = [spec.axis, _fmt(axis_value)]
     link_cols = ["1", *(_fmt(link[key]) for key in ("r_d", "beta", "n0_dbm"))]
     seed = _fmt(spec.mc["seed"])
+    families = [(family, point_cases(eta, FadingParams(m=family[1], m_s=family[2]), family[0],
+                                     spec.metrics, link["lambda"], link["gamma_th_db"]))
+                for family in itertools.product(link["n_cells"], link["m"], link["m_s"])]
+    # every family's exact rows at once, so that the point's Meijer G calls
+    # are batched; a failing row raises below, in row order
+    if "exact" in spec.variants:
+        exact = iter(evaluate_exact([case[:3] for _, cases in families for case in cases]))
     rows = []
-    for n, m, m_s in itertools.product(link["n_cells"], link["m"], link["m_s"]):
-        cases = point_cases(eta, FadingParams(m=m, m_s=m_s), n, spec.metrics,
-                            link["lambda"], link["gamma_th_db"])
+    for family, cases in families:
         if "mc" in spec.variants:
             estimates = _family_mc(cases, spec)
-        family_cols = [_fmt(n), _fmt(m), _fmt(m_s), *link_cols]
+        family_cols = [*map(_fmt, family), *link_cols]
         for i, (cfg, metric, gth, gth_db) in enumerate(cases):
             case_cols = [*family_cols, _fmt(cfg.lambda_mod), _fmt(gth_db)]
             for variant in spec.variants:
                 if variant == "mc":
                     value, err = estimates[i].mean, estimates[i].std_error
                 else:
-                    r = evaluate(cfg, metric, variant, gth)
+                    r = next(exact) if variant == "exact" else evaluate(cfg, metric, variant, gth)
+                    if isinstance(r, Exception):
+                        raise r
                     value, err = r.value, r.error_estimate
                 rows.append([*axis_cols, metric, variant, *case_cols,
                              _fmt(value), _fmt(err), seed])
@@ -415,7 +423,9 @@ def run_validate(
         *ks_checks(preset, master_seed),
         *mode_gap_checks(preset),
     ]
-    write_csv(out, REPORT_HEADER, [[_fmt(v) for v in astuple(c)] for c in checks])
+    # a Check's fields, in column order, are its __dict__; astuple would
+    # deep-copy each row
+    write_csv(out, REPORT_HEADER, [[_fmt(v) for v in vars(c).values()] for c in checks])
     n_fail = sum(not c.ok for c in checks)
     print(
         f"validate[{preset}]: {len(checks)} checks, {n_fail} failures -> {out}",

@@ -39,7 +39,7 @@ from scipy.special import gammaln
 from .errors import DomainError, NumericError
 from .fading import FadingParams, SumFadingModel
 from .specfun import (EvalReport, MeijerGSpec, _halving_trapezoid, digamma, log_betainc,
-                      meijer_g)
+                      meijer_g, meijer_g_batch)
 
 _LN2 = math.log(2.0)
 _EPS = float(np.finfo(float).eps)
@@ -174,7 +174,7 @@ def _capacity_g_spec(model: SumFadingModel, eta: float) -> MeijerGSpec:
     )
 
 
-def _closed_form(log_terms, report: EvalReport, upper: float,
+def _closed_form(report: EvalReport, log_terms, upper: float,
                  spec_rel: float = 0.0) -> MetricResult:
     """The product of exp(log_terms) and a positive G, as a closed form.
 
@@ -191,12 +191,43 @@ def _closed_form(log_terms, report: EvalReport, upper: float,
                   report.method, d["evals"], d["step"])
 
 
+def _capacity_form(cfg: LinkConfig) -> tuple:
+    """avg_capacity's Meijer G spec, then the rest of _closed_form's arguments."""
+    model = cfg.model()
+    return (_capacity_g_spec(model, cfg.eta),
+            (model.log_lambda_norm, -math.log(model.xi), -math.log(_LN2)), capacity_bound(cfg))
+
+
 def avg_capacity(cfg: LinkConfig) -> MetricResult:
     """Average capacity in bits/s/Hz, Meijer G closed form."""
-    model = cfg.model()
-    report = meijer_g(_capacity_g_spec(model, cfg.eta))
-    return _closed_form((model.log_lambda_norm, -math.log(model.xi), -math.log(_LN2)),
-                        report, capacity_bound(cfg))
+    spec, *rest = _capacity_form(cfg)
+    return _closed_form(meijer_g(spec), *rest)
+
+
+def _closed_forms(form, cfgs) -> list:
+    """The closed form of each cfg, as form's lone route gives it, or the
+    DomainError or NumericError that route raises; the Meijer G calls run
+    as one meijer_g_batch."""
+    out = []
+    for cfg in cfgs:
+        try:
+            out.append(form(cfg))
+        except DomainError as exc:
+            out.append(exc)
+    live = [i for i, f in enumerate(out) if not isinstance(f, Exception)]
+    for i, report in zip(live, meijer_g_batch([out[i][0] for i in live])):
+        try:
+            out[i] = report if isinstance(report, Exception) else _closed_form(
+                report, *out[i][1:])
+        except NumericError as exc:
+            out[i] = exc
+    return out
+
+
+def avg_capacity_batch(cfgs) -> list:
+    """avg_capacity of each cfg, or the error it raises, through one
+    meijer_g_batch."""
+    return _closed_forms(_capacity_form, cfgs)
 
 
 # physical_capacity cuts mass e^-_PHYSICAL_TAIL off each end of both of
@@ -301,19 +332,29 @@ def _ber_g_spec(model: SumFadingModel, eta_lam: float) -> MeijerGSpec:
     )
 
 
-def avg_ber(cfg: LinkConfig) -> MetricResult:
-    """Average bit error rate, Meijer G closed form."""
+def _ber_form(cfg: LinkConfig) -> tuple:
+    """avg_ber's Meijer G spec, then the rest of _closed_form's arguments."""
     model = cfg.model()
     eta_lam = cfg.eta * cfg.lambda_mod
     spec = _ber_g_spec(model, eta_lam)
-    report = meijer_g(spec)
     # the double b = Nm - 1 is off by up to half an ulp, and G, whose
     # poles pinch the gap (-1, b), carries Gamma(1 + b): log G moves with
     # b at the rate psi(Nm), about -1/Nm for a small Nm
     b_rounding = 0.5 * math.ulp(spec.b_front[0]) * abs(digamma(model.nm))
-    return _closed_form((model.log_lambda_norm, -math.log(eta_lam),
-                         -math.log(2.0 * math.sqrt(math.pi))), report, BER_BOUND,
-                        b_rounding)
+    return (spec, (model.log_lambda_norm, -math.log(eta_lam),
+                   -math.log(2.0 * math.sqrt(math.pi))), BER_BOUND, b_rounding)
+
+
+def avg_ber(cfg: LinkConfig) -> MetricResult:
+    """Average bit error rate, Meijer G closed form."""
+    spec, *rest = _ber_form(cfg)
+    return _closed_form(meijer_g(spec), *rest)
+
+
+def avg_ber_batch(cfgs) -> list:
+    """avg_ber of each cfg, or the error it raises, through one
+    meijer_g_batch."""
+    return _closed_forms(_ber_form, cfgs)
 
 
 def avg_ber_asymptotic(cfg: LinkConfig) -> MetricResult:

@@ -8,7 +8,8 @@ the saddle of the integrand magnitude inside the pole-separating gap.
 The integrand is analytic and decays exponentially along that line, so
 a trapezoidal rule in x, t = a sinh(x) along the line, converges
 geometrically however close the poles are; all nodes are evaluated as
-arrays.
+arrays, and meijer_g_batch evaluates the specs of one term-plan
+structure together, each row bit for bit as on its own.
 
 Every gamma product is assembled in log space with sign tracking; values
 whose magnitude overflows a double are still available through the
@@ -167,6 +168,14 @@ class MeijerGSpec:
                                   f"got {getattr(self, row)}")
         if not np.isfinite(self.argument) or self.argument <= 0.0:
             raise DomainError(f"Meijer G argument must be positive, got {argument}")
+        # the pairs whose differences the pole check and the term plan take
+        for row, other in (("a_front", "b_front"), ("a_front", "b_rest"),
+                           ("b_front", "a_rest")):
+            for a in getattr(self, row):
+                for b in getattr(self, other):
+                    if not math.isfinite(a - b):
+                        raise DomainError(f"Meijer G parameters {row} value {a} and {other} "
+                                          f"value {b} differ by more than double range")
         for a in self.a_front:
             for b in self.b_front:
                 d = a - b
@@ -233,7 +242,7 @@ def _merge_direction(nums, dens) -> tuple[dict, dict]:
     pairs = sorted(
         (abs(p - q), p, q)
         for p in gammas for q in gammas
-        if gammas[p] > 0 > gammas[q] and p - q == round(p - q) and abs(p - q) <= _MAX_FOLD
+        if gammas[p] > 0 > gammas[q] and abs(p - q) <= _MAX_FOLD and p - q == round(p - q)
     )
     logs: dict[float, int] = {}
     for k, p, q in pairs:
@@ -252,32 +261,40 @@ def _log_abs(x):
     return np.log(np.abs(x))
 
 
+def _weighted(w: int, v: np.ndarray) -> np.ndarray:
+    """w v; a weight of 1 leaves v as it is, which is w v but for the
+    sign of a zero."""
+    return v if w == 1 else w * v
+
+
 def _log_terms(gammas, logs, u, log_gamma, log) -> list:
     """The weighted log-gamma and log terms of the integrand at the points
     u, in plan order; each term is (direction, offset, weight), direction
-    0 being +u and 1 being -u."""
-    x = (u, -u)
-    return ([w * log_gamma(o + x[d]) for d, o, w in gammas]
-            + [w * log(o + x[d]) for d, o, w in logs])
+    0 being +u and 1 being -u (o - u is o + (-u), exactly)."""
+    return ([_weighted(w, log_gamma(o - u if d else o + u)) for d, o, w in gammas]
+            + [_weighted(w, log(o - u if d else o + u)) for d, o, w in logs])
 
 
 _SADDLE_INDEX = np.arange(65.0)
 
 
-def _saddle_grid(lo: float, hi: float) -> np.ndarray:
-    """np.linspace(lo, hi, 65), bit for bit, without its set-up."""
+def _saddle_grid(lo, hi) -> np.ndarray:
+    """np.linspace(lo, hi, 65), bit for bit, without its set-up; lo and hi
+    may be (rows, 1) columns, for one grid per row."""
     grid = _SADDLE_INDEX * ((hi - lo) / 64) + lo
-    grid[-1] = hi
+    grid[..., -1:] = hi
     return grid
 
 
 class _BlockPlan(NamedTuple):
     """What the contour needs of a parameter block, whatever the argument:
-    the integrand's term plan, the pole-separating gap (left, right), and
-    the first saddle pass's grid and log terms, both read-only."""
+    the integrand's term plan; its structure, each term's direction and
+    weight in plan order; the pole-separating gap (left, right); and the
+    first saddle pass's grid and log terms, read-only (1, 65) rows."""
 
     gammas: tuple
     logs: tuple
+    structure: tuple
     left: float
     right: float
     grid: np.ndarray
@@ -322,51 +339,73 @@ def _block_plan(a_front, a_rest, b_front, b_rest) -> _BlockPlan:
     else:
         pad = min(1e-6 * max(1.0, right - left), 0.25 * (right - left))
         lo, hi = left + pad, right - pad
-    grid = _saddle_grid(lo, hi)
+    grid = _saddle_grid(lo, hi)[None]
     terms = _log_terms(gammas, logs, grid, _gammaln, _log_abs)
     for a in (grid, *terms):
         a.flags.writeable = False
-    return _BlockPlan(tuple(gammas), tuple(logs), left, right, grid, tuple(terms))
+    structure = tuple(tuple((d, w) for d, _, w in plan) for plan in (gammas, logs))
+    return _BlockPlan(tuple(gammas), tuple(logs), structure, left, right, grid, tuple(terms))
+
+
+def _column(values: list):
+    """One value per row as a (rows, 1) column, or a lone row's value
+    itself, which broadcasts over (1, n) rows alike."""
+    return values[0] if len(values) == 1 else np.array(values)[:, None]
+
+
+def _columns(plans: list, dtype) -> tuple:
+    """(gammas, logs) of plans that share one structure, each offset the
+    _column of the rows' offsets, of dtype."""
+    if len(plans) == 1:
+        return plans[0].gammas, plans[0].logs
+    return tuple([(term[0][0], np.array([o for _, o, _ in term], dtype)[:, None], term[0][2])
+                  for term in zip(*lists)]
+                 for lists in ([p.gammas for p in plans], [p.logs for p in plans]))
 
 
 class _MellinBarnesIntegrand:
-    """log of the Mellin-Barnes integrand at one argument z, from the
-    block's cached plan (see _block_plan)."""
+    """log of the Mellin-Barnes integrands of specs that share one term
+    structure, one spec per row, from their blocks' cached plans (see
+    _block_plan).  ln z and each term's offset are _column's, so the
+    integrand at (rows, nodes) points is one array expression whose
+    every element is computed as a lone spec's would be."""
 
-    def __init__(self, spec: MeijerGSpec):
-        self.spec = spec
-        self.plan = _block_plan(spec.a_front, spec.a_rest, spec.b_front, spec.b_rest)
-        self.log_z = math.log(spec.argument)
-        self.evals = 0
+    def __init__(self, specs: list, plans: list):
+        self.specs, self.plans = specs, plans
+        self.log_z = _column([math.log(s.argument) for s in specs])
+        self.real = _columns(plans, float)
+        self.complex = _columns(plans, complex)
+
+    def take(self, rows: list) -> "_MellinBarnesIntegrand":
+        """The integrand of the given rows, in increasing order, alone."""
+        if len(rows) == len(self.specs):
+            return self
+        return _MellinBarnesIntegrand([self.specs[r] for r in rows],
+                                      [self.plans[r] for r in rows])
 
     def __call__(self, u):
         """Complex log integrand at the points u."""
-        u = np.asarray(u, dtype=complex)
-        self.evals += u.size
-        return sum((u * self.log_z,
-                    *_log_terms(self.plan.gammas, self.plan.logs, u, _loggamma, np.log)))
+        return sum(_log_terms(*self.complex, u, _loggamma, np.log), u * self.log_z)
 
     def real_terms(self, x) -> list:
         """The log terms at real points x, in real arithmetic."""
-        return _log_terms(self.plan.gammas, self.plan.logs, x, _gammaln, _log_abs)
+        return _log_terms(*self.real, x, _gammaln, _log_abs)
 
     def real_axis(self, x: np.ndarray, terms) -> np.ndarray:
-        """Re log integrand at real points x, from their log terms: cached
-        or not, x counts as evaluated."""
-        self.evals += x.size
-        return sum((x * self.log_z, *terms))
+        """Re log integrand at real points x, from their log terms."""
+        return sum(terms, x * self.log_z)
 
-    def on_line(self, c: float, t: np.ndarray, w0: float) -> np.ndarray:
-        """Re exp(logchi(c + i t) - w0), vectorized over t in blocks."""
-        out = np.empty(t.size)
-        for k in range(0, t.size, _CONTOUR_BLOCK):
-            part = t[k:k + _CONTOUR_BLOCK]
-            out[k:k + _CONTOUR_BLOCK] = np.exp(self(c + 1j * part) - w0).real
-        return out
+    def on_line(self, c, t: np.ndarray, w0) -> np.ndarray:
+        """Re exp(logchi(c + i t) - w0) at t (rows, nodes), c and w0 being
+        _column's, in blocks of nodes."""
+        width = max(1, _CONTOUR_BLOCK // t.shape[0])
+        blocks = [np.exp(self(c + 1j * t[:, k:k + width]) - w0).real
+                  for k in range(0, t.shape[1], width)]
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
 
 
-def _contour_position(chi: _MellinBarnesIntegrand):
-    """Pick the vertical line Re(u) = c inside the pole-separating gap.
+def _contour_position(chi: _MellinBarnesIntegrand) -> list:
+    """Pick each row's vertical line Re(u) = c inside its pole-separating gap.
 
     The contour is placed at the minimum of the integrand magnitude on
     the real axis (the saddle), found by two 65-point grid passes in
@@ -375,69 +414,83 @@ def _contour_position(chi: _MellinBarnesIntegrand):
     integrand scale.  The first pass spans the gap; its log terms come
     from the block's plan, so it adds only the z^u term.  The second
     pass spans the first one's two steps about its minimum, and is
-    evaluated in full.  Returns c, log|chi(c)|, the distance from c to
-    the nearest pole, and the summed magnitudes of the log terms at c,
-    their rounding bound.
+    evaluated in full.  Returns, per row, c, log|chi(c)|, the distance
+    from c to the nearest pole, and the summed magnitudes of the log
+    terms at c, their rounding bound.
     """
-    plan = chi.plan
-    grid, terms = plan.grid, plan.terms
+    rows = [(p.grid, *p.terms) for p in chi.plans]
+    grid, *terms = rows[0] if len(rows) == 1 else map(np.concatenate, zip(*rows))
     for second in (False, True):
         if second:
-            grid = _saddle_grid(grid[max(k - 1, 0)], grid[min(k + 1, 64)])
+            lo = _column([grid[r, max(i - 1, 0)] for r, i in enumerate(k)])
+            hi = _column([grid[r, min(i + 1, 64)] for r, i in enumerate(k)])
+            grid = _saddle_grid(lo, hi).reshape(len(k), -1)
             terms = chi.real_terms(grid)
         w = chi.real_axis(grid, terms)
         # a denominator pole on the grid is a zero of chi, not a saddle
-        k = int(np.argmin(np.where(np.isfinite(w), w, np.inf)))
-    c = float(grid[k])
-    log_scale = float(sum([abs(c * chi.log_z)] + [abs(t[k]) for t in terms]))
-    return c, float(w[k]), min(c - plan.left, plan.right - c), log_scale
+        k = np.argmin(np.where(np.isfinite(w), w, np.inf), axis=1).tolist()
+    lines = []
+    for r, (i, spec, plan) in enumerate(zip(k, chi.specs, chi.plans)):
+        c, log_z = float(grid[r, i]), math.log(spec.argument)
+        log_scale = float(sum([abs(c * log_z)] + [abs(t[r, i]) for t in terms]))
+        lines.append((c, float(w[r, i]), min(c - plan.left, plan.right - c), log_scale))
+    return lines
 
 
-def _truncation(chi: _MellinBarnesIntegrand, c: float, w0: float):
-    """(t_max, log|chi(c + i t_max)| - w0) for the cut of the line.
+_PROBES = 2.0 ** np.arange(-2, 17)
+_PROBE_LINE = 1j * _PROBES[None]
+
+
+def _truncation(chi: _MellinBarnesIntegrand, c, w0) -> list:
+    """Per row, (t_max, log|chi(c + i t_max)| - w0) for the cut of the
+    line, c and w0 being _column's, or the NumericError of a row
+    whose integrand never falls that far.
 
     The probes are the powers of two from 1/4 to 2^16, in one integrand
     call; the cut is the probe after the last one above 1e-18 of the
     saddle value.
     """
-    probes = 2.0 ** np.arange(-2, 17)
-    w = chi(c + 1j * probes).real - w0
-    above = np.nonzero(w > math.log(1e-18))[0]
-    k = int(above[-1]) + 1 if above.size else 0
-    if k == probes.size:
-        raise NumericError(
-            f"contour truncation bound not reached by t = {probes[-1]:.0f} for {chi.spec}"
-        )
-    return float(probes[k]), float(w[k])
+    w = chi(c + _PROBE_LINE).real - w0
+    cuts = []
+    for spec, row in zip(chi.specs, w):
+        above = np.nonzero(row > math.log(1e-18))[0]
+        k = int(above[-1]) + 1 if above.size else 0
+        cuts.append(NumericError(
+            f"contour truncation bound not reached by t = {_PROBES[-1]:.0f} for {spec}"
+        ) if k == _PROBES.size else (float(_PROBES[k]), float(row[k])))
+    return cuts
 
 
-def _halving_trapezoid(f, h: float, span: float, rel_tol: float, floor: float,
-                       node_rounding: float, what: str, spent: int, budget: int):
+def _halving_rule(h: float, span: float, rel_tol: float, floor: float,
+                  node_rounding: float, what: str, spent: int, budget: int):
     """h (f(0)/2 + f(h) + ... + f(n h)), with the step halved until it holds.
 
-    f maps an array of nodes x >= 0 to the integrand there; n is the
+    A generator: it yields each array of nodes x >= 0 it needs, is sent
+    f there, and returns (total, error, rounding, step, n); n is the
     least even count with n h >= span.
     The error is the difference from the rule on the even nodes, and
-    the step is halved, each pass evaluating only the new odd nodes,
+    the step is halved, each pass yielding only the new odd nodes,
     until it is at most rel_tol * max(|total|, floor) or the rounding,
     node_rounding relative in each node: a smaller step cannot resolve
-    a difference below that.  Raises NumericError before evaluating
+    a difference below that.  Raises NumericError before yielding
     nodes that would take the spent evaluations past the budget.
-    Returns (total, error, rounding, step, n).
     """
-    def evaluate(x):
-        nonlocal spent
+    n = 2 * math.ceil(span / (2.0 * h))
+    x, values = h * np.arange(n + 1), None
+    while True:
         if spent + x.size > budget:
             raise NumericError(
                 f"{what} needs {x.size} more nodes after {spent} integrand "
                 f"evaluations, over the budget of {budget}"
             )
         spent += x.size
-        return f(x)
-
-    n = 2 * math.ceil(span / (2.0 * h))
-    values = evaluate(h * np.arange(n + 1))
-    while True:
+        fx = yield x
+        if values is not None:
+            refined = np.empty(2 * n + 1)
+            refined[::2] = values
+            refined[1::2] = fx
+            fx, n = refined, 2 * n
+        values = fx
         total = h * (0.5 * values[0] + values[1:].sum())
         coarse = 2.0 * h * (0.5 * values[0] + values[2::2].sum())
         err = abs(total - coarse)
@@ -445,15 +498,148 @@ def _halving_trapezoid(f, h: float, span: float, rel_tol: float, floor: float,
         if err <= max(rel_tol * max(abs(total), floor), rounding):
             return total, err, rounding, h, n
         h *= 0.5
-        refined = np.empty(2 * n + 1)
-        refined[::2] = values
-        refined[1::2] = evaluate(h * np.arange(1, 2 * n, 2))
-        values, n = refined, 2 * n
+        x = h * np.arange(1, 2 * n, 2)
+
+
+def _halving_trapezoid(f, h: float, span: float, rel_tol: float, floor: float,
+                       node_rounding: float, what: str, spent: int, budget: int):
+    """_halving_rule, with f mapping each array of nodes it yields to the
+    integrand there; returns (total, error, rounding, step, n)."""
+    rule = _halving_rule(h, span, rel_tol, floor, node_rounding, what, spent, budget)
+    x = next(rule)
+    while True:
+        try:
+            x = rule.send(f(x))
+        except StopIteration as done:
+            return done.value
+
+
+def _drive_rules(rules: dict, f) -> dict:
+    """Run step-halving rules (_halving_rule) side by side: each pass
+    evaluates every running rule's nodes in one call f(x, keys), one row
+    of x per key, zero-padded past a row's own nodes.  The padding is the
+    node x = 0, which every rule evaluates first, so it neither overflows
+    nor warns; its values are dropped.  Returns {key: the rule's result,
+    or the NumericError it raised}."""
+    done, nodes = {}, {}
+    for key, rule in rules.items():
+        try:
+            nodes[key] = next(rule)
+        except NumericError as exc:
+            done[key] = exc
+    while nodes:
+        keys = list(nodes)
+        if len(keys) == 1:
+            x = nodes[keys[0]][None]
+        else:
+            x = np.zeros((len(keys), max(v.size for v in nodes.values())))
+            for i, key in enumerate(keys):
+                x[i, :nodes[key].size] = nodes[key]
+        fx = f(x, keys)
+        for i, key in enumerate(keys):
+            try:
+                nodes[key] = rules[key].send(fx[i, :nodes[key].size])
+                continue
+            except StopIteration as stop:
+                done[key] = stop.value
+            except NumericError as exc:
+                done[key] = exc
+            del nodes[key]
+    return done
+
+
+def _decay(spec: MeijerGSpec) -> float:
+    """The exponential decay exponent of |integrand| in |Im u|, per
+    Stirling; a DomainError where it is not positive."""
+    delta = 0.5 * math.pi * (2.0 * (spec.m + spec.n) - spec.p - spec.q)
+    if delta <= 0.0:
+        raise DomainError(
+            "contour integrand lacks exponential decay "
+            f"(2(m+n) <= p+q for {spec})"
+        )
+    return delta
+
+
+def _contour(rows: list) -> list:
+    """meijer_g of the rows (spec, _decay(spec), block plan), whose blocks
+    share one term structure, or the NumericError a spec's own call
+    raises: one integrand call per saddle pass, one for the probes and
+    one per pass of the rules."""
+    specs, decays, plans = zip(*rows)
+    chi = _MellinBarnesIntegrand(specs, plans)
+    lines = _contour_position(chi)
+    # the _column's of each row's c, w0 and distance to the nearest pole
+    c, w0, scale, _ = map(_column, zip(*lines))
+    out = _truncation(chi, c, w0)
+    # both saddle passes and the probes come before the rule's nodes
+    spent = 2 * _SADDLE_INDEX.size + _PROBES.size
+    rules = {
+        r: _halving_rule(0.05, math.asinh(cut[0] / lines[r][2]), 1e-12, 1e-3,
+                         # each node's log terms round to a few ulps of their own
+                         # size, and exp carries that into the node value
+                         4.0 * _EPS * lines[r][3],
+                         "contour quadrature", spent, MAX_CONTOUR_EVALS)
+        for r, cut in enumerate(out) if not isinstance(cut, Exception)
+    }
+
+    def mapped(x, rows):
+        """The rows' integrand in x, dt/dx = a cosh(x) included."""
+        c_rows, w0_rows, a = ((c, w0, scale) if len(rows) == len(specs)
+                              else (v[rows] for v in (c, w0, scale)))
+        return a * np.cosh(x) * chi.take(rows).on_line(c_rows, a * np.sinh(x), w0_rows)
+
+    for r, rule in _drive_rules(rules, mapped).items():
+        if isinstance(rule, Exception):
+            out[r] = rule
+            continue
+        (c_r, w0_r, scale_r, _), (t_max, w_tail) = lines[r], out[r]
+        total, err, rounding, h, n = rule
+        details = dict(contour=c_r, evals=spent + n + 1, step=h, nodes=n + 1, t_max=t_max,
+                       scale=scale_r, log_gammas=len(plans[r].gammas), rel_error=0.0)
+        if total == 0.0:
+            out[r] = EvalReport(CONTOUR_QUADRATURE, -math.inf, 0.0, details)
+            continue
+        tail = math.exp(w_tail) / decays[r]
+        details["rel_error"] = float((err + tail + rounding) / abs(total) + 1e-14)
+        log_abs = w0_r + math.log(abs(total)) - math.log(math.pi)
+        out[r] = EvalReport(CONTOUR_QUADRATURE, log_abs, math.copysign(1.0, total), details)
+    return out
+
+
+def meijer_g_batch(specs) -> list:
+    """meijer_g of each spec, or the DomainError or NumericError that its
+    own call raises, in the order given.
+
+    Specs whose blocks share one term structure (_BlockPlan.structure:
+    the directions and weights of the merged terms, such as every
+    capacity spec of a sweep point) run through the contour together:
+    each saddle pass, the probes and each pass of the step-halving rules
+    is one integrand call on (rows, nodes) arrays, a row's parameters
+    being (rows, 1) columns.  Every element is computed by the operations
+    of a lone call, in its order, each row's argmin and sums run over
+    that row's own nodes, and the zero padding past a row's nodes is
+    dropped; so each report equals meijer_g(spec) bit for bit, and a
+    failing row changes no other row's report.
+    """
+    out, groups = [None] * len(specs), {}
+    for i, spec in enumerate(specs):
+        try:
+            row = (spec, _decay(spec), _block_plan(spec.a_front, spec.a_rest, spec.b_front,
+                                                   spec.b_rest))
+        except DomainError as exc:
+            out[i] = exc
+            continue
+        groups.setdefault(row[2].structure, []).append((i, row))
+    for group in groups.values():
+        index, rows = zip(*group)
+        for i, report in zip(index, _contour(rows)):
+            out[i] = report
+    return out
 
 
 def meijer_g(spec: MeijerGSpec) -> EvalReport:
     """Evaluate G^{m,n}_{p,q} on the positive real axis by integrating the
-    Mellin-Barnes integrand along Re(u) = c.
+    Mellin-Barnes integrand along Re(u) = c; meijer_g_batch of one spec.
 
     Each parameter set needs a separating gap and an exponentially
     decaying integrand; any other raises.  The line t >= 0 (the
@@ -475,34 +661,7 @@ def meijer_g(spec: MeijerGSpec) -> EvalReport:
     every node the evaluation used, the shared first pass included,
     so it does not depend on what the cache holds.
     """
-    # exponential decay exponent of |integrand| in |Im u|, per Stirling
-    delta = 0.5 * math.pi * (2.0 * (spec.m + spec.n) - spec.p - spec.q)
-    if delta <= 0.0:
-        raise DomainError(
-            "contour integrand lacks exponential decay "
-            f"(2(m+n) <= p+q for {spec})"
-        )
-    chi = _MellinBarnesIntegrand(spec)
-    c, w0, scale, log_scale = _contour_position(chi)
-    t_max, w_tail = _truncation(chi, c, w0)
-    tail = math.exp(w_tail) / delta
-
-    def mapped(x):
-        """The integrand in x, dt/dx = a cosh(x) included."""
-        return scale * np.cosh(x) * chi.on_line(c, scale * np.sinh(x), w0)
-
-    # each node's log terms round to a few ulps of their own size, and
-    # exp carries that into the node value as a relative error
-    node_rounding = 4.0 * _EPS * log_scale
-    total, err, rounding, h, n = _halving_trapezoid(
-        mapped, 0.05, math.asinh(t_max / scale), 1e-12, 1e-3, node_rounding,
-        "contour quadrature", chi.evals, MAX_CONTOUR_EVALS)
-
-    details = dict(contour=c, evals=chi.evals, step=h, nodes=n + 1, t_max=t_max,
-                   scale=scale, log_gammas=len(chi.plan.gammas), rel_error=0.0)
-    if total == 0.0:
-        return EvalReport(CONTOUR_QUADRATURE, -math.inf, 0.0, details)
-    details["rel_error"] = float((err + tail + rounding) / abs(total) + 1e-14)
-    log_abs = w0 + math.log(abs(total)) - math.log(math.pi)
-    return EvalReport(CONTOUR_QUADRATURE, log_abs, math.copysign(1.0, total), details)
-
+    (report,) = meijer_g_batch([spec])
+    if isinstance(report, Exception):
+        raise report
+    return report

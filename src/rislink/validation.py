@@ -12,10 +12,11 @@ Two families:
 Neither path touches the Meijer G evaluator or the hypergeometric
 closed forms, so agreement between the three routes is a genuine
 cross-check.  The quadrature shares only the step-halving rule,
-``specfun._halving_trapezoid``, with the Meijer G contour, not its
-integrand.  Grid points evaluate independently; every one owns a
-private RNG substream derived from (master seed, point index), making
-results identical no matter how the points are scheduled.
+``specfun._halving_rule``, with the Meijer G contour, not its
+integrand; ``specfun._halving_trapezoid`` drives it one row at a time.
+Grid points evaluate independently; every one owns a private RNG
+substream derived from (master seed, point index), making results
+identical no matter how the points are scheduled.
 """
 
 from __future__ import annotations
@@ -47,8 +48,10 @@ from .metrics import (
     MetricResult,
     avg_ber,
     avg_ber_asymptotic,
+    avg_ber_batch,
     avg_capacity,
     avg_capacity_asymptotic,
+    avg_capacity_batch,
     capacity_bound,
     check_gamma_th,
     outage,
@@ -329,6 +332,27 @@ def evaluate(
     if route is None:
         raise DomainError(f"no {variant!r} route for metric {metric!r}")
     return route(cfg, gamma_th) if metric == OUTAGE else route(cfg)
+
+
+def evaluate_exact(cases) -> list:
+    """The exact route of each (cfg, metric, linear gamma_th) case, as
+    :func:`evaluate` gives it, or the DomainError or NumericError it
+    raises there.  The capacity cases run as one avg_capacity_batch and
+    the BER cases as one avg_ber_batch, so the Meijer G calls of each
+    share every contour pass; no result depends on the others.
+    """
+    out = [None] * len(cases)
+    for metric, batch in ((CAPACITY, avg_capacity_batch), (BER, avg_ber_batch)):
+        index = [i for i, case in enumerate(cases) if case[1] == metric]
+        for i, r in zip(index, batch([cases[i][0] for i in index])):
+            out[i] = r
+    for i, (cfg, metric, gamma_th) in enumerate(cases):
+        if out[i] is None:
+            try:
+                out[i] = evaluate(cfg, metric, "exact", gamma_th)
+            except (DomainError, NumericError) as exc:
+                out[i] = exc
+    return out
 
 
 def metric_cases(metric: str, lambdas, gammas_th_db):

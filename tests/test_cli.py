@@ -26,8 +26,9 @@ from rislink.cli import (
     selftest,
     write_csv,
 )
-from rislink.errors import ConfigError, DomainError
-from rislink.fading import MODEL_DRAW, PHYSICAL_DRAW
+from rislink.errors import ConfigError, DomainError, NumericError
+from rislink.fading import MODEL_DRAW, PHYSICAL_DRAW, FadingParams
+from rislink.metrics import LinkConfig, avg_ber
 from rislink.validation import PRESETS
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -532,6 +533,42 @@ m = 1, 4
         assert exact.keys() == asym.keys()
         for key, v in exact.items():
             assert abs(v - asym[key]) <= 0.05
+
+
+def test_failing_exact_row_raises_the_first_in_row_order(tmp_path, monkeypatch, capsys):
+    # the BER figure at -19 dBm, with a contour budget that rows 2, 4 and 6
+    # of the point's batched Meijer G calls overrun, each by its own count:
+    # the sweep and the row's own metrics call both exit 3 with row 2's
+    # error, the one its lone avg_ber call raises
+    monkeypatch.setattr(specfun, "MAX_CONTOUR_EVALS", 320)
+    cfg = LinkConfig.from_eta(cli._eta(-19.0, 0.0, 1.0, 2.7), FadingParams(1.0, 5.0), 8,
+                              lambda_mod=0.5)
+    with pytest.raises(NumericError) as lone:
+        avg_ber(cfg)
+    assert "needs 88 more nodes after 238" in str(lone.value)
+    path = tmp_path / "ber.ini"
+    path.write_text(textwrap.dedent("""
+        [sweep]
+        axis = p_s_dbm
+        start = -19
+        stop = -18
+        steps = 2
+        metrics = ber
+        variants = exact, asymptotic
+
+        [link]
+        n_cells = 8, 16
+        m = 1
+        m_s = 2, 5
+        lambda = 0.5, 1
+        """))
+    out = tmp_path / "ber.csv"
+    assert main(["sweep", str(path), "--out", str(out), "--threads", "1"]) == 3
+    assert capsys.readouterr().err == f"numeric error: {lone.value}\n"
+    assert not out.exists()
+    assert main(["metrics", "--metric", "ber", "--n-cells", "8", "--m", "1", "--m-s", "5",
+                 "--lambda", "0.5", "--p-s-dbm", "-19"]) == 3
+    assert capsys.readouterr() == ("", f"numeric error: {lone.value}\n")
 
 
 class TestMain:

@@ -29,6 +29,7 @@ from rislink.specfun import (
     ln_beta,
     log_betainc,
     meijer_g,
+    meijer_g_batch,
     q_function,
 )
 
@@ -244,6 +245,18 @@ class TestMeijerGSpec:
         with pytest.raises(DomainError, match=f"parameters {row} must be finite"):
             MeijerGSpec(**rows, argument=1.0)
 
+    @pytest.mark.parametrize("rows,pair", [
+        # the pole-collision check, and the term plan's fold, once raised a
+        # bare OverflowError from round(inf)
+        (([1e308], [], [-1e308], []), "a_front value 1e+308 and b_front value -1e+308"),
+        (([-1e308], [], [0.5], [1.7e308]), "a_front value -1e+308 and b_rest value 1.7e+308"),
+        (([], [-1.7e308], [1e308], []), "b_front value 1e+308 and a_rest value -1.7e+308"),
+    ])
+    def test_parameters_beyond_double_range_of_each_other_rejected(self, rows, pair):
+        message = f"{pair} differ by more than double range"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            MeijerGSpec(*rows, 1.0)
+
 
 class TestMeijerGIdentities:
     def test_binomial_kernel_example(self):
@@ -416,8 +429,9 @@ class TestTermPlan:
         (_ber_g_spec(_PLAN_MODEL, 100.0), 3),
     ])
     def test_merged_terms_match_every_factor(self, spec, log_gammas):
-        chi = _MellinBarnesIntegrand(spec)
-        c = _contour_position(chi)[0]
+        plan = _block_plan(spec.a_front, spec.a_rest, spec.b_front, spec.b_rest)
+        chi = _MellinBarnesIntegrand([spec], [plan])
+        c = _contour_position(chi)[0][0]
         u = c + 1j * np.linspace(0.0, 16.0, 257)
         # exp drops the multiples of 2 pi i that merging may add
         ratio = np.exp(chi(u) - naive_log_integrand(spec, u))
@@ -455,7 +469,8 @@ class TestBlockPlan:
             assert d["evals"] == 2 * 65 + 19 + d["nodes"]
 
     def test_cached_arrays_are_read_only(self):
-        plan = _MellinBarnesIntegrand(self.FAMILY[0]).plan
+        spec = self.FAMILY[0]
+        plan = _block_plan(spec.a_front, spec.a_rest, spec.b_front, spec.b_rest)
         assert plan.grid.size == 65 and len(plan.terms) == len(plan.gammas) + len(plan.logs)
         for a in (plan.grid, *plan.terms):
             assert not a.flags.writeable
@@ -474,3 +489,66 @@ class TestBlockPlan:
                                        (-41.0, -1.000001), (1e-6, 40.0)])
     def test_saddle_grid_is_linspace(self, lo, hi):
         assert np.array_equal(_saddle_grid(lo, hi), np.linspace(lo, hi, 65))
+
+
+def ber_point_specs(p_s_dbm: float) -> list:
+    """The 8 BER specs of one point of configs/ber_vs_power.ini, in row
+    order: N 8, 16, then m_s 2, 5, then lambda 0.5, 1."""
+    eta = 10.0 ** (p_s_dbm / 10.0)
+    return [_ber_g_spec(LinkConfig.from_eta(eta, FadingParams(1.0, m_s), n).model(), eta * lam)
+            for n in (8, 16) for m_s in (2.0, 5.0) for lam in (0.5, 1.0)]
+
+
+def lone(spec: MeijerGSpec):
+    """meijer_g(spec), or the NumericError it raises."""
+    try:
+        return meijer_g(spec)
+    except NumericError as exc:
+        return exc
+
+
+def assert_same_report(got, want):
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        assert (got.method, got.log_abs_value, got.sign, got.details) == (
+            want.method, want.log_abs_value, want.sign, want.details)
+
+
+class TestBatch:
+    """Each row of meijer_g_batch is its lone call's report, bit for bit."""
+
+    # at -19 dBm rows 2, 4 and 6 halve the step once, to 340-ish nodes
+    BER_POINT = ber_point_specs(-19.0)
+    # the 1/Gamma(a - u) factor grows past every probe's node budget
+    OVER_BUDGET = MeijerGSpec([0.5], [-1e5], [0.7], [], 1.0)
+
+    def test_rows_of_mixed_plans_match_lone_calls(self):
+        specs = [*self.BER_POINT[:4], self.OVER_BUDGET, *self.BER_POINT[4:],
+                 _capacity_g_spec(_PLAN_MODEL, 100.0), SHIFTED_SPEC]
+        reports = meijer_g_batch(specs)
+        assert isinstance(reports[4], NumericError)
+        assert [r.details["step"] for r in reports[:4] + reports[5:9]] == [
+            0.05, 0.05, 0.025, 0.05, 0.025, 0.05, 0.025, 0.05]
+        for spec, report in zip(specs, reports):
+            assert_same_report(report, lone(spec))
+
+    def test_failing_rows_leave_their_group_unchanged(self, monkeypatch):
+        # a budget that the three rows whose step halves overrun, each by
+        # its own count of nodes
+        monkeypatch.setattr(specfun, "MAX_CONTOUR_EVALS", 320)
+        reports = meijer_g_batch(self.BER_POINT)
+        assert [i for i, r in enumerate(reports) if isinstance(r, NumericError)] == [2, 4, 6]
+        assert "needs 88 more nodes after 238" in str(reports[2])
+        assert "needs 96 more nodes after 246" in str(reports[4])
+        for spec, report in zip(self.BER_POINT, reports):
+            assert_same_report(report, lone(spec))
+
+    def test_domain_errors_stay_in_their_rows(self):
+        no_decay = MeijerGSpec([], [1.0], [], [0.0], 1.0)
+        no_gap = MeijerGSpec([3.2], [], [0.5, 1.5], [], 0.5)
+        reports = meijer_g_batch([no_decay, self.BER_POINT[0], no_gap])
+        assert "lacks exponential decay" in str(reports[0])
+        assert "no separating contour" in str(reports[2])
+        assert_same_report(reports[1], meijer_g(self.BER_POINT[0]))
+        assert meijer_g_batch([]) == []

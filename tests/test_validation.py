@@ -26,10 +26,12 @@ from rislink.validation import (
     CiEstimate,
     McConfig,
     evaluate,
+    evaluate_exact,
     ks_statistic,
     mc_metric,
     mc_metrics,
     metric_cases,
+    point_cases,
     quad_ber,
     quad_capacity,
     quad_outage,
@@ -359,6 +361,24 @@ class TestRangeGuard:
         with pytest.raises(NumericError, match="sign -1"):
             route(cfg_eta(10.0))
 
+    def test_negative_meijer_g_fails_its_own_batch_row(self, monkeypatch):
+        # the batched closed forms check each row as the lone route does,
+        # and a failing row leaves the others as their lone routes give them
+        good = metrics.meijer_g_batch
+
+        def negated_middle(specs):
+            reports = good(specs)
+            reports[1] = dataclasses.replace(reports[1], sign=-1.0)
+            return reports
+
+        monkeypatch.setattr(metrics, "meijer_g_batch", negated_middle)
+        cfgs = [cfg_eta(eta) for eta in (10.0, 100.0, 1000.0)]
+        for batch, route in ((metrics.avg_capacity_batch, avg_capacity),
+                             (metrics.avg_ber_batch, avg_ber)):
+            got = batch(cfgs)
+            assert isinstance(got[1], NumericError) and "sign -1" in str(got[1])
+            assert [got[0], got[2]] == [route(cfgs[0]), route(cfgs[2])]
+
     def test_overflowing_asymptote_keeps_zero_error(self):
         # the asymptote has no feasible bound: its value overflows to inf
         # with a flag, and inf * 0 must not make the estimate nan
@@ -511,6 +531,23 @@ class TestEvaluate:
         marker = MetricResult(value=0.125, method="patched")
         monkeypatch.setattr(validation, "quad_ber", lambda cfg: marker)
         assert evaluate(cfg_eta(10.0), BER, "quadrature") is marker
+
+    def test_exact_batch_is_each_lone_route(self):
+        # two families' capacity, BER and outage cases in one call; the
+        # capacity and BER cases each share one batched Meijer G pass
+        cases = [case[:3] for n in (4, 32) for case in point_cases(
+            300.0, F15, n, (CAPACITY, BER, OUTAGE), (0.5, 1.0), (3.0, 6.0))]
+        got = evaluate_exact(cases)
+        assert [case[1] for case in cases] == [CAPACITY, BER, BER, OUTAGE, OUTAGE] * 2
+        for (cfg, metric, gamma_th), r in zip(cases, got):
+            assert r == evaluate(cfg, metric, "exact", gamma_th)
+
+    def test_exact_batch_keeps_each_error_in_its_row(self):
+        # an outage threshold of 0 fails its own row only
+        cases = [(cfg_eta(10.0), OUTAGE, 0.0), (cfg_eta(10.0), BER, math.nan)]
+        got = evaluate_exact(cases)
+        assert isinstance(got[0], DomainError) and "gamma_th" in str(got[0])
+        assert got[1] == avg_ber(cfg_eta(10.0))
 
     def test_unknown_route(self):
         with pytest.raises(DomainError):
