@@ -44,7 +44,6 @@ from .validation import (
     REPORT_HEADER,
     McConfig,
     evaluate,
-    evaluate_exact,
     ks_checks,
     mc_metrics,
     mode_gap_checks,
@@ -344,10 +343,10 @@ def _point_rows(spec: SweepSpec, axis_value: float) -> list[list[str]]:
     families = [(family, point_cases(eta, FadingParams(m=family[1], m_s=family[2]), family[0],
                                      spec.metrics, link["lambda"], link["gamma_th_db"]))
                 for family in itertools.product(link["n_cells"], link["m"], link["m_s"])]
-    # every family's exact rows at once, so that the point's Meijer G calls
-    # are batched; a failing row raises below, in row order
-    if "exact" in spec.variants:
-        exact = iter(evaluate_exact([case[:3] for _, cases in families for case in cases]))
+    # each variant's rows of every family in one call, so that the point's
+    # Meijer G calls are batched; a failing row raises below, in row order
+    triples = [case[:3] for _, cases in families for case in cases]
+    results = {v: iter(evaluate(triples, v)) for v in spec.variants if v != "mc"}
     rows = []
     for family, cases in families:
         if "mc" in spec.variants:
@@ -359,7 +358,7 @@ def _point_rows(spec: SweepSpec, axis_value: float) -> list[list[str]]:
                 if variant == "mc":
                     value, err = estimates[i].mean, estimates[i].std_error
                 else:
-                    r = next(exact) if variant == "exact" else evaluate(cfg, metric, variant, gth)
+                    r = next(results[variant])
                     if isinstance(r, Exception):
                         raise r
                     value, err = r.value, r.error_estimate

@@ -46,10 +46,8 @@ from .metrics import (
     QUADRATURE,
     LinkConfig,
     MetricResult,
-    avg_ber,
     avg_ber_asymptotic,
     avg_ber_batch,
-    avg_capacity,
     avg_capacity_asymptotic,
     avg_capacity_batch,
     capacity_bound,
@@ -308,18 +306,21 @@ def quad_outage(cfg: LinkConfig, gamma_th: float) -> MetricResult:
                              OUTAGE_BOUND, math.log(1.0 / model.nm - u_star), log_axis=True)
 
 
-def evaluate(
-    cfg: LinkConfig, metric: str, variant: str, gamma_th: float = float("nan")
-) -> MetricResult:
-    """One metric by the exact, asymptotic or quadrature route.
+def evaluate(cases, variant: str) -> list:
+    """Each (cfg, metric, linear gamma_th) case by the exact, asymptotic or
+    quadrature route, in case order: its MetricResult, or the DomainError
+    or NumericError its route raised; ``gamma_th`` is read by outage only.
 
-    ``gamma_th`` (linear) is read by outage only.  The route table is
+    The exact capacity and BER cases run as one avg_capacity_batch and one
+    avg_ber_batch, so their Meijer G calls share every contour pass; the
+    other routes run case by case, and no result depends on the others.
+    An unknown (variant, metric) pair raises at once.  The route table is
     built per call from this module's names, so a function patched onto
     the module, such as a tracing wrapper, is the one that runs.
     """
     routes = {
-        ("exact", CAPACITY): avg_capacity,
-        ("exact", BER): avg_ber,
+        ("exact", CAPACITY): avg_capacity_batch,
+        ("exact", BER): avg_ber_batch,
         ("exact", OUTAGE): outage,
         ("asymptotic", CAPACITY): avg_capacity_asymptotic,
         ("asymptotic", BER): avg_ber_asymptotic,
@@ -328,28 +329,18 @@ def evaluate(
         ("quadrature", BER): quad_ber,
         ("quadrature", OUTAGE): quad_outage,
     }
-    route = routes.get((variant, metric))
-    if route is None:
-        raise DomainError(f"no {variant!r} route for metric {metric!r}")
-    return route(cfg, gamma_th) if metric == OUTAGE else route(cfg)
-
-
-def evaluate_exact(cases) -> list:
-    """The exact route of each (cfg, metric, linear gamma_th) case, as
-    :func:`evaluate` gives it, or the DomainError or NumericError it
-    raises there.  The capacity cases run as one avg_capacity_batch and
-    the BER cases as one avg_ber_batch, so the Meijer G calls of each
-    share every contour pass; no result depends on the others.
-    """
+    chosen = [routes.get((variant, metric)) for _, metric, _ in cases]
+    if None in chosen:
+        raise DomainError(f"no {variant!r} route for metric {cases[chosen.index(None)][1]!r}")
     out = [None] * len(cases)
-    for metric, batch in ((CAPACITY, avg_capacity_batch), (BER, avg_ber_batch)):
-        index = [i for i, case in enumerate(cases) if case[1] == metric]
+    for batch in (avg_capacity_batch, avg_ber_batch):
+        index = [i for i, route in enumerate(chosen) if route is batch]
         for i, r in zip(index, batch([cases[i][0] for i in index])):
             out[i] = r
     for i, (cfg, metric, gamma_th) in enumerate(cases):
         if out[i] is None:
             try:
-                out[i] = evaluate(cfg, metric, "exact", gamma_th)
+                out[i] = chosen[i](cfg, gamma_th) if metric == OUTAGE else chosen[i](cfg)
             except (DomainError, NumericError) as exc:
                 out[i] = exc
     return out
@@ -630,13 +621,17 @@ def run_oracle_grid(
         mc = McConfig(n_samples=n_samples, seed=seed, mode=mode)
         cases = point_cases(eta, FadingParams(m=m, m_s=m_s), n, (CAPACITY, BER, OUTAGE),
                             GRID_LAMBDA, GRID_GAMMA_TH_DB)
-        # one sample per point, scored for every row
-        estimates = mc_metrics([case[:3] for case in cases], mc)
+        triples = [case[:3] for case in cases]
+        # one sample and one call per route for all the point's rows; a
+        # failing row raises below, in row order
+        estimates = mc_metrics(triples, mc)
+        routes = zip(evaluate(triples, "exact"), evaluate(triples, "quadrature"))
         checks = []
-        for (cfg, metric, gth, gth_db), est in zip(cases, estimates):
-            exact = evaluate(cfg, metric, "exact", gth)
-            c_log = exact.diagnostics["log_value"]
-            q_log = evaluate(cfg, metric, "quadrature", gth).diagnostics["log_value"]
+        for (cfg, metric, gth, gth_db), est, (exact, quad) in zip(cases, estimates, routes):
+            for r in (exact, quad):
+                if isinstance(r, Exception):
+                    raise r
+            c_log, q_log = exact.diagnostics["log_value"], quad.diagnostics["log_value"]
             gap = _rel_gap_from_logs(c_log, q_log)
             ok_mc, note = _mc_consistent(exact.value, est, metric)
             checks.append(Check(
@@ -685,7 +680,10 @@ def mode_gap_checks(preset: str) -> list[Check]:
     checks = []
     for i, n in enumerate(_preset(preset).gap_ns):
         cfg = LinkConfig.from_eta(snr_threshold_from_db(eta_db), fading, n)
-        model, physical = avg_capacity(cfg), physical_capacity(cfg)
+        (model,) = evaluate([(cfg, CAPACITY, math.nan)], "exact")
+        if isinstance(model, Exception):
+            raise model
+        physical = physical_capacity(cfg)
         gap = abs(model.value - physical.value) / physical.value
         checks.append(Check(
             kind="mode_gap", index=9000 + i, n_cells=n, m=fading.m, m_s=fading.m_s,

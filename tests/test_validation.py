@@ -26,7 +26,6 @@ from rislink.validation import (
     CiEstimate,
     McConfig,
     evaluate,
-    evaluate_exact,
     ks_statistic,
     mc_metric,
     mc_metrics,
@@ -266,7 +265,7 @@ class TestQuadAgainstScipy:
         # contour; scipy's adaptive quad keeps an independent integrator
         for n, m, m_s, eta, lam, gth in _scatter_points(50, 2014):
             cfg = cfg_eta(eta, FadingParams(m, m_s), n, lam)
-            ours = evaluate(cfg, metric, "quadrature", gth)
+            (ours,) = evaluate([(cfg, metric, gth)], "quadrature")
             log_ref, rel_ref = scipy_oracle(cfg, metric, gth)
             gap = abs(math.expm1(ours.diagnostics["log_value"] - log_ref))
             assert gap <= ours.diagnostics["rel_error"] + rel_ref + 1e-9, (n, m, m_s, eta)
@@ -521,7 +520,7 @@ class TestEvaluate:
         cfg = cfg_eta(30.0, F15, 4, lam=0.5)
         route = self.ROUTES[(variant, metric)]
         want = route(cfg, 2.0) if metric == OUTAGE else route(cfg)
-        got = evaluate(cfg, metric, variant, 2.0)
+        (got,) = evaluate([(cfg, metric, 2.0)], variant)
         assert got.method == want.method
         assert got.value == want.value
 
@@ -530,30 +529,42 @@ class TestEvaluate:
         # module (tracing, fault injection) is the function that runs
         marker = MetricResult(value=0.125, method="patched")
         monkeypatch.setattr(validation, "quad_ber", lambda cfg: marker)
-        assert evaluate(cfg_eta(10.0), BER, "quadrature") is marker
+        (got,) = evaluate([(cfg_eta(10.0), BER, math.nan)], "quadrature")
+        assert got is marker
 
     def test_exact_batch_is_each_lone_route(self):
         # two families' capacity, BER and outage cases in one call; the
         # capacity and BER cases each share one batched Meijer G pass
         cases = [case[:3] for n in (4, 32) for case in point_cases(
             300.0, F15, n, (CAPACITY, BER, OUTAGE), (0.5, 1.0), (3.0, 6.0))]
-        got = evaluate_exact(cases)
+        got = evaluate(cases, "exact")
         assert [case[1] for case in cases] == [CAPACITY, BER, BER, OUTAGE, OUTAGE] * 2
         for (cfg, metric, gamma_th), r in zip(cases, got):
-            assert r == evaluate(cfg, metric, "exact", gamma_th)
+            route = self.ROUTES[("exact", metric)]
+            assert r == (route(cfg, gamma_th) if metric == OUTAGE else route(cfg))
 
     def test_exact_batch_keeps_each_error_in_its_row(self):
         # an outage threshold of 0 fails its own row only
         cases = [(cfg_eta(10.0), OUTAGE, 0.0), (cfg_eta(10.0), BER, math.nan)]
-        got = evaluate_exact(cases)
+        got = evaluate(cases, "exact")
         assert isinstance(got[0], DomainError) and "gamma_th" in str(got[0])
         assert got[1] == avg_ber(cfg_eta(10.0))
 
+    @pytest.mark.parametrize("variant", ["asymptotic", "quadrature"])
+    def test_lone_routes_keep_each_error_in_its_row(self, variant):
+        # the case-by-case routes store a failing case's error and go on
+        cfg = cfg_eta(10.0)
+        cases = [(cfg, BER, math.nan), (cfg, OUTAGE, 0.0), (cfg, CAPACITY, math.nan)]
+        got = evaluate(cases, variant)
+        assert isinstance(got[1], DomainError) and "gamma_th" in str(got[1])
+        assert got[0] == self.ROUTES[(variant, BER)](cfg)
+        assert got[2] == self.ROUTES[(variant, CAPACITY)](cfg)
+
     def test_unknown_route(self):
         with pytest.raises(DomainError):
-            evaluate(cfg_eta(10.0), BER, "mc")
+            evaluate([(cfg_eta(10.0), BER, math.nan)], "mc")
         with pytest.raises(DomainError):
-            evaluate(cfg_eta(10.0), "snr", "exact")
+            evaluate([(cfg_eta(10.0), "snr", math.nan)], "exact")
 
 
 class TestMetricCases:
@@ -592,6 +603,27 @@ class TestOracleGrid:
         monkeypatch.setattr(validation, "sample_sum", counting)
         checks = run_oracle_grid("smoke", n_samples=10_000)
         assert len(calls) == len({c.index for c in checks}) == 8
+
+    def test_failing_row_raises_its_own_error(self, monkeypatch):
+        # at the point eta = 10 the exact BER row at lambda 0.5 and the
+        # quadrature BER row at lambda 1 fail; the exact route runs first,
+        # but the lambda 1 row comes first in row order
+        good_batch, good_quad = validation.avg_ber_batch, validation.quad_ber
+
+        def batch(cfgs):
+            return [NumericError("exact, lambda 0.5")
+                    if (cfg.eta, cfg.lambda_mod) == (10.0, 0.5) else r
+                    for cfg, r in zip(cfgs, good_batch(cfgs))]
+
+        def quad(cfg):
+            if (cfg.eta, cfg.lambda_mod) == (10.0, 1.0):
+                raise NumericError("quadrature, lambda 1")
+            return good_quad(cfg)
+
+        monkeypatch.setattr(validation, "avg_ber_batch", batch)
+        monkeypatch.setattr(validation, "quad_ber", quad)
+        with pytest.raises(NumericError, match="quadrature, lambda 1"):
+            run_oracle_grid("smoke", n_samples=10_000)
 
     def test_unknown_preset(self):
         with pytest.raises(DomainError):
