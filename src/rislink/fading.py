@@ -82,6 +82,12 @@ class SumFadingModel:
     def __post_init__(self):
         object.__setattr__(self, "n_cells", _whole(self.n_cells, 1,
                                                    "n_cells must be an integer >= 1"))
+        # every route reads the aggregate shapes and scale in linear form
+        if not all(0.0 < x < math.inf for x in (self.nm, self.nms, self.xi)):
+            raise DomainError(
+                f"n_cells = {self.n_cells}, m = {self.params.m!r} and m_s = "
+                f"{self.params.m_s!r} put N m, N m_s or xi = m/(N m_s) outside the "
+                "positive finite doubles")
 
     @property
     def nm(self) -> float:

@@ -115,9 +115,15 @@ def log_betainc(a: float, b: float, y: float) -> tuple[float, float, str, int]:
     if not direct:
         a, b, x, log_x, log_1mx = b, a, 1.0 / (1.0 + y), log_1mx, log_x
     h, evals = _beta_cf(a, b, x)
+    at = (a, b, y) if direct else (b, a, y)
+    if not 0.0 < h < math.inf:
+        raise NumericError(f"incomplete beta continued fraction is {h!r} at {at}")
     terms = (a * log_x, b * log_1mx, -math.log(a), math.log(h),
              float(_gammaln(a + b)), -float(_gammaln(a)), -float(_gammaln(b)))
-    log_value = math.fsum(terms)
+    try:
+        log_value = math.fsum(terms)
+    except ValueError:  # an infinite term of each sign
+        raise NumericError(f"incomplete beta log terms leave double range at {at}") from None
     # each log term is good to about two ulps of its own size, and each
     # iteration rounds the fraction by a few ulps
     rel_err = 2.0 * _EPS * sum(abs(t) for t in terms) + 4.0 * _EPS * evals
@@ -125,7 +131,7 @@ def log_betainc(a: float, b: float, y: float) -> tuple[float, float, str, int]:
         return log_value, rel_err, CF_DIRECT, evals
     tail = math.exp(log_value)
     if tail >= 1.0:
-        raise NumericError(f"incomplete beta complement lost to rounding at {(b, a, y)}")
+        raise NumericError(f"incomplete beta complement lost to rounding at {at}")
     # 1 - tail inherits the tail's absolute error, and rounds to an ulp
     return math.log1p(-tail), rel_err * tail / (1.0 - tail) + _EPS, CF_COMPLEMENT, evals
 

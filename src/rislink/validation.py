@@ -156,6 +156,8 @@ def _log_axis_integral(log_terms, slopes, start: float, what: str):
     """
     y_peak, curvature, spent = _peak(slopes, start, what)
     scale = 1.0 / math.sqrt(-curvature)
+    if not 0.0 < scale < math.inf:
+        raise NumericError(f"{what} integrand peak has curvature {float(curvature)!r}")
     peak_terms = log_terms(np.float64(y_peak))
     h_peak = float(sum(peak_terms))
     reach = np.arange(1.0, math.ceil(math.asinh(_SUPPORT_SPAN / scale)) + 1.0)

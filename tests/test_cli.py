@@ -350,6 +350,30 @@ def test_value_outside_doubles_is_a_config_error(args, keys, tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+# metrics flags whose channel model leaves double range: N m overflows, or
+# xi = m/(N m_s) underflows
+MODEL_OUTSIDE_DOUBLES = [["--m", "1e308"], ["--m", "1e-300", "--m-s", "1e30", "--n-cells", "1"]]
+
+
+@pytest.mark.parametrize("flags", MODEL_OUTSIDE_DOUBLES, ids=" ".join)
+def test_model_outside_doubles_is_a_config_error_on_every_route(flags, capsys):
+    for variant in cli.VARIANTS:
+        for metric in cli.METRICS:
+            assert main(["metrics", "--metric", metric, "--variant", variant, *flags,
+                         "--mc-samples", "10000"]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("config error: n_cells = ")
+            assert " m = " in err and " m_s = " in err
+
+
+def test_outage_fraction_outside_doubles_is_a_numeric_error(capsys):
+    # the model is in range, but the incomplete beta fraction comes out negative
+    assert main(["metrics", "--metric", "outage", "--m", "1e30", "--m-s", "1.0000001",
+                 "--n-cells", "1024"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "numeric error: incomplete beta continued fraction is -0.00195")
+
+
 def test_threshold_outside_doubles_ignored_without_outage(capsys):
     # only outage reads gamma_th_db
     assert main(["metrics", "--metric", "capacity", "--gamma-th-db", "4000"]) == 0

@@ -1,6 +1,7 @@
 """Fading distributions: densities, CDFs, sampling, sum model."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -137,6 +138,13 @@ class TestSumModel:
         assert math.exp(model.log_lambda_norm) == pytest.approx(
             model.xi / (math.gamma(16.0) * math.gamma(40.0)), rel=1e-12
         )
+
+    @pytest.mark.parametrize("m,m_s,n", [(1e308, 5.0, 8), (1.0, 1e308, 8), (1e-300, 1e30, 1)])
+    def test_shapes_or_scale_outside_doubles_rejected(self, m, m_s, n):
+        # N m, N m_s or xi = m/(N m_s) leaves the positive finite doubles
+        keys = f"n_cells = {n}, m = {m!r} and m_s = {m_s!r}"
+        with pytest.raises(DomainError, match=re.escape(keys)):
+            SumFadingModel(FadingParams(m, m_s), n)
 
     def test_lambda_norm_underflow_kept_in_logs(self):
         model = SumFadingModel(FadingParams(4.0, 5.0), 32)

@@ -192,6 +192,16 @@ class TestLogBetainc:
         with pytest.raises(DomainError):
             log_betainc(a, b, y)
 
+    @pytest.mark.parametrize("a,b,y,what", [
+        (1.024e33, 1024.0001024, 1.9484981596119805e27, "continued fraction is -0.00195"),
+        (1e308, 1e300, 1.0, "log terms leave double range"),
+    ])
+    def test_fraction_or_terms_outside_doubles_are_loud(self, a, b, y, what):
+        # a fraction that comes out negative has no log, and gammaln(a + b)
+        # and gammaln(a) both overflow, to +inf and -inf terms
+        with pytest.raises(NumericError, match=f"{what}.* at {re.escape(repr((a, b, y)))}"):
+            log_betainc(a, b, y)
+
     def test_iteration_cap_is_loud(self, monkeypatch):
         monkeypatch.setattr(specfun, "MAX_CF_ITERATIONS", 3)
         with pytest.raises(NumericError):

@@ -314,6 +314,12 @@ class TestRangeGuard:
         with pytest.raises(NumericError, match="above its bound"):
             oracle(*args)
 
+    def test_peak_curvature_outside_doubles_raises(self):
+        # at m = 1e300 the outage oracle's curvature overflows to -inf, and
+        # the rule's scale 1/sqrt(-curvature) would be 0
+        with pytest.raises(NumericError, match="outage integrand peak has curvature -inf"):
+            validation._log_axis_integral(lambda y: (0.0 * y,), lambda y: (0.0, -math.inf),
+                                          0.0, "outage")
 
     @pytest.mark.parametrize("route,args", [
         (avg_capacity, (cfg_eta(100.0),)),
