@@ -343,8 +343,8 @@ def _point_rows(spec: SweepSpec, axis_value: float) -> list[list[str]]:
     families = [(family, point_cases(eta, FadingParams(m=family[1], m_s=family[2]), family[0],
                                      spec.metrics, link["lambda"], link["gamma_th_db"]))
                 for family in itertools.product(link["n_cells"], link["m"], link["m_s"])]
-    # each variant's rows of every family in one call, so that the point's
-    # Meijer G calls are batched; a failing row raises below, in row order
+    # one call per non-MC variant for every family's rows, which batches the
+    # point's Meijer G calls; a failing row raises below, in row order
     triples = [case[:3] for _, cases in families for case in cases]
     results = {v: iter(evaluate(triples, v)) for v in spec.variants if v != "mc"}
     rows = []
