@@ -38,8 +38,8 @@ from scipy.special import gammaln
 
 from .errors import DomainError, NumericError
 from .fading import FadingParams, SumFadingModel
-from .specfun import (EvalReport, MeijerGSpec, _halving_trapezoid, digamma, log_betainc,
-                      meijer_g, meijer_g_batch)
+from .specfun import (REL_TOL, EvalReport, MeijerGSpec, _halving_trapezoid, digamma,
+                      log_betainc, meijer_g, meijer_g_batch)
 
 _LN2 = math.log(2.0)
 _EPS = float(np.finfo(float).eps)
@@ -132,13 +132,16 @@ def result(route: str, log_value: float, rel_err: float, upper: float = math.inf
 
     The value is exp(log_value), read as 0.0 below UNDERFLOW_FLOOR and
     inf above double range, each flagged in ``diagnostics``, and its
-    error estimate value * rel_err (0.0 when it overflows).  A value
-    above ``upper`` by more than that estimate raises NumericError.
+    error estimate value * rel_err (0.0 when it overflows).  A rel_err
+    above REL_TOL, or a value above ``upper`` by more than its estimate,
+    raises NumericError.
     ``diagnostics`` holds plain Python values: ``log_value`` (exact
     when the value under- or overflows), ``method`` (the route unless
     given), ``evals``, ``rel_error`` (rel_err) and ``step``, the final
     step of a step-halving rule or nan where none ran.
     """
+    if not rel_err <= REL_TOL:
+        raise NumericError(f"{route} relative error {rel_err:.3e} misses the target {REL_TOL:g}")
     log_value = float(log_value)
     diagnostics = {"log_value": log_value, "method": method or route, "evals": int(evals),
                    "rel_error": float(rel_err), "step": float(step)}

@@ -40,6 +40,8 @@ _EPS = float(np.finfo(float).eps)
 # Hard caps; exceeding them raises, never returns silently.
 MAX_CF_ITERATIONS = 10_000
 MAX_CONTOUR_EVALS = 100_000
+# The accuracy target of every log-space route; a bound above it raises.
+REL_TOL = 1e-6
 
 # Nodes per vectorized integrand call; bounds the contour's working set.
 _CONTOUR_BLOCK = 4096
@@ -132,6 +134,8 @@ def log_betainc(a: float, b: float, y: float) -> tuple[float, float, str, int]:
     tail = math.exp(log_value)
     if tail >= 1.0:
         raise NumericError(f"incomplete beta complement lost to rounding at {at}")
+    if not rel_err <= REL_TOL:  # the tail may underflow, and 1 - tail hide its error
+        raise NumericError(f"incomplete beta tail has relative error {rel_err:.3e} at {at}")
     # 1 - tail inherits the tail's absolute error, and rounds to an ulp
     return math.log1p(-tail), rel_err * tail / (1.0 - tail) + _EPS, CF_COMPLEMENT, evals
 
@@ -359,12 +363,13 @@ def _column(values: list):
     return values[0] if len(values) == 1 else np.array(values)[:, None]
 
 
-def _columns(plans: list, dtype) -> tuple:
+def _columns(plans: list) -> tuple:
     """(gammas, logs) of plans that share one structure, each offset the
-    _column of the rows' offsets, of dtype."""
+    _column of the rows' offsets.  The offsets are float64: the complex
+    integrand promotes them exactly."""
     if len(plans) == 1:
         return plans[0].gammas, plans[0].logs
-    return tuple([(term[0][0], np.array([o for _, o, _ in term], dtype)[:, None], term[0][2])
+    return tuple([(term[0][0], _column([o for _, o, _ in term]), term[0][2])
                   for term in zip(*lists)]
                  for lists in ([p.gammas for p in plans], [p.logs for p in plans]))
 
@@ -379,8 +384,7 @@ class _MellinBarnesIntegrand:
     def __init__(self, specs: list, plans: list):
         self.specs, self.plans = specs, plans
         self.log_z = _column([math.log(s.argument) for s in specs])
-        self.real = _columns(plans, float)
-        self.complex = _columns(plans, complex)
+        self.offsets = _columns(plans)
 
     def take(self, rows: list) -> "_MellinBarnesIntegrand":
         """The integrand of the given rows, in increasing order, alone."""
@@ -391,23 +395,15 @@ class _MellinBarnesIntegrand:
 
     def __call__(self, u):
         """Complex log integrand at the points u."""
-        return sum(_log_terms(*self.complex, u, _loggamma, np.log), u * self.log_z)
+        return sum(_log_terms(*self.offsets, u, _loggamma, np.log), u * self.log_z)
 
     def real_terms(self, x) -> list:
         """The log terms at real points x, in real arithmetic."""
-        return _log_terms(*self.real, x, _gammaln, _log_abs)
+        return _log_terms(*self.offsets, x, _gammaln, _log_abs)
 
     def real_axis(self, x: np.ndarray, terms) -> np.ndarray:
         """Re log integrand at real points x, from their log terms."""
         return sum(terms, x * self.log_z)
-
-    def on_line(self, c, t: np.ndarray, w0) -> np.ndarray:
-        """Re exp(logchi(c + i t) - w0) at t (rows, nodes), c and w0 being
-        _column's, in blocks of nodes."""
-        width = max(1, _CONTOUR_BLOCK // t.shape[0])
-        blocks = [np.exp(self(c + 1j * t[:, k:k + width]) - w0).real
-                  for k in range(0, t.shape[1], width)]
-        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
 
 
 def _contour_position(chi: _MellinBarnesIntegrand) -> list:
@@ -447,111 +443,73 @@ _PROBES = 2.0 ** np.arange(-2, 17)
 _PROBE_LINE = 1j * _PROBES[None]
 
 
-def _truncation(chi: _MellinBarnesIntegrand, c, w0) -> list:
-    """Per row, (t_max, log|chi(c + i t_max)| - w0) for the cut of the
-    line, c and w0 being _column's, or the NumericError of a row
-    whose integrand never falls that far.
+def _halving_rules(f, h: float, spans, rel_tol: float, floor: float, node_roundings,
+                   what: str, spent: int, budget: int) -> list:
+    """Per row, h (f(0)/2 + f(h) + ... + f(n h)) over [0, span], the step
+    halved until it holds: (total, error, rounding, step, n), n the least
+    even count with n h >= span, or the NumericError of a row whose next
+    nodes would take its evaluations, spent before it included, past the
+    budget.
 
-    The probes are the powers of two from 1/4 to 2^16, in one integrand
-    call; the cut is the probe after the last one above 1e-18 of the
-    saddle value.
+    The error is the difference from the rule on the even nodes, and the
+    step is halved, each pass adding only the new odd nodes, until it is
+    at most rel_tol * max(|total|, floor) or the rounding, the row's
+    node_rounding relative in each node: a smaller step cannot resolve a
+    difference below that.  Each pass is one call f(x, rows) on the rows
+    still halving, one row of x each, zero-padded past a row's own
+    nodes.  The padding is the node x = 0, which every row evaluates
+    first, so it neither overflows nor warns; its values are dropped,
+    and each row sums over its own nodes alone.
     """
-    w = chi(c + _PROBE_LINE).real - w0
-    cuts = []
-    for spec, row in zip(chi.specs, w):
-        above = np.nonzero(row > math.log(1e-18))[0]
-        k = int(above[-1]) + 1 if above.size else 0
-        cuts.append(NumericError(
-            f"contour truncation bound not reached by t = {_PROBES[-1]:.0f} for {spec}"
-        ) if k == _PROBES.size else (float(_PROBES[k]), float(row[k])))
-    return cuts
-
-
-def _halving_rule(h: float, span: float, rel_tol: float, floor: float,
-                  node_rounding: float, what: str, spent: int, budget: int):
-    """h (f(0)/2 + f(h) + ... + f(n h)), with the step halved until it holds.
-
-    A generator: it yields each array of nodes x >= 0 it needs, is sent
-    f there, and returns (total, error, rounding, step, n); n is the
-    least even count with n h >= span.
-    The error is the difference from the rule on the even nodes, and
-    the step is halved, each pass yielding only the new odd nodes,
-    until it is at most rel_tol * max(|total|, floor) or the rounding,
-    node_rounding relative in each node: a smaller step cannot resolve
-    a difference below that.  Raises NumericError before yielding
-    nodes that would take the spent evaluations past the budget.
-    """
-    n = 2 * math.ceil(span / (2.0 * h))
-    x, values = h * np.arange(n + 1), None
+    n = [2 * math.ceil(span / (2.0 * h)) for span in spans]
+    x = [h * np.arange(k + 1) for k in n]
+    steps, used, values, out = ([v] * len(n) for v in (h, spent, None, None))
+    live = list(range(len(n)))
     while True:
-        if spent + x.size > budget:
-            raise NumericError(
-                f"{what} needs {x.size} more nodes after {spent} integrand "
-                f"evaluations, over the budget of {budget}"
-            )
-        spent += x.size
-        fx = yield x
-        if values is not None:
-            refined = np.empty(2 * n + 1)
-            refined[::2] = values
-            refined[1::2] = fx
-            fx, n = refined, 2 * n
-        values = fx
-        total = h * (0.5 * values[0] + values[1:].sum())
-        coarse = 2.0 * h * (0.5 * values[0] + values[2::2].sum())
-        err = abs(total - coarse)
-        rounding = node_rounding * h * float(np.abs(values).sum())
-        if err <= max(rel_tol * max(abs(total), floor), rounding):
-            return total, err, rounding, h, n
-        h *= 0.5
-        x = h * np.arange(1, 2 * n, 2)
+        for r in live:
+            if used[r] + x[r].size > budget:
+                out[r] = NumericError(f"{what} needs {x[r].size} more nodes after {used[r]} "
+                                      f"integrand evaluations, over the budget of {budget}")
+            used[r] += x[r].size
+        live = [r for r in live if out[r] is None]
+        if not live:
+            return out
+        if len(live) == 1:
+            nodes = x[live[0]][None]
+        else:
+            nodes = np.zeros((len(live), max(x[r].size for r in live)))
+            for i, r in enumerate(live):
+                nodes[i, :x[r].size] = x[r]
+        fx = f(nodes, live)
+        for i, r in enumerate(live):
+            v, h = fx[i, :x[r].size], steps[r]
+            if values[r] is not None:
+                refined = np.empty(2 * n[r] + 1)
+                refined[::2] = values[r]
+                refined[1::2] = v
+                v, n[r] = refined, 2 * n[r]
+            values[r] = v
+            total = h * (0.5 * v[0] + v[1:].sum())
+            coarse = 2.0 * h * (0.5 * v[0] + v[2::2].sum())
+            err = abs(total - coarse)
+            rounding = node_roundings[r] * h * float(np.abs(v).sum())
+            if err <= max(rel_tol * max(abs(total), floor), rounding):
+                out[r] = (total, err, rounding, h, n[r])
+            else:
+                steps[r] = 0.5 * h
+                x[r] = steps[r] * np.arange(1, 2 * n[r], 2)
+        live = [r for r in live if out[r] is None]
 
 
 def _halving_trapezoid(f, h: float, span: float, rel_tol: float, floor: float,
                        node_rounding: float, what: str, spent: int, budget: int):
-    """_halving_rule, with f mapping each array of nodes it yields to the
+    """_halving_rules of one row, f mapping an array of nodes to the
     integrand there; returns (total, error, rounding, step, n)."""
-    rule = _halving_rule(h, span, rel_tol, floor, node_rounding, what, spent, budget)
-    x = next(rule)
-    while True:
-        try:
-            x = rule.send(f(x))
-        except StopIteration as done:
-            return done.value
-
-
-def _drive_rules(rules: dict, f) -> dict:
-    """Run step-halving rules (_halving_rule) side by side: each pass
-    evaluates every running rule's nodes in one call f(x, keys), one row
-    of x per key, zero-padded past a row's own nodes.  The padding is the
-    node x = 0, which every rule evaluates first, so it neither overflows
-    nor warns; its values are dropped.  Returns {key: the rule's result,
-    or the NumericError it raised}."""
-    done, nodes = {}, {}
-    for key, rule in rules.items():
-        try:
-            nodes[key] = next(rule)
-        except NumericError as exc:
-            done[key] = exc
-    while nodes:
-        keys = list(nodes)
-        if len(keys) == 1:
-            x = nodes[keys[0]][None]
-        else:
-            x = np.zeros((len(keys), max(v.size for v in nodes.values())))
-            for i, key in enumerate(keys):
-                x[i, :nodes[key].size] = nodes[key]
-        fx = f(x, keys)
-        for i, key in enumerate(keys):
-            try:
-                nodes[key] = rules[key].send(fx[i, :nodes[key].size])
-                continue
-            except StopIteration as stop:
-                done[key] = stop.value
-            except NumericError as exc:
-                done[key] = exc
-            del nodes[key]
-    return done
+    (out,) = _halving_rules(lambda x, rows: f(x[0])[None], h, [span], rel_tol, floor,
+                            [node_rounding], what, spent, budget)
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 def _decay(spec: MeijerGSpec) -> float:
@@ -570,31 +528,48 @@ def _contour(rows: list) -> list:
     """meijer_g of the rows (spec, _decay(spec), block plan), whose blocks
     share one term structure, or the NumericError a spec's own call
     raises: one integrand call per saddle pass, one for the probes and
-    one per pass of the rules."""
+    one per pass of the rules.
+
+    The probes are the powers of two from 1/4 to 2^16 along each row's
+    line; its cut is the probe after the last one above 1e-18 of the
+    saddle value, and a row whose integrand never falls that far raises.
+    Each pass evaluates the line in blocks of about _CONTOUR_BLOCK nodes.
+    """
     specs, decays, plans = zip(*rows)
     chi = _MellinBarnesIntegrand(specs, plans)
     lines = _contour_position(chi)
     # the _column's of each row's c, w0 and distance to the nearest pole
     c, w0, scale, _ = map(_column, zip(*lines))
-    out = _truncation(chi, c, w0)
-    # both saddle passes and the probes come before the rule's nodes
-    spent = 2 * _SADDLE_INDEX.size + _PROBES.size
-    rules = {
-        r: _halving_rule(0.05, math.asinh(cut[0] / lines[r][2]), 1e-12, 1e-3,
-                         # each node's log terms round to a few ulps of their own
-                         # size, and exp carries that into the node value
-                         4.0 * _EPS * lines[r][3],
-                         "contour quadrature", spent, MAX_CONTOUR_EVALS)
-        for r, cut in enumerate(out) if not isinstance(cut, Exception)
-    }
+    out = []
+    for spec, w in zip(specs, chi(c + _PROBE_LINE).real - w0):
+        above = np.nonzero(w > math.log(1e-18))[0]
+        k = int(above[-1]) + 1 if above.size else 0
+        out.append(NumericError(
+            f"contour truncation bound not reached by t = {_PROBES[-1]:.0f} for {spec}"
+        ) if k == _PROBES.size else (float(_PROBES[k]), float(w[k])))
+    live = [r for r, cut in enumerate(out) if not isinstance(cut, Exception)]
 
     def mapped(x, rows):
         """The rows' integrand in x, dt/dx = a cosh(x) included."""
+        rows = [live[i] for i in rows]
         c_rows, w0_rows, a = ((c, w0, scale) if len(rows) == len(specs)
                               else (v[rows] for v in (c, w0, scale)))
-        return a * np.cosh(x) * chi.take(rows).on_line(c_rows, a * np.sinh(x), w0_rows)
+        part, t = chi.take(rows), a * np.sinh(x)
+        width = max(1, _CONTOUR_BLOCK // t.shape[0])
+        blocks = [np.exp(part(c_rows + 1j * t[:, k:k + width]) - w0_rows).real
+                  for k in range(0, t.shape[1], width)]
+        return a * np.cosh(x) * (blocks[0] if len(blocks) == 1
+                                 else np.concatenate(blocks, axis=1))
 
-    for r, rule in _drive_rules(rules, mapped).items():
+    # both saddle passes and the probes come before the rule's nodes
+    spent = 2 * _SADDLE_INDEX.size + _PROBES.size
+    rules = _halving_rules(
+        mapped, 0.05, [math.asinh(out[r][0] / lines[r][2]) for r in live], 1e-12, 1e-3,
+        # each node's log terms round to a few ulps of their own size, and
+        # exp carries that into the node value
+        [4.0 * _EPS * lines[r][3] for r in live], "contour quadrature", spent,
+        MAX_CONTOUR_EVALS)
+    for r, rule in zip(live, rules):
         if isinstance(rule, Exception):
             out[r] = rule
             continue

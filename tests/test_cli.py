@@ -374,6 +374,29 @@ def test_outage_fraction_outside_doubles_is_a_numeric_error(capsys):
         "numeric error: incomplete beta continued fraction is -0.00195")
 
 
+# metrics flags where a route's error bound exceeds its value (capacity
+# at m = 1e14, outage at m = 1e16), or where the outage's incomplete beta
+# tail has a bound of 1e7 relative or more and underflows, so that
+# 1 - tail would read 1: each misses the accuracy target and exits 3
+MISSED_TARGET = [
+    (["--metric", "capacity", "--m", "1e14", "--eta-db", "0"], "closed_form relative error"),
+    (["--metric", "capacity", "--variant", "quadrature", "--m", "1e14", "--eta-db", "0"],
+     "quadrature relative error"),
+    (["--metric", "outage", "--m", "1e16"], "closed_form relative error"),
+    (["--metric", "outage", "--m", "1e300"], "incomplete beta tail has relative error"),
+    (["--metric", "outage", "--m", "1e20", "--gamma-th-db", "3.0103"],
+     "incomplete beta tail has relative error"),
+]
+
+
+@pytest.mark.parametrize("flags,message", MISSED_TARGET,
+                         ids=[" ".join(flags) for flags, _ in MISSED_TARGET])
+def test_value_missing_the_accuracy_target_is_a_numeric_error(flags, message, capsys):
+    assert main(["metrics", *flags]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"numeric error: {message}")
+
+
 def test_threshold_outside_doubles_ignored_without_outage(capsys):
     # only outage reads gamma_th_db
     assert main(["metrics", "--metric", "capacity", "--gamma-th-db", "4000"]) == 0

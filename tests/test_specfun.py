@@ -195,10 +195,13 @@ class TestLogBetainc:
     @pytest.mark.parametrize("a,b,y,what", [
         (1.024e33, 1024.0001024, 1.9484981596119805e27, "continued fraction is -0.00195"),
         (1e308, 1e300, 1.0, "log terms leave double range"),
+        (8e300, 40.0, 4.988155787422199e298, "tail has relative error 4.916e\\+288"),
     ])
     def test_fraction_or_terms_outside_doubles_are_loud(self, a, b, y, what):
-        # a fraction that comes out negative has no log, and gammaln(a + b)
-        # and gammaln(a) both overflow, to +inf and -inf terms
+        # a fraction that comes out negative has no log, gammaln(a + b)
+        # and gammaln(a) both overflow, to +inf and -inf terms, and on the
+        # complement side a tail whose terms cancel misses the accuracy
+        # target: it underflows, and 1 - tail would read 1 +- an ulp
         with pytest.raises(NumericError, match=f"{what}.* at {re.escape(repr((a, b, y)))}"):
             log_betainc(a, b, y)
 

@@ -295,6 +295,42 @@ class TestQuadAgainstScipy:
         assert r.error_estimate == r.value * d["rel_error"]
 
 
+# (log_value, evals, step) of each step-halving oracle at four points
+# (N, m, m_s, eta), outage at gamma_th = 2: evals and the final step fix
+# every node each rule evaluated.  Captured with
+#   for route, args in ((quad_capacity, ()), (quad_ber, ()), (quad_outage, (2.0,)),
+#                       (metrics.physical_capacity, ())):
+#       print([(d["log_value"], d["evals"], d["step"]) for d in
+#              (route(cfg_eta(eta, FadingParams(m, m_s), n), *args).diagnostics
+#               for n, m, m_s, eta in NODE_POINTS)])
+NODE_POINTS = [(8, 1.0, 5.0, 100.0), (1, 0.5, 1.1, 1e-2), (64, 4.0, 5.0, 1e4),
+               (1024, 10.0, 50.0, 1e6)]
+NODE_SEQUENCES = [
+    (quad_capacity, (), [(2.2588401028540517, 180, 0.0625), (-2.927195869285516, 195, 0.0625),
+                         (2.9594390933219756, 166, 0.0625), (3.3989118456483993, 171, 0.0625)]),
+    (quad_ber, (), [(-38.59231800495261, 293, 0.03125), (-0.8384947627381039, 609, 0.015625),
+                    (-1924.9071237595138, 168, 0.0625), (-116936.6168988445, 172, 0.0625)]),
+    (quad_outage, (2.0,), [(-41.2621858918503, 322, 0.03125),
+                           (-0.0033501894225329565, 389, 0.03125),
+                           (-2910.497703603332, 321, 0.03125),
+                           (-194155.06298470596, 321, 0.03125)]),
+    (metrics.physical_capacity, (), [(2.2521848392059325, 46965, 0.1),
+                                     (-4.983824871270745, 143325, 0.1),
+                                     (2.9590841592485293, 33235, 0.2),
+                                     (3.3989108356458715, 25675, 0.2)]),
+]
+
+
+@pytest.mark.parametrize("route,args,want", NODE_SEQUENCES,
+                         ids=[r.__name__ for r, _, _ in NODE_SEQUENCES])
+def test_step_halving_oracles_keep_their_nodes(route, args, want):
+    for (n, m, m_s, eta), (log_value, evals, step) in zip(NODE_POINTS, want):
+        d = route(cfg_eta(eta, FadingParams(m, m_s), n), *args).diagnostics
+        assert (d["evals"], d["step"]) == (evals, step), (n, m, m_s, eta)
+        # the nodes' values may differ in their last bits between libms
+        assert d["log_value"] == pytest.approx(log_value, rel=1e-13, abs=1e-13)
+
+
 class TestRangeGuard:
     @pytest.mark.parametrize("oracle,args", [
         (quad_capacity, (cfg_eta(100.0),)),
@@ -320,6 +356,14 @@ class TestRangeGuard:
         with pytest.raises(NumericError, match="outage integrand peak has curvature -inf"):
             validation._log_axis_integral(lambda y: (0.0 * y,), lambda y: (0.0, -math.inf),
                                           0.0, "outage")
+
+    # N(m + m_s) past 1/eps, where each node's log terms round by more
+    # than 1: the oracles raise before any arithmetic could warn
+    @pytest.mark.parametrize("oracle,args", [(quad_ber, ()), (quad_outage, (2.0,))])
+    @pytest.mark.parametrize("n,m,m_s", [(8, 1e300, 5.0), (1024, 1e30, 1.0000001)])
+    def test_shape_past_one_over_eps_raises_without_warning(self, oracle, args, n, m, m_s):
+        with pytest.raises(NumericError, match="shape N\\(m \\+ m_s\\) = .* exceeds 1/eps"):
+            oracle(cfg_eta(1.0, FadingParams(m, m_s), n), *args)
 
     @pytest.mark.parametrize("route,args", [
         (avg_capacity, (cfg_eta(100.0),)),
