@@ -79,8 +79,9 @@ def _mc_mode(tok: str) -> str:
 
 @dataclass(frozen=True)
 class Param:
-    """One [link] or [mc] key.  ``many`` keys may hold a list, which forms
-    curve families; every value must pass ``check``, else ``message``."""
+    """One config key.  ``many`` keys may hold a list, which forms curve
+    families; every value must pass ``check``, else ``message``, where
+    ``{}`` names the value.  A key whose default is None is required."""
 
     default: object
     many: bool
@@ -104,14 +105,17 @@ LINK_PARAMS = {
 # The keys eta comes from off the eta_db axis; that axis sets eta itself.
 POWER_KEYS = ("p_s_dbm", "n0_dbm", "r_d", "beta")
 _POWER_MESSAGE = "eta_db sets eta itself, so p_s_dbm, n0_dbm, r_d and beta do not apply"
-# The [sweep] range keys, checked like the table keys; start and stop
-# also pass the check of the axis key.
-RANGE_PARAMS = {
+# The [sweep] keys but ``out``, which is read raw: a path may hold spaces
+# or commas.  start and stop also pass the check of the axis key.
+SWEEP_PARAMS = {
+    "axis": Param(None, False, lambda v: v in AXES, f"axis must be one of {AXES}", str),
     "start": Param(None, False, math.isfinite, "start must be finite"),
     "stop": Param(None, False, math.isfinite, "stop must be finite"),
     "steps": Param(None, False, lambda v: v >= 2, "steps must be at least 2", int),
+    "metrics": Param(METRICS, True, lambda v: v in METRICS, "unknown metric '{}'", str),
+    "variants": Param(("exact", "asymptotic"), True, lambda v: v in VARIANTS,
+                      "unknown variant '{}'", str),
 }
-_SWEEP_KEYS = {"axis", "metrics", "variants", "out", *RANGE_PARAMS}
 # --seed runs the seed check; --mc-samples leaves its bound to McConfig,
 # so a metrics row that draws no sample ignores it.
 MC_PARAMS = {
@@ -169,25 +173,16 @@ def _fail_key(text: str, section: str, key: str, msg: str) -> ConfigError:
     return ConfigError(f"{msg} (key '{key}', {where})")
 
 
-def _tokens(text: str, section: str, given, key: str) -> list[str]:
+def _read(text: str, section: str, given, key: str, p: Param):
+    """The checked value of one table key: a tuple for ``many`` keys, whose
+    default may be the tuple itself."""
+    if key not in given:
+        if p.default is None:
+            raise ConfigError(f"missing required key '{key}' in [{section}]")
+        return (p.default,) if p.many and not isinstance(p.default, tuple) else p.default
     tokens = given[key].replace(",", " ").split()
     if not tokens:
         raise _fail_key(text, section, key, f"{key} must not be empty")
-    return tokens
-
-
-def _unique(text: str, section: str, key: str, values: tuple) -> tuple:
-    """A list key's values; one given twice would repeat every row it forms."""
-    if len(set(values)) != len(values):
-        raise _fail_key(text, section, key, f"{key} repeats a value")
-    return values
-
-
-def _read(text: str, section: str, given, key: str, p: Param):
-    """The checked value of one table key: a tuple for ``many`` keys."""
-    if key not in given:
-        return (p.default,) if p.many else p.default
-    tokens = _tokens(text, section, given, key)
     if not p.many and len(tokens) != 1:
         raise _fail_key(text, section, key, "expected a single value")
     try:
@@ -196,8 +191,12 @@ def _read(text: str, section: str, given, key: str, p: Param):
         raise _fail_key(text, section, key, f"bad value: {exc}")
     for v in values:
         if not p.check(v):
-            raise _fail_key(text, section, key, p.message)
-    return _unique(text, section, key, values) if p.many else values[0]
+            raise _fail_key(text, section, key, p.message.format(v))
+    if not p.many:
+        return values[0]
+    if len(set(values)) != len(values):  # a value given twice would repeat its rows
+        raise _fail_key(text, section, key, f"{key} repeats a value")
+    return values
 
 
 def parse_config(text: str) -> SweepSpec:
@@ -208,64 +207,40 @@ def parse_config(text: str) -> SweepSpec:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
-    allowed = {"sweep": _SWEEP_KEYS, "link": LINK_PARAMS, "mc": MC_PARAMS}
+    tables = {"sweep": SWEEP_PARAMS, "link": LINK_PARAMS, "mc": MC_PARAMS}
     for section in cp.sections():
-        if section not in allowed:
+        if section not in tables:
             raise ConfigError(f"unknown section [{section}]")
     if not cp.has_section("sweep"):
         raise ConfigError("config has no [sweep] section")
-    sweep = cp["sweep"]
-    link = cp["link"] if cp.has_section("link") else {}
-    mc = cp["mc"] if cp.has_section("mc") else {}
-
-    if "axis" not in sweep:
-        raise ConfigError("missing required key 'axis' in [sweep]")
-    axis = sweep["axis"].strip()
-    if axis not in AXES:
-        raise _fail_key(text, "sweep", "axis", f"axis must be one of {AXES}")
-    if axis in link:
+    given = {section: cp[section] if cp.has_section(section) else {} for section in tables}
+    axis = _read(text, "sweep", given["sweep"], "axis", SWEEP_PARAMS["axis"])
+    if axis in given["link"]:
         raise _fail_key(
             text, "link", axis, "the sweep axis must not also be fixed in [link]"
         )
     for section in cp.sections():
         for key in cp[section]:
-            if key not in allowed[section]:
+            if key not in tables[section] and (section, key) != ("sweep", "out"):
                 raise _fail_key(text, section, key, "unknown key")
 
-    for key in RANGE_PARAMS:
-        if key not in sweep:
-            raise ConfigError(f"missing required key '{key}' in [sweep]")
-    start, stop, steps = (_read(text, "sweep", sweep, key, p)
-                          for key, p in RANGE_PARAMS.items())
+    def read(section: str) -> dict:
+        return {key: _read(text, section, given[section], key, p)
+                for key, p in tables[section].items()}
+
+    sweep = read("sweep")
     axis_param = LINK_PARAMS.get(axis)
-    for key, value in (("start", start), ("stop", stop)):
-        if axis_param is not None and not axis_param.check(value):
-            raise _fail_key(text, "sweep", key,
-                            f"{axis_param.message} on the {axis} axis")
-    if not start < stop:
+    for key in ("start", "stop"):
+        if axis_param is not None and not axis_param.check(sweep[key]):
+            raise _fail_key(text, "sweep", key, f"{axis_param.message} on the {axis} axis")
+    if not sweep["start"] < sweep["stop"]:
         raise _fail_key(text, "sweep", "start", "start must be less than stop")
-
-    sets = {}
-    for key, known, default in (("metrics", METRICS, METRICS),
-                                ("variants", VARIANTS, ("exact", "asymptotic"))):
-        if key not in sweep:
-            sets[key] = default
-            continue
-        tokens = tuple(_tokens(text, "sweep", sweep, key))
-        for tok in tokens:
-            if tok not in known:
-                raise _fail_key(text, "sweep", key, f"unknown {key[:-1]} '{tok}'")
-        sets[key] = _unique(text, "sweep", key, tokens)
-
-    values = {key: _read(text, "link", link, key, p) for key, p in LINK_PARAMS.items()}
+    link = read("link")
     for key in POWER_KEYS:
-        if axis == "eta_db" and key in link:
+        if axis == "eta_db" and key in given["link"]:
             raise _fail_key(text, "link", key, _POWER_MESSAGE)
-    return SweepSpec(
-        axis=axis, start=start, stop=stop, steps=steps, **sets, link=values,
-        mc={key: _read(text, "mc", mc, key, p) for key, p in MC_PARAMS.items()},
-        out=sweep.get("out", "sweep.csv"),
-    )
+    return SweepSpec(**sweep, link=link, mc=read("mc"),
+                     out=given["sweep"].get("out", "sweep.csv"))
 
 
 def _fmt(x) -> str:

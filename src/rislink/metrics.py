@@ -134,7 +134,7 @@ def result(route: str, log_value: float, rel_err: float, upper: float = math.inf
     inf above double range, each flagged in ``diagnostics``, and its
     error estimate value * rel_err (0.0 when it overflows).  A rel_err
     above REL_TOL, or a value above ``upper`` by more than its estimate,
-    raises NumericError.
+    raises NumericError, and so does a nan log_value.
     ``diagnostics`` holds plain Python values: ``log_value`` (exact
     when the value under- or overflows), ``method`` (the route unless
     given), ``evals``, ``rel_error`` (rel_err) and ``step``, the final
@@ -143,6 +143,8 @@ def result(route: str, log_value: float, rel_err: float, upper: float = math.inf
     if not rel_err <= REL_TOL:
         raise NumericError(f"{route} relative error {rel_err:.3e} misses the target {REL_TOL:g}")
     log_value = float(log_value)
+    if math.isnan(log_value):  # it would fail both comparisons below and read as 0.0
+        raise NumericError(f"{route} log value is nan")
     diagnostics = {"log_value": log_value, "method": method or route, "evals": int(evals),
                    "rel_error": float(rel_err), "step": float(step)}
     value = err = 0.0
@@ -160,6 +162,23 @@ def result(route: str, log_value: float, rel_err: float, upper: float = math.inf
                            f"by more than its error estimate {err:.3e}")
     return MetricResult(value=value, method=route, error_estimate=err,
                         diagnostics=diagnostics)
+
+
+def check_shape(model: SumFadingModel, what: str) -> None:
+    """Raise NumericError where the shape N(m + m_s) reaches 1/eps, past
+    which each log term of the aggregate density rounds by more than 1."""
+    a_tot = model.nm + model.nms
+    if a_tot * _EPS >= 1.0:
+        raise NumericError(f"{what} shape N(m + m_s) = {a_tot:.3e} exceeds 1/eps")
+
+
+def _log_gammas(*xs) -> list[float]:
+    """ln Gamma at each x, for an asymptote; NumericError where one
+    overflows, which would leave the asymptote's log value inf - inf."""
+    out = [float(gammaln(x)) for x in xs]
+    if math.inf in out:
+        raise NumericError(f"asymptote log-gamma term overflows at {xs}")
+    return out
 
 
 def capacity_bound(cfg: LinkConfig) -> float:
@@ -197,6 +216,7 @@ def _closed_form(report: EvalReport, log_terms, upper: float,
 def _capacity_form(cfg: LinkConfig) -> tuple:
     """avg_capacity's Meijer G spec, then the rest of _closed_form's arguments."""
     model = cfg.model()
+    check_shape(model, "closed form capacity")
     return (_capacity_g_spec(model, cfg.eta),
             (model.log_lambda_norm, -math.log(model.xi), -math.log(_LN2)), capacity_bound(cfg))
 
@@ -215,7 +235,7 @@ def _closed_forms(form, cfgs) -> list:
     for cfg in cfgs:
         try:
             out.append(form(cfg))
-        except DomainError as exc:
+        except (DomainError, NumericError) as exc:
             out.append(exc)
     live = [i for i, f in enumerate(out) if not isinstance(f, Exception)]
     for i, report in zip(live, meijer_g_batch([out[i][0] for i in live])):
@@ -338,6 +358,7 @@ def _ber_g_spec(model: SumFadingModel, eta_lam: float) -> MeijerGSpec:
 def _ber_form(cfg: LinkConfig) -> tuple:
     """avg_ber's Meijer G spec, then the rest of _closed_form's arguments."""
     model = cfg.model()
+    check_shape(model, "closed form BER")
     eta_lam = cfg.eta * cfg.lambda_mod
     spec = _ber_g_spec(model, eta_lam)
     # the double b = Nm - 1 is off by up to half an ulp, and G, whose
@@ -365,10 +386,11 @@ def avg_ber_asymptotic(cfg: LinkConfig) -> MetricResult:
     model = cfg.model()
     eta_lam = cfg.eta * cfg.lambda_mod
     nm, nms = model.nm, model.nms
+    lg_half, lg_nm, lg_nms, lg_tot = _log_gammas(0.5 + nm, nm, nms, nm + nms)
     log_value = (
-        gammaln(0.5 + nm)
+        lg_half
         - math.log(2.0 * math.sqrt(math.pi))
-        - (gammaln(nm) + gammaln(nms) - gammaln(nm + nms))
+        - (lg_nm + lg_nms - lg_tot)
         - math.log(nm)
         + nm * math.log(model.xi / eta_lam)
     )
@@ -399,7 +421,6 @@ def outage_asymptotic(cfg: LinkConfig, gamma_th: float) -> MetricResult:
     model = cfg.model()
     nm, nms = model.nm, model.nms
     y = gamma_th * model.xi / cfg.eta
-    log_value = (
-        gammaln(nm + nms) - gammaln(1.0 + nm) - gammaln(nms) + nm * math.log(y)
-    )
+    lg_tot, lg_nm1, lg_nms = _log_gammas(nm + nms, 1.0 + nm, nms)
+    log_value = lg_tot - lg_nm1 - lg_nms + nm * math.log(y)
     return result(ASYMPTOTIC, log_value, 0.0)

@@ -131,7 +131,7 @@ def log_betainc(a: float, b: float, y: float) -> tuple[float, float, str, int]:
     rel_err = 2.0 * _EPS * sum(abs(t) for t in terms) + 4.0 * _EPS * evals
     if direct:
         return log_value, rel_err, CF_DIRECT, evals
-    tail = math.exp(log_value)
+    tail = math.exp(min(log_value, 0.0))  # a log value above 0 leaves no complement
     if tail >= 1.0:
         raise NumericError(f"incomplete beta complement lost to rounding at {at}")
     if not rel_err <= REL_TOL:  # the tail may underflow, and 1 - tail hide its error

@@ -52,6 +52,7 @@ from .metrics import (
     avg_capacity_batch,
     capacity_bound,
     check_gamma_th,
+    check_shape,
     outage,
     outage_asymptotic,
     physical_capacity,
@@ -201,9 +202,8 @@ def _quad_expectation(cfg: LinkConfig, what: str, kernel, shift: float,
     """
     model = cfg.model()
     nm = model.nm
+    check_shape(model, f"{what} quadrature")
     a_tot = nm + model.nms
-    if a_tot * _EPS >= 1.0:  # each node's log terms would round by more than 1
-        raise NumericError(f"{what} quadrature shape N(m + m_s) = {a_tot:.3e} exceeds 1/eps")
 
     def axis(y):
         """u at y, and log du/dy."""
@@ -422,7 +422,12 @@ def mc_metrics(cases, mc: McConfig) -> list[CiEstimate]:
     remaining = mc.n_samples
     while remaining > 0:
         k = min(_CHUNK, remaining)
-        g = sample_sum(model, mc.mode, rng, size=k)
+        # a draw past double range raises here, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = sample_sum(model, mc.mode, rng, size=k)
+        if not np.isfinite(g).all():
+            raise NumericError(f"MC draws at N m = {model.nm:.3e}, N m_s = {model.nms:.3e} "
+                               "leave double range")
         tot = n_total + k
         for i, (cfg, which, gamma_th) in enumerate(cases):
             vals = _metric_samples(cfg, which, gamma_th, g)

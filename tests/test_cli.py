@@ -4,6 +4,7 @@ import argparse
 import csv
 import dataclasses
 import io
+import itertools
 import math
 import os
 import subprocess
@@ -17,6 +18,7 @@ from rislink import cli, specfun, validation
 from rislink.cli import (
     CSV_HEADER,
     LINK_PARAMS,
+    SWEEP_PARAMS,
     SweepSpec,
     build_parser,
     main,
@@ -28,7 +30,7 @@ from rislink.cli import (
 )
 from rislink.errors import ConfigError, DomainError, NumericError
 from rislink.fading import MODEL_DRAW, PHYSICAL_DRAW, FadingParams
-from rislink.metrics import LinkConfig, avg_ber
+from rislink.metrics import BER_BOUND, OUTAGE_BOUND, LinkConfig, avg_ber, capacity_bound
 from rislink.validation import PRESETS
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -386,6 +388,23 @@ MISSED_TARGET = [
     (["--metric", "outage", "--m", "1e300"], "incomplete beta tail has relative error"),
     (["--metric", "outage", "--m", "1e20", "--gamma-th-db", "3.0103"],
      "incomplete beta tail has relative error"),
+    # at the double-range edge: a complement tail whose log value passes
+    # 709, which exp() cannot take (was a traceback); asymptotes whose
+    # log-gamma terms overflow, to a nan log value that read as 0 +- 0;
+    # an MC draw past double range (was inf +- nan); and closed forms at
+    # N(m + m_s) past 1/eps, which warned before they raised
+    (["--metric", "outage", "--m", "1e14", "--m-s", "1e30", "--n-cells", "1", "--eta-db", "0"],
+     "incomplete beta complement lost to rounding"),
+    (["--metric", "ber", "--variant", "asymptotic", "--m", "1e308", "--m-s", "1.0000001",
+      "--n-cells", "1"], "asymptote log-gamma term overflows"),
+    (["--metric", "outage", "--variant", "asymptotic", "--m", "1e308", "--m-s", "1.0000001",
+      "--n-cells", "1"], "asymptote log-gamma term overflows"),
+    (["--metric", "capacity", "--variant", "mc", "--m", "1e-5", "--m-s", "1e300",
+      "--n-cells", "1024", "--eta-db", "0", "--mc-samples", "10000"], "MC draws at N m"),
+    (["--metric", "capacity", "--m", "1e308", "--m-s", "50", "--n-cells", "1"],
+     "closed form capacity shape N(m + m_s) = 1.000e+308 exceeds 1/eps"),
+    (["--metric", "ber", "--m", "1e300", "--m-s", "50", "--n-cells", "1"],
+     "closed form BER shape N(m + m_s) = 1.000e+300 exceeds 1/eps"),
 ]
 
 
@@ -405,6 +424,7 @@ def test_threshold_outside_doubles_ignored_without_outage(capsys):
 
 # a bad [sweep] range or list value, and the key and line it must name
 BAD_SWEEP = [
+    ("axis = foo\nstart = 0\nstop = 1\nsteps = 3", "axis must be one of", "'axis', line 2"),
     ("axis = eta_db\nstart = 0\nstop = inf\nsteps = 3", "stop must be finite", "'stop', line 4"),
     ("axis = eta_db\nstart = nan\nstop = 1\nsteps = 3", "start must be finite",
      "'start', line 3"),
@@ -419,6 +439,10 @@ BAD_SWEEP = [
      "metrics repeats a value", "'metrics', line 6"),
     ("axis = eta_db\nstart = 0\nstop = 1\nsteps = 3\nvariants = exact exact",
      "variants repeats a value", "'variants', line 6"),
+    ("axis = eta_db\nstart = 0\nstop = 1\nsteps = 3\nmetrics = capacity, snr",
+     "unknown metric 'snr'", "'metrics', line 6"),
+    ("axis = eta_db\nstart = 0\nstop = 1\nsteps = 3\nvariants = exact, oracle",
+     "unknown variant 'oracle'", "'variants', line 6"),
     ("axis = eta_db\nstart = 0\nstop = 1\nsteps = 3\n[link]\nn_cells = 8, 8.0",
      "n_cells repeats a value", "'n_cells', line 7"),
     ("axis = eta_db\nstart = 0\nstop = 1\nsteps = 3\n[link]\nlambda = 1, 0.5, 1",
@@ -428,12 +452,44 @@ BAD_SWEEP = [
 ]
 
 
+def test_bad_sweep_values_cover_the_table():
+    assert set(SWEEP_PARAMS) <= {where.split("'")[1] for _, _, where in BAD_SWEEP}
+
+
 @pytest.mark.parametrize("body,message,where", BAD_SWEEP, ids=[m for _, m, _ in BAD_SWEEP])
 def test_bad_sweep_value_named_with_line(body, message, where):
     with pytest.raises(ConfigError) as err:
         parse_config(f"[sweep]\n{body}\n")
     assert message in str(err.value)
     assert where in str(err.value)
+
+
+def test_edge_domain_scan(capsys):
+    # every route at the accepted domain's edges either prints a checked
+    # value or exits 2 or 3; the suite's error::RuntimeWarning filter
+    # turns a warning into an escaping exception
+    for m, m_s, n, eta_db, metric, variant in itertools.product(
+            ("1e-300", "1e-5", "1", "1e14", "1e300", "1e308"),
+            ("1.0000001", "50", "1e30", "1e300"), ("1", "1024"), ("-30", "0", "60"),
+            cli.METRICS, cli.VARIANTS):
+        argv = ["metrics", "--metric", metric, "--variant", variant, "--m", m, "--m-s", m_s,
+                "--n-cells", n, "--eta-db", eta_db, "--mc-samples", "10000"]
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert code in (0, 2, 3), argv
+        if code != 0:
+            continue
+        row = dict(zip(CSV_HEADER, out.splitlines()[1].split(",")))
+        value, err = float(row["value"]), float(row["error_estimate"])
+        assert not (math.isnan(value) or math.isnan(err)), argv
+        if variant == "mc":
+            assert math.isfinite(value), argv
+        elif variant != "asymptotic":
+            cfg = LinkConfig(FadingParams(float(m), float(m_s)), int(n),
+                             10.0 ** (float(eta_db) / 10.0))
+            bound = {"capacity": capacity_bound(cfg), "ber": BER_BOUND,
+                     "outage": OUTAGE_BOUND}[metric]
+            assert 0.0 <= value <= bound + err, argv
 
 
 # one family per (point, N, m, m_s); every metric, both lambdas, both thresholds

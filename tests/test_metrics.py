@@ -303,6 +303,12 @@ class TestDiagnosticsSchema:
         assert (r.value, r.error_estimate, r.diagnostics["underflow"]) == (0.0, 0.0, True)
         assert r.diagnostics["rel_error"] >= g.details["rel_error"]
 
+    def test_nan_log_value_is_loud(self):
+        # nan fails both the underflow and the -inf comparison, so it would
+        # read as a silent 0.0
+        with pytest.raises(NumericError, match="asymptotic log value is nan"):
+            metrics.result("asymptotic", math.nan, 0.0)
+
     def test_physical_evals_are_outer_times_inner_nodes(self, monkeypatch):
         rules = []
         good = metrics._halving_trapezoid
