@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln
@@ -39,7 +40,7 @@ from scipy.special import gammaln
 from .errors import DomainError, NumericError
 from .fading import FadingParams, SumFadingModel
 from .specfun import (REL_TOL, EvalReport, MeijerGSpec, _halving_trapezoid, digamma,
-                      log_betainc, meijer_g, meijer_g_batch)
+                      log_betainc, meijer_g)
 
 _LN2 = math.log(2.0)
 _EPS = float(np.finfo(float).eps)
@@ -186,71 +187,57 @@ def capacity_bound(cfg: LinkConfig) -> float:
     return math.log1p(cfg.eta * cfg.model().mean()) / _LN2
 
 
-def _capacity_g_spec(model: SumFadingModel, eta: float) -> MeijerGSpec:
-    return MeijerGSpec(
-        a_front=(1.0, 1.0, 1.0 - model.nm),
-        a_rest=(),
-        b_front=(model.nms, 1.0),
-        b_rest=(0.0,),
-        argument=eta / model.xi,
-    )
+class ClosedForm(NamedTuple):
+    """A closed form before its Meijer G call: G's spec, the log terms
+    that multiply G, the feasible bound, and spec_rel, the relative error
+    that the rounding of G's parameters carries into G."""
+
+    spec: MeijerGSpec
+    log_terms: tuple
+    upper: float
+    spec_rel: float = 0.0
+
+    def finish(self, report: EvalReport) -> MetricResult:
+        """The product of exp(log_terms) and a positive G, as a closed form.
+
+        The error adds the rounding of the log-space sum, each term good
+        to a few ulps of its own size, and spec_rel to the evaluator's own
+        bound.
+        """
+        if not report.sign > 0.0:
+            raise NumericError(f"Meijer G has sign {report.sign}; the metric needs G > 0")
+        d = report.details
+        rel = d["rel_error"] + self.spec_rel + 8.0 * _EPS * (
+            sum(abs(t) for t in self.log_terms) + abs(report.log_abs_value))
+        return result(CLOSED_FORM, sum(self.log_terms) + report.log_abs_value, rel,
+                      self.upper, report.method, d["evals"], d["step"])
 
 
-def _closed_form(report: EvalReport, log_terms, upper: float,
-                 spec_rel: float = 0.0) -> MetricResult:
-    """The product of exp(log_terms) and a positive G, as a closed form.
-
-    The error adds the rounding of the log-space sum, each term good to
-    a few ulps of its own size, and spec_rel, the rounding of G's
-    parameters, to the evaluator's own bound.
-    """
-    if not report.sign > 0.0:
-        raise NumericError(f"Meijer G has sign {report.sign}; the metric needs G > 0")
-    d = report.details
-    rel = d["rel_error"] + spec_rel + 8.0 * _EPS * (
-        sum(abs(t) for t in log_terms) + abs(report.log_abs_value))
-    return result(CLOSED_FORM, sum(log_terms) + report.log_abs_value, rel, upper,
-                  report.method, d["evals"], d["step"])
+def _g_argument(z: float, what: str) -> float:
+    """z, a Meijer G argument made of eta and xi; NumericError where it
+    leaves the positive finite doubles, as eta/xi does at a tiny xi and
+    a large eta."""
+    if not 0.0 < z < math.inf:
+        raise NumericError(f"{what} = {z!r} leaves double range")
+    return z
 
 
-def _capacity_form(cfg: LinkConfig) -> tuple:
-    """avg_capacity's Meijer G spec, then the rest of _closed_form's arguments."""
+def _capacity_form(cfg: LinkConfig) -> ClosedForm:
+    """avg_capacity before its Meijer G call."""
     model = cfg.model()
     check_shape(model, "closed form capacity")
-    return (_capacity_g_spec(model, cfg.eta),
-            (model.log_lambda_norm, -math.log(model.xi), -math.log(_LN2)), capacity_bound(cfg))
+    spec = MeijerGSpec(a_front=(1.0, 1.0, 1.0 - model.nm), a_rest=(),
+                       b_front=(model.nms, 1.0), b_rest=(0.0,),
+                       argument=_g_argument(cfg.eta / model.xi,
+                                            "closed form capacity argument eta/xi"))
+    return ClosedForm(spec, (model.log_lambda_norm, -math.log(model.xi), -math.log(_LN2)),
+                      capacity_bound(cfg))
 
 
 def avg_capacity(cfg: LinkConfig) -> MetricResult:
     """Average capacity in bits/s/Hz, Meijer G closed form."""
-    spec, *rest = _capacity_form(cfg)
-    return _closed_form(meijer_g(spec), *rest)
-
-
-def _closed_forms(form, cfgs) -> list:
-    """The closed form of each cfg, as form's lone route gives it, or the
-    DomainError or NumericError that route raises; the Meijer G calls run
-    as one meijer_g_batch."""
-    out = []
-    for cfg in cfgs:
-        try:
-            out.append(form(cfg))
-        except (DomainError, NumericError) as exc:
-            out.append(exc)
-    live = [i for i, f in enumerate(out) if not isinstance(f, Exception)]
-    for i, report in zip(live, meijer_g_batch([out[i][0] for i in live])):
-        try:
-            out[i] = report if isinstance(report, Exception) else _closed_form(
-                report, *out[i][1:])
-        except NumericError as exc:
-            out[i] = exc
-    return out
-
-
-def avg_capacity_batch(cfgs) -> list:
-    """avg_capacity of each cfg, or the error it raises, through one
-    meijer_g_batch."""
-    return _closed_forms(_capacity_form, cfgs)
+    form = _capacity_form(cfg)
+    return form.finish(meijer_g(form.spec))
 
 
 # physical_capacity cuts mass e^-_PHYSICAL_TAIL off each end of both of
@@ -340,45 +327,36 @@ def physical_capacity(cfg: LinkConfig) -> MetricResult:
 def avg_capacity_asymptotic(cfg: LinkConfig) -> MetricResult:
     """High-SNR capacity [ln(eta/xi) + psi(Nm) - psi(Nms)] / ln 2."""
     model = cfg.model()
-    value = (math.log(cfg.eta / model.xi) + digamma(model.nm)
-             - digamma(model.nms)) / _LN2
+    value = (math.log(_g_argument(cfg.eta / model.xi, "capacity asymptote argument eta/xi"))
+             + digamma(model.nm) - digamma(model.nms)) / _LN2
     return MetricResult(value=value, method=ASYMPTOTIC, error_estimate=0.0)
 
 
-def _ber_g_spec(model: SumFadingModel, eta_lam: float) -> MeijerGSpec:
-    return MeijerGSpec(
-        a_front=(0.0, -0.5, -model.nms, 0.0),
-        a_rest=(),
-        b_front=(model.nm - 1.0,),
-        b_rest=(0.0, -1.0),
-        argument=model.xi / eta_lam,
-    )
-
-
-def _ber_form(cfg: LinkConfig) -> tuple:
-    """avg_ber's Meijer G spec, then the rest of _closed_form's arguments."""
+def _ber_form(cfg: LinkConfig) -> ClosedForm:
+    """avg_ber before its Meijer G call."""
     model = cfg.model()
     check_shape(model, "closed form BER")
     eta_lam = cfg.eta * cfg.lambda_mod
-    spec = _ber_g_spec(model, eta_lam)
+    b = model.nm - 1.0
     # the double b = Nm - 1 is off by up to half an ulp, and G, whose
     # poles pinch the gap (-1, b), carries Gamma(1 + b): log G moves with
     # b at the rate psi(Nm), about -1/Nm for a small Nm
-    b_rounding = 0.5 * math.ulp(spec.b_front[0]) * abs(digamma(model.nm))
-    return (spec, (model.log_lambda_norm, -math.log(eta_lam),
-                   -math.log(2.0 * math.sqrt(math.pi))), BER_BOUND, b_rounding)
+    b_rounding = 0.5 * math.ulp(b) * abs(digamma(model.nm))
+    if b_rounding > REL_TOL:
+        raise NumericError(f"closed form BER parameter N m - 1 = {b!r} at N m = {model.nm!r} "
+                           f"puts a rounding error of {b_rounding:.3e} on G, above the "
+                           f"target {REL_TOL:g}")
+    spec = MeijerGSpec(a_front=(0.0, -0.5, -model.nms, 0.0), a_rest=(), b_front=(b,),
+                       b_rest=(0.0, -1.0), argument=_g_argument(
+                           model.xi / eta_lam, "closed form BER argument xi/(eta lambda)"))
+    return ClosedForm(spec, (model.log_lambda_norm, -math.log(eta_lam),
+                             -math.log(2.0 * math.sqrt(math.pi))), BER_BOUND, b_rounding)
 
 
 def avg_ber(cfg: LinkConfig) -> MetricResult:
     """Average bit error rate, Meijer G closed form."""
-    spec, *rest = _ber_form(cfg)
-    return _closed_form(meijer_g(spec), *rest)
-
-
-def avg_ber_batch(cfgs) -> list:
-    """avg_ber of each cfg, or the error it raises, through one
-    meijer_g_batch."""
-    return _closed_forms(_ber_form, cfgs)
+    form = _ber_form(cfg)
+    return form.finish(meijer_g(form.spec))
 
 
 def avg_ber_asymptotic(cfg: LinkConfig) -> MetricResult:

@@ -44,12 +44,14 @@ from .metrics import (
     BER_BOUND,
     OUTAGE_BOUND,
     QUADRATURE,
+    ClosedForm,
     LinkConfig,
     MetricResult,
+    _ber_form,
+    _capacity_form,
     avg_ber_asymptotic,
-    avg_ber_batch,
+    avg_capacity,
     avg_capacity_asymptotic,
-    avg_capacity_batch,
     capacity_bound,
     check_gamma_th,
     check_shape,
@@ -59,7 +61,7 @@ from .metrics import (
     result,
     snr_threshold_from_db,
 )
-from .specfun import REL_TOL, _halving_trapezoid
+from .specfun import REL_TOL, _halving_trapezoid, meijer_g_batch
 
 _SQRT2 = math.sqrt(2.0)
 _LN2 = math.log(2.0)
@@ -315,16 +317,18 @@ def evaluate(cases, variant: str) -> list:
     quadrature route, in case order: its MetricResult, or the DomainError
     or NumericError its route raised; ``gamma_th`` is read by outage only.
 
-    The exact capacity and BER cases run as one avg_capacity_batch and one
-    avg_ber_batch, so their Meijer G calls share every contour pass; the
-    other routes run case by case, and no result depends on the others.
-    An unknown (variant, metric) pair raises at once.  The route table is
-    built per call from this module's names, so a function patched onto
-    the module, such as a tracing wrapper, is the one that runs.
+    The exact capacity and BER routes build a ClosedForm; every ClosedForm
+    of the call then runs through one meijer_g_batch, so the Meijer G
+    calls share every contour pass, and each is finished in its own row,
+    as avg_capacity and avg_ber finish a lone call.  No result depends on
+    the others.  An unknown (variant, metric) pair raises at once.  The
+    route table is built per call from this module's names, so a function
+    patched onto the module, such as a tracing wrapper, is the one that
+    runs.
     """
     routes = {
-        ("exact", CAPACITY): avg_capacity_batch,
-        ("exact", BER): avg_ber_batch,
+        ("exact", CAPACITY): _capacity_form,
+        ("exact", BER): _ber_form,
         ("exact", OUTAGE): outage,
         ("asymptotic", CAPACITY): avg_capacity_asymptotic,
         ("asymptotic", BER): avg_ber_asymptotic,
@@ -336,17 +340,18 @@ def evaluate(cases, variant: str) -> list:
     chosen = [routes.get((variant, metric)) for _, metric, _ in cases]
     if None in chosen:
         raise DomainError(f"no {variant!r} route for metric {cases[chosen.index(None)][1]!r}")
-    out = [None] * len(cases)
-    for batch in (avg_capacity_batch, avg_ber_batch):
-        index = [i for i, route in enumerate(chosen) if route is batch]
-        for i, r in zip(index, batch([cases[i][0] for i in index])):
-            out[i] = r
-    for i, (cfg, metric, gamma_th) in enumerate(cases):
-        if out[i] is None:
-            try:
-                out[i] = chosen[i](cfg, gamma_th) if metric == OUTAGE else chosen[i](cfg)
-            except (DomainError, NumericError) as exc:
-                out[i] = exc
+    out = []
+    for (cfg, metric, gamma_th), route in zip(cases, chosen):
+        try:
+            out.append(route(cfg, gamma_th) if metric == OUTAGE else route(cfg))
+        except (DomainError, NumericError) as exc:
+            out.append(exc)
+    forms = [i for i, r in enumerate(out) if isinstance(r, ClosedForm)]
+    for i, report in zip(forms, meijer_g_batch([out[i].spec for i in forms])):
+        try:
+            out[i] = report if isinstance(report, Exception) else out[i].finish(report)
+        except NumericError as exc:
+            out[i] = exc
     return out
 
 
@@ -688,9 +693,7 @@ def mode_gap_checks(preset: str) -> list[Check]:
     checks = []
     for i, n in enumerate(_preset(preset).gap_ns):
         cfg = LinkConfig.from_eta(snr_threshold_from_db(eta_db), fading, n)
-        (model,) = evaluate([(cfg, CAPACITY, math.nan)], "exact")
-        if isinstance(model, Exception):
-            raise model
+        model = avg_capacity(cfg)
         physical = physical_capacity(cfg)
         gap = abs(model.value - physical.value) / physical.value
         checks.append(Check(

@@ -405,6 +405,18 @@ MISSED_TARGET = [
      "closed form capacity shape N(m + m_s) = 1.000e+308 exceeds 1/eps"),
     (["--metric", "ber", "--m", "1e300", "--m-s", "50", "--n-cells", "1"],
      "closed form BER shape N(m + m_s) = 1.000e+300 exceeds 1/eps"),
+    # a BER parameter N m - 1 that rounds to -1 (was a pole collision,
+    # exit 2), and a Meijer G argument past double range, which the
+    # Meijer G spec rejected (exit 2) and the capacity asymptote printed
+    # as inf
+    (["--metric", "ber", "--m", "1e-300", "--m-s", "50", "--n-cells", "1", "--eta-db", "0"],
+     "closed form BER parameter N m - 1 = -1.0 at N m = 1e-300 puts a rounding error"),
+    (["--metric", "capacity", "--m", "1e-300", "--m-s", "50", "--n-cells", "1024",
+      "--eta-db", "60"], "closed form capacity argument eta/xi = inf leaves double range"),
+    (["--metric", "capacity", "--variant", "asymptotic", "--m", "1e-300", "--m-s", "1e10",
+      "--n-cells", "1"], "capacity asymptote argument eta/xi = inf leaves double range"),
+    (["--metric", "ber", "--eta-db", "-3200"],
+     "closed form BER argument xi/(eta lambda) = inf leaves double range"),
 ]
 
 
@@ -475,14 +487,19 @@ def test_edge_domain_scan(capsys):
         argv = ["metrics", "--metric", metric, "--variant", variant, "--m", m, "--m-s", m_s,
                 "--n-cells", n, "--eta-db", eta_db, "--mc-samples", "10000"]
         code = main(argv)
-        out = capsys.readouterr().out
+        out, stderr = capsys.readouterr()
         assert code in (0, 2, 3), argv
+        # a config error here is a channel model outside double range,
+        # never a Meijer G internal
+        if code == 2:
+            assert "outside the positive finite doubles" in stderr, argv
         if code != 0:
             continue
         row = dict(zip(CSV_HEADER, out.splitlines()[1].split(",")))
         value, err = float(row["value"]), float(row["error_estimate"])
         assert not (math.isnan(value) or math.isnan(err)), argv
-        if variant == "mc":
+        # the capacity asymptote's true value is finite wherever eta/xi is
+        if variant == "mc" or (metric, variant) == ("capacity", "asymptotic"):
             assert math.isfinite(value), argv
         elif variant != "asymptotic":
             cfg = LinkConfig(FadingParams(float(m), float(m_s)), int(n),

@@ -11,8 +11,8 @@ from rislink.errors import DomainError, NumericError
 from rislink.fading import PHYSICAL_DRAW, FadingParams, SumFadingModel, sum_cdf
 from rislink.metrics import (
     LinkConfig,
-    _ber_g_spec,
-    _capacity_g_spec,
+    _ber_form,
+    _capacity_form,
     avg_ber,
     avg_ber_asymptotic,
     avg_capacity,
@@ -221,7 +221,7 @@ class TestBerAsymptotic:
 
 # Meijer G and metric values at 40 digits, for LinkConfig.from_eta(eta,
 # FadingParams(m, m_s), N) with lambda = 1:
-#   spec = _capacity_g_spec(model, eta)  # or _ber_g_spec(model, eta)
+#   spec = _capacity_form(cfg).spec  # or _ber_form(cfg).spec
 #   g = mpmath.meijerg([list(spec.a_front), list(spec.a_rest)],
 #                      [list(spec.b_front), list(spec.b_rest)],
 #                      mpmath.mpf(spec.argument), maxterms=10**6).real
@@ -241,11 +241,11 @@ class TestClosedFormErrorEstimates:
     @pytest.mark.parametrize("metric,n,m,m_s,eta,g_ref,value_ref", CLOSED_FORM_REFERENCES)
     def test_estimates_cover_mpmath(self, metric, n, m, m_s, eta, g_ref, value_ref):
         cfg = cfg_eta(eta, FadingParams(m, m_s), n)
-        spec_of, metric_of = {
-            "capacity": (_capacity_g_spec, avg_capacity),
-            "ber": (_ber_g_spec, avg_ber),
+        form_of, metric_of = {
+            "capacity": (_capacity_form, avg_capacity),
+            "ber": (_ber_form, avg_ber),
         }[metric]
-        g = meijer_g(spec_of(cfg.model(), eta))
+        g = meijer_g(form_of(cfg).spec)
         assert abs(g.value - g_ref) <= abs(g.value) * g.details["rel_error"]
         r = metric_of(cfg)
         d = r.diagnostics
@@ -299,7 +299,7 @@ class TestDiagnosticsSchema:
         # the value and its estimate read 0.0; the relative error behind
         # them is G's plus the log terms' rounding
         r = avg_ber(UNDERFLOWING_BER)
-        g = meijer_g(_ber_g_spec(UNDERFLOWING_BER.model(), UNDERFLOWING_BER.eta))
+        g = meijer_g(_ber_form(UNDERFLOWING_BER).spec)
         assert (r.value, r.error_estimate, r.diagnostics["underflow"]) == (0.0, 0.0, True)
         assert r.diagnostics["rel_error"] >= g.details["rel_error"]
 

@@ -13,7 +13,7 @@ from scipy.stats import norm
 from rislink import specfun
 from rislink.errors import DomainError, NumericError
 from rislink.fading import FadingParams
-from rislink.metrics import LinkConfig, _ber_g_spec, _capacity_g_spec
+from rislink.metrics import LinkConfig, _ber_form, _capacity_form
 from rislink.specfun import (
     CF_COMPLEMENT,
     CF_DIRECT,
@@ -432,14 +432,15 @@ def naive_log_integrand(spec: MeijerGSpec, u):
     )
 
 
-_PLAN_MODEL = LinkConfig.from_eta(100.0, FadingParams(m=2.5, m_s=5.0), 8).model()
+def _plan_cfg(eta: float) -> LinkConfig:
+    return LinkConfig.from_eta(eta, FadingParams(m=2.5, m_s=5.0), 8)
 
 
 class TestTermPlan:
     @pytest.mark.parametrize("spec,log_gammas", [
         (SHIFTED_SPEC, 2),
-        (_capacity_g_spec(_PLAN_MODEL, 100.0), 4),
-        (_ber_g_spec(_PLAN_MODEL, 100.0), 3),
+        (_capacity_form(_plan_cfg(100.0)).spec, 4),
+        (_ber_form(_plan_cfg(100.0)).spec, 3),
     ])
     def test_merged_terms_match_every_factor(self, spec, log_gammas):
         plan = _block_plan(spec.a_front, spec.a_rest, spec.b_front, spec.b_rest)
@@ -461,7 +462,7 @@ class TestTermPlan:
 class TestBlockPlan:
     """The per-block set-up is cached on the parameter rows alone."""
 
-    FAMILY = [_capacity_g_spec(_PLAN_MODEL, eta) for eta in np.logspace(-2, 6, 12)]
+    FAMILY = [_capacity_form(_plan_cfg(eta)).spec for eta in np.logspace(-2, 6, 12)]
 
     def test_family_builds_its_plan_once(self):
         _block_plan.cache_clear()
@@ -508,7 +509,7 @@ def ber_point_specs(p_s_dbm: float) -> list:
     """The 8 BER specs of one point of configs/ber_vs_power.ini, in row
     order: N 8, 16, then m_s 2, 5, then lambda 0.5, 1."""
     eta = 10.0 ** (p_s_dbm / 10.0)
-    return [_ber_g_spec(LinkConfig.from_eta(eta, FadingParams(1.0, m_s), n).model(), eta * lam)
+    return [_ber_form(LinkConfig.from_eta(eta, FadingParams(1.0, m_s), n, lambda_mod=lam)).spec
             for n in (8, 16) for m_s in (2.0, 5.0) for lam in (0.5, 1.0)]
 
 
@@ -538,7 +539,7 @@ class TestBatch:
 
     def test_rows_of_mixed_plans_match_lone_calls(self):
         specs = [*self.BER_POINT[:4], self.OVER_BUDGET, *self.BER_POINT[4:],
-                 _capacity_g_spec(_PLAN_MODEL, 100.0), SHIFTED_SPEC]
+                 _capacity_form(_plan_cfg(100.0)).spec, SHIFTED_SPEC]
         reports = meijer_g_batch(specs)
         assert isinstance(reports[4], NumericError)
         assert [r.details["step"] for r in reports[:4] + reports[5:9]] == [

@@ -411,20 +411,20 @@ class TestRangeGuard:
             route(cfg_eta(10.0))
 
     def test_negative_meijer_g_fails_its_own_batch_row(self, monkeypatch):
-        # the batched closed forms check each row as the lone route does,
-        # and a failing row leaves the others as their lone routes give them
-        good = metrics.meijer_g_batch
+        # evaluate finishes each batched closed form as the lone route
+        # does, and a failing row leaves the others as their lone routes
+        # give them
+        good = validation.meijer_g_batch
 
         def negated_middle(specs):
             reports = good(specs)
             reports[1] = dataclasses.replace(reports[1], sign=-1.0)
             return reports
 
-        monkeypatch.setattr(metrics, "meijer_g_batch", negated_middle)
+        monkeypatch.setattr(validation, "meijer_g_batch", negated_middle)
         cfgs = [cfg_eta(eta) for eta in (10.0, 100.0, 1000.0)]
-        for batch, route in ((metrics.avg_capacity_batch, avg_capacity),
-                             (metrics.avg_ber_batch, avg_ber)):
-            got = batch(cfgs)
+        for metric, route in ((CAPACITY, avg_capacity), (BER, avg_ber)):
+            got = evaluate([(cfg, metric, math.nan) for cfg in cfgs], "exact")
             assert isinstance(got[1], NumericError) and "sign -1" in str(got[1])
             assert [got[0], got[2]] == [route(cfgs[0]), route(cfgs[2])]
 
@@ -582,12 +582,21 @@ class TestEvaluate:
         (got,) = evaluate([(cfg_eta(10.0), BER, math.nan)], "quadrature")
         assert got is marker
 
-    def test_exact_batch_is_each_lone_route(self):
-        # two families' capacity, BER and outage cases in one call; the
-        # capacity and BER cases each share one batched Meijer G pass
+    def test_exact_batch_is_each_lone_route(self, monkeypatch):
+        # two families' capacity, BER and outage cases in one call; their
+        # capacity and BER cases share one batched Meijer G call
+        batches = []
+        good = validation.meijer_g_batch
+
+        def counting(specs):
+            batches.append(len(specs))
+            return good(specs)
+
+        monkeypatch.setattr(validation, "meijer_g_batch", counting)
         cases = [case[:3] for n in (4, 32) for case in point_cases(
             300.0, F15, n, (CAPACITY, BER, OUTAGE), (0.5, 1.0), (3.0, 6.0))]
         got = evaluate(cases, "exact")
+        assert batches == [6]
         assert [case[1] for case in cases] == [CAPACITY, BER, BER, OUTAGE, OUTAGE] * 2
         for (cfg, metric, gamma_th), r in zip(cases, got):
             route = self.ROUTES[("exact", metric)]
@@ -658,19 +667,19 @@ class TestOracleGrid:
         # at the point eta = 10 the exact BER row at lambda 0.5 and the
         # quadrature BER row at lambda 1 fail; the exact route runs first,
         # but the lambda 1 row comes first in row order
-        good_batch, good_quad = validation.avg_ber_batch, validation.quad_ber
+        good_form, good_quad = validation._ber_form, validation.quad_ber
 
-        def batch(cfgs):
-            return [NumericError("exact, lambda 0.5")
-                    if (cfg.eta, cfg.lambda_mod) == (10.0, 0.5) else r
-                    for cfg, r in zip(cfgs, good_batch(cfgs))]
+        def form(cfg):
+            if (cfg.eta, cfg.lambda_mod) == (10.0, 0.5):
+                raise NumericError("exact, lambda 0.5")
+            return good_form(cfg)
 
         def quad(cfg):
             if (cfg.eta, cfg.lambda_mod) == (10.0, 1.0):
                 raise NumericError("quadrature, lambda 1")
             return good_quad(cfg)
 
-        monkeypatch.setattr(validation, "avg_ber_batch", batch)
+        monkeypatch.setattr(validation, "_ber_form", form)
         monkeypatch.setattr(validation, "quad_ber", quad)
         with pytest.raises(NumericError, match="quadrature, lambda 1"):
             run_oracle_grid("smoke", n_samples=10_000)
