@@ -152,10 +152,13 @@ def result(route: str, log_value: float, rel_err: float, upper: float = math.inf
     if log_value > math.log(UNDERFLOW_FLOOR):
         try:
             value = math.exp(log_value)
-            err = value * rel_err
         except OverflowError:
-            diagnostics["overflow"] = True
             value = math.inf
+        # exp(inf) is inf without an OverflowError
+        if value == math.inf:
+            diagnostics["overflow"] = True
+        else:
+            err = value * rel_err
     elif log_value > -math.inf:
         diagnostics["underflow"] = True
     if value > upper + err:
@@ -214,9 +217,9 @@ class ClosedForm(NamedTuple):
 
 
 def _g_argument(z: float, what: str) -> float:
-    """z, a Meijer G argument made of eta and xi; NumericError where it
-    leaves the positive finite doubles, as eta/xi does at a tiny xi and
-    a large eta."""
+    """z, a Meijer G or asymptote argument made of eta and xi;
+    NumericError where it leaves the positive finite doubles, as eta/xi
+    does at a tiny xi and a large eta."""
     if not 0.0 < z < math.inf:
         raise NumericError(f"{what} = {z!r} leaves double range")
     return z
@@ -370,7 +373,8 @@ def avg_ber_asymptotic(cfg: LinkConfig) -> MetricResult:
         - math.log(2.0 * math.sqrt(math.pi))
         - (lg_nm + lg_nms - lg_tot)
         - math.log(nm)
-        + nm * math.log(model.xi / eta_lam)
+        + nm * math.log(_g_argument(model.xi / eta_lam,
+                                    "BER asymptote argument xi/(eta lambda)"))
     )
     return result(ASYMPTOTIC, log_value, 0.0)
 
@@ -400,5 +404,6 @@ def outage_asymptotic(cfg: LinkConfig, gamma_th: float) -> MetricResult:
     nm, nms = model.nm, model.nms
     y = gamma_th * model.xi / cfg.eta
     lg_tot, lg_nm1, lg_nms = _log_gammas(nm + nms, 1.0 + nm, nms)
-    log_value = lg_tot - lg_nm1 - lg_nms + nm * math.log(y)
+    log_value = lg_tot - lg_nm1 - lg_nms + nm * math.log(
+        _g_argument(y, "outage asymptote argument gamma_th xi/eta"))
     return result(ASYMPTOTIC, log_value, 0.0)

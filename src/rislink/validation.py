@@ -14,9 +14,10 @@ closed forms, so agreement between the three routes is a genuine
 cross-check.  The quadrature shares only the step-halving rule,
 ``specfun._halving_rules``, with the Meijer G contour, not its
 integrand, one row at a time through ``specfun._halving_trapezoid``.
-Grid points evaluate independently; every one owns a private RNG
-substream derived from (master seed, point index), making results
-identical no matter how the points are scheduled.
+Grid families evaluate independently: the eta_db points of one
+(N, m, m_s) share one Monte-Carlo sample, a private RNG substream
+derived from (master seed, index of the family's first point), making
+results identical no matter how the families are scheduled.
 """
 
 from __future__ import annotations
@@ -621,26 +622,36 @@ def run_oracle_grid(
     1e-6 relative and sit inside the Monte-Carlo acceptance band.  The
     BER is checked for both modulation constants and the outage at both
     threshold presets.  ``n_samples`` None takes the preset's draws.
+
+    The grid runs by family: the eta_db points of one (N, m, m_s) share
+    one channel law, so they share one Monte-Carlo sample (common random
+    numbers), seeded from (master seed, index of the family's first
+    point), and one call per route.  The first point's rows are those a
+    lone run of that point gives; the family's rows are correlated.
     Rows come back in grid order independent of the worker count.
     """
     p = _preset(preset)
     if n_samples is None:
         n_samples = p.n_samples
+    etas_db = p.grid[-1]
 
-    def one_point(item) -> list[Check]:
-        idx, (n, m, m_s, eta_db) = item
-        eta = 10.0 ** (eta_db / 10.0)
-        seed = int(np.random.SeedSequence((master_seed, idx)).generate_state(1)[0])
+    def one_family(item) -> list[Check]:
+        k, (n, m, m_s) = item
+        first = k * len(etas_db)
+        seed = int(np.random.SeedSequence((master_seed, first)).generate_state(1)[0])
         mc = McConfig(n_samples=n_samples, seed=seed, mode=mode)
-        cases = point_cases(eta, FadingParams(m=m, m_s=m_s), n, (CAPACITY, BER, OUTAGE),
-                            GRID_LAMBDA, GRID_GAMMA_TH_DB)
-        triples = [case[:3] for case in cases]
-        # one sample and one call per route for all the point's rows; a
+        rows = [(first + j, eta_db, case) for j, eta_db in enumerate(etas_db)
+                for case in point_cases(10.0 ** (eta_db / 10.0), FadingParams(m=m, m_s=m_s),
+                                        n, (CAPACITY, BER, OUTAGE), GRID_LAMBDA,
+                                        GRID_GAMMA_TH_DB)]
+        triples = [case[:3] for _, _, case in rows]
+        # one sample and one call per route for all the family's rows; a
         # failing row raises below, in row order
         estimates = mc_metrics(triples, mc)
         routes = zip(evaluate(triples, "exact"), evaluate(triples, "quadrature"))
         checks = []
-        for (cfg, metric, gth, gth_db), est, (exact, quad) in zip(cases, estimates, routes):
+        for (idx, eta_db, (cfg, metric, gth, gth_db)), est, (exact, quad) in zip(
+                rows, estimates, routes):
             for r in (exact, quad):
                 if isinstance(r, Exception):
                     raise r
@@ -656,8 +667,8 @@ def run_oracle_grid(
             ))
         return checks
 
-    items = enumerate(itertools.product(*p.grid))
-    return [c for group in ordered_map(one_point, items, max_workers) for c in group]
+    families = enumerate(itertools.product(*p.grid[:-1]))
+    return [c for group in ordered_map(one_family, families, max_workers) for c in group]
 
 
 def ks_checks(preset: str, master_seed: int) -> list[Check]:

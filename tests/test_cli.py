@@ -417,6 +417,16 @@ MISSED_TARGET = [
       "--n-cells", "1"], "capacity asymptote argument eta/xi = inf leaves double range"),
     (["--metric", "ber", "--eta-db", "-3200"],
      "closed form BER argument xi/(eta lambda) = inf leaves double range"),
+    # the asymptotes at the same input printed inf with an error of nan
+    (["--metric", "ber", "--variant", "asymptotic", "--eta-db", "-3200"],
+     "BER asymptote argument xi/(eta lambda) = inf leaves double range"),
+    (["--metric", "outage", "--variant", "asymptotic", "--eta-db", "-3200"],
+     "outage asymptote argument gamma_th xi/eta = inf leaves double range"),
+    # and an argument that underflows to 0 (was a math domain error traceback)
+    (["--metric", "ber", "--variant", "asymptotic", "--eta-db", "3000", "--m-s", "1e300",
+      "--n-cells", "1024"], "BER asymptote argument xi/(eta lambda) = 0.0 leaves double range"),
+    (["--metric", "outage", "--variant", "asymptotic", "--eta-db", "3000", "--m-s", "1e300",
+      "--n-cells", "1024"], "outage asymptote argument gamma_th xi/eta = 0.0 leaves double range"),
 ]
 
 

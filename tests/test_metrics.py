@@ -213,6 +213,13 @@ class TestBerAsymptotic:
         assert r.value == math.inf and r.diagnostics["overflow"] is True
         assert r.diagnostics["log_value"] == pytest.approx(2467.97508, rel=1e-8)
 
+    def test_infinite_log_value_takes_the_overflow_branch(self):
+        # exp(inf) is inf without an OverflowError; the estimate must still
+        # read 0, not inf * rel_err = nan or inf
+        r = metrics.result("asymptotic", math.inf, 1e-14)
+        assert r.value == math.inf and r.error_estimate == 0.0
+        assert r.diagnostics["overflow"] is True
+
     def test_underflow_flagged(self):
         r = avg_ber_asymptotic(cfg_eta(1e6, FadingParams(10.0, 3.0), 256))
         assert r.value == 0.0 and r.diagnostics["underflow"] is True

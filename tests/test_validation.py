@@ -1,6 +1,7 @@
 """Oracles: quadrature routes, Monte-Carlo estimators, KS machinery."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -637,6 +638,32 @@ class TestMetricCases:
         assert out == [(1.0, 0.0, 1.0), (1.0, 10.0, 10.0)]
 
 
+def _point_seed(master_seed, idx):
+    return int(np.random.SeedSequence((master_seed, idx)).generate_state(1)[0])
+
+
+def _lone_point_rows(master_seed, idx, n, m, m_s, eta_db, n_samples):
+    """The oracle rows of grid point idx run alone, on the substream of
+    (master_seed, idx): one sample and one call per route for its rows."""
+    cases = point_cases(10.0 ** (eta_db / 10.0), FadingParams(m, m_s), n,
+                        (CAPACITY, BER, OUTAGE), validation.GRID_LAMBDA,
+                        validation.GRID_GAMMA_TH_DB)
+    triples = [case[:3] for case in cases]
+    estimates = mc_metrics(triples, McConfig(n_samples, _point_seed(master_seed, idx)))
+    rows = []
+    for (cfg, metric, _, gth_db), est, exact, quad in zip(
+            cases, estimates, evaluate(triples, "exact"), evaluate(triples, "quadrature")):
+        c_log, q_log = exact.diagnostics["log_value"], quad.diagnostics["log_value"]
+        gap = validation._rel_gap_from_logs(c_log, q_log)
+        ok_mc, note = validation._mc_consistent(exact.value, est, metric)
+        rows.append(validation.Check(
+            kind="oracle", index=idx, n_cells=n, m=m, m_s=m_s, eta_db=eta_db, metric=metric,
+            lambda_mod=cfg.lambda_mod, gamma_th_db=gth_db, closed_log=c_log, quad_log=q_log,
+            rel_gap_quad=gap, mc_mean=est.mean, mc_std_error=est.std_error, note=note,
+            ok=bool(ok_mc) and gap <= metrics.REL_TOL))
+    return rows
+
+
 class TestOracleGrid:
     def test_smoke_grid_green(self):
         checks = run_oracle_grid("smoke", master_seed=42)
@@ -651,7 +678,9 @@ class TestOracleGrid:
         # repr spells every float exactly, and nan fields compare equal
         assert repr(a) == repr(b)
 
-    def test_one_draw_per_point(self, monkeypatch):
+    @pytest.mark.parametrize("preset,families", [("smoke", 2), ("full", 16)])
+    def test_one_draw_per_family(self, monkeypatch, preset, families):
+        # the eta_db points of one (N, m, m_s) share one sample
         calls = []
         draw = validation.sample_sum
 
@@ -660,8 +689,30 @@ class TestOracleGrid:
             return draw(model, *args, **kwargs)
 
         monkeypatch.setattr(validation, "sample_sum", counting)
-        checks = run_oracle_grid("smoke", n_samples=10_000)
-        assert len(calls) == len({c.index for c in checks}) == 8
+        checks = run_oracle_grid(preset, n_samples=10_000)
+        assert len(calls) == len(set(calls)) == families
+        assert len({c.index for c in checks}) == families * len(validation._ETA_DB)
+
+    def test_mc_columns_are_lone_calls_on_the_family_seed(self):
+        checks = run_oracle_grid("smoke", master_seed=5, n_samples=10_000)
+        for c in checks:
+            first = c.index - c.index % len(validation._ETA_DB)
+            cfg = cfg_eta(10.0 ** (c.eta_db / 10.0), FadingParams(c.m, c.m_s), c.n_cells,
+                          c.lambda_mod)
+            gamma_th = (metrics.snr_threshold_from_db(c.gamma_th_db) if c.metric == OUTAGE
+                        else math.nan)
+            est = mc_metric(cfg, c.metric, McConfig(10_000, _point_seed(5, first)), gamma_th)
+            assert (c.mc_mean, c.mc_std_error) == (est.mean, est.std_error)
+
+    def test_first_point_of_a_family_is_its_lone_run(self):
+        grid = validation.PRESETS["smoke"].grid
+        checks = run_oracle_grid("smoke", master_seed=5, n_samples=10_000)
+        firsts = [c for c in checks if c.eta_db == grid[-1][0]]
+        want = [row for k, (n, m, m_s) in enumerate(itertools.product(*grid[:-1]))
+                for row in _lone_point_rows(5, k * len(grid[-1]), n, m, m_s, grid[-1][0],
+                                            10_000)]
+        assert len(firsts) == 10
+        assert repr(firsts) == repr(want)
 
     def test_failing_row_raises_its_own_error(self, monkeypatch):
         # at the point eta = 10 the exact BER row at lambda 0.5 and the
