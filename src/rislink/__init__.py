@@ -38,7 +38,6 @@ from .specfun import (
     q_function,
 )
 from .validation import (
-    CiEstimate,
     McConfig,
     ks_statistic,
     mc_metric,
@@ -61,7 +60,7 @@ __all__ = [
     "snr_threshold_from_db",
     "MeijerGSpec", "EvalReport", "meijer_g",
     "digamma", "q_function",
-    "McConfig", "CiEstimate", "mc_metric", "ks_statistic",
+    "McConfig", "mc_metric", "ks_statistic",
     "quad_capacity", "quad_ber", "quad_outage", "run_oracle_grid",
     "__version__",
 ]

@@ -44,6 +44,7 @@ from .validation import (
     REPORT_HEADER,
     McConfig,
     evaluate,
+    in_row_order,
     ks_checks,
     mc_metrics,
     mode_gap_checks,
@@ -270,8 +271,9 @@ def _eta(p_s_dbm: float, n0_dbm: float, r_d: float, beta: float) -> float:
                    lambda: 10.0 ** ((p_s_dbm - n0_dbm) / 10.0) * r_d ** (-beta))
 
 
-def _family_mc(cases, spec: SweepSpec):
-    """One MC estimate per case of a (point, N, m, m_s) family.
+def _family_mc(cases, spec: SweepSpec) -> list:
+    """One MC estimate per case of a (point, N, m, m_s) family, or, where
+    the sample fails, its DomainError or NumericError in every case.
 
     The family draws one sample, seeded from seed|N|m|m_s|eta: metric,
     lambda and threshold stay out of the key, so the family's MC rows are
@@ -284,8 +286,11 @@ def _family_mc(cases, spec: SweepSpec):
         f"{cfg.fading.m_s:.17g}", f"{cfg.eta:.17g}",
     ])
     sub = int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big")
-    return mc_metrics([case[:3] for case in cases],
-                      McConfig(n_samples=spec.mc["samples"], seed=sub, mode=spec.mc["mode"]))
+    try:
+        return mc_metrics(cases, McConfig(n_samples=spec.mc["samples"], seed=sub,
+                                          mode=spec.mc["mode"]))
+    except (DomainError, NumericError) as exc:
+        return [exc] * len(cases)
 
 
 def _point_link(spec: SweepSpec, axis_value: float):
@@ -318,42 +323,34 @@ def _point_rows(spec: SweepSpec, axis_value: float) -> list[list[str]]:
     families = [(family, point_cases(eta, FadingParams(m=family[1], m_s=family[2]), family[0],
                                      spec.metrics, link["lambda"], link["gamma_th_db"]))
                 for family in itertools.product(link["n_cells"], link["m"], link["m_s"])]
-    # one call per non-MC variant for every family's rows, which batches the
-    # point's Meijer G calls; a failing row raises below, in row order
-    triples = [case[:3] for _, cases in families for case in cases]
-    results = {v: iter(evaluate(triples, v)) for v in spec.variants if v != "mc"}
+    # one column per variant over every family's rows: one call, which
+    # batches the point's Meijer G calls, or for mc one sample per family
+    cases = [case for _, family_cases in families for case in family_cases]
+    columns = [[r for _, family_cases in families for r in _family_mc(family_cases, spec)]
+               if variant == "mc" else evaluate(cases, variant) for variant in spec.variants]
+    results = iter(in_row_order(*columns))
     rows = []
-    for family, cases in families:
-        if "mc" in spec.variants:
-            estimates = _family_mc(cases, spec)
+    for family, family_cases in families:
         family_cols = [*map(_fmt, family), *link_cols]
-        for i, (cfg, metric, gth, gth_db) in enumerate(cases):
+        for (cfg, metric, _, gth_db), row in zip(family_cases, results):
             case_cols = [*family_cols, _fmt(cfg.lambda_mod), _fmt(gth_db)]
-            for variant in spec.variants:
-                if variant == "mc":
-                    value, err = estimates[i].mean, estimates[i].std_error
-                else:
-                    r = next(results[variant])
-                    if isinstance(r, Exception):
-                        raise r
-                    value, err = r.value, r.error_estimate
+            for variant, r in zip(spec.variants, row):
                 rows.append([*axis_cols, metric, variant, *case_cols,
-                             _fmt(value), _fmt(err), seed])
+                             _fmt(r.value), _fmt(r.error_estimate), seed])
     return rows
 
 
-def run_sweep(spec: SweepSpec, threads: int = 1, progress=None) -> list[list[str]]:
-    """Evaluate the grid; returns rows in deterministic axis order."""
+def run_sweep(spec: SweepSpec, threads: int = 1) -> list[list[str]]:
+    """Evaluate the grid; returns rows in deterministic axis order and
+    prints "sweep point i/n done" to stderr as each point completes."""
     values = spec.axis_values()
     for v in values:  # a point outside double range fails before any work
         _point_link(spec, float(v))
-    if progress is None:
-        progress = lambda msg: print(msg, file=sys.stderr)
     rows = []
     point_rows = ordered_map(lambda v: _point_rows(spec, float(v)), values, threads)
     for i, group in enumerate(point_rows):
         rows += group
-        progress(f"sweep point {i + 1}/{len(values)} done")
+        print(f"sweep point {i + 1}/{len(values)} done", file=sys.stderr)
     return rows
 
 

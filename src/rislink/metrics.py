@@ -217,7 +217,7 @@ class ClosedForm(NamedTuple):
 
 
 def _g_argument(z: float, what: str) -> float:
-    """z, a Meijer G or asymptote argument made of eta and xi;
+    """z, a route's argument made of eta, lambda, xi or gamma_th;
     NumericError where it leaves the positive finite doubles, as eta/xi
     does at a tiny xi and a large eta."""
     if not 0.0 < z < math.inf:
@@ -339,7 +339,7 @@ def _ber_form(cfg: LinkConfig) -> ClosedForm:
     """avg_ber before its Meijer G call."""
     model = cfg.model()
     check_shape(model, "closed form BER")
-    eta_lam = cfg.eta * cfg.lambda_mod
+    eta_lam = _g_argument(cfg.eta * cfg.lambda_mod, "closed form BER argument eta lambda")
     b = model.nm - 1.0
     # the double b = Nm - 1 is off by up to half an ulp, and G, whose
     # poles pinch the gap (-1, b), carries Gamma(1 + b): log G moves with
@@ -365,7 +365,7 @@ def avg_ber(cfg: LinkConfig) -> MetricResult:
 def avg_ber_asymptotic(cfg: LinkConfig) -> MetricResult:
     """High-SNR BER: Gamma(1/2+Nm) (xi/(eta lambda))^Nm / (2 sqrt(pi) B Nm)."""
     model = cfg.model()
-    eta_lam = cfg.eta * cfg.lambda_mod
+    eta_lam = _g_argument(cfg.eta * cfg.lambda_mod, "BER asymptote argument eta lambda")
     nm, nms = model.nm, model.nms
     lg_half, lg_nm, lg_nms, lg_tot = _log_gammas(0.5 + nm, nm, nms, nm + nms)
     log_value = (

@@ -50,8 +50,8 @@ from .metrics import (
     MetricResult,
     _ber_form,
     _capacity_form,
+    _g_argument,
     avg_ber_asymptotic,
-    avg_capacity,
     avg_capacity_asymptotic,
     capacity_bound,
     check_gamma_th,
@@ -102,15 +102,6 @@ class McConfig:
             self.seed, 0, "seed must be a non-negative integer"))
         if self.mode not in (MODEL_DRAW, PHYSICAL_DRAW):
             raise DomainError(f"unknown MC mode {self.mode!r}")
-
-
-@dataclass(frozen=True)
-class CiEstimate:
-    """Monte-Carlo mean with its standard error."""
-
-    mean: float
-    std_error: float
-    n: int
 
 
 def _peak(slopes, y: float, what: str) -> tuple[float, float, int]:
@@ -272,7 +263,8 @@ def quad_ber(cfg: LinkConfig) -> MetricResult:
     starts at the lower of the two.
     """
     model = cfg.model()
-    log_eps = math.log(model.xi) - math.log(cfg.eta * cfg.lambda_mod)
+    log_eps = math.log(model.xi) - math.log(_g_argument(
+        cfg.eta * cfg.lambda_mod, "BER quadrature argument eta lambda"))
 
     def log_q(u, slopes=False):
         """K = log Q(sqrt(2x)) at x = e^u, safe far into the tail."""
@@ -303,7 +295,8 @@ def quad_outage(cfg: LinkConfig, gamma_th: float) -> MetricResult:
     """
     check_gamma_th(gamma_th)
     model = cfg.model()
-    log_xiv = math.log(model.xi) + math.log(gamma_th / cfg.eta)
+    log_xiv = math.log(model.xi) + math.log(_g_argument(
+        gamma_th / cfg.eta, "outage quadrature argument gamma_th/eta"))
     # stationary point of h: xi v e^u = Nm / Nms, clamped to u <= 0
     u_star = min(0.0, math.log(model.nm / model.nms) - log_xiv)
     def no_kernel(u, slopes=False):
@@ -314,9 +307,10 @@ def quad_outage(cfg: LinkConfig, gamma_th: float) -> MetricResult:
 
 
 def evaluate(cases, variant: str) -> list:
-    """Each (cfg, metric, linear gamma_th) case by the exact, asymptotic or
-    quadrature route, in case order: its MetricResult, or the DomainError
-    or NumericError its route raised; ``gamma_th`` is read by outage only.
+    """Each (cfg, metric, linear gamma_th, ...) case by the exact,
+    asymptotic, quadrature or physical (capacity only) route, in case
+    order: its MetricResult, or the DomainError or NumericError its route
+    raised; ``gamma_th`` is read by outage only, later fields not at all.
 
     The exact capacity and BER routes build a ClosedForm; every ClosedForm
     of the call then runs through one meijer_g_batch, so the Meijer G
@@ -337,12 +331,13 @@ def evaluate(cases, variant: str) -> list:
         ("quadrature", CAPACITY): quad_capacity,
         ("quadrature", BER): quad_ber,
         ("quadrature", OUTAGE): quad_outage,
+        ("physical", CAPACITY): physical_capacity,
     }
-    chosen = [routes.get((variant, metric)) for _, metric, _ in cases]
+    chosen = [routes.get((variant, metric)) for _, metric, *_ in cases]
     if None in chosen:
         raise DomainError(f"no {variant!r} route for metric {cases[chosen.index(None)][1]!r}")
     out = []
-    for (cfg, metric, gamma_th), route in zip(cases, chosen):
+    for (cfg, metric, gamma_th, *_), route in zip(cases, chosen):
         try:
             out.append(route(cfg, gamma_th) if metric == OUTAGE else route(cfg))
         except (DomainError, NumericError) as exc:
@@ -354,6 +349,16 @@ def evaluate(cases, variant: str) -> list:
         except NumericError as exc:
             out[i] = exc
     return out
+
+
+def in_row_order(*columns) -> list[tuple]:
+    """Columns of route results zipped into rows; raises the first stored
+    error instead, in row order and then column order."""
+    rows = list(zip(*columns, strict=True))
+    for r in itertools.chain.from_iterable(rows):
+        if isinstance(r, Exception):
+            raise r
+    return rows
 
 
 def metric_cases(metric: str, lambdas, gammas_th_db):
@@ -398,25 +403,27 @@ def _metric_samples(cfg: LinkConfig, which: str, gamma_th: float, g: np.ndarray)
     return (eta * g < gamma_th).astype(float)  # outage
 
 
-def mc_metrics(cases, mc: McConfig) -> list[CiEstimate]:
+def mc_metrics(cases, mc: McConfig) -> list[MetricResult]:
     """Seeded Monte-Carlo estimates of several metrics on one sample.
 
-    ``cases`` holds (cfg, metric, linear gamma_th) triples that share one
-    channel model; they may differ in eta, lambda and threshold.  Each
-    chunk of channel powers is drawn once and scored for every case, so
-    every case gets the estimate a lone call with the same seed gives.
-    Capacity averages log2(1 + eta g); BER averages the conditional
-    error probability Q(sqrt(2 eta lambda g)) directly (no bit flips),
-    outage averages the threshold indicator.  Aggregation merges
-    (count, mean, M2) triples over fixed-size chunks, so the result is
-    bit-identical for a given seed regardless of scheduling.
+    ``cases`` are :func:`evaluate`'s cases and share one channel model;
+    they may differ in eta, lambda and threshold.  Each chunk of channel
+    powers is drawn once and scored for every case, so every case gets
+    the estimate a lone call with the same seed gives.  Capacity averages
+    log2(1 + eta g); BER averages the conditional error probability
+    Q(sqrt(2 eta lambda g)) directly (no bit flips), outage averages the
+    threshold indicator.  Aggregation merges (count, mean, M2) triples
+    over fixed-size chunks, so the result is bit-identical for a given
+    seed regardless of scheduling.  Each is a MetricResult of method
+    "mc": the mean, its standard error, and diagnostics holding the draw
+    mode as ``method`` and the draws as ``evals``.
     """
-    for cfg, which, gamma_th in cases:
+    for _, which, gamma_th, *_ in cases:
         if which not in (CAPACITY, BER, OUTAGE):
             raise DomainError(f"unknown metric {which!r}")
         if which == OUTAGE:
             check_gamma_th(gamma_th)
-    models = {cfg.model() for cfg, _, _ in cases}
+    models = {case[0].model() for case in cases}
     if len(models) != 1:
         raise DomainError(
             f"cases must share one channel model to share draws, got {len(models)}"
@@ -435,7 +442,7 @@ def mc_metrics(cases, mc: McConfig) -> list[CiEstimate]:
             raise NumericError(f"MC draws at N m = {model.nm:.3e}, N m_s = {model.nms:.3e} "
                                "leave double range")
         tot = n_total + k
-        for i, (cfg, which, gamma_th) in enumerate(cases):
+        for i, (cfg, which, gamma_th, *_) in enumerate(cases):
             vals = _metric_samples(cfg, which, gamma_th, g)
             c_mean = float(vals.mean())
             c_m2 = float(((vals - c_mean) ** 2).sum())
@@ -449,19 +456,16 @@ def mc_metrics(cases, mc: McConfig) -> list[CiEstimate]:
     estimates = []
     for mean, m2 in moments:
         var = m2 / (n_total - 1) if n_total > 1 else 0.0
-        estimates.append(CiEstimate(
-            mean=mean, std_error=math.sqrt(max(var, 0.0) / n_total), n=n_total))
+        estimates.append(MetricResult(
+            value=mean, method="mc", error_estimate=math.sqrt(max(var, 0.0) / n_total),
+            diagnostics={"method": mc.mode, "evals": n_total}))
     return estimates
 
 
-def mc_metric(
-    cfg: LinkConfig,
-    which: str,
-    mc: McConfig,
-    gamma_th: float = float("nan"),
-) -> CiEstimate:
-    """Seeded Monte-Carlo estimate of one metric: one case of
-    :func:`mc_metrics`."""
+def mc_metric(cfg: LinkConfig, which: str, mc: McConfig,
+              gamma_th: float = float("nan")) -> MetricResult:
+    """Seeded Monte-Carlo estimate of one metric, a MetricResult of method
+    "mc": one case of :func:`mc_metrics`."""
     return mc_metrics([(cfg, which, gamma_th)], mc)[0]
 
 
@@ -566,9 +570,7 @@ def _rel_gap_from_logs(log_a: float, log_b: float) -> float:
     return abs(math.expm1(d))
 
 
-def _mc_consistent(
-    closed: float, est: CiEstimate, which: str
-) -> tuple[bool, str]:
+def _mc_consistent(closed: float, est: MetricResult, which: str) -> tuple[bool, str]:
     """Closed form versus MC at the 3.5 sigma false-alarm rate.
 
     When the estimator has resolved the metric (small relative standard
@@ -587,26 +589,27 @@ def _mc_consistent(
         sizes; their 1e-6 verification is carried by the quadrature
         route.
     """
+    mean, se, n = est.value, est.error_estimate, est.diagnostics["evals"]
     if which == OUTAGE:
-        k = int(round(est.mean * est.n))
+        k = int(round(mean * n))
         if k < 10:
             # Garwood bounds at total mass ALPHA_3P5; chi2.ppf(q, 2k) / 2
             # is the Gamma(k) quantile gammaincinv(k, q)
-            lo = gammaincinv(k, ALPHA_3P5 / 2.0) / est.n if k > 0 else 0.0
-            hi = gammaincinv(k + 1, 1.0 - ALPHA_3P5 / 2.0) / est.n
+            lo = gammaincinv(k, ALPHA_3P5 / 2.0) / n if k > 0 else 0.0
+            hi = gammaincinv(k + 1, 1.0 - ALPHA_3P5 / 2.0) / n
             ok = lo <= closed <= hi
             return ok, f"poisson k={k}"
-        band = MC_SIGMA_BAND * est.std_error
-        return abs(closed - est.mean) <= band, "normal"
-    if est.std_error == 0.0 and est.mean == 0.0:
+        band = MC_SIGMA_BAND * se
+        return abs(closed - mean) <= band, "normal"
+    if se == 0.0 and mean == 0.0:
         # all samples underflowed; metric must sit below the detection floor
         factor = 2.0 if which == BER else 1.0
-        ceiling = -math.log(ALPHA_3P5) / (factor * est.n)
+        ceiling = -math.log(ALPHA_3P5) / (factor * n)
         return closed <= ceiling, "all_zero"
-    if est.std_error > 0.05 * est.mean or est.std_error == 0.0:
-        return closed >= ALPHA_3P5 * est.mean, "unresolved"
-    band = MC_SIGMA_BAND * est.std_error
-    return abs(closed - est.mean) <= band, "normal"
+    if se > 0.05 * mean or se == 0.0:
+        return closed >= ALPHA_3P5 * mean, "unresolved"
+    band = MC_SIGMA_BAND * se
+    return abs(closed - mean) <= band, "normal"
 
 
 def run_oracle_grid(
@@ -627,8 +630,9 @@ def run_oracle_grid(
     one channel law, so they share one Monte-Carlo sample (common random
     numbers), seeded from (master seed, index of the family's first
     point), and one call per route.  The first point's rows are those a
-    lone run of that point gives; the family's rows are correlated.
-    Rows come back in grid order independent of the worker count.
+    lone run of that point gives; the family's rows are correlated.  A
+    failing sample raises first, then :func:`in_row_order`'s row.  Rows
+    come back in grid order independent of the worker count.
     """
     p = _preset(preset)
     if n_samples is None:
@@ -639,30 +643,25 @@ def run_oracle_grid(
         k, (n, m, m_s) = item
         first = k * len(etas_db)
         seed = int(np.random.SeedSequence((master_seed, first)).generate_state(1)[0])
-        mc = McConfig(n_samples=n_samples, seed=seed, mode=mode)
         rows = [(first + j, eta_db, case) for j, eta_db in enumerate(etas_db)
                 for case in point_cases(10.0 ** (eta_db / 10.0), FadingParams(m=m, m_s=m_s),
                                         n, (CAPACITY, BER, OUTAGE), GRID_LAMBDA,
                                         GRID_GAMMA_TH_DB)]
-        triples = [case[:3] for _, _, case in rows]
-        # one sample and one call per route for all the family's rows; a
-        # failing row raises below, in row order
-        estimates = mc_metrics(triples, mc)
-        routes = zip(evaluate(triples, "exact"), evaluate(triples, "quadrature"))
+        cases = [case for _, _, case in rows]
+        # one sample and one call per route for all the family's rows
+        columns = (mc_metrics(cases, McConfig(n_samples=n_samples, seed=seed, mode=mode)),
+                   evaluate(cases, "exact"), evaluate(cases, "quadrature"))
         checks = []
-        for (idx, eta_db, (cfg, metric, gth, gth_db)), est, (exact, quad) in zip(
-                rows, estimates, routes):
-            for r in (exact, quad):
-                if isinstance(r, Exception):
-                    raise r
+        for (idx, eta_db, (cfg, metric, gth, gth_db)), (est, exact, quad) in zip(
+                rows, in_row_order(*columns)):
             c_log, q_log = exact.diagnostics["log_value"], quad.diagnostics["log_value"]
             gap = _rel_gap_from_logs(c_log, q_log)
             ok_mc, note = _mc_consistent(exact.value, est, metric)
             checks.append(Check(
                 kind="oracle", index=idx, n_cells=n, m=m, m_s=m_s, eta_db=eta_db,
                 metric=metric, lambda_mod=cfg.lambda_mod, gamma_th_db=gth_db,
-                closed_log=c_log, quad_log=q_log, rel_gap_quad=gap, mc_mean=est.mean,
-                mc_std_error=est.std_error, note=note,
+                closed_log=c_log, quad_log=q_log, rel_gap_quad=gap, mc_mean=est.value,
+                mc_std_error=est.error_estimate, note=note,
                 ok=bool(ok_mc) and gap <= REL_TOL,
             ))
         return checks
@@ -698,14 +697,15 @@ def ks_checks(preset: str, master_seed: int) -> list[Check]:
 
 def mode_gap_checks(preset: str) -> list[Check]:
     """The aggregate model's capacity closed form against the exact
-    capacity of the physical branch sum, at each of the preset's N;
-    the relative gap is reported and bounded at 3 percent."""
-    fading, eta_db = FadingParams(1.0, 5.0), 20.0
+    capacity of the physical branch sum, by :func:`evaluate`'s "exact"
+    and "physical" routes, at each of the preset's N; the relative gap is
+    reported and bounded at 3 percent."""
+    fading, eta_db, ns = FadingParams(1.0, 5.0), 20.0, _preset(preset).gap_ns
+    cases = [(LinkConfig.from_eta(snr_threshold_from_db(eta_db), fading, n), CAPACITY,
+              math.nan) for n in ns]
     checks = []
-    for i, n in enumerate(_preset(preset).gap_ns):
-        cfg = LinkConfig.from_eta(snr_threshold_from_db(eta_db), fading, n)
-        model = avg_capacity(cfg)
-        physical = physical_capacity(cfg)
+    for i, (n, (model, physical)) in enumerate(zip(
+            ns, in_row_order(evaluate(cases, "exact"), evaluate(cases, "physical")))):
         gap = abs(model.value - physical.value) / physical.value
         checks.append(Check(
             kind="mode_gap", index=9000 + i, n_cells=n, m=fading.m, m_s=fading.m_s,

@@ -438,6 +438,31 @@ def test_value_missing_the_accuracy_target_is_a_numeric_error(flags, message, ca
     assert out == "" and err.startswith(f"numeric error: {message}")
 
 
+# route arguments that leave the positive finite doubles: eta lambda
+# underflows to 0 (was a ZeroDivisionError or ValueError traceback), and
+# the outage oracle's gamma_th/eta underflows (was a ValueError traceback)
+# or overflows (was an error naming the peak search)
+ARGUMENT_OUTSIDE_DOUBLES = [
+    (["--metric", "ber", "--variant", "exact", "--lambda", "0.5", "--eta-db", "-3233"],
+     "closed form BER argument eta lambda = 0.0"),
+    (["--metric", "ber", "--variant", "asymptotic", "--lambda", "0.5", "--eta-db", "-3233"],
+     "BER asymptote argument eta lambda = 0.0"),
+    (["--metric", "ber", "--variant", "quadrature", "--lambda", "0.5", "--eta-db", "-3233"],
+     "BER quadrature argument eta lambda = 0.0"),
+    (["--metric", "outage", "--variant", "quadrature", "--gamma-th-db", "-3200",
+      "--eta-db", "3000"], "outage quadrature argument gamma_th/eta = 0.0"),
+    (["--metric", "outage", "--variant", "quadrature", "--eta-db", "-3200"],
+     "outage quadrature argument gamma_th/eta = inf"),
+]
+
+
+@pytest.mark.parametrize("flags,argument", ARGUMENT_OUTSIDE_DOUBLES,
+                         ids=[" ".join(flags) for flags, _ in ARGUMENT_OUTSIDE_DOUBLES])
+def test_route_argument_outside_doubles_is_a_numeric_error(flags, argument, capsys):
+    assert main(["metrics", *flags]) == 3
+    assert capsys.readouterr() == ("", f"numeric error: {argument} leaves double range\n")
+
+
 def test_threshold_outside_doubles_ignored_without_outage(capsys):
     # only outage reads gamma_th_db
     assert main(["metrics", "--metric", "capacity", "--gamma-th-db", "4000"]) == 0
@@ -548,14 +573,14 @@ class TestSweep:
     def test_row_count_and_families(self):
         spec = parse_config(FIG_BER_STYLE)
         spec = dataclasses.replace(spec, steps=3)
-        rows = run_sweep(spec, progress=lambda m: None)
+        rows = run_sweep(spec)
         # 3 axis points x 2 N x 2 lambda x 1 variant
         assert len(rows) == 12
         assert all(len(r) == len(CSV_HEADER) for r in rows)
 
     def test_rows_echo_parameters(self):
         spec = parse_config(MINIMAL)
-        rows = run_sweep(spec, progress=lambda m: None)
+        rows = run_sweep(spec)
         i_axis = CSV_HEADER.index("axis_value")
         i_n = CSV_HEADER.index("N")
         i_beta = CSV_HEADER.index("beta")
@@ -563,18 +588,18 @@ class TestSweep:
         assert {r[i_beta] for r in rows} == {"2.7000000000000002"}
         assert {r[i_axis] for r in rows} == {"0", "10", "20"}
 
-    def test_progress_line_per_point_in_order(self):
+    def test_progress_line_per_point_in_order(self, capsys):
         spec = parse_config(MINIMAL)
-        lines = []
-        run_sweep(spec, threads=2, progress=lines.append)
-        assert lines == [f"sweep point {i}/3 done" for i in (1, 2, 3)]
+        run_sweep(spec, threads=2)
+        assert capsys.readouterr() == ("", "".join(f"sweep point {i}/3 done\n"
+                                                   for i in (1, 2, 3)))
 
     def test_deterministic_across_threads(self):
         spec = parse_config(FIG_BER_STYLE)
         spec = dataclasses.replace(spec, steps=4, variants=("exact", "mc"),
                                    mc={**spec.mc, "samples": 10_000})
-        a = run_sweep(spec, threads=1, progress=lambda m: None)
-        b = run_sweep(spec, threads=4, progress=lambda m: None)
+        a = run_sweep(spec, threads=1)
+        b = run_sweep(spec, threads=4)
         assert a == b
 
     @pytest.mark.parametrize("name", ["capacity_vs_power", "ber_vs_power"])
@@ -586,7 +611,7 @@ class TestSweep:
         rows = []
         for threads in (1, 2):
             specfun._block_plan.cache_clear()
-            rows.append(run_sweep(spec, threads=threads, progress=lambda m: None))
+            rows.append(run_sweep(spec, threads=threads))
         assert rows[0] == rows[1]
 
     @pytest.mark.parametrize("mode", [MODEL_DRAW, PHYSICAL_DRAW])
@@ -615,14 +640,14 @@ gamma_th_db = 3, 6
 """
         spec = parse_config(text)
         spec.mc.update(mode=mode, samples=validation._CHUNK + 1000)
-        rows = run_sweep(spec, progress=lambda m: None)
+        rows = run_sweep(spec)
         # 2 points x 2 families x (1 capacity + 2 BER + 2 outage) rows,
         # and one draw per family for each of the two chunks
         assert len(rows) == 20
         assert len(calls) == 2 * 2 * 2
 
     def test_mc_rows_within_four_se_of_exact(self):
-        rows = _dict_rows(run_sweep(parse_config(MC_FAMILY_SWEEP), progress=lambda m: None))
+        rows = _dict_rows(run_sweep(parse_config(MC_FAMILY_SWEEP)))
         coords = ("axis_value", "metric", "N", "lambda", "gamma_th_db")
         exact = {tuple(r[k] for k in coords): float(r["value"])
                  for r in rows if r["variant"] == "exact"}
@@ -652,7 +677,7 @@ n_cells = 16, 32
 m = 1, 4
 """
         spec = parse_config(text)
-        rows = run_sweep(spec, progress=lambda m: None)
+        rows = run_sweep(spec)
         i_var = CSV_HEADER.index("variant")
         i_val = CSV_HEADER.index("value")
         i_key = [CSV_HEADER.index(k) for k in ("axis_value", "N", "m")]
@@ -701,6 +726,44 @@ def test_failing_exact_row_raises_the_first_in_row_order(tmp_path, monkeypatch, 
     assert capsys.readouterr() == ("", f"numeric error: {lone.value}\n")
 
 
+# a two-family capacity sweep (N 8, N 16) whose first point fails: the
+# error each family's exact and MC columns hold, and the one it exits with
+FAILING_FAMILIES = [
+    ("exact, mc", {8}, {16}, "exact, N 8"),
+    ("mc, exact", {8}, {16}, "exact, N 8"),
+    ("exact, mc", {16}, {8}, "mc, N 8"),
+    # within a row, the earlier column's error wins, MC or not
+    ("exact, mc", {8}, {8}, "exact, N 8"),
+    ("mc, exact", {8}, {8}, "mc, N 8"),
+]
+
+
+@pytest.mark.parametrize("variants,exact_fails,mc_fails,message", FAILING_FAMILIES)
+def test_failing_family_raises_the_first_in_row_order(variants, exact_fails, mc_fails,
+                                                      message, tmp_path, monkeypatch, capsys):
+    good_form, good_mc = validation._capacity_form, cli.mc_metrics
+
+    def form(cfg):
+        if cfg.n_cells in exact_fails:
+            raise NumericError(f"exact, N {cfg.n_cells}")
+        return good_form(cfg)
+
+    def mc(cases, config):
+        if cases[0][0].n_cells in mc_fails:
+            raise NumericError(f"mc, N {cases[0][0].n_cells}")
+        return good_mc(cases, config)
+
+    monkeypatch.setattr(validation, "_capacity_form", form)
+    monkeypatch.setattr(cli, "mc_metrics", mc)
+    path = tmp_path / "families.ini"
+    path.write_text(f"{MINIMAL}metrics = capacity\nvariants = {variants}\n"
+                    "[link]\nn_cells = 8, 16\n[mc]\nsamples = 10000\n")
+    out = tmp_path / "families.csv"
+    assert main(["sweep", str(path), "--out", str(out), "--threads", "1"]) == 3
+    assert capsys.readouterr() == ("", f"numeric error: {message}\n")
+    assert not out.exists()
+
+
 class TestMain:
     def test_selftest_passes(self, capsys):
         assert selftest() == 0
@@ -743,7 +806,7 @@ class TestMain:
             assert row["lambda"] == "1"
 
     def test_metrics_mc_matches_sweep_row(self, capsys):
-        rows = _dict_rows(run_sweep(parse_config(MC_FAMILY_SWEEP), progress=lambda m: None))
+        rows = _dict_rows(run_sweep(parse_config(MC_FAMILY_SWEEP)))
         matched = 0
         for want in rows:
             if want["variant"] != "mc" or want["axis_value"] != "10":
@@ -780,7 +843,8 @@ class TestMain:
             for mode in (fading.MODEL_DRAW, fading.PHYSICAL_DRAW):
                 validation.mc_metric(cfg, validation.CAPACITY,
                                      validation.McConfig(10_000, seed=1, mode=mode))
-            est = validation.CiEstimate(mean=3e-5, std_error=0.0, n=100_000)
+            est = metrics.MetricResult(3e-5, "mc", 0.0,
+                                       {"method": fading.MODEL_DRAW, "evals": 100_000})
             assert validation._mc_consistent(1e-5, est, validation.OUTAGE) == (True, "poisson k=3")
             print(sorted(m for m in sys.modules
                          if m.startswith(("scipy.integrate", "scipy.optimize", "scipy.stats"))))

@@ -357,7 +357,7 @@ class TestPhysicalCapacity:
     def test_agrees_with_physical_draws(self, n, fading, eta, seed):
         cfg = cfg_eta(eta, fading, n)
         est = mc_metric(cfg, CAPACITY, McConfig(100_000, seed, PHYSICAL_DRAW))
-        assert abs(physical_capacity(cfg).value - est.mean) <= 3.5 * est.std_error
+        assert abs(physical_capacity(cfg).value - est.value) <= 3.5 * est.error_estimate
 
     def test_two_branches_match_mpmath(self):
         # 40 digits of Hamdi's integral with the branch MGF in closed form,

@@ -24,7 +24,6 @@ from rislink.validation import (
     BER,
     CAPACITY,
     OUTAGE,
-    CiEstimate,
     McConfig,
     evaluate,
     ks_statistic,
@@ -454,13 +453,13 @@ class TestOutageThreshold:
 class TestMcMetric:
     def test_outage_at_negligible_threshold(self):
         est = mc_metric(cfg_eta(100.0), OUTAGE, McConfig(10_000, 3), gamma_th=1e-200)
-        assert est.mean == 0.0 and est.std_error == 0.0
+        assert est.value == 0.0 and est.error_estimate == 0.0
 
     def test_capacity_band(self):
         cfg = cfg_eta(100.0)
         est = mc_metric(cfg, CAPACITY, McConfig(1_000_000, 11))
         closed = avg_capacity(cfg).value
-        assert abs(est.mean - closed) <= 3.0 * est.std_error
+        assert abs(est.value - closed) <= 3.0 * est.error_estimate
 
     def test_ber_modes_agree_at_n1(self):
         # matched mean power makes the two draw modes identical in law
@@ -469,8 +468,8 @@ class TestMcMetric:
         cfg = cfg_eta(10.0, fading, 1)
         a = mc_metric(cfg, BER, McConfig(200_000, 21, MODEL_DRAW))
         b = mc_metric(cfg, BER, McConfig(200_000, 22, PHYSICAL_DRAW))
-        combined = math.hypot(a.std_error, b.std_error)
-        assert abs(a.mean - b.mean) <= 3.0 * combined
+        combined = math.hypot(a.error_estimate, b.error_estimate)
+        assert abs(a.value - b.value) <= 3.0 * combined
 
     def test_deterministic(self):
         cfg = cfg_eta(50.0, F15, 4)
@@ -486,6 +485,15 @@ class TestMcMetric:
     def test_unknown_metric(self):
         with pytest.raises(DomainError):
             mc_metric(cfg_eta(1.0), "snr", McConfig(10_000, 5))
+
+    @pytest.mark.parametrize("mode,n_samples", [
+        (MODEL_DRAW, 10_000), (PHYSICAL_DRAW, validation._CHUNK + 1000)])
+    def test_result_records_mode_and_draws(self, mode, n_samples):
+        # the MC record is every route's: mean, standard error, draws
+        est = mc_metric(cfg_eta(10.0), CAPACITY, McConfig(n_samples, 5, mode))
+        assert isinstance(est, MetricResult) and est.method == "mc"
+        assert est.diagnostics == {"method": mode, "evals": n_samples}
+        assert 0.0 < est.error_estimate < est.value
 
 
 class TestMcMetrics:
@@ -594,12 +602,12 @@ class TestEvaluate:
             return good(specs)
 
         monkeypatch.setattr(validation, "meijer_g_batch", counting)
-        cases = [case[:3] for n in (4, 32) for case in point_cases(
+        cases = [case for n in (4, 32) for case in point_cases(
             300.0, F15, n, (CAPACITY, BER, OUTAGE), (0.5, 1.0), (3.0, 6.0))]
         got = evaluate(cases, "exact")
         assert batches == [6]
         assert [case[1] for case in cases] == [CAPACITY, BER, BER, OUTAGE, OUTAGE] * 2
-        for (cfg, metric, gamma_th), r in zip(cases, got):
+        for (cfg, metric, gamma_th, _), r in zip(cases, got):
             route = self.ROUTES[("exact", metric)]
             assert r == (route(cfg, gamma_th) if metric == OUTAGE else route(cfg))
 
@@ -626,6 +634,44 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             evaluate([(cfg_eta(10.0), "snr", math.nan)], "exact")
 
+    def test_physical_route_is_each_lone_call(self):
+        cases = [(cfg_eta(100.0, F15, 8), CAPACITY, math.nan),
+                 (cfg_eta(3.0, FadingParams(1.5, 3.0), 2), CAPACITY, math.nan, "ignored")]
+        want = [metrics.physical_capacity(cfg) for cfg, *_ in cases]
+        assert evaluate(cases, "physical") == want
+
+    @pytest.mark.parametrize("metric", [BER, OUTAGE])
+    def test_physical_route_is_capacity_only(self, monkeypatch, metric):
+        # an unknown pair raises before any route runs
+        calls = []
+        monkeypatch.setattr(validation, "physical_capacity", calls.append)
+        cases = [(cfg_eta(10.0), CAPACITY, math.nan), (cfg_eta(10.0), metric, 2.0)]
+        with pytest.raises(DomainError, match=f"no 'physical' route for metric '{metric}'"):
+            evaluate(cases, "physical")
+        assert calls == []
+
+
+class TestInRowOrder:
+    def test_zips_columns_into_rows(self):
+        assert validation.in_row_order([1, 2], "ab", [None, 0.5]) == [
+            (1, "a", None), (2, "b", 0.5)]
+        assert validation.in_row_order() == []
+
+    def test_first_error_in_row_order_then_column_order(self):
+        late, left, right = (NumericError(w) for w in ("late", "left", "right"))
+        # row 1's error beats row 2's, though row 2's is in an earlier column
+        with pytest.raises(NumericError, match="right"):
+            validation.in_row_order([1, 2, late], [3, right, 5])
+        # within a row, the earlier column wins
+        with pytest.raises(NumericError, match="left"):
+            validation.in_row_order([1, left, late], [3, right, 5])
+        with pytest.raises(DomainError, match="first"):
+            validation.in_row_order([DomainError("first"), left], [right, 4])
+
+    def test_columns_must_be_equal_length(self):
+        with pytest.raises(ValueError):
+            validation.in_row_order([1, 2], [3])
+
 
 class TestMetricCases:
     def test_each_metric_varies_its_own_coordinate(self):
@@ -648,18 +694,17 @@ def _lone_point_rows(master_seed, idx, n, m, m_s, eta_db, n_samples):
     cases = point_cases(10.0 ** (eta_db / 10.0), FadingParams(m, m_s), n,
                         (CAPACITY, BER, OUTAGE), validation.GRID_LAMBDA,
                         validation.GRID_GAMMA_TH_DB)
-    triples = [case[:3] for case in cases]
-    estimates = mc_metrics(triples, McConfig(n_samples, _point_seed(master_seed, idx)))
+    estimates = mc_metrics(cases, McConfig(n_samples, _point_seed(master_seed, idx)))
     rows = []
     for (cfg, metric, _, gth_db), est, exact, quad in zip(
-            cases, estimates, evaluate(triples, "exact"), evaluate(triples, "quadrature")):
+            cases, estimates, evaluate(cases, "exact"), evaluate(cases, "quadrature")):
         c_log, q_log = exact.diagnostics["log_value"], quad.diagnostics["log_value"]
         gap = validation._rel_gap_from_logs(c_log, q_log)
         ok_mc, note = validation._mc_consistent(exact.value, est, metric)
         rows.append(validation.Check(
             kind="oracle", index=idx, n_cells=n, m=m, m_s=m_s, eta_db=eta_db, metric=metric,
             lambda_mod=cfg.lambda_mod, gamma_th_db=gth_db, closed_log=c_log, quad_log=q_log,
-            rel_gap_quad=gap, mc_mean=est.mean, mc_std_error=est.std_error, note=note,
+            rel_gap_quad=gap, mc_mean=est.value, mc_std_error=est.error_estimate, note=note,
             ok=bool(ok_mc) and gap <= metrics.REL_TOL))
     return rows
 
@@ -702,7 +747,7 @@ class TestOracleGrid:
             gamma_th = (metrics.snr_threshold_from_db(c.gamma_th_db) if c.metric == OUTAGE
                         else math.nan)
             est = mc_metric(cfg, c.metric, McConfig(10_000, _point_seed(5, first)), gamma_th)
-            assert (c.mc_mean, c.mc_std_error) == (est.mean, est.std_error)
+            assert (c.mc_mean, c.mc_std_error) == (est.value, est.error_estimate)
 
     def test_first_point_of_a_family_is_its_lone_run(self):
         grid = validation.PRESETS["smoke"].grid
@@ -752,6 +797,41 @@ class TestOracleGrid:
 
 
 class TestModeGap:
+    @pytest.mark.parametrize("preset", sorted(validation.PRESETS))
+    def test_rows_are_lone_route_calls(self, preset):
+        # each row as lone avg_capacity and physical_capacity calls give it
+        want = []
+        for i, n in enumerate(validation.PRESETS[preset].gap_ns):
+            cfg = cfg_eta(metrics.snr_threshold_from_db(20.0), F15, n)
+            model, physical = avg_capacity(cfg), metrics.physical_capacity(cfg)
+            gap = abs(model.value - physical.value) / physical.value
+            want.append(validation.Check(
+                kind="mode_gap", index=9000 + i, n_cells=n, m=1.0, m_s=5.0, eta_db=20.0,
+                metric="capacity_gap", closed_log=model.diagnostics["log_value"],
+                quad_log=physical.diagnostics["log_value"], rel_gap_quad=gap,
+                note=f"rel_error={physical.diagnostics['rel_error']:.3e}", ok=gap < 0.03))
+        assert repr(validation.mode_gap_checks(preset)) == repr(want)
+
+    def test_failing_row_raises_in_row_order(self, monkeypatch):
+        # the exact route fails at N 32 and the physical one at N 16: the
+        # N 16 row comes first in row order
+        good_form, good_physical = validation._capacity_form, validation.physical_capacity
+
+        def form(cfg):
+            if cfg.n_cells == 32:
+                raise NumericError("exact, N 32")
+            return good_form(cfg)
+
+        def physical(cfg):
+            if cfg.n_cells == 16:
+                raise NumericError("physical, N 16")
+            return good_physical(cfg)
+
+        monkeypatch.setattr(validation, "_capacity_form", form)
+        monkeypatch.setattr(validation, "physical_capacity", physical)
+        with pytest.raises(NumericError, match="physical, N 16"):
+            validation.mode_gap_checks("full")
+
     def test_capacity_gap_small_for_many_cells(self):
         # the aggregate model's closed form against the exact capacity of
         # the sum of 8 unit-mean branches
