@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import hashlib
 import io
 import itertools
@@ -29,7 +30,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -94,10 +95,10 @@ class Param:
 # The [link] keys are also the metrics flags (--n-cells ... --p-s-dbm).
 LINK_PARAMS = {
     "n_cells": Param(8, True, lambda v: v >= 1, "n_cells must be >= 1", integer),
-    "m": Param(1.0, True, lambda v: v > 0.0, "m must be positive"),
-    "m_s": Param(5.0, True, lambda v: v > 1.0, "m_s must exceed 1"),
-    "r_d": Param(1.0, False, lambda v: v > 0.0, "r_d must be positive"),
-    "beta": Param(2.7, False, lambda v: v > 0.0, "beta must be positive"),
+    "m": Param(1.0, True, lambda v: 0.0 < v < math.inf, "m must be positive and finite"),
+    "m_s": Param(5.0, True, lambda v: 1.0 < v < math.inf, "m_s must exceed 1 and be finite"),
+    "r_d": Param(1.0, False, lambda v: 0.0 < v < math.inf, "r_d must be positive and finite"),
+    "beta": Param(2.7, False, lambda v: 0.0 < v < math.inf, "beta must be positive and finite"),
     "n0_dbm": Param(0.0, False, math.isfinite, "n0_dbm must be finite"),
     "lambda": Param(1.0, True, lambda v: v in (0.5, 1.0), "lambda must be 0.5 or 1"),
     "gamma_th_db": Param(3.0, True, math.isfinite, "gamma_th_db must be finite"),
@@ -117,8 +118,6 @@ SWEEP_PARAMS = {
     "variants": Param(("exact", "asymptotic"), True, lambda v: v in VARIANTS,
                       "unknown variant '{}'", str),
 }
-# --seed runs the seed check; --mc-samples leaves its bound to McConfig,
-# so a metrics row that draws no sample ignores it.
 MC_PARAMS = {
     "samples": Param(100_000, False, lambda v: v >= 10_000, "mc samples must be >= 10^4",
                      int),
@@ -127,9 +126,16 @@ MC_PARAMS = {
     "mode": Param(MODEL_DRAW, False, lambda v: v in _MC_MODES.values(),
                   "mode must be model or physical", _mc_mode),
 }
-# --threads of sweep and validate
 THREADS = Param(os.cpu_count() or 1, False, lambda v: v >= 1, "threads must be at least 1",
                 int)
+# Every flag that sets a table value, by table key: the flag, its Param and
+# the commands that take it.  main reads each given flag as one value.
+TABLE_FLAGS = {
+    **{key: ("--" + key.replace("_", "-"), p, ("metrics",)) for key, p in LINK_PARAMS.items()},
+    **{key: (flag, MC_PARAMS[key], ("metrics", "sweep", "validate"))
+       for key, flag in (("seed", "--seed"), ("samples", "--mc-samples"), ("mode", "--mc-mode"))},
+    "threads": ("--threads", THREADS, ("sweep", "validate")),
+}
 
 
 @dataclass
@@ -160,43 +166,53 @@ class SweepSpec:
         return vals
 
 
-def _key_line(text: str, key: str) -> int | None:
-    pat = re.compile(r"^\s*" + re.escape(key) + r"\s*[=:]", re.IGNORECASE)
+def _key_line(text: str, section: str, key: str) -> int | None:
+    """The line of ``key`` in ``[section]``, or in ``[DEFAULT]``, which every section reads."""
+    pat = re.compile(r"\s*" + re.escape(key) + r"\s*[=:]", re.IGNORECASE)
+    current = None
     for i, line in enumerate(text.splitlines(), start=1):
-        if pat.match(line):
+        header = re.match(r"\s*\[(.+)\]", line)
+        if header:
+            current = header.group(1)
+        elif current in (section, "DEFAULT") and pat.match(line):
             return i
     return None
 
 
-def _fail_key(text: str, section: str, key: str, msg: str) -> ConfigError:
-    line = _key_line(text, key)
+def _fail_key(text: str, section: str, key: str, msg: str | None) -> ConfigError:
+    """``msg`` naming the key's line, or with no ``msg``, the key's absence."""
+    if msg is None:
+        return ConfigError(f"missing required key '{key}' in [{section}]")
+    line = _key_line(text, section, key)
     where = f"line {line}" if line is not None else f"section [{section}]"
     return ConfigError(f"{msg} (key '{key}', {where})")
 
 
-def _read(text: str, section: str, given, key: str, p: Param):
-    """The checked value of one table key: a tuple for ``many`` keys, whose
-    default may be the tuple itself."""
+def _read(given, key: str, p: Param, fail: Callable[[str, str | None], ConfigError]):
+    """The checked value of one table key, or its default when ``given``
+    lacks it: a tuple for ``many`` keys, whose default may be the tuple
+    itself.  ``fail(key, msg)`` is the error, naming the key's line or its
+    flag; a key with no default is required."""
     if key not in given:
         if p.default is None:
-            raise ConfigError(f"missing required key '{key}' in [{section}]")
+            raise fail(key, None)
         return (p.default,) if p.many and not isinstance(p.default, tuple) else p.default
     tokens = given[key].replace(",", " ").split()
     if not tokens:
-        raise _fail_key(text, section, key, f"{key} must not be empty")
+        raise fail(key, f"{key} must not be empty")
     if not p.many and len(tokens) != 1:
-        raise _fail_key(text, section, key, "expected a single value")
+        raise fail(key, "expected a single value")
     try:
         values = tuple(p.parse(tok) for tok in tokens)
     except ValueError as exc:
-        raise _fail_key(text, section, key, f"bad value: {exc}")
+        raise fail(key, f"bad value: {exc}")
     for v in values:
         if not p.check(v):
-            raise _fail_key(text, section, key, p.message.format(v))
+            raise fail(key, p.message.format(v))
     if not p.many:
         return values[0]
     if len(set(values)) != len(values):  # a value given twice would repeat its rows
-        raise _fail_key(text, section, key, f"{key} repeats a value")
+        raise fail(key, f"{key} repeats a value")
     return values
 
 
@@ -215,7 +231,8 @@ def parse_config(text: str) -> SweepSpec:
     if not cp.has_section("sweep"):
         raise ConfigError("config has no [sweep] section")
     given = {section: cp[section] if cp.has_section(section) else {} for section in tables}
-    axis = _read(text, "sweep", given["sweep"], "axis", SWEEP_PARAMS["axis"])
+    axis = _read(given["sweep"], "axis", SWEEP_PARAMS["axis"],
+                 functools.partial(_fail_key, text, "sweep"))
     if axis in given["link"]:
         raise _fail_key(
             text, "link", axis, "the sweep axis must not also be fixed in [link]"
@@ -226,8 +243,8 @@ def parse_config(text: str) -> SweepSpec:
                 raise _fail_key(text, section, key, "unknown key")
 
     def read(section: str) -> dict:
-        return {key: _read(text, section, given[section], key, p)
-                for key, p in tables[section].items()}
+        fail = functools.partial(_fail_key, text, section)
+        return {key: _read(given[section], key, p, fail) for key, p in tables[section].items()}
 
     sweep = read("sweep")
     axis_param = LINK_PARAMS.get(axis)
@@ -433,15 +450,22 @@ def selftest() -> int:
     return 0 if failures == 0 else 4
 
 
-def _metrics_command(args) -> int:
+def _fail_flag(key: str, msg: str) -> ConfigError:
+    return ConfigError(f"{msg} (flag {TABLE_FLAGS[key][0]})")
+
+
+def _metrics_command(args, flags: dict) -> int:
     """One point as a one-point sweep: the row equals the sweep's row."""
-    link = {key: getattr(args, key, p.default) for key, p in LINK_PARAMS.items()}
+    for key in POWER_KEYS:
+        if key in flags and args.eta_db is not None:
+            raise _fail_flag(key, _POWER_MESSAGE)
+    link = {key: flags.get(key, p.default) for key, p in LINK_PARAMS.items()}
     axis, x = ("p_s_dbm", link["p_s_dbm"]) if args.eta_db is None else ("eta_db", args.eta_db)
     spec = SweepSpec(
         axis=axis, start=x, stop=x, steps=1, metrics=(args.metric,),
         variants=(args.variant,),
         link={key: (v,) if LINK_PARAMS[key].many else v for key, v in link.items()},
-        mc={key: getattr(args, key) for key in MC_PARAMS}, out="-",
+        mc={key: flags.get(key, p.default) for key, p in MC_PARAMS.items()}, out="-",
     )
     rows = _point_rows(spec, x)  # a failing point prints nothing
     w = csv.writer(sys.stdout, lineterminator="\n")
@@ -450,60 +474,32 @@ def _metrics_command(args) -> int:
     return 0
 
 
-def _check_flags(args) -> None:
-    """Run the table checks on the flags that set a table value: the link
-    flags of ``metrics``, every ``--seed`` and every ``--threads``; and
-    reject a ``metrics`` power flag given with ``--eta-db``."""
-    params = {"seed": MC_PARAMS["seed"], "threads": THREADS}
-    if args.command == "metrics":
-        params.update(LINK_PARAMS)
-    for key, p in params.items():
-        value = getattr(args, key, None)
-        if value is not None and not p.check(value):
-            raise ConfigError(f"{p.message} (flag --{key.replace('_', '-')})")
-        if key in POWER_KEYS and value is not None and args.eta_db is not None:
-            raise ConfigError(f"{_POWER_MESSAGE} (flag --{key.replace('_', '-')})")
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="rislink",
         description="RIS link metrics over Fisher-Snedecor F fading",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    seed, samples, mode = MC_PARAMS["seed"], MC_PARAMS["samples"], MC_PARAMS["mode"]
-    # the MC flags' dests are the MC_PARAMS keys
-    modes = {"dest": "mode", "type": mode.parse, "choices": tuple(_MC_MODES.values()),
-             "metavar": "{model,physical}"}
 
     mp = sub.add_parser("metrics", help="evaluate one point, print one CSV row")
     mp.add_argument("--metric", choices=METRICS, required=True)
     mp.add_argument("--variant", choices=VARIANTS, default="exact")
-    # a link flag left out is absent from args and takes its table default
-    for key, p in LINK_PARAMS.items():
-        mp.add_argument("--" + key.replace("_", "-"), type=p.parse,
-                        default=argparse.SUPPRESS)
     mp.add_argument("--eta-db", type=float, default=None)
-    mp.add_argument("--mc-samples", dest="samples", type=samples.parse,
-                    default=samples.default)
-    mp.add_argument("--mc-mode", default=mode.default, **modes)
-    mp.add_argument("--seed", type=seed.parse, default=seed.default)
 
     sp = sub.add_parser("sweep", help="run a sweep described by a config file")
     sp.add_argument("config", help="path to the sweep config")
     sp.add_argument("--out", default=None, help="output CSV (overrides config)")
-    sp.add_argument("--threads", type=THREADS.parse, default=THREADS.default)
-    sp.add_argument("--seed", type=seed.parse, default=None, help="override [mc] seed")
-    sp.add_argument("--mc-samples", dest="samples", type=samples.parse, default=None)
-    sp.add_argument("--mc-mode", default=None, **modes)
 
     vp = sub.add_parser("validate", help="run the oracle-agreement grid")
     vp.add_argument("--preset", choices=tuple(PRESETS), default="smoke")
-    vp.add_argument("--seed", type=seed.parse, default=seed.default)
     vp.add_argument("--out", default="validate_report.csv")
-    vp.add_argument("--threads", type=THREADS.parse, default=THREADS.default)
-    vp.add_argument("--mc-samples", dest="samples", type=samples.parse, default=None)
-    vp.add_argument("--mc-mode", default=mode.default, **modes)
+
+    # a table flag is a raw string, absent from args when left out; its
+    # dest is its table key
+    commands = {"metrics": mp, "sweep": sp, "validate": vp}
+    for key, (flag, _, names) in TABLE_FLAGS.items():
+        for name in names:
+            commands[name].add_argument(flag, dest=key, default=argparse.SUPPRESS)
 
     sub.add_parser("selftest", help="special-function identity suite")
     return ap
@@ -512,29 +508,31 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_flags(args)
+        given = vars(args)
+        # each flag is one value, and its failure names the flag
+        flags = {key: _read(given, key, replace(p, many=False), _fail_flag)
+                 for key, (_, p, _) in TABLE_FLAGS.items() if key in given}
+        threads = flags.get("threads", THREADS.default)
         if args.command == "metrics":
-            return _metrics_command(args)
+            return _metrics_command(args, flags)
         if args.command == "sweep":
             with open(args.config) as fh:
                 text = fh.read()
             spec = parse_config(text)
             if args.out is not None:
                 spec.out = args.out
-            for key in MC_PARAMS:
-                if getattr(args, key) is not None:
-                    spec.mc[key] = getattr(args, key)
+            spec.mc.update((key, flags[key]) for key in MC_PARAMS if key in flags)
             _check_out(spec.out)
-            rows = run_sweep(spec, threads=args.threads)
+            rows = run_sweep(spec, threads=threads)
             write_csv(spec.out, CSV_HEADER, rows)
             print(f"wrote {len(rows)} rows to {spec.out}", file=sys.stderr)
             return 0
         if args.command == "validate":
             _check_out(args.out)
-            return run_validate(
-                args.preset, args.seed, args.out, threads=args.threads,
-                n_samples=args.samples, mode=args.mode,
-            )
+            # with no --mc-samples, each preset draws its own count
+            return run_validate(args.preset, flags.get("seed", MC_PARAMS["seed"].default),
+                                args.out, threads=threads, n_samples=flags.get("samples"),
+                                mode=flags.get("mode", MC_PARAMS["mode"].default))
         if args.command == "selftest":
             return selftest()
         raise ConfigError(f"unknown command {args.command!r}")

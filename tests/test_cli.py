@@ -86,6 +86,16 @@ class TestParseConfig:
             parse_config(text)
         msg = str(err.value)
         assert "frobnicate" in msg and "line" in msg
+        # a key is looked for in its own section: m on line 7 is a [link] key
+        text = ("[sweep]\naxis = eta_db\nstart = 0\nstop = 1\nsteps = 3\n"
+                "[link]\nm = 1\n[mc]\nm = 2\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value) == "unknown key (key 'm', line 9)"
+        # configparser puts a [DEFAULT] key in every section
+        with pytest.raises(ConfigError) as err:
+            parse_config("[DEFAULT]\nsamples = 20000\n" + MINIMAL)
+        assert str(err.value) == "unknown key (key 'samples', line 2)"
 
     def test_unknown_section(self):
         with pytest.raises(ConfigError):
@@ -165,11 +175,13 @@ class TestParseConfig:
         assert "'seed', line 9" in str(err.value)
 
 
-# one out-of-range value per [link] key; the same value as a metrics flag
+# one out-of-range value per [link] key; the same value as a metrics flag.
+# An infinite m or m_s used to fail only in the channel model, naming no
+# key, and beta = inf at r_d = 1 printed a row, since 1^-inf = 1
 BAD_LINK_VALUES = [
-    ("n_cells", "0"), ("m", "0"), ("m_s", "1"), ("r_d", "-1"), ("r_d", "0"),
-    ("beta", "-1"), ("n0_dbm", "inf"), ("lambda", "0.7"), ("gamma_th_db", "nan"),
-    ("p_s_dbm", "inf"),
+    ("n_cells", "0"), ("m", "0"), ("m", "inf"), ("m_s", "1"), ("m_s", "inf"),
+    ("r_d", "-1"), ("r_d", "0"), ("r_d", "inf"), ("beta", "-1"), ("beta", "inf"),
+    ("n0_dbm", "inf"), ("lambda", "0.7"), ("gamma_th_db", "nan"), ("p_s_dbm", "inf"),
 ]
 
 
@@ -198,6 +210,44 @@ def test_negative_seed_flag_exits_2(command, capsys):
     assert capsys.readouterr().err == (
         "config error: seed must be a non-negative integer (flag --seed)\n"
     )
+
+
+# the [mc] keys as flags of every command: the same check and message as
+# the key, on every variant; the samples bound once held only for rows that
+# draw, and a bad mode was an argparse usage error
+@pytest.mark.parametrize("key,bad", [("samples", "5000"), ("mode", "both")])
+@pytest.mark.parametrize("command", [
+    ["validate", "--preset", "smoke"], ["sweep", "unused.ini"],
+    ["metrics", "--metric", "ber"], ["metrics", "--metric", "ber", "--variant", "mc"],
+])
+def test_bad_mc_value_fails_as_key_and_as_flag(command, key, bad, capsys):
+    message = cli.MC_PARAMS[key].message
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL + f"\n[mc]\n{key} = {bad}\n")
+    assert str(err.value) == f"{message} (key '{key}', line 9)"
+    flag = cli.TABLE_FLAGS[key][0]
+    assert main([*command, flag, bad]) == 2
+    assert capsys.readouterr() == ("", f"config error: {message} (flag {flag})\n")
+
+
+# a malformed table flag is a config error naming the flag, as a malformed
+# key is (it was an argparse usage error), and a flag takes one value
+COMMAND_ARGS = {"metrics": ["metrics", "--metric", "ber"], "sweep": ["sweep", "unused.ini"],
+                "validate": ["validate", "--preset", "smoke"]}
+
+
+@pytest.mark.parametrize("key,command", [(key, command)
+                                         for key, (_, _, commands) in cli.TABLE_FLAGS.items()
+                                         for command in commands])
+def test_malformed_table_flag_is_a_config_error(key, command, capsys):
+    flag, p, _ = cli.TABLE_FLAGS[key]
+    argv = [*COMMAND_ARGS[command], flag]
+    assert main([*argv, "1 2"]) == 2
+    assert capsys.readouterr().err == f"config error: expected a single value (flag {flag})\n"
+    if p.parse is not cli._mc_mode:  # a mode token always parses, and fails its check
+        assert main([*argv, "x"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: bad value: ") and err.endswith(f" (flag {flag})\n")
 
 
 @pytest.mark.parametrize("threads", ["0", "-1"])
@@ -783,13 +833,6 @@ class TestMain:
             6.0317707987276533, rel=1e-6
         )
 
-    def test_metrics_exact_ignores_mc_settings(self, capsys):
-        # MC settings are validated only where the mc variant uses them
-        assert main(["metrics", "--metric", "ber", "--mc-samples", "5000"]) == 0
-        assert main([
-            "metrics", "--metric", "ber", "--variant", "mc", "--mc-samples", "5000",
-        ]) == 2
-
     def test_metrics_lambda_only_moves_ber(self, capsys):
         # capacity and outage do not read lambda: their row, MC
         # substream included, is the same for either value, and echoes 1
@@ -927,6 +970,60 @@ class TestMain:
         p = tmp_path / "x.csv"
         write_csv(str(p), ["a", "b"], [["1", "2"]])
         assert p.read_bytes() == b"a,b\n1,2\n"
+
+
+VALUE = {"value", "error_estimate"}
+# one value besides the default per [link] and [mc] key, and the columns it
+# moves: on an exact row of each metric that reads the key, and for an [mc]
+# key on an mc row, where an exact row moves only the seed it echoes
+KEY_MOVES = {
+    "n_cells": ("16", {"N", *VALUE}),
+    "m": ("2", {"m", *VALUE}),
+    "m_s": ("3", {"m_s", *VALUE}),
+    "r_d": ("2", {"r_d", *VALUE}),
+    "beta": ("3", {"beta"}),  # at r_d = 1, where r_d^-beta = 1
+    "n0_dbm": ("-3", {"n0_dbm", *VALUE}),
+    "lambda": ("0.5", {"lambda", *VALUE}),
+    "gamma_th_db": ("6", {"gamma_th_db", *VALUE}),
+    "p_s_dbm": ("3", {"axis_value", *VALUE}),
+    "seed": ("7", {"seed", *VALUE}),
+    "samples": ("20000", VALUE),
+    "mode": ("physical", VALUE),
+}
+# the keys only one metric reads
+READ_BY = {"lambda": "ber", "gamma_th_db": "outage"}
+
+
+def _metrics_row(capsys, *args) -> dict:
+    assert main(["metrics", *args]) == 0
+    return next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+
+
+def test_key_moves_cover_the_tables():
+    assert set(KEY_MOVES) == set(LINK_PARAMS) | set(cli.MC_PARAMS)
+
+
+@pytest.mark.parametrize("key", KEY_MOVES)
+def test_key_moves_only_its_documented_columns(key, capsys):
+    flag, p, _ = cli.TABLE_FLAGS[key]
+    other, moves = KEY_MOVES[key]
+    variants = ("exact", "mc") if key in cli.MC_PARAMS else ("exact",)
+    for metric, variant in itertools.product(cli.METRICS, variants):
+        default, moved = (_metrics_row(capsys, "--metric", metric, "--variant", variant,
+                                       flag, value) for value in (str(p.default), other))
+        assert default["g_bar"] == moved["g_bar"] == "1"
+        want = moves - VALUE if variant == "exact" and key in cli.MC_PARAMS else moves
+        if READ_BY.get(key, metric) != metric:
+            want = set()
+        assert {col for col in CSV_HEADER if default[col] != moved[col]} == want, metric
+
+
+def test_power_and_noise_keys_make_one_eta(capsys):
+    # eta = 10^((p_s_dbm - n0_dbm)/10) r_d^-beta: the same eta, bit for bit
+    for metric in cli.METRICS:
+        rows = [_metrics_row(capsys, "--metric", metric, *flags)
+                for flags in (["--p-s-dbm", "3"], ["--n0-dbm", "-3"])]
+        assert len({(row["value"], row["error_estimate"]) for row in rows}) == 1
 
 
 class TestParser:
