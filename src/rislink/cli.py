@@ -68,8 +68,12 @@ _MC_MODES = {"model": MODEL_DRAW, "physical": PHYSICAL_DRAW}
 
 
 def integer(tok: str) -> int:
-    """An integer token; "8" and "8.0" both read as 8."""
-    v = float(tok)
+    """A whole number: "8", "8.0" and "1e1" read as 8, 8 and 10, and a plain
+    integer keeps every digit, which a double would round."""
+    try:
+        return int(str(tok))  # the str of a float fails, where int() would truncate
+    except ValueError:
+        v = float(tok)
     if not v.is_integer():
         raise ValueError(f"{tok} is not an integer")
     return int(v)
@@ -113,21 +117,21 @@ SWEEP_PARAMS = {
     "axis": Param(None, False, lambda v: v in AXES, f"axis must be one of {AXES}", str),
     "start": Param(None, False, math.isfinite, "start must be finite"),
     "stop": Param(None, False, math.isfinite, "stop must be finite"),
-    "steps": Param(None, False, lambda v: v >= 2, "steps must be at least 2", int),
+    "steps": Param(None, False, lambda v: v >= 2, "steps must be at least 2", integer),
     "metrics": Param(METRICS, True, lambda v: v in METRICS, "unknown metric '{}'", str),
     "variants": Param(("exact", "asymptotic"), True, lambda v: v in VARIANTS,
                       "unknown variant '{}'", str),
 }
 MC_PARAMS = {
     "samples": Param(100_000, False, lambda v: v >= 10_000, "mc samples must be >= 10^4",
-                     int),
+                     integer),
     "seed": Param(42, False, lambda v: v >= 0, "seed must be a non-negative integer",
-                  int),
+                  integer),
     "mode": Param(MODEL_DRAW, False, lambda v: v in _MC_MODES.values(),
                   "mode must be model or physical", _mc_mode),
 }
 THREADS = Param(os.cpu_count() or 1, False, lambda v: v >= 1, "threads must be at least 1",
-                int)
+                integer)
 # Every flag that sets a table value, by table key: the flag, its Param and
 # the commands that take it.  main reads each given flag as one value.
 TABLE_FLAGS = {
@@ -505,8 +509,26 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _join_values(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """argv with each flag that takes a value joined to the next token as
+    flag=token, which argparse reads as the value even where it looks like
+    an option (-1e1, -inf).  No option string is joined, so a flag left
+    without a value still fails."""
+    (commands,) = [a.choices for a in parser._actions if isinstance(a.choices, dict)]
+    takes_value = {flag: a.nargs is None for p in (parser, *commands.values())
+                   for a in p._actions for flag in a.option_strings}
+    out = []
+    for tok in argv:
+        if out and takes_value.get(out[-1]) and tok.split("=")[0] not in takes_value:
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(_join_values(parser, sys.argv[1:] if argv is None else argv))
     try:
         given = vars(args)
         # each flag is one value, and its failure names the flag

@@ -145,6 +145,9 @@ def log_betainc(a: float, b: float, y: float) -> tuple[float, float, str, int]:
 # ---------------------------------------------------------------------------
 
 CONTOUR_QUADRATURE = "contour_quadrature"
+# The narrowest pole-separating gap a spec may have; it also rejects an
+# a_front - b_front within 1e-9 of a positive integer.
+_MIN_GAP = 1e-9
 
 
 @dataclass(frozen=True)
@@ -155,9 +158,14 @@ class MeijerGSpec:
     remaining p - n; ``b_front``/``b_rest`` likewise for the lower row.
     In the Mellin-Barnes integrand the ``b_front`` entries contribute
     Gamma(b - s) (poles running right from b) and the ``a_front`` entries
-    Gamma(1 - a + s) (poles running left from a - 1).  A spec where some
-    a_front minus some b_front is a positive integer has colliding pole
-    families and is rejected: no vertical contour can separate them.
+    Gamma(1 - a + s) (poles running left from a - 1).
+
+    Construction raises every DomainError a spec can cause, so meijer_g
+    meets only NumericError: a non-finite parameter or argument <= 0,
+    parameters beyond double range of each other, no exponential decay
+    (2(m + n) <= p + q), or pole families that no vertical contour
+    separates by more than _MIN_GAP.  ``decay`` holds Stirling's decay
+    exponent in |Im u|, ``plan`` the block's cached _block_plan.
     """
 
     a_front: tuple[float, ...]
@@ -165,20 +173,21 @@ class MeijerGSpec:
     b_front: tuple[float, ...]
     b_rest: tuple[float, ...]
     argument: float
+    decay: float = field(repr=False, compare=False)
+    plan: _BlockPlan = field(repr=False, compare=False)
 
     def __init__(self, a_front, a_rest, b_front, b_rest, argument):
-        object.__setattr__(self, "a_front", tuple(float(a) for a in a_front))
-        object.__setattr__(self, "a_rest", tuple(float(a) for a in a_rest))
-        object.__setattr__(self, "b_front", tuple(float(b) for b in b_front))
-        object.__setattr__(self, "b_rest", tuple(float(b) for b in b_rest))
-        object.__setattr__(self, "argument", float(argument))
-        for row in ("a_front", "a_rest", "b_front", "b_rest"):
+        rows = dict(a_front=a_front, a_rest=a_rest, b_front=b_front, b_rest=b_rest)
+        for row, values in rows.items():
+            object.__setattr__(self, row, tuple(map(float, values)))
             if not all(map(math.isfinite, getattr(self, row))):
                 raise DomainError(f"Meijer G parameters {row} must be finite, "
                                   f"got {getattr(self, row)}")
+        object.__setattr__(self, "argument", float(argument))
         if not np.isfinite(self.argument) or self.argument <= 0.0:
             raise DomainError(f"Meijer G argument must be positive, got {argument}")
-        # the pairs whose differences the pole check and the term plan take
+        # the pairs whose differences the term plan takes; a_front - b_front
+        # also bounds the width of the gap, which the contour needs finite
         for row, other in (("a_front", "b_front"), ("a_front", "b_rest"),
                            ("b_front", "a_rest")):
             for a in getattr(self, row):
@@ -186,30 +195,18 @@ class MeijerGSpec:
                     if not math.isfinite(a - b):
                         raise DomainError(f"Meijer G parameters {row} value {a} and {other} "
                                           f"value {b} differ by more than double range")
-        for a in self.a_front:
-            for b in self.b_front:
-                d = a - b
-                if d >= 0.5 and abs(d - round(d)) < 1e-9:
-                    raise DomainError(
-                        "pole collision: a_front value {} exceeds b_front value {} "
-                        "by the positive integer {}".format(a, b, int(round(d)))
-                    )
+        decay = 0.5 * math.pi * (2.0 * (self.m + self.n) - self.p - self.q)
+        if decay <= 0.0:
+            raise DomainError(f"contour integrand lacks exponential decay "
+                              f"(2(m+n) <= p+q for {self})")
+        object.__setattr__(self, "decay", decay)
+        object.__setattr__(self, "plan", _block_plan(*(getattr(self, row) for row in rows)))
 
-    @property
-    def m(self) -> int:
-        return len(self.b_front)
-
-    @property
-    def n(self) -> int:
-        return len(self.a_front)
-
-    @property
-    def p(self) -> int:
-        return len(self.a_front) + len(self.a_rest)
-
-    @property
-    def q(self) -> int:
-        return len(self.b_front) + len(self.b_rest)
+    # the orders of G^{m,n}_{p,q}
+    m = property(lambda self: len(self.b_front))
+    n = property(lambda self: len(self.a_front))
+    p = property(lambda self: self.n + len(self.a_rest))
+    q = property(lambda self: self.m + len(self.b_rest))
 
 
 @dataclass
@@ -268,7 +265,8 @@ def _merge_direction(nums, dens) -> tuple[dict, dict]:
 
 
 def _log_abs(x):
-    return np.log(np.abs(x))
+    with np.errstate(divide="ignore"):  # -inf at a zero, a denominator pole
+        return np.log(np.abs(x))
 
 
 def _weighted(w: int, v: np.ndarray) -> np.ndarray:
@@ -322,9 +320,9 @@ def _block_plan(a_front, a_rest, b_front, b_rest) -> _BlockPlan:
     _merge_direction, so each distinct log-gamma is evaluated once per
     node, times its weight.  Folding changes the log only by multiples of
     2 pi i, which exp removes.  The gap is (max(a_front) - 1,
-    min(b_front)); the first saddle pass spans it, 1e-6 clear of each
-    pole or a quarter of a narrower gap, or 40 wide beside a lone pole
-    family.
+    min(b_front)), and must be wider than _MIN_GAP; the first saddle pass
+    spans it, 1e-6 clear of each pole or a quarter of a narrower gap, or
+    40 wide beside a lone pole family.
     """
     gammas, logs = [], []
     for d, (nums, dens) in enumerate((
@@ -336,12 +334,10 @@ def _block_plan(a_front, a_rest, b_front, b_rest) -> _BlockPlan:
         logs += [(d, o, w) for o, w in merged_logs.items()]
     left = max((a - 1.0 for a in a_front), default=-math.inf)
     right = min(b_front, default=math.inf)
-    if not left < right:
-        raise DomainError(
-            f"no separating contour: left poles reach {left}, "
-            f"right poles start at {right}"
-        )
-    # meijer_g has rejected m = n = 0 (no decay), so one edge is finite
+    if not right - left > _MIN_GAP:
+        raise DomainError(f"no separating contour: left poles reach {left}, "
+                          f"right poles start at {right}")
+    # MeijerGSpec has rejected m = n = 0 (no decay), so one edge is finite
     if math.isinf(left):
         lo, hi = right - 40.0, right - 1e-6
     elif math.isinf(right):
@@ -381,17 +377,16 @@ class _MellinBarnesIntegrand:
     integrand at (rows, nodes) points is one array expression whose
     every element is computed as a lone spec's would be."""
 
-    def __init__(self, specs: list, plans: list):
-        self.specs, self.plans = specs, plans
+    def __init__(self, specs: list):
+        self.specs = specs
         self.log_z = _column([math.log(s.argument) for s in specs])
-        self.offsets = _columns(plans)
+        self.offsets = _columns([s.plan for s in specs])
 
     def take(self, rows: list) -> "_MellinBarnesIntegrand":
         """The integrand of the given rows, in increasing order, alone."""
         if len(rows) == len(self.specs):
             return self
-        return _MellinBarnesIntegrand([self.specs[r] for r in rows],
-                                      [self.plans[r] for r in rows])
+        return _MellinBarnesIntegrand([self.specs[r] for r in rows])
 
     def __call__(self, u):
         """Complex log integrand at the points u."""
@@ -420,7 +415,7 @@ def _contour_position(chi: _MellinBarnesIntegrand) -> list:
     from c to the nearest pole, and the summed magnitudes of the log
     terms at c, their rounding bound.
     """
-    rows = [(p.grid, *p.terms) for p in chi.plans]
+    rows = [(s.plan.grid, *s.plan.terms) for s in chi.specs]
     grid, *terms = rows[0] if len(rows) == 1 else map(np.concatenate, zip(*rows))
     for second in (False, True):
         if second:
@@ -432,10 +427,11 @@ def _contour_position(chi: _MellinBarnesIntegrand) -> list:
         # a denominator pole on the grid is a zero of chi, not a saddle
         k = np.argmin(np.where(np.isfinite(w), w, np.inf), axis=1).tolist()
     lines = []
-    for r, (i, spec, plan) in enumerate(zip(k, chi.specs, chi.plans)):
+    for r, (i, spec) in enumerate(zip(k, chi.specs)):
         c, log_z = float(grid[r, i]), math.log(spec.argument)
         log_scale = float(sum([abs(c * log_z)] + [abs(t[r, i]) for t in terms]))
-        lines.append((c, float(w[r, i]), min(c - plan.left, plan.right - c), log_scale))
+        lines.append((c, float(w[r, i]), min(c - spec.plan.left, spec.plan.right - c),
+                      log_scale))
     return lines
 
 
@@ -512,31 +508,17 @@ def _halving_trapezoid(f, h: float, span: float, rel_tol: float, floor: float,
     return out
 
 
-def _decay(spec: MeijerGSpec) -> float:
-    """The exponential decay exponent of |integrand| in |Im u|, per
-    Stirling; a DomainError where it is not positive."""
-    delta = 0.5 * math.pi * (2.0 * (spec.m + spec.n) - spec.p - spec.q)
-    if delta <= 0.0:
-        raise DomainError(
-            "contour integrand lacks exponential decay "
-            f"(2(m+n) <= p+q for {spec})"
-        )
-    return delta
-
-
-def _contour(rows: list) -> list:
-    """meijer_g of the rows (spec, _decay(spec), block plan), whose blocks
-    share one term structure, or the NumericError a spec's own call
-    raises: one integrand call per saddle pass, one for the probes and
-    one per pass of the rules.
+def _contour(specs: list) -> list:
+    """meijer_g of the specs, whose plans share one term structure, or the
+    NumericError a spec's own call raises: one integrand call per saddle
+    pass, one for the probes and one per pass of the rules.
 
     The probes are the powers of two from 1/4 to 2^16 along each row's
     line; its cut is the probe after the last one above 1e-18 of the
     saddle value, and a row whose integrand never falls that far raises.
     Each pass evaluates the line in blocks of about _CONTOUR_BLOCK nodes.
     """
-    specs, decays, plans = zip(*rows)
-    chi = _MellinBarnesIntegrand(specs, plans)
+    chi = _MellinBarnesIntegrand(specs)
     lines = _contour_position(chi)
     # the _column's of each row's c, w0 and distance to the nearest pole
     c, w0, scale, _ = map(_column, zip(*lines))
@@ -576,11 +558,11 @@ def _contour(rows: list) -> list:
         (c_r, w0_r, scale_r, _), (t_max, w_tail) = lines[r], out[r]
         total, err, rounding, h, n = rule
         details = dict(contour=c_r, evals=spent + n + 1, step=h, nodes=n + 1, t_max=t_max,
-                       scale=scale_r, log_gammas=len(plans[r].gammas), rel_error=0.0)
+                       scale=scale_r, log_gammas=len(specs[r].plan.gammas), rel_error=0.0)
         if total == 0.0:
             out[r] = EvalReport(CONTOUR_QUADRATURE, -math.inf, 0.0, details)
             continue
-        tail = math.exp(w_tail) / decays[r]
+        tail = math.exp(w_tail) / specs[r].decay
         details["rel_error"] = float((err + tail + rounding) / abs(total) + 1e-14)
         log_abs = w0_r + math.log(abs(total)) - math.log(math.pi)
         out[r] = EvalReport(CONTOUR_QUADRATURE, log_abs, math.copysign(1.0, total), details)
@@ -588,10 +570,10 @@ def _contour(rows: list) -> list:
 
 
 def meijer_g_batch(specs) -> list:
-    """meijer_g of each spec, or the DomainError or NumericError that its
-    own call raises, in the order given.
+    """meijer_g of each spec, or the NumericError that its own call raises,
+    in the order given.
 
-    Specs whose blocks share one term structure (_BlockPlan.structure:
+    Specs whose plans share one term structure (_BlockPlan.structure:
     the directions and weights of the merged terms, such as every
     capacity spec of a sweep point) run through the contour together:
     each saddle pass, the probes and each pass of the step-halving rules
@@ -604,16 +586,9 @@ def meijer_g_batch(specs) -> list:
     """
     out, groups = [None] * len(specs), {}
     for i, spec in enumerate(specs):
-        try:
-            row = (spec, _decay(spec), _block_plan(spec.a_front, spec.a_rest, spec.b_front,
-                                                   spec.b_rest))
-        except DomainError as exc:
-            out[i] = exc
-            continue
-        groups.setdefault(row[2].structure, []).append((i, row))
-    for group in groups.values():
-        index, rows = zip(*group)
-        for i, report in zip(index, _contour(rows)):
+        groups.setdefault(spec.plan.structure, []).append(i)
+    for index in groups.values():
+        for i, report in zip(index, _contour([specs[i] for i in index])):
             out[i] = report
     return out
 
@@ -622,25 +597,24 @@ def meijer_g(spec: MeijerGSpec) -> EvalReport:
     """Evaluate G^{m,n}_{p,q} on the positive real axis by integrating the
     Mellin-Barnes integrand along Re(u) = c; meijer_g_batch of one spec.
 
-    Each parameter set needs a separating gap and an exponentially
-    decaying integrand; any other raises.  The line t >= 0 (the
-    integrand is conjugate-symmetric) is mapped through t = a sinh(x), a
-    being the distance from c to the nearest pole, so those poles sit at
-    x = +-i pi/2 however narrow the gap, and
-    the nodes bunch near t = 0 where the integrand peaks.  The
-    trapezoidal rule in x converges geometrically in 1/h (Trefethen &
-    Weideman, SIAM Review 56(3), 2014).  The step starts at 1/20 and is
-    halved until the rule agrees with the one on its even nodes to
-    1e-12 relative, or to within the nodes' rounding.  The line is cut
-    at the power-of-two probe after the last one where |chi| is above
-    1e-18 of the saddle value.  The error adds that difference, the
-    tail beyond the cut and the rounding of the nodes' log terms.
+    MeijerGSpec has checked the separating gap and the exponential decay
+    that this needs.  The line t >= 0 (the integrand is
+    conjugate-symmetric) is mapped through t = a sinh(x), a being the
+    distance from c to the nearest pole, so those poles sit at
+    x = +-i pi/2 however narrow the gap, and the nodes bunch near t = 0
+    where the integrand peaks.  The trapezoidal rule in x converges
+    geometrically in 1/h (Trefethen & Weideman, SIAM Review 56(3),
+    2014).  The step starts at 1/20 and is halved until the rule agrees
+    with the one on its even nodes to 1e-12 relative, or to within the
+    nodes' rounding.  The line is cut at the power-of-two probe after
+    the last one where |chi| is above 1e-18 of the saddle value.  The
+    error adds that difference, the tail beyond the cut and the rounding
+    of the nodes' log terms.
 
-    The term plan and the first saddle pass depend on the parameter
-    block alone, and are built once per block (_block_plan); everything
-    that moves with z is computed per call.  ``details['evals']`` counts
-    every node the evaluation used, the shared first pass included,
-    so it does not depend on what the cache holds.
+    The spec holds its block's term plan and first saddle pass, built
+    once per block (_block_plan); all that moves with z is computed per
+    call.  ``details['evals']`` counts every node used, the shared first
+    pass included, so it does not depend on what the cache holds.
     """
     (report,) = meijer_g_batch([spec])
     if isinstance(report, Exception):

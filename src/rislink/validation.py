@@ -455,9 +455,9 @@ def mc_metrics(cases, mc: McConfig) -> list[MetricResult]:
         remaining -= k
     estimates = []
     for mean, m2 in moments:
-        var = m2 / (n_total - 1) if n_total > 1 else 0.0
+        var = m2 / (n_total - 1)
         estimates.append(MetricResult(
-            value=mean, method="mc", error_estimate=math.sqrt(max(var, 0.0) / n_total),
+            value=mean, method="mc", error_estimate=math.sqrt(var / n_total),
             diagnostics={"method": mc.mode, "evals": n_total}))
     return estimates
 

@@ -133,6 +133,18 @@ class TestParseConfig:
             parse_config(MINIMAL + "\n[mc]\nseed = 0x2a\n")
         with pytest.raises(ConfigError):
             parse_config(MINIMAL + "\n[mc]\nsamples = 100\n")
+        with pytest.raises(ConfigError, match="bad value: 10000.5 is not an integer"):
+            parse_config(MINIMAL + "\n[mc]\nsamples = 10000.5\n")
+        with pytest.raises(ConfigError, match="bad value: 1e400 is not an integer"):
+            parse_config(MINIMAL + "\n[mc]\nseed = 1e400\n")
+
+    def test_whole_number_keys_read_through_integer(self):
+        # steps and the [mc] counts read as n_cells does: 1e1 is 10, and a
+        # plain integer keeps the digits a double would round
+        spec = parse_config(MINIMAL.replace("steps = 3", "steps = 1e1")
+                            + "\n[mc]\nsamples = 1e5\nseed = 12345678901234567891\n")
+        assert (spec.steps, spec.mc["samples"]) == (10, 100_000)
+        assert spec.mc["seed"] == 12345678901234567891
 
     def test_bare_link_config(self):
         # a config without [sweep] is not a sweep; single points go through
@@ -248,6 +260,52 @@ def test_malformed_table_flag_is_a_config_error(key, command, capsys):
         assert main([*argv, "x"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: bad value: ") and err.endswith(f" (flag {flag})\n")
+    if p.parse is cli.integer:
+        assert main([*argv, "2.5"]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: bad value: 2.5 is not an integer (flag {flag})\n")
+
+
+@pytest.mark.parametrize("tok,want", [("8", 8), ("8.0", 8), ("1e1", 10), ("-0", 0),
+                                      ("12345678901234567891", 12345678901234567891)])
+def test_integer_reads_whole_numbers(tok, want):
+    assert cli.integer(tok) == want
+
+
+@pytest.mark.parametrize("tok", ["2.5", "inf", "nan", "1e400", "0x2a", "x", ""])
+def test_integer_rejects_the_rest(tok):
+    with pytest.raises(ValueError):
+        cli.integer(tok)
+
+
+def test_whole_number_flags_read_through_integer(capsys):
+    row = _metrics_row(capsys, "--metric", "capacity", "--variant", "mc",
+                       "--mc-samples", "1e4", "--seed", "12345678901234567891")
+    assert row["seed"] == "12345678901234567891"
+
+
+# a value that argparse alone takes for an option, such as -1e1 or -inf,
+# reaches its flag's reader as it does after "="
+@pytest.mark.parametrize("flag,value,code,err", [
+    ("--eta-db", "-1e1", 0, ""),
+    ("--n0-dbm", "-inf", 2, "config error: n0_dbm must be finite (flag --n0-dbm)\n"),
+    ("--m", "-1e1", 2, "config error: m must be positive and finite (flag --m)\n"),
+])
+def test_option_like_value_reaches_its_reader(flag, value, code, err, capsys):
+    outs = []
+    for argv in ([flag, value], [f"{flag}={value}"]):
+        assert main(["metrics", "--metric", "capacity", *argv]) == code
+        outs.append(capsys.readouterr())
+    assert outs[0] == outs[1] and outs[0].err == err
+    assert outs[0].out.count("\n") == (2 if code == 0 else 0)
+
+
+def test_flag_followed_by_a_flag_is_a_usage_error(capsys):
+    # an option string is never taken for the value before it
+    with pytest.raises(SystemExit) as exc:
+        main(["metrics", "--metric", "capacity", "--m", "--n-cells", "8"])
+    assert exc.value.code == 2
+    assert "argument --m: expected one argument" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("threads", ["0", "-1"])
@@ -530,6 +588,8 @@ BAD_SWEEP = [
     ("axis = n_cells\nstart = 0\nstop = 4\nsteps = 3", "n_cells must be >= 1",
      "'start', line 3"),
     ("axis = eta_db\nstart = 0\nstop = 1\nsteps = two", "bad value", "'steps', line 5"),
+    ("axis = eta_db\nstart = 0\nstop = 1\nsteps = 2.5", "bad value: 2.5 is not an integer",
+     "'steps', line 5"),
     ("axis = eta_db\nstart = 0\nstop = 1\nsteps = 1", "steps must be at least 2",
      "'steps', line 5"),
     ("axis = eta_db\nstart = 0\nstop = 1\nsteps = 3\nmetrics = capacity, capacity",
