@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NumericError
+from .errors import ConfigError, DomainError, NumericError, positive
 from .fading import MODEL_DRAW, PHYSICAL_DRAW, FadingParams
 from .validation import (
     BER,
@@ -280,10 +280,7 @@ def _linear(what: str, keys: str, compute: Callable[[], float]) -> float:
         x = compute()
     except OverflowError:
         x = math.inf
-    if not 0.0 < x < math.inf:
-        raise ConfigError(
-            f"{what} = {x!r} from {keys} is outside the positive finite doubles")
-    return x
+    return positive(x, f"{what} from {keys}", ConfigError)
 
 
 def _eta(p_s_dbm: float, n0_dbm: float, r_d: float, beta: float) -> float:

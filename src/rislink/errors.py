@@ -1,8 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one range rule.
 
 The CLI maps these onto exit codes, so library code should raise one of
 them (or a subclass) rather than bare ValueError/RuntimeError.
 """
+
+import math
 
 
 class DomainError(ValueError):
@@ -15,3 +17,11 @@ class NumericError(RuntimeError):
 
 class ConfigError(ValueError):
     """A configuration document or CLI argument set is invalid."""
+
+
+def positive(x, what: str, error: type[Exception] = DomainError):
+    """x itself, when it is a positive finite double; otherwise ``error``
+    naming ``what`` and x.  nan fails too."""
+    if not 0.0 < x < math.inf:
+        raise error(f"{what} is {x!r}, outside the positive finite doubles")
+    return x

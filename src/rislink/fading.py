@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc, gammaln
 
-from .errors import DomainError
+from .errors import DomainError, positive
 from .specfun import ln_beta
 
 MODEL_DRAW = "model_draw"
@@ -58,13 +58,11 @@ class FadingParams:
     g_bar: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.m) and self.m > 0.0):
-            raise DomainError(f"fading severity m must be positive, got {self.m}")
+        positive(self.m, "fading severity m")
         if not (np.isfinite(self.m_s) and self.m_s > 1.0):
             # m_s <= 1 leaves the mean channel power undefined.
             raise DomainError(f"shadowing parameter m_s must exceed 1, got {self.m_s}")
-        if not (np.isfinite(self.g_bar) and self.g_bar > 0.0):
-            raise DomainError(f"mean power g_bar must be positive, got {self.g_bar}")
+        positive(self.g_bar, "mean power g_bar")
 
     @property
     def rate(self) -> float:

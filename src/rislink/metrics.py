@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, positive
 from .fading import FadingParams, SumFadingModel
 from .specfun import (REL_TOL, EvalReport, MeijerGSpec, _halving_trapezoid, digamma,
                       log_betainc, meijer_g)
@@ -73,8 +73,7 @@ class LinkConfig:
         model = SumFadingModel(params=self.fading, n_cells=self.n_cells)
         object.__setattr__(self, "_model", model)
         object.__setattr__(self, "n_cells", model.n_cells)
-        if not (np.isfinite(self.eta) and self.eta > 0.0):
-            raise DomainError(f"eta must be positive and finite, got {self.eta}")
+        positive(self.eta, "eta")
         if self.lambda_mod not in (0.5, 1.0):
             raise DomainError(
                 f"lambda_mod must be 0.5 (BFSK) or 1 (BPSK), got {self.lambda_mod}"
@@ -115,15 +114,7 @@ def snr_threshold_from_db(x_db: float) -> float:
         x = 10.0 ** (x_db / 10.0)
     except OverflowError:
         x = math.inf
-    if not 0.0 < x < math.inf:
-        raise DomainError(f"{x_db!r} dB is {x!r} linear, outside the positive finite doubles")
-    return x
-
-
-def check_gamma_th(gamma_th: float) -> None:
-    """The outage threshold check shared by every outage route."""
-    if not (np.isfinite(gamma_th) and gamma_th > 0.0):
-        raise DomainError(f"gamma_th must be positive and linear, got {gamma_th}")
+    return positive(x, f"the linear value of {x_db!r} dB")
 
 
 def result(route: str, log_value: float, rel_err: float, upper: float = math.inf,
@@ -216,23 +207,14 @@ class ClosedForm(NamedTuple):
                       self.upper, report.method, d["evals"], d["step"])
 
 
-def _g_argument(z: float, what: str) -> float:
-    """z, a route's argument made of eta, lambda, xi or gamma_th;
-    NumericError where it leaves the positive finite doubles, as eta/xi
-    does at a tiny xi and a large eta."""
-    if not 0.0 < z < math.inf:
-        raise NumericError(f"{what} = {z!r} leaves double range")
-    return z
-
-
 def _capacity_form(cfg: LinkConfig) -> ClosedForm:
     """avg_capacity before its Meijer G call."""
     model = cfg.model()
     check_shape(model, "closed form capacity")
+    argument = positive(cfg.eta / model.xi, "closed form capacity argument eta/xi",
+                        NumericError)
     spec = MeijerGSpec(a_front=(1.0, 1.0, 1.0 - model.nm), a_rest=(),
-                       b_front=(model.nms, 1.0), b_rest=(0.0,),
-                       argument=_g_argument(cfg.eta / model.xi,
-                                            "closed form capacity argument eta/xi"))
+                       b_front=(model.nms, 1.0), b_rest=(0.0,), argument=argument)
     return ClosedForm(spec, (model.log_lambda_norm, -math.log(model.xi), -math.log(_LN2)),
                       capacity_bound(cfg))
 
@@ -270,6 +252,10 @@ def physical_capacity(cfg: LinkConfig) -> MetricResult:
     both axes, and each node's inner even-node difference.
     """
     p, n_cells, eta = cfg.fading, cfg.n_cells, cfg.eta
+    k_eta = positive(eta * p.g_bar * (p.m_s - 1.0) / p.m,
+                     "physical capacity argument eta g_bar (m_s - 1)/m", NumericError)
+    mean_eta = positive(eta * n_cells * p.g_bar, "physical capacity mean eta N g_bar",
+                        NumericError)
     tail = _PHYSICAL_TAIL
     # u = ln y: the cut leaves mass e^-tail of Gamma(m_s) below and of
     # Gamma(m_s + m), which weights the kernel's tail at large s, above
@@ -277,17 +263,21 @@ def physical_capacity(cfg: LinkConfig) -> MetricResult:
     u_lo = (math.lgamma(p.m_s + 1.0) - tail) / p.m_s
     u_hi = math.log(b + math.sqrt(2.0 * b * tail) + tail)
     h_u = min(0.125, 0.3 / math.sqrt(b))
-    u = u_lo + h_u * np.arange(2 * math.ceil(0.5 * (u_hi - u_lo) / h_u) + 1)
+    # one outer node's row of the inner rule must fit in one block
+    size = 2 * math.ceil(0.5 * (u_hi - u_lo) / h_u) + 1
+    if size > _PHYSICAL_BLOCK:
+        raise NumericError(f"physical capacity inner rule needs {size} nodes, over the "
+                           f"block of {_PHYSICAL_BLOCK}")
+    u = u_lo + h_u * np.arange(size)
     log_w = p.m_s * u - np.exp(u)
     log_w -= log_w.max()
     w = np.exp(log_w)
-    shift = math.log(eta * p.g_bar * (p.m_s - 1.0) / p.m) - u
+    shift = math.log(k_eta) - u
     # 1 - M(eta s) <= eta s E[g]: the cut below v_lo leaves at most
     # mean_eta e^v_lo, the one above v_hi = ln(tail) at most e^-tail / tail
-    mean_eta = eta * n_cells * p.g_bar
     v_lo = -tail - math.log(max(1.0, mean_eta))
     v_hi = math.log(tail)
-    rows = max(1, _PHYSICAL_BLOCK // u.size)
+    rows = _PHYSICAL_BLOCK // u.size
     inner_err = 0.0
 
     def means(terms):
@@ -330,8 +320,8 @@ def physical_capacity(cfg: LinkConfig) -> MetricResult:
 def avg_capacity_asymptotic(cfg: LinkConfig) -> MetricResult:
     """High-SNR capacity [ln(eta/xi) + psi(Nm) - psi(Nms)] / ln 2."""
     model = cfg.model()
-    value = (math.log(_g_argument(cfg.eta / model.xi, "capacity asymptote argument eta/xi"))
-             + digamma(model.nm) - digamma(model.nms)) / _LN2
+    z = positive(cfg.eta / model.xi, "capacity asymptote argument eta/xi", NumericError)
+    value = (math.log(z) + digamma(model.nm) - digamma(model.nms)) / _LN2
     return MetricResult(value=value, method=ASYMPTOTIC, error_estimate=0.0)
 
 
@@ -339,7 +329,8 @@ def _ber_form(cfg: LinkConfig) -> ClosedForm:
     """avg_ber before its Meijer G call."""
     model = cfg.model()
     check_shape(model, "closed form BER")
-    eta_lam = _g_argument(cfg.eta * cfg.lambda_mod, "closed form BER argument eta lambda")
+    eta_lam = positive(cfg.eta * cfg.lambda_mod, "closed form BER argument eta lambda",
+                       NumericError)
     b = model.nm - 1.0
     # the double b = Nm - 1 is off by up to half an ulp, and G, whose
     # poles pinch the gap (-1, b), carries Gamma(1 + b): log G moves with
@@ -349,9 +340,10 @@ def _ber_form(cfg: LinkConfig) -> ClosedForm:
         raise NumericError(f"closed form BER parameter N m - 1 = {b!r} at N m = {model.nm!r} "
                            f"puts a rounding error of {b_rounding:.3e} on G, above the "
                            f"target {REL_TOL:g}")
+    argument = positive(model.xi / eta_lam, "closed form BER argument xi/(eta lambda)",
+                        NumericError)
     spec = MeijerGSpec(a_front=(0.0, -0.5, -model.nms, 0.0), a_rest=(), b_front=(b,),
-                       b_rest=(0.0, -1.0), argument=_g_argument(
-                           model.xi / eta_lam, "closed form BER argument xi/(eta lambda)"))
+                       b_rest=(0.0, -1.0), argument=argument)
     return ClosedForm(spec, (model.log_lambda_norm, -math.log(eta_lam),
                              -math.log(2.0 * math.sqrt(math.pi))), BER_BOUND, b_rounding)
 
@@ -365,7 +357,8 @@ def avg_ber(cfg: LinkConfig) -> MetricResult:
 def avg_ber_asymptotic(cfg: LinkConfig) -> MetricResult:
     """High-SNR BER: Gamma(1/2+Nm) (xi/(eta lambda))^Nm / (2 sqrt(pi) B Nm)."""
     model = cfg.model()
-    eta_lam = _g_argument(cfg.eta * cfg.lambda_mod, "BER asymptote argument eta lambda")
+    eta_lam = positive(cfg.eta * cfg.lambda_mod, "BER asymptote argument eta lambda",
+                       NumericError)
     nm, nms = model.nm, model.nms
     lg_half, lg_nm, lg_nms, lg_tot = _log_gammas(0.5 + nm, nm, nms, nm + nms)
     log_value = (
@@ -373,8 +366,8 @@ def avg_ber_asymptotic(cfg: LinkConfig) -> MetricResult:
         - math.log(2.0 * math.sqrt(math.pi))
         - (lg_nm + lg_nms - lg_tot)
         - math.log(nm)
-        + nm * math.log(_g_argument(model.xi / eta_lam,
-                                    "BER asymptote argument xi/(eta lambda)"))
+        + nm * math.log(positive(model.xi / eta_lam, "BER asymptote argument xi/(eta lambda)",
+                                 NumericError))
     )
     return result(ASYMPTOTIC, log_value, 0.0)
 
@@ -390,7 +383,7 @@ def outage(cfg: LinkConfig, gamma_th: float) -> MetricResult:
     Diagnostics record its side as ``method`` and its iterations as
     ``evals``.
     """
-    check_gamma_th(gamma_th)
+    positive(gamma_th, "gamma_th")
     model = cfg.model()
     y = gamma_th * model.xi / cfg.eta
     log_value, rel_err, side, evals = log_betainc(model.nm, model.nms, y)
@@ -399,11 +392,11 @@ def outage(cfg: LinkConfig, gamma_th: float) -> MetricResult:
 
 def outage_asymptotic(cfg: LinkConfig, gamma_th: float) -> MetricResult:
     """High-SNR outage: the y^Nm power law without the 2F1 correction."""
-    check_gamma_th(gamma_th)
+    positive(gamma_th, "gamma_th")
     model = cfg.model()
     nm, nms = model.nm, model.nms
     y = gamma_th * model.xi / cfg.eta
     lg_tot, lg_nm1, lg_nms = _log_gammas(nm + nms, 1.0 + nm, nms)
     log_value = lg_tot - lg_nm1 - lg_nms + nm * math.log(
-        _g_argument(y, "outage asymptote argument gamma_th xi/eta"))
+        positive(y, "outage asymptote argument gamma_th xi/eta", NumericError))
     return result(ASYMPTOTIC, log_value, 0.0)

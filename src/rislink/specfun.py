@@ -32,7 +32,7 @@ from scipy.special import digamma as _digamma
 from scipy.special import gammaln as _gammaln
 from scipy.special import loggamma as _loggamma
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, positive
 
 _SQRT2 = math.sqrt(2.0)
 _EPS = float(np.finfo(float).eps)
@@ -49,15 +49,13 @@ _CONTOUR_BLOCK = 4096
 
 def digamma(x: float) -> float:
     """Logarithmic derivative of the gamma function for x > 0."""
-    if not np.isfinite(x) or x <= 0.0:
-        raise DomainError(f"digamma requires finite x > 0, got {x}")
-    return float(_digamma(x))
+    return float(_digamma(positive(x, "digamma x")))
 
 
 def ln_beta(x: float, y: float) -> float:
     """log B(x, y); safe for arguments far beyond gamma overflow."""
-    if not (np.isfinite(x) and np.isfinite(y)) or x <= 0.0 or y <= 0.0:
-        raise DomainError(f"beta requires finite x, y > 0, got ({x}, {y})")
+    positive(x, "ln_beta x")
+    positive(y, "ln_beta y")
     return float(_gammaln(x) + _gammaln(y) - _gammaln(x + y))
 
 
@@ -183,9 +181,7 @@ class MeijerGSpec:
             if not all(map(math.isfinite, getattr(self, row))):
                 raise DomainError(f"Meijer G parameters {row} must be finite, "
                                   f"got {getattr(self, row)}")
-        object.__setattr__(self, "argument", float(argument))
-        if not np.isfinite(self.argument) or self.argument <= 0.0:
-            raise DomainError(f"Meijer G argument must be positive, got {argument}")
+        object.__setattr__(self, "argument", positive(float(argument), "Meijer G argument"))
         # the pairs whose differences the term plan takes; a_front - b_front
         # also bounds the width of the gap, which the contour needs finite
         for row, other in (("a_front", "b_front"), ("a_front", "b_rest"),
@@ -445,7 +441,7 @@ def _halving_rules(f, h: float, spans, rel_tol: float, floor: float, node_roundi
     halved until it holds: (total, error, rounding, step, n), n the least
     even count with n h >= span, or the NumericError of a row whose next
     nodes would take its evaluations, spent before it included, past the
-    budget.
+    budget, or whose sum is not finite: every later pass keeps its nodes.
 
     The error is the difference from the rule on the even nodes, and the
     step is halved, each pass adding only the new odd nodes, until it is
@@ -486,6 +482,10 @@ def _halving_rules(f, h: float, spans, rel_tol: float, floor: float, node_roundi
                 v, n[r] = refined, 2 * n[r]
             values[r] = v
             total = h * (0.5 * v[0] + v[1:].sum())
+            if not math.isfinite(total):
+                out[r] = NumericError(f"{what} rule sum is {float(total)!r} after {used[r]} "
+                                      "integrand evaluations")
+                continue
             coarse = 2.0 * h * (0.5 * v[0] + v[2::2].sum())
             err = abs(total - coarse)
             rounding = node_roundings[r] * h * float(np.abs(v).sum())
@@ -587,9 +587,12 @@ def meijer_g_batch(specs) -> list:
     out, groups = [None] * len(specs), {}
     for i, spec in enumerate(specs):
         groups.setdefault(spec.plan.structure, []).append(i)
-    for index in groups.values():
-        for i, report in zip(index, _contour([specs[i] for i in index])):
-            out[i] = report
+    # a node past double range makes its row's rule sum non-finite, and
+    # that row fails on it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for index in groups.values():
+            for i, report in zip(index, _contour([specs[i] for i in index])):
+                out[i] = report
     return out
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.special import erfc, expit, gammaincinv, log_ndtr
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, positive
 from .fading import (
     MODEL_DRAW,
     PHYSICAL_DRAW,
@@ -50,11 +50,9 @@ from .metrics import (
     MetricResult,
     _ber_form,
     _capacity_form,
-    _g_argument,
     avg_ber_asymptotic,
     avg_capacity_asymptotic,
     capacity_bound,
-    check_gamma_th,
     check_shape,
     outage,
     outage_asymptotic,
@@ -263,8 +261,8 @@ def quad_ber(cfg: LinkConfig) -> MetricResult:
     starts at the lower of the two.
     """
     model = cfg.model()
-    log_eps = math.log(model.xi) - math.log(_g_argument(
-        cfg.eta * cfg.lambda_mod, "BER quadrature argument eta lambda"))
+    log_eps = math.log(model.xi) - math.log(positive(
+        cfg.eta * cfg.lambda_mod, "BER quadrature argument eta lambda", NumericError))
 
     def log_q(u, slopes=False):
         """K = log Q(sqrt(2x)) at x = e^u, safe far into the tail."""
@@ -293,10 +291,10 @@ def quad_outage(cfg: LinkConfig, gamma_th: float) -> MetricResult:
     y = ln(-u* + 1/Nm), which is that root when the density's mode lies
     far below the cut or far above it.
     """
-    check_gamma_th(gamma_th)
+    positive(gamma_th, "gamma_th")
     model = cfg.model()
-    log_xiv = math.log(model.xi) + math.log(_g_argument(
-        gamma_th / cfg.eta, "outage quadrature argument gamma_th/eta"))
+    log_xiv = math.log(model.xi) + math.log(positive(
+        gamma_th / cfg.eta, "outage quadrature argument gamma_th/eta", NumericError))
     # stationary point of h: xi v e^u = Nm / Nms, clamped to u <= 0
     u_star = min(0.0, math.log(model.nm / model.nms) - log_xiv)
     def no_kernel(u, slopes=False):
@@ -422,7 +420,7 @@ def mc_metrics(cases, mc: McConfig) -> list[MetricResult]:
         if which not in (CAPACITY, BER, OUTAGE):
             raise DomainError(f"unknown metric {which!r}")
         if which == OUTAGE:
-            check_gamma_th(gamma_th)
+            positive(gamma_th, "gamma_th")
     models = {case[0].model() for case in cases}
     if len(models) != 1:
         raise DomainError(

@@ -520,21 +520,25 @@ MISSED_TARGET = [
     (["--metric", "ber", "--m", "1e-300", "--m-s", "50", "--n-cells", "1", "--eta-db", "0"],
      "closed form BER parameter N m - 1 = -1.0 at N m = 1e-300 puts a rounding error"),
     (["--metric", "capacity", "--m", "1e-300", "--m-s", "50", "--n-cells", "1024",
-      "--eta-db", "60"], "closed form capacity argument eta/xi = inf leaves double range"),
+      "--eta-db", "60"],
+     "closed form capacity argument eta/xi is inf, outside the positive finite doubles"),
     (["--metric", "capacity", "--variant", "asymptotic", "--m", "1e-300", "--m-s", "1e10",
-      "--n-cells", "1"], "capacity asymptote argument eta/xi = inf leaves double range"),
+      "--n-cells", "1"],
+     "capacity asymptote argument eta/xi is inf, outside the positive finite doubles"),
     (["--metric", "ber", "--eta-db", "-3200"],
-     "closed form BER argument xi/(eta lambda) = inf leaves double range"),
+     "closed form BER argument xi/(eta lambda) is inf, outside the positive finite doubles"),
     # the asymptotes at the same input printed inf with an error of nan
     (["--metric", "ber", "--variant", "asymptotic", "--eta-db", "-3200"],
-     "BER asymptote argument xi/(eta lambda) = inf leaves double range"),
+     "BER asymptote argument xi/(eta lambda) is inf, outside the positive finite doubles"),
     (["--metric", "outage", "--variant", "asymptotic", "--eta-db", "-3200"],
-     "outage asymptote argument gamma_th xi/eta = inf leaves double range"),
+     "outage asymptote argument gamma_th xi/eta is inf, outside the positive finite doubles"),
     # and an argument that underflows to 0 (was a math domain error traceback)
     (["--metric", "ber", "--variant", "asymptotic", "--eta-db", "3000", "--m-s", "1e300",
-      "--n-cells", "1024"], "BER asymptote argument xi/(eta lambda) = 0.0 leaves double range"),
+      "--n-cells", "1024"],
+     "BER asymptote argument xi/(eta lambda) is 0.0, outside the positive finite doubles"),
     (["--metric", "outage", "--variant", "asymptotic", "--eta-db", "3000", "--m-s", "1e300",
-      "--n-cells", "1024"], "outage asymptote argument gamma_th xi/eta = 0.0 leaves double range"),
+      "--n-cells", "1024"],
+     "outage asymptote argument gamma_th xi/eta is 0.0, outside the positive finite doubles"),
 ]
 
 
@@ -552,15 +556,15 @@ def test_value_missing_the_accuracy_target_is_a_numeric_error(flags, message, ca
 # or overflows (was an error naming the peak search)
 ARGUMENT_OUTSIDE_DOUBLES = [
     (["--metric", "ber", "--variant", "exact", "--lambda", "0.5", "--eta-db", "-3233"],
-     "closed form BER argument eta lambda = 0.0"),
+     "closed form BER argument eta lambda is 0.0"),
     (["--metric", "ber", "--variant", "asymptotic", "--lambda", "0.5", "--eta-db", "-3233"],
-     "BER asymptote argument eta lambda = 0.0"),
+     "BER asymptote argument eta lambda is 0.0"),
     (["--metric", "ber", "--variant", "quadrature", "--lambda", "0.5", "--eta-db", "-3233"],
-     "BER quadrature argument eta lambda = 0.0"),
+     "BER quadrature argument eta lambda is 0.0"),
     (["--metric", "outage", "--variant", "quadrature", "--gamma-th-db", "-3200",
-      "--eta-db", "3000"], "outage quadrature argument gamma_th/eta = 0.0"),
+      "--eta-db", "3000"], "outage quadrature argument gamma_th/eta is 0.0"),
     (["--metric", "outage", "--variant", "quadrature", "--eta-db", "-3200"],
-     "outage quadrature argument gamma_th/eta = inf"),
+     "outage quadrature argument gamma_th/eta is inf"),
 ]
 
 
@@ -568,7 +572,8 @@ ARGUMENT_OUTSIDE_DOUBLES = [
                          ids=[" ".join(flags) for flags, _ in ARGUMENT_OUTSIDE_DOUBLES])
 def test_route_argument_outside_doubles_is_a_numeric_error(flags, argument, capsys):
     assert main(["metrics", *flags]) == 3
-    assert capsys.readouterr() == ("", f"numeric error: {argument} leaves double range\n")
+    assert capsys.readouterr() == (
+        "", f"numeric error: {argument}, outside the positive finite doubles\n")
 
 
 def test_threshold_outside_doubles_ignored_without_outage(capsys):

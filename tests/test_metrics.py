@@ -1,13 +1,14 @@
 """Closed-form metrics: examples, monotonicity, scaling, asymptotics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from rislink import metrics
 from rislink.cli import _eta
-from rislink.errors import DomainError, NumericError
+from rislink.errors import ConfigError, DomainError, NumericError, positive
 from rislink.fading import PHYSICAL_DRAW, FadingParams, SumFadingModel, sum_cdf
 from rislink.metrics import (
     LinkConfig,
@@ -22,7 +23,7 @@ from rislink.metrics import (
     physical_capacity,
     snr_threshold_from_db,
 )
-from rislink.specfun import meijer_g
+from rislink.specfun import MeijerGSpec, digamma, ln_beta, meijer_g
 from rislink.validation import CAPACITY, McConfig, mc_metric, quad_ber, quad_capacity, quad_outage
 
 F15 = FadingParams(m=1.0, m_s=5.0)
@@ -89,6 +90,70 @@ class TestUnits:
     def test_range_ends(self):
         assert snr_threshold_from_db(3080.0) == pytest.approx(1e308, rel=1e-12)
         assert 0.0 < snr_threshold_from_db(-3230.0) < 1e-300
+
+
+@pytest.mark.parametrize("x", [1, 2.5, np.float64(1e-320), 1.7e308])
+def test_positive_returns_its_argument(x):
+    assert positive(x, "x") is x
+
+
+# every library call that reaches errors.positive with a value outside the
+# positive finite doubles: the call, the error class and the whole message.
+# eta 5e-324 times lambda 0.5 rounds to 0.0; xi/eta at eta 1e-320 and xi
+# = m/(N m_s) = 0.2 overflows, and so does eta/xi at xi about 2e-305
+TINY_ETA, TINY_XI = cfg_eta(1e-320), cfg_eta(1e6, FadingParams(1e-300, 50.0), 1024)
+RANGE_RULE = [
+    (lambda: digamma(-2.0), DomainError, "digamma x is -2.0"),
+    (lambda: digamma(math.nan), DomainError, "digamma x is nan"),
+    (lambda: ln_beta(0.0, 1.0), DomainError, "ln_beta x is 0.0"),
+    (lambda: ln_beta(1.0, math.inf), DomainError, "ln_beta y is inf"),
+    (lambda: MeijerGSpec((), (), (0.0,), (), 0.0), DomainError, "Meijer G argument is 0.0"),
+    (lambda: FadingParams(-1, 5), DomainError, "fading severity m is -1"),
+    (lambda: FadingParams(1, 5, g_bar=0), DomainError, "mean power g_bar is 0"),
+    (lambda: LinkConfig(F15, 1, eta=0.0), DomainError, "eta is 0.0"),
+    (lambda: snr_threshold_from_db(4000.0), DomainError, "the linear value of 4000.0 dB is inf"),
+    # test_validation's TestOutageThreshold runs every outage route
+    (lambda: outage(cfg_eta(1.0), -1.0), DomainError, "gamma_th is -1.0"),
+    (lambda: _eta(4000.0, 0.0, 1.0, 1.0), ConfigError,
+     "eta from p_s_dbm, n0_dbm, r_d and beta is inf"),
+    (lambda: avg_capacity(TINY_XI), NumericError,
+     "closed form capacity argument eta/xi is inf"),
+    (lambda: avg_capacity_asymptotic(TINY_XI), NumericError,
+     "capacity asymptote argument eta/xi is inf"),
+    (lambda: avg_ber(cfg_eta(5e-324, lam=0.5)), NumericError,
+     "closed form BER argument eta lambda is 0.0"),
+    (lambda: avg_ber(TINY_ETA), NumericError,
+     "closed form BER argument xi/(eta lambda) is inf"),
+    (lambda: avg_ber_asymptotic(cfg_eta(5e-324, lam=0.5)), NumericError,
+     "BER asymptote argument eta lambda is 0.0"),
+    (lambda: avg_ber_asymptotic(TINY_ETA), NumericError,
+     "BER asymptote argument xi/(eta lambda) is inf"),
+    (lambda: quad_ber(cfg_eta(5e-324, lam=0.5)), NumericError,
+     "BER quadrature argument eta lambda is 0.0"),
+    (lambda: outage_asymptotic(TINY_ETA, 2.0), NumericError,
+     "outage asymptote argument gamma_th xi/eta is inf"),
+    (lambda: quad_outage(TINY_ETA, 2.0), NumericError,
+     "outage quadrature argument gamma_th/eta is inf"),
+    # physical_capacity's derived arguments: eta N g_bar overflows (was an
+    # OverflowError), eta g_bar (m_s - 1)/m overflows (was a RuntimeWarning)
+    # or underflows to 0.0 (was a math domain error)
+    (lambda: physical_capacity(cfg_eta(1e308, FadingParams(1.0, 1.5), 1024)), NumericError,
+     "physical capacity mean eta N g_bar is inf"),
+    (lambda: physical_capacity(cfg_eta(1e300, FadingParams(1e-10, 1e10))), NumericError,
+     "physical capacity argument eta g_bar (m_s - 1)/m is inf"),
+    (lambda: physical_capacity(cfg_eta(1e-320, FadingParams(1e10, 1.0000001))), NumericError,
+     "physical capacity argument eta g_bar (m_s - 1)/m is 0.0"),
+]
+
+
+@pytest.mark.parametrize("call,error,what", RANGE_RULE, ids=[w for _, _, w in RANGE_RULE])
+def test_range_rule(call, error, what):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as info:
+            call()
+    assert type(info.value) is error
+    assert str(info.value) == f"{what}, outside the positive finite doubles"
 
 
 class TestCapacity:
@@ -375,6 +440,13 @@ class TestPhysicalCapacity:
         monkeypatch.setattr(metrics, "MAX_PHYSICAL_NODES", 200)
         with pytest.raises(NumericError, match="physical capacity needs .* over the budget"):
             physical_capacity(cfg_eta(100.0, F15, 8))
+
+    def test_inner_rule_over_one_block_raises(self):
+        # at m = 1e10 the inner step 0.3/sqrt(m + m_s) asks for 16 500 941
+        # nodes per outer node, a grid that was built and ran past 20 s
+        with pytest.raises(NumericError, match=f"needs 16500941 nodes, over the block of "
+                                               f"{metrics._PHYSICAL_BLOCK}"):
+            physical_capacity(cfg_eta(1e-300, FadingParams(1e10, 1.5)))
 
 
 # I_x(Nm, Nms) at x = y/(1+y), y = y_over_mean m/m_s, at 40 digits, by the

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import loggamma
 from scipy.stats import norm
@@ -563,9 +563,9 @@ class TestBatch:
             assert_same_report(report, lone(spec))
 
 
-# within +-20 the integrand on the contour stays within double range of its
-# saddle value; a few hundred can overflow exp there
-PARAMETER = st.floats(-20.0, 20.0)
+# a few hundred can put the integrand on the contour past double range of
+# its saddle value, where the rule's sum turns inf or nan
+PARAMETER = st.floats(-300.0, 300.0)
 
 
 @st.composite
@@ -580,8 +580,14 @@ def spec_rows(draw):
     return a_front, a_rest, b_front, b_rest, draw(st.floats(1e-3, 1e3))
 
 
+# exp overflows on this spec's line: the batch warned, and halved its step
+# over 63 126 evaluations before it failed on the budget
+OVERFLOWING_ROWS = ([252.02191179102863, 3.3e-50, 1e-05], [1e-05, 3.3e-50], [], [], 0.001)
+
+
 @settings(max_examples=200, deadline=None)
 @given(spec_rows())
+@example(OVERFLOWING_ROWS)
 def test_a_built_spec_meets_only_numeric_errors(rows):
     # every DomainError comes from construction; the batch returns a report
     # or a NumericError, and raises nothing
@@ -591,3 +597,10 @@ def test_a_built_spec_meets_only_numeric_errors(rows):
         return
     (report,) = meijer_g_batch([spec])
     assert isinstance(report, (EvalReport, NumericError))
+
+
+def test_non_finite_rule_sum_fails_at_once():
+    # no later pass drops a node, so the first non-finite sum is the last
+    (report,) = meijer_g_batch([MeijerGSpec(*OVERFLOWING_ROWS)])
+    assert isinstance(report, NumericError)
+    assert str(report) == "contour quadrature rule sum is nan after 396 integrand evaluations"

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -446,7 +447,8 @@ class TestOutageThreshold:
         lambda cfg, g: mc_metric(cfg, OUTAGE, McConfig(10_000, 5), gamma_th=g),
     ], ids=["exact", "asymptotic", "quadrature", "mc"])
     def test_every_route_rejects(self, route, gamma_th):
-        with pytest.raises(DomainError, match="gamma_th must be positive"):
+        message = f"gamma_th is {gamma_th!r}, outside the positive finite doubles"
+        with pytest.raises(DomainError, match=re.escape(message)):
             route(cfg_eta(1.0), gamma_th)
 
 
