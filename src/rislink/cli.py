@@ -311,36 +311,32 @@ def _family_mc(cases, spec: SweepSpec) -> list:
         return [exc] * len(cases)
 
 
-def _point_link(spec: SweepSpec, axis_value: float):
-    """eta and the [link] values of one axis point, the axis key set to the
-    point; checks that eta and every threshold an outage row reads are
-    positive doubles."""
+def _point(spec: SweepSpec, axis_value: float):
+    """One axis point: its value, the [link] values with the axis key set
+    to it, and each (N, m, m_s) family's point_cases.  Building it checks
+    eta, every outage threshold and every channel model."""
     link = dict(spec.link)
     if spec.axis == "eta_db":
-        eta = _linear("eta", f"eta_db = {axis_value!r}",
-                      lambda: 10.0 ** (axis_value / 10.0))
+        eta = _linear("eta", f"eta_db = {axis_value!r}", lambda: 10.0 ** (axis_value / 10.0))
     else:
         p = LINK_PARAMS[spec.axis]
         value = p.parse(axis_value)  # n_cells points are whole floats
         link[spec.axis] = (value,) if p.many else value
         eta = _eta(*(link[key] for key in POWER_KEYS))
-    if OUTAGE in spec.metrics:
-        for g in link["gamma_th_db"]:
-            _linear("gamma_th", f"gamma_th_db = {g!r}", lambda: 10.0 ** (g / 10.0))
-    return eta, link
+    families = [(family, point_cases(eta, FadingParams(m=family[1], m_s=family[2]), family[0],
+                                     spec.metrics, link["lambda"], link["gamma_th_db"]))
+                for family in itertools.product(link["n_cells"], link["m"], link["m_s"])]
+    return axis_value, link, families
 
 
-def _point_rows(spec: SweepSpec, axis_value: float) -> list[list[str]]:
-    """The CSV rows of one axis point: every family, metric case and variant."""
-    eta, link = _point_link(spec, axis_value)
+def _point_rows(spec: SweepSpec, point) -> list[list[str]]:
+    """The CSV rows of one built point: every family, metric case and variant."""
+    axis_value, link, families = point
     # the columns that hold for the point, then for a family and a case,
     # are formatted once each
     axis_cols = [spec.axis, _fmt(axis_value)]
     link_cols = ["1", *(_fmt(link[key]) for key in ("r_d", "beta", "n0_dbm"))]
     seed = _fmt(spec.mc["seed"])
-    families = [(family, point_cases(eta, FadingParams(m=family[1], m_s=family[2]), family[0],
-                                     spec.metrics, link["lambda"], link["gamma_th_db"]))
-                for family in itertools.product(link["n_cells"], link["m"], link["m_s"])]
     # one column per variant over every family's rows: one call, which
     # batches the point's Meijer G calls, or for mc one sample per family
     cases = [case for _, family_cases in families for case in family_cases]
@@ -361,14 +357,12 @@ def _point_rows(spec: SweepSpec, axis_value: float) -> list[list[str]]:
 def run_sweep(spec: SweepSpec, threads: int = 1) -> list[list[str]]:
     """Evaluate the grid; returns rows in deterministic axis order and
     prints "sweep point i/n done" to stderr as each point completes."""
-    values = spec.axis_values()
-    for v in values:  # a point outside double range fails before any work
-        _point_link(spec, float(v))
+    points = [_point(spec, float(v)) for v in spec.axis_values()]  # each check before any work
     rows = []
-    point_rows = ordered_map(lambda v: _point_rows(spec, float(v)), values, threads)
+    point_rows = ordered_map(functools.partial(_point_rows, spec), points, threads)
     for i, group in enumerate(point_rows):
         rows += group
-        print(f"sweep point {i + 1}/{len(values)} done", file=sys.stderr)
+        print(f"sweep point {i + 1}/{len(points)} done", file=sys.stderr)
     return rows
 
 
@@ -468,7 +462,7 @@ def _metrics_command(args, flags: dict) -> int:
         link={key: (v,) if LINK_PARAMS[key].many else v for key, v in link.items()},
         mc={key: flags.get(key, p.default) for key, p in MC_PARAMS.items()}, out="-",
     )
-    rows = _point_rows(spec, x)  # a failing point prints nothing
+    rows = _point_rows(spec, _point(spec, x))  # a failing point prints nothing
     w = csv.writer(sys.stdout, lineterminator="\n")
     w.writerow(CSV_HEADER)
     w.writerows(rows)

@@ -39,8 +39,8 @@ from scipy.special import gammaln
 
 from .errors import DomainError, NumericError, positive
 from .fading import FadingParams, SumFadingModel
-from .specfun import (REL_TOL, EvalReport, MeijerGSpec, _halving_trapezoid, digamma,
-                      log_betainc, meijer_g)
+from .specfun import (_MIN_GAP, REL_TOL, EvalReport, MeijerGSpec, _halving_trapezoid,
+                      digamma, log_betainc, meijer_g)
 
 _LN2 = math.log(2.0)
 _EPS = float(np.finfo(float).eps)
@@ -109,12 +109,12 @@ class MetricResult:
 
 
 def snr_threshold_from_db(x_db: float) -> float:
-    """dB -> linear power ratio, which must be a positive finite double."""
+    """gamma_th_db -> linear gamma_th, which must be a positive finite double."""
     try:
         x = 10.0 ** (x_db / 10.0)
     except OverflowError:
         x = math.inf
-    return positive(x, f"the linear value of {x_db!r} dB")
+    return positive(x, f"gamma_th from gamma_th_db = {x_db!r}")
 
 
 def result(route: str, log_value: float, rel_err: float, upper: float = math.inf,
@@ -260,11 +260,14 @@ def physical_capacity(cfg: LinkConfig) -> MetricResult:
     # u = ln y: the cut leaves mass e^-tail of Gamma(m_s) below and of
     # Gamma(m_s + m), which weights the kernel's tail at large s, above
     b = p.m_s + p.m
-    u_lo = (math.lgamma(p.m_s + 1.0) - tail) / p.m_s
-    u_hi = math.log(b + math.sqrt(2.0 * b * tail) + tail)
-    h_u = min(0.125, 0.3 / math.sqrt(b))
-    # one outer node's row of the inner rule must fit in one block
-    size = 2 * math.ceil(0.5 * (u_hi - u_lo) / h_u) + 1
+    try:  # lgamma, or at a huge m the node count, can leave double range
+        u_lo = (math.lgamma(p.m_s + 1.0) - tail) / p.m_s
+        u_hi = math.log(b + math.sqrt(2.0 * b * tail) + tail)
+        h_u = min(0.125, 0.3 / math.sqrt(b))
+        # one outer node's row of the inner rule must fit in one block
+        size = 2 * math.ceil(0.5 * (u_hi - u_lo) / h_u) + 1
+    except OverflowError:
+        raise NumericError(f"physical capacity inner rule leaves double range at {p}") from None
     if size > _PHYSICAL_BLOCK:
         raise NumericError(f"physical capacity inner rule needs {size} nodes, over the "
                            f"block of {_PHYSICAL_BLOCK}")
@@ -340,6 +343,9 @@ def _ber_form(cfg: LinkConfig) -> ClosedForm:
         raise NumericError(f"closed form BER parameter N m - 1 = {b!r} at N m = {model.nm!r} "
                            f"puts a rounding error of {b_rounding:.3e} on G, above the "
                            f"target {REL_TOL:g}")
+    if not b + 1.0 > _MIN_GAP:  # MeijerGSpec's test of the pole gap (-1, b)
+        raise NumericError(f"closed form BER pole gap {b + 1.0!r} at N m = {model.nm!r} is "
+                           f"not above the Meijer G contour's {_MIN_GAP:g}")
     argument = positive(model.xi / eta_lam, "closed form BER argument xi/(eta lambda)",
                         NumericError)
     spec = MeijerGSpec(a_front=(0.0, -0.5, -model.nms, 0.0), a_rest=(), b_front=(b,),

@@ -699,8 +699,8 @@ def mode_gap_checks(preset: str) -> list[Check]:
     and "physical" routes, at each of the preset's N; the relative gap is
     reported and bounded at 3 percent."""
     fading, eta_db, ns = FadingParams(1.0, 5.0), 20.0, _preset(preset).gap_ns
-    cases = [(LinkConfig.from_eta(snr_threshold_from_db(eta_db), fading, n), CAPACITY,
-              math.nan) for n in ns]
+    cases = [(LinkConfig.from_eta(10.0 ** (eta_db / 10.0), fading, n), CAPACITY, math.nan)
+             for n in ns]
     checks = []
     for i, (n, (model, physical)) in enumerate(zip(
             ns, in_row_order(evaluate(cases, "exact"), evaluate(cases, "physical")))):

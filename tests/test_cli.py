@@ -519,6 +519,11 @@ MISSED_TARGET = [
     # as inf
     (["--metric", "ber", "--m", "1e-300", "--m-s", "50", "--n-cells", "1", "--eta-db", "0"],
      "closed form BER parameter N m - 1 = -1.0 at N m = 1e-300 puts a rounding error"),
+    # and one that rounds within the target but leaves the poles no gap
+    # the contour takes (was a config error naming the pole gap)
+    (["--metric", "ber", "--m", "1e-9", "--n-cells", "1", "--eta-db", "0"],
+     "closed form BER pole gap 9.999999717180685e-10 at N m = 1e-09 is not above the "
+     "Meijer G contour's 1e-09"),
     (["--metric", "capacity", "--m", "1e-300", "--m-s", "50", "--n-cells", "1024",
       "--eta-db", "60"],
      "closed form capacity argument eta/xi is inf, outside the positive finite doubles"),
@@ -626,12 +631,44 @@ def test_bad_sweep_value_named_with_line(body, message, where):
     assert where in str(err.value)
 
 
+# a sweep that parses but fails before any point is computed, and the
+# start of its message: a channel model of the second point (N m = 1e309),
+# an n_cells axis that rounds two points to one, a key before any section
+# header and a key given twice
+SWEEP_FAILS_BEFORE_ANY_POINT = [
+    ("[sweep]\naxis = n_cells\nstart = 1\nstop = 1e10\nsteps = 2\nmetrics = capacity\n"
+     "variants = asymptotic\n[link]\nm = 1e299\n",
+     "n_cells = 10000000000, m = 1e+299 and m_s = 5.0 put N m, N m_s or xi = m/(N m_s) "
+     "outside the positive finite doubles\n"),
+    ("[sweep]\naxis = n_cells\nstart = 1\nstop = 2\nsteps = 5\n",
+     "n_cells axis produced duplicate integers; adjust start/stop/steps\n"),
+    ("axis = eta_db\n[sweep]\nstart = 0\nstop = 1\nsteps = 3\n",
+     "malformed config: File contains no section headers."),
+    ("[sweep]\naxis = eta_db\naxis = p_s_dbm\nstart = 0\nstop = 1\nsteps = 3\n",
+     "malformed config: While reading from '<string>' [line  3]: option 'axis' in "
+     "section 'sweep' already exists\n"),
+]
+
+
+@pytest.mark.parametrize("text,message", SWEEP_FAILS_BEFORE_ANY_POINT,
+                         ids=["late model", "duplicate n_cells", "no header", "repeated key"])
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sweep_config_error_fails_before_any_point(text, message, threads, tmp_path, capsys):
+    cfg, out = tmp_path / "sweep.ini", tmp_path / "out.csv"
+    cfg.write_text(text)
+    assert main(["sweep", str(cfg), "--out", str(out), "--threads", threads]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"config error: {message}")
+    assert "sweep point" not in captured.err
+    assert not out.exists()
+
+
 def test_edge_domain_scan(capsys):
     # every route at the accepted domain's edges either prints a checked
     # value or exits 2 or 3; the suite's error::RuntimeWarning filter
     # turns a warning into an escaping exception
     for m, m_s, n, eta_db, metric, variant in itertools.product(
-            ("1e-300", "1e-5", "1", "1e14", "1e300", "1e308"),
+            ("1e-300", "1e-9", "1e-5", "1", "1e14", "1e300", "1e308"),
             ("1.0000001", "50", "1e30", "1e300"), ("1", "1024"), ("-30", "0", "60"),
             cli.METRICS, cli.VARIANTS):
         argv = ["metrics", "--metric", metric, "--variant", variant, "--m", m, "--m-s", m_s,
@@ -884,6 +921,11 @@ class TestMain:
         assert selftest() == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
+
+    def test_selftest_command(self, capsys):
+        assert main(["selftest"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 11 and all(line.startswith("PASS ") for line in lines)
 
     def test_metrics_subcommand(self, capsys):
         rc = main([

@@ -111,7 +111,8 @@ RANGE_RULE = [
     (lambda: FadingParams(-1, 5), DomainError, "fading severity m is -1"),
     (lambda: FadingParams(1, 5, g_bar=0), DomainError, "mean power g_bar is 0"),
     (lambda: LinkConfig(F15, 1, eta=0.0), DomainError, "eta is 0.0"),
-    (lambda: snr_threshold_from_db(4000.0), DomainError, "the linear value of 4000.0 dB is inf"),
+    (lambda: snr_threshold_from_db(4000.0), DomainError,
+     "gamma_th from gamma_th_db = 4000.0 is inf"),
     # test_validation's TestOutageThreshold runs every outage route
     (lambda: outage(cfg_eta(1.0), -1.0), DomainError, "gamma_th is -1.0"),
     (lambda: _eta(4000.0, 0.0, 1.0, 1.0), ConfigError,
@@ -447,6 +448,17 @@ class TestPhysicalCapacity:
         with pytest.raises(NumericError, match=f"needs 16500941 nodes, over the block of "
                                                f"{metrics._PHYSICAL_BLOCK}"):
             physical_capacity(cfg_eta(1e-300, FadingParams(1e10, 1.5)))
+
+    @pytest.mark.parametrize("m,m_s", [(1.0, 3e305), (1.0, 1e308), (1.7e308, 5.0)])
+    def test_shape_past_double_range_raises(self, m, m_s):
+        # log Gamma(m_s + 1), or at a huge m the inner node count, overflows:
+        # a NumericError, not an OverflowError, and no warning
+        p = FadingParams(m, m_s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError) as info:
+                physical_capacity(cfg_eta(1.0, p, 1))
+        assert str(info.value) == f"physical capacity inner rule leaves double range at {p}"
 
 
 # I_x(Nm, Nms) at x = y/(1+y), y = y_over_mean m/m_s, at 40 digits, by the
