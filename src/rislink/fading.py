@@ -28,10 +28,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, gammaln
 
 from .errors import DomainError, positive
-from .specfun import ln_beta
+from .specfun import ln_beta, log_gamma
 
 MODEL_DRAW = "model_draw"
 PHYSICAL_DRAW = "physical_draw"
@@ -103,7 +102,7 @@ class SumFadingModel:
     @property
     def log_lambda_norm(self) -> float:
         """log of Lambda = xi / (Gamma(Nm) Gamma(Nms))."""
-        return math.log(self.xi) - float(gammaln(self.nm) + gammaln(self.nms))
+        return math.log(self.xi) - (log_gamma(self.nm) + log_gamma(self.nms))
 
     def mean(self) -> float:
         """First moment Nm (Nms / m) / (Nms - 1) of the model density."""
@@ -130,6 +129,8 @@ def _f_pdf(a: float, b: float, c: float, g: np.ndarray) -> float | np.ndarray:
 
 def _f_cdf(a: float, b: float, c: float, v: np.ndarray) -> float | np.ndarray:
     """CDF I_x(a, b), x = c v / (1 + c v): the regularized incomplete beta."""
+    from scipy.special import betainc  # loaded on first use: only the KS checks need it
+
     out = betainc(a, b, c * v / (1.0 + c * v))
     return out if out.ndim else float(out)
 

@@ -35,12 +35,11 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError, NumericError, positive
 from .fading import FadingParams, SumFadingModel
 from .specfun import (_MIN_GAP, REL_TOL, EvalReport, MeijerGSpec, _halving_trapezoid,
-                      digamma, log_betainc, meijer_g)
+                      digamma, log_betainc, log_gamma, meijer_g)
 
 _LN2 = math.log(2.0)
 _EPS = float(np.finfo(float).eps)
@@ -170,7 +169,7 @@ def check_shape(model: SumFadingModel, what: str) -> None:
 def _log_gammas(*xs) -> list[float]:
     """ln Gamma at each x, for an asymptote; NumericError where one
     overflows, which would leave the asymptote's log value inf - inf."""
-    out = [float(gammaln(x)) for x in xs]
+    out = [log_gamma(x) for x in xs]
     if math.inf in out:
         raise NumericError(f"asymptote log-gamma term overflows at {xs}")
     return out

@@ -1,7 +1,9 @@
 """Double-precision special functions used by the closed-form link metrics.
 
-Gamma-family wrappers, the Gaussian Q-function, the regularized
-incomplete beta in log space, and a numerical Meijer G evaluator.
+Gamma-family functions, the Gaussian Q-function and its log, the
+regularized incomplete beta in log space, and a numerical Meijer G
+evaluator, all on numpy and math: scalars use math.lgamma and
+math.erfc, and arrays a numpy Lanczos log-gamma in real arithmetic.
 The Meijer G evaluator has one method for every parameter set:
 numerical Mellin-Barnes integration along a vertical contour placed at
 the saddle of the integrand magnitude inside the pole-separating gap.
@@ -27,10 +29,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import erfc as _erfc
-from scipy.special import digamma as _digamma
-from scipy.special import gammaln as _gammaln
-from scipy.special import loggamma as _loggamma
 
 from .errors import DomainError, NumericError, positive
 
@@ -47,23 +45,97 @@ REL_TOL = 1e-6
 _CONTOUR_BLOCK = 4096
 
 
+def log_gamma(x: float) -> float:
+    """ln|Gamma(x)| by math.lgamma, but +inf where that overflows or meets a
+    pole, as a log-gamma that cannot raise: each caller decides what an
+    infinite term means."""
+    try:
+        return math.lgamma(x)
+    except (OverflowError, ValueError):
+        return math.inf
+
+
+# psi(x) ~ ln x - 1/(2x) - sum B_2k / (2k x^2k), k = 1..7, the coefficients
+# B_2k / 2k of 1/x^2k, highest first
+_DIGAMMA_SERIES = (-1.0 / 12.0, 1.0 / 120.0, -1.0 / 252.0, 1.0 / 240.0, -1.0 / 132.0,
+                   691.0 / 32760.0, -1.0 / 12.0)[::-1]
+
+
 def digamma(x: float) -> float:
-    """Logarithmic derivative of the gamma function for x > 0."""
-    return float(_digamma(positive(x, "digamma x")))
+    """Logarithmic derivative of the gamma function for x > 0.
+
+    The recurrence psi(x) = psi(x + 1) - 1/x carries x to 10 or more, where
+    the asymptotic series, cut after its x^-14 term, is good to 1e-17.
+    The error is at most 4 eps (|psi(x)| + 1).
+    """
+    x = positive(x, "digamma x")
+    shift = 0.0
+    while x < 10.0:
+        shift -= 1.0 / x
+        x += 1.0
+    inv = 1.0 / x
+    series = 0.0
+    for coef in _DIGAMMA_SERIES:
+        series = series * inv * inv + coef
+    return math.log(x) + (shift - 0.5 * inv + series * inv * inv)
 
 
 def ln_beta(x: float, y: float) -> float:
     """log B(x, y); safe for arguments far beyond gamma overflow."""
     positive(x, "ln_beta x")
     positive(y, "ln_beta y")
-    return float(_gammaln(x) + _gammaln(y) - _gammaln(x + y))
+    return log_gamma(x) + log_gamma(y) - log_gamma(x + y)
 
 
 def q_function(x: float) -> float:
     """Gaussian tail probability Q(x) = 0.5 erfc(x / sqrt(2))."""
     if not np.isfinite(x):
         raise DomainError(f"q_function requires finite x, got {x}")
-    return float(0.5 * _erfc(x / _SQRT2))
+    return 0.5 * math.erfc(x / _SQRT2)
+
+
+# Beyond this s, erfc(s) nears the bottom of the doubles, and the asymptotic
+# series erfc(s) = e^(-s^2) / (s sqrt(pi)) * sum_k (-1)^k (2k-1)!! / (2 s^2)^k,
+# cut after its k = 6 term, is good to 2e-17; its coefficients of
+# s^(-2k), k = 6 down to 1
+_ERFC_SERIES_FROM = 26.0
+_ERFC_SERIES = tuple((-1) ** k * math.prod(range(1, 2 * k, 2)) / 2.0 ** k
+                     for k in range(6, 0, -1))
+_LOG_2_SQRT_PI = math.log(2.0 * math.sqrt(math.pi))
+
+
+def _log_erfc_series(x, s):
+    """ln(erfc(s) / 2) at s = sqrt(x) >= _ERFC_SERIES_FROM, by the series."""
+    inv, series = 1.0 / x, _ERFC_SERIES[0]
+    for coef in _ERFC_SERIES[1:]:
+        series = series * inv + coef
+    return np.log1p(series * inv) - x - (np.log(s) + _LOG_2_SQRT_PI)
+
+
+def log_q_snr(x):
+    """ln Q(sqrt(2 x)) = ln(erfc(sqrt(x)) / 2) at x >= 0, a float or each
+    element of an array.
+
+    math.erfc serves below sqrt(x) = 26, and the asymptotic series of erfc
+    in logs beyond, so the result stays exact far past the doubles' range
+    of Q.  The error is at most 2 eps (|ln Q| + 1): most of it is the
+    rounding of sqrt(x), which moves ln Q by about x eps.
+    """
+    if np.ndim(x) == 0:
+        s = math.sqrt(x)
+        if s >= _ERFC_SERIES_FROM:
+            return float(_log_erfc_series(x, s))
+        return math.log(math.erfc(s)) - math.log(2.0)
+    s = np.sqrt(x)
+    tail = s >= _ERFC_SERIES_FROM
+    if not tail.any():
+        return np.log(np.array([math.erfc(v) for v in s.ravel().tolist()]).reshape(
+            s.shape)) - math.log(2.0)
+    out = _log_erfc_series(np.maximum(x, _ERFC_SERIES_FROM ** 2),
+                           np.maximum(s, _ERFC_SERIES_FROM))
+    near = ~tail
+    out[near] = np.log([math.erfc(v) for v in s[near].tolist()]) - math.log(2.0)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +191,7 @@ def log_betainc(a: float, b: float, y: float) -> tuple[float, float, str, int]:
     if not 0.0 < h < math.inf:
         raise NumericError(f"incomplete beta continued fraction is {h!r} at {at}")
     terms = (a * log_x, b * log_1mx, -math.log(a), math.log(h),
-             float(_gammaln(a + b)), -float(_gammaln(a)), -float(_gammaln(b)))
+             log_gamma(a + b), -log_gamma(a), -log_gamma(b))
     try:
         log_value = math.fsum(terms)
     except ValueError:  # an infinite term of each sign
@@ -260,26 +332,155 @@ def _merge_direction(nums, dens) -> tuple[dict, dict]:
             {o: w for o, w in logs.items() if w})
 
 
-def _log_abs(x):
+# Lanczos's approximation with g = 607/128 and 15 coefficients (P. Godfrey's
+# set): Gamma(x) = sqrt(2 pi) t^(x - 1/2) e^-t (c_0 + sum_k c_k / (x + k - 1)),
+# t = x + g - 1/2, for Re x >= 1/2.  Its terms cancel far less than those of
+# the common g = 7 set, whose error reaches 20 eps of ln Gamma.
+_LANCZOS_G = 607.0 / 128.0
+_LANCZOS_C0 = 0.99999999999999709182
+_LANCZOS_C = np.array([
+    57.156235665862923517, -59.597960355475491248, 14.136097974741747174,
+    -0.49191381609762019978, 0.33994649984811888699e-4, 0.46523628927048575665e-4,
+    -0.98374475304879564677e-4, 0.15808870322491248884e-3, -0.21026444172410488319e-3,
+    0.21743961811521264320e-3, -0.16431810653676389022e-3, 0.84418223983852743293e-4,
+    -0.26190838401581408670e-4, 0.36899182659531622704e-5])
+_LANCZOS_K = np.arange(float(_LANCZOS_C.size))
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_LOG_PI = math.log(math.pi)
+# ndarray.sum without its Python wrapper, which the contour's many small
+# arrays would pay on every call
+_SUM = np.add.reduce
+
+
+def _log_gamma(x, y=None):
+    """ln Gamma(x + i y) elementwise, in real arithmetic: its real part and
+    its imaginary part modulo 2 pi.  With y None, the real ln|Gamma(x)|
+    alone, +inf at the poles x = 0, -1, -2, ..., as scipy's gammaln.
+
+    x and y broadcast.  _Lanczos serves x >= 1/2, Gamma(z) = Gamma(z + 1)
+    / z moves x in [-1/2, 1/2) there, and below, the reflection
+    Gamma(z) Gamma(1 - z) = pi / sin(pi z) takes z to 1 - z, whose
+    log-gamma is the conjugate of the one at (1 - x) + i y;
+    ln sin(pi z) is taken with x reduced by its nearest integer and
+    cosh(pi y) factored out, so it holds however large |x| or |y|.  Each
+    part is within 4 eps max(|ln Gamma(x + i y)|, 4) of the true one.
+    """
+    low = np.minimum.reduce(x, axis=None)
+    if low < -0.5:
+        reflect = x < -0.5
+        far = _log_gamma(np.where(reflect, 1.0 - x, x), y)
+        n = np.round(x)
+        r = math.pi * (x - n)
+        # -inf at a pole; np.where drops the other branch's inf - inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if y is None:
+                return np.where(reflect, _LOG_PI - np.log(np.abs(np.sin(r))) - far, far)
+            # |sin(pi z)| = cosh(pi y) |sin r + i cos r tanh(pi y)|
+            p = math.pi * y
+            sin_r, cos_tanh, abs_p = np.sin(r), np.cos(r) * np.tanh(p), np.abs(p)
+            log_sin = (abs_p + np.log1p(np.exp(-2.0 * abs_p)) - math.log(2.0)
+                       + 0.5 * np.log(sin_r * sin_r + cos_tanh * cos_tanh))
+            arg_sin = np.arctan2(cos_tanh, sin_r) + math.pi * (n % 2.0)
+            return (np.where(reflect, _LOG_PI - log_sin - far[0], far[0]),
+                    np.where(reflect, far[1] - arg_sin, far[1]))
+    if low >= 0.5:
+        lanczos = _Lanczos(x)
+        return lanczos.real() if y is None else lanczos(y)
+    # Gamma(z) = Gamma(z + 1) / z moves z into Lanczos's range
+    shift = x < 0.5
+    lanczos = _Lanczos(x + shift)
+    with np.errstate(divide="ignore"):  # -inf at the pole 0
+        if y is None:
+            return lanczos.real() - np.where(shift, np.log(np.abs(x)), 0.0)
+        re, im = lanczos(y)
+        re -= np.where(shift, 0.5 * np.log(x * x + y * y), 0.0)
+    im -= np.where(shift, np.arctan2(y, x), 0.0)
+    return re, im
+
+
+class _Lanczos:
+    """ln Gamma(x + i y) by Lanczos's approximation, for one array
+    x >= 1/2 and any y, as _log_gamma gives it: what depends on x alone
+    is computed once, so each contour pass along a line of fixed x pays
+    only for its y.  All the Lanczos sum's terms are one (14, ...) array
+    expression.
+    """
+
+    def __init__(self, x):
+        k, self.c = (v.reshape((-1,) + (1,) * x.ndim) for v in (_LANCZOS_K, _LANCZOS_C))
+        self.x_h, self.d = x - 0.5, x + k
+        self.t = x + (_LANCZOS_G - 0.5)
+        self.front = _HALF_LOG_2PI - self.t
+        self.squares = None
+
+    def real(self):
+        """The real ln Gamma(x), at y = 0."""
+        re = np.log(_SUM(self.c / self.d, axis=0) + _LANCZOS_C0)
+        re += self.x_h * np.log(self.t) + self.front
+        return re
+
+    def __call__(self, y, y2=None):
+        """Real and imaginary parts at x + i y; y2 may give y * y."""
+        if self.squares is None:
+            self.squares = self.d * self.d, self.t * self.t
+        dd, tt = self.squares
+        if y2 is None:
+            y2 = y * y
+        q = np.add(dd, y2)
+        # the Lanczos sum's imaginary part, times -1/y, and real part
+        a_im = _SUM(np.divide(self.c, q, out=q), axis=0)
+        a_re = _SUM(q * self.d, axis=0)
+        a_re += _LANCZOS_C0
+        a_im *= y
+        log_t, arg_t = np.log(tt + y2), np.arctan2(y, self.t)
+        log_t *= 0.5
+        re = np.log(np.hypot(a_re, a_im))
+        re += self.x_h * log_t - y * arg_t + self.front
+        im = y * (log_t - 1.0) + self.x_h * arg_t - np.arctan2(a_im, a_re)
+        return re, im
+
+
+def _plan_arrays(gammas, logs) -> tuple:
+    """The integrand's arrays of one plan: for its log-gamma terms and its
+    log terms, (terms, 1, 1) offsets, signs (+1 for the direction +u, -1
+    for -u) and weights; then each term's weights on its real and
+    imaginary parts, in plan order.  A -u term o - u is the conjugate of
+    the one at o - c + i t, and a log term's real part is taken as
+    ln|.|^2.  The offsets are float64: the integrand promotes them
+    exactly."""
+    k = len(gammas)
+    rows = [(o, 1.0 - 2.0 * d, w, w * (1.0 if i < k else 0.5), w * (1.0 - 2.0 * d))
+            for i, (d, o, w) in enumerate(gammas + logs)]
+    columns = np.array(rows, dtype=float).reshape(-1, 5).T.reshape(5, -1, 1, 1)
+    columns.flags.writeable = False
+    return tuple(columns[:3, :k]), tuple(columns[:3, k:]), tuple(columns[3:])
+
+
+def _stacked(plans: list) -> tuple:
+    """_plan_arrays of plans that share one structure, one row per plan:
+    the offsets are (terms, rows, 1)."""
+    gammas, logs, weights = plans[0].arrays
+    if len(plans) == 1:
+        return gammas, logs, weights
+    return (*((np.concatenate([p.arrays[k][0] for p in plans], axis=1), *kind[1:])
+              for k, kind in enumerate((gammas, logs))), weights)
+
+
+def _real_terms(gammas, logs, x) -> np.ndarray:
+    """The weighted log terms at real points x, broadcasting against the
+    terms' (rows, 1) offsets, in plan order: the ln|Gamma| terms, from one
+    _log_gamma call, then the ln|.| ones, as one (terms, rows, nodes)
+    stack, real wherever the integrand is."""
+    (g_off, g_sign, g_w), (l_off, l_sign, l_w) = gammas, logs
     with np.errstate(divide="ignore"):  # -inf at a zero, a denominator pole
-        return np.log(np.abs(x))
-
-
-def _weighted(w: int, v: np.ndarray) -> np.ndarray:
-    """w v; a weight of 1 leaves v as it is, which is w v but for the
-    sign of a zero."""
-    return v if w == 1 else w * v
-
-
-def _log_terms(gammas, logs, u, log_gamma, log) -> list:
-    """The weighted log-gamma and log terms of the integrand at the points
-    u, in plan order; each term is (direction, offset, weight), direction
-    0 being +u and 1 being -u (o - u is o + (-u), exactly)."""
-    return ([_weighted(w, log_gamma(o - u if d else o + u)) for d, o, w in gammas]
-            + [_weighted(w, log(o - u if d else o + u)) for d, o, w in logs])
+        return np.concatenate((g_w * _log_gamma(g_off + g_sign * x),
+                               l_w * np.log(np.abs(l_off + l_sign * x))))
 
 
 _SADDLE_INDEX = np.arange(65.0)
+# The most saddle passes a contour takes: the first spans the gap, and each
+# later one the last one's two steps about its minimum
+_SADDLE_PASSES = 12
 
 
 def _saddle_grid(lo, hi) -> np.ndarray:
@@ -294,7 +495,8 @@ class _BlockPlan(NamedTuple):
     """What the contour needs of a parameter block, whatever the argument:
     the integrand's term plan; its structure, each term's direction and
     weight in plan order; the pole-separating gap (left, right); and the
-    first saddle pass's grid and log terms, read-only (1, 65) rows."""
+    first saddle pass's grid, a read-only (1, 65) row, and its weighted
+    log terms, a read-only (terms, 1, 65) stack; and its _plan_arrays."""
 
     gammas: tuple
     logs: tuple
@@ -302,7 +504,8 @@ class _BlockPlan(NamedTuple):
     left: float
     right: float
     grid: np.ndarray
-    terms: tuple
+    terms: np.ndarray
+    arrays: tuple
 
 
 @functools.lru_cache(maxsize=256)
@@ -341,12 +544,13 @@ def _block_plan(a_front, a_rest, b_front, b_rest) -> _BlockPlan:
     else:
         pad = min(1e-6 * max(1.0, right - left), 0.25 * (right - left))
         lo, hi = left + pad, right - pad
+    arrays = _plan_arrays(gammas, logs)
     grid = _saddle_grid(lo, hi)[None]
-    terms = _log_terms(gammas, logs, grid, _gammaln, _log_abs)
-    for a in (grid, *terms):
+    terms = _real_terms(*arrays[:2], grid)
+    for a in (grid, terms):
         a.flags.writeable = False
     structure = tuple(tuple((d, w) for d, _, w in plan) for plan in (gammas, logs))
-    return _BlockPlan(tuple(gammas), tuple(logs), structure, left, right, grid, tuple(terms))
+    return _BlockPlan(tuple(gammas), tuple(logs), structure, left, right, grid, terms, arrays)
 
 
 def _column(values: list):
@@ -355,28 +559,18 @@ def _column(values: list):
     return values[0] if len(values) == 1 else np.array(values)[:, None]
 
 
-def _columns(plans: list) -> tuple:
-    """(gammas, logs) of plans that share one structure, each offset the
-    _column of the rows' offsets.  The offsets are float64: the complex
-    integrand promotes them exactly."""
-    if len(plans) == 1:
-        return plans[0].gammas, plans[0].logs
-    return tuple([(term[0][0], _column([o for _, o, _ in term]), term[0][2])
-                  for term in zip(*lists)]
-                 for lists in ([p.gammas for p in plans], [p.logs for p in plans]))
-
-
 class _MellinBarnesIntegrand:
     """log of the Mellin-Barnes integrands of specs that share one term
     structure, one spec per row, from their blocks' cached plans (see
-    _block_plan).  ln z and each term's offset are _column's, so the
-    integrand at (rows, nodes) points is one array expression whose
-    every element is computed as a lone spec's would be."""
+    _block_plan).  ln z is a _column and each term's offsets a (rows, 1)
+    column (_stacked), so the integrand at (rows, nodes) points is one
+    array expression whose every element is computed as a lone spec's
+    would be."""
 
     def __init__(self, specs: list):
         self.specs = specs
         self.log_z = _column([math.log(s.argument) for s in specs])
-        self.offsets = _columns([s.plan for s in specs])
+        self.gammas, self.logs, self.weights = _stacked([s.plan for s in specs])
 
     def take(self, rows: list) -> "_MellinBarnesIntegrand":
         """The integrand of the given rows, in increasing order, alone."""
@@ -384,64 +578,132 @@ class _MellinBarnesIntegrand:
             return self
         return _MellinBarnesIntegrand([self.specs[r] for r in rows])
 
-    def __call__(self, u):
-        """Complex log integrand at the points u."""
-        return sum(_log_terms(*self.offsets, u, _loggamma, np.log), u * self.log_z)
+    def at(self, c) -> "_Line":
+        """The integrand along the rows' lines Re u = c, c a _column."""
+        return _Line(self, c)
 
-    def real_terms(self, x) -> list:
-        """The log terms at real points x, in real arithmetic."""
-        return _log_terms(*self.offsets, x, _gammaln, _log_abs)
+    def __call__(self, c, t):
+        """Real and imaginary parts of the log integrand at u = c + i t,
+        c a _column; the imaginary part modulo 2 pi."""
+        return self.at(c)(t)
+
+    def real_terms(self, x) -> np.ndarray:
+        """The weighted log terms at real points x, stacked (_real_terms)."""
+        return _real_terms(self.gammas, self.logs, x)
 
     def real_axis(self, x: np.ndarray, terms) -> np.ndarray:
         """Re log integrand at real points x, from their log terms."""
-        return sum(terms, x * self.log_z)
+        return x * self.log_z + _SUM(terms, axis=0)
+
+
+class _Line:
+    """A _MellinBarnesIntegrand along its rows' lines Re u = c: all that
+    depends on c alone is computed once, for every pass along the lines.
+    One log-gamma call serves every log-gamma term of a pass."""
+
+    def __init__(self, chi: _MellinBarnesIntegrand, c):
+        (g_off, g_sign, g_w), (l_off, l_sign, _) = chi.gammas, chi.logs
+        x, v = g_off + g_sign * c, l_off + l_sign * c
+        w_re, w_im = chi.weights
+        low = np.minimum.reduce(x, axis=None)
+        if low < -0.5:
+            self.log_gamma = lambda t, t2: _log_gamma(x, t)
+        elif low >= 0.5:
+            self.log_gamma = _Lanczos(x)
+        else:
+            # Gamma(z) = Gamma(z + 1) / z moves z into Lanczos's range:
+            # each term shifted in some row adds a log term, of weight 0 in
+            # the rows it is not shifted in
+            shift = x < 0.5
+            self.log_gamma = _Lanczos(x + shift)
+            some = shift.any(axis=(1, 2))
+            shift = shift[some]
+            if shift.shape[1] > 1:
+                w_re, w_im = (np.broadcast_to(w, (len(w), shift.shape[1], 1)) for w in (w_re, w_im))
+            v = np.concatenate((v, x[some]))
+            w_re = np.concatenate((w_re, -0.5 * g_w[some] * shift))
+            w_im = np.concatenate((w_im, -(g_w * g_sign)[some] * shift))
+        self.v, self.v2 = v, v * v
+        self.front, self.log_z, self.weights = c * chi.log_z, chi.log_z, (w_re, w_im)
+
+    def __call__(self, t):
+        """Real and imaginary parts of the log integrand at u = c + i t;
+        the imaginary part modulo 2 pi."""
+        t2 = t * t
+        g_re, g_im = self.log_gamma(t, t2)
+        re = np.concatenate((g_re, np.log(self.v2 + t2)))
+        im = np.concatenate((g_im, np.arctan2(t, self.v)))
+        w_re, w_im = self.weights
+        return _SUM(w_re * re, axis=0) + self.front, _SUM(w_im * im, axis=0) + t * self.log_z
 
 
 def _contour_position(chi: _MellinBarnesIntegrand) -> list:
     """Pick each row's vertical line Re(u) = c inside its pole-separating gap.
 
     The contour is placed at the minimum of the integrand magnitude on
-    the real axis (the saddle), found by two 65-point grid passes in
-    real arithmetic, where the integrand is real; a mid-gap line can be
-    catastrophically cancelled when the result is many orders below the
-    integrand scale.  The first pass spans the gap; its log terms come
-    from the block's plan, so it adds only the z^u term.  The second
-    pass spans the first one's two steps about its minimum, and is
-    evaluated in full.  Returns, per row, c, log|chi(c)|, the distance
-    from c to the nearest pole, and the summed magnitudes of the log
-    terms at c, their rounding bound.
+    the real axis (the saddle), found by grid passes in real arithmetic,
+    where the integrand is real; a mid-gap line can be catastrophically
+    cancelled when the result is many orders below the integrand scale.
+    Each pass has 65 points.  The first spans the gap; its log terms come
+    from the block's plan, so it adds only the z^u term.  A row whose
+    minimum has a neighbour more than 1 above it in log|chi| takes
+    another pass over the last one's two steps about its minimum,
+    evaluated in full, and so on, up to _SADDLE_PASSES: a valley
+    narrower than the step would otherwise put the line far above the
+    saddle, where the rule aliases.  Returns, per row, c, log|chi(c)|,
+    the distance from c to the nearest pole, the summed magnitudes of
+    the log terms at c, each at least 4, which bound their rounding, and
+    the passes taken.
     """
-    rows = [(s.plan.grid, *s.plan.terms) for s in chi.specs]
-    grid, *terms = rows[0] if len(rows) == 1 else map(np.concatenate, zip(*rows))
-    for second in (False, True):
-        if second:
-            lo = _column([grid[r, max(i - 1, 0)] for r, i in enumerate(k)])
-            hi = _column([grid[r, min(i + 1, 64)] for r, i in enumerate(k)])
-            grid = _saddle_grid(lo, hi).reshape(len(k), -1)
-            terms = chi.real_terms(grid)
-        w = chi.real_axis(grid, terms)
+    last = [None] * len(chi.specs)  # per row: its last pass's grid, terms, log|chi|, argmin
+    live, part = list(range(len(chi.specs))), chi
+    plans = [s.plan for s in chi.specs]
+    grid, terms = ((plans[0].grid, plans[0].terms) if len(plans) == 1 else
+                   (np.concatenate([p.grid for p in plans]),
+                    np.concatenate([p.terms for p in plans], axis=1)))
+    for n in range(1, _SADDLE_PASSES + 1):
+        if n > 1:
+            part = chi.take(live)
+            lo, hi = ([last[r][0][min(max(last[r][3] + step, 0), 64)] for r in live]
+                      for step in (-1, 1))
+            grid = _saddle_grid(_column(lo), _column(hi)).reshape(len(live), -1)
+            terms = part.real_terms(grid)
         # a denominator pole on the grid is a zero of chi, not a saddle
-        k = np.argmin(np.where(np.isfinite(w), w, np.inf), axis=1).tolist()
+        w = part.real_axis(grid, terms)
+        w = np.where(np.isfinite(w), w, np.inf)
+        k = np.argmin(w, axis=1).tolist()
+        for j, (r, i) in enumerate(zip(live, k)):
+            last[r] = (grid[j], terms[:, j], w[j], i, n)
+        live = [r for j, (r, i) in enumerate(zip(live, k))
+                if w[j, max(i - 1, 0):i + 2].max() - w[j, i] > 1.0]
+        if not live:
+            break
     lines = []
-    for r, (i, spec) in enumerate(zip(k, chi.specs)):
-        c, log_z = float(grid[r, i]), math.log(spec.argument)
-        log_scale = float(sum([abs(c * log_z)] + [abs(t[r, i]) for t in terms]))
-        lines.append((c, float(w[r, i]), min(c - spec.plan.left, spec.plan.right - c),
-                      log_scale))
+    for spec, (g, t, w, i, n) in zip(chi.specs, last):
+        c = float(g[i])
+        # each term rounds to 4 eps max(|term|, 4) (_log_gamma), so its
+        # floor of 4 enters the scale
+        log_scale = abs(c * math.log(spec.argument)) + float(np.maximum(np.abs(t[:, i]), 4.0).sum())
+        lines.append((c, float(w[i]), min(c - spec.plan.left, spec.plan.right - c),
+                      log_scale, n))
     return lines
 
 
 _PROBES = 2.0 ** np.arange(-2, 17)
-_PROBE_LINE = 1j * _PROBES[None]
+# the reach in t of the rule nodes evaluated with the probes, in units of
+# the larger of 1 and the distance a from the line to the nearest pole: the
+# cut moves out with a
+_FIRST_REACH = 32.0
 
 
 def _halving_rules(f, h: float, spans, rel_tol: float, floor: float, node_roundings,
-                   what: str, spent: int, budget: int) -> list:
+                   what: str, spent: list, budget: int, first=None) -> list:
     """Per row, h (f(0)/2 + f(h) + ... + f(n h)) over [0, span], the step
     halved until it holds: (total, error, rounding, step, n), n the least
     even count with n h >= span, or the NumericError of a row whose next
-    nodes would take its evaluations, spent before it included, past the
-    budget, or whose sum is not finite: every later pass keeps its nodes.
+    nodes would take its evaluations, its ``spent`` before them included,
+    past the budget, or whose sum is not finite: every later pass keeps
+    its nodes.
 
     The error is the difference from the rule on the even nodes, and the
     step is halved, each pass adding only the new odd nodes, until it is
@@ -451,14 +713,18 @@ def _halving_rules(f, h: float, spans, rel_tol: float, floor: float, node_roundi
     still halving, one row of x each, zero-padded past a row's own
     nodes.  The padding is the node x = 0, which every row evaluates
     first, so it neither overflows nor warns; its values are dropped,
-    and each row sums over its own nodes alone.
+    and each row sums over its own nodes alone.  A row's entry of
+    ``first``, when not None, holds its first pass's values, already
+    evaluated and counted in its ``spent``.
     """
     n = [2 * math.ceil(span / (2.0 * h)) for span in spans]
     x = [h * np.arange(k + 1) for k in n]
-    steps, used, values, out = ([v] * len(n) for v in (h, spent, None, None))
+    used, given = list(spent), list(first or [None] * len(n))
+    steps, values, out = ([v] * len(n) for v in (h, None, None))
     live = list(range(len(n)))
     while True:
-        for r in live:
+        todo = [r for r in live if given[r] is None]
+        for r in todo:
             if used[r] + x[r].size > budget:
                 out[r] = NumericError(f"{what} needs {x[r].size} more nodes after {used[r]} "
                                       f"integrand evaluations, over the budget of {budget}")
@@ -466,29 +732,32 @@ def _halving_rules(f, h: float, spans, rel_tol: float, floor: float, node_roundi
         live = [r for r in live if out[r] is None]
         if not live:
             return out
-        if len(live) == 1:
-            nodes = x[live[0]][None]
+        todo = [r for r in todo if out[r] is None]
+        if len(todo) == 1:
+            nodes = x[todo[0]][None]
         else:
-            nodes = np.zeros((len(live), max(x[r].size for r in live)))
-            for i, r in enumerate(live):
+            nodes = np.zeros((len(todo), max((x[r].size for r in todo), default=0)))
+            for i, r in enumerate(todo):
                 nodes[i, :x[r].size] = x[r]
-        fx = f(nodes, live)
-        for i, r in enumerate(live):
-            v, h = fx[i, :x[r].size], steps[r]
+        fx = f(nodes, todo) if todo else None
+        for r in live:
+            v, h = (fx[todo.index(r), :x[r].size] if given[r] is None else given[r]), steps[r]
+            given[r] = None
             if values[r] is not None:
                 refined = np.empty(2 * n[r] + 1)
                 refined[::2] = values[r]
                 refined[1::2] = v
                 v, n[r] = refined, 2 * n[r]
             values[r] = v
-            total = h * (0.5 * v[0] + v[1:].sum())
+            half = 0.5 * float(v[0])
+            total = h * (half + float(_SUM(v[1:])))
             if not math.isfinite(total):
-                out[r] = NumericError(f"{what} rule sum is {float(total)!r} after {used[r]} "
+                out[r] = NumericError(f"{what} rule sum is {total!r} after {used[r]} "
                                       "integrand evaluations")
                 continue
-            coarse = 2.0 * h * (0.5 * v[0] + v[2::2].sum())
+            coarse = 2.0 * h * (half + float(_SUM(v[2::2])))
             err = abs(total - coarse)
-            rounding = node_roundings[r] * h * float(np.abs(v).sum())
+            rounding = node_roundings[r] * h * float(_SUM(np.abs(v)))
             if err <= max(rel_tol * max(abs(total), floor), rounding):
                 out[r] = (total, err, rounding, h, n[r])
             else:
@@ -502,7 +771,7 @@ def _halving_trapezoid(f, h: float, span: float, rel_tol: float, floor: float,
     """_halving_rules of one row, f mapping an array of nodes to the
     integrand there; returns (total, error, rounding, step, n)."""
     (out,) = _halving_rules(lambda x, rows: f(x[0])[None], h, [span], rel_tol, floor,
-                            [node_rounding], what, spent, budget)
+                            [node_rounding], what, [spent], budget)
     if isinstance(out, Exception):
         raise out
     return out
@@ -511,24 +780,51 @@ def _halving_trapezoid(f, h: float, span: float, rel_tol: float, floor: float,
 def _contour(specs: list) -> list:
     """meijer_g of the specs, whose plans share one term structure, or the
     NumericError a spec's own call raises: one integrand call per saddle
-    pass, one for the probes and one per pass of the rules.
+    pass, one for the probes and the rules' first nodes, and one per
+    later pass of the rules.
 
     The probes are the powers of two from 1/4 to 2^16 along each row's
     line; its cut is the probe after the last one above 1e-18 of the
     saddle value, and a row whose integrand never falls that far raises.
-    Each pass evaluates the line in blocks of about _CONTOUR_BLOCK nodes.
+    The probes' call also evaluates each row's rule nodes up to
+    t = _FIRST_REACH max(1, a), a the distance from the line to the
+    nearest pole, which serve as the rule's first pass wherever the cut
+    lies within them: most cuts do, so most rows spend no call on their
+    first pass.  Each later pass evaluates the line in blocks of
+    about _CONTOUR_BLOCK nodes.
     """
     chi = _MellinBarnesIntegrand(specs)
     lines = _contour_position(chi)
     # the _column's of each row's c, w0 and distance to the nearest pole
-    c, w0, scale, _ = map(_column, zip(*lines))
-    out = []
-    for spec, w in zip(specs, chi(c + _PROBE_LINE).real - w0):
+    c, w0, scale, _, _ = map(_column, zip(*lines))
+
+    h = 0.05
+    # a row whose first nodes would take it past the budget evaluates none
+    reach = [2 * math.ceil(math.asinh(_FIRST_REACH * max(1.0, 1.0 / a)) / (2.0 * h))
+             for _, _, a, _, _ in lines]
+    reach = [k if n * _SADDLE_INDEX.size + _PROBES.size + k < MAX_CONTOUR_EVALS else 0
+             for k, (_, _, _, _, n) in zip(reach, lines)]
+    # each row's nodes h j up to its reach, zero-padded past it
+    x = np.arange(max(reach) + 1.0)[None]
+    if len(specs) > 1:
+        x = np.where(x <= _column(reach), x, 0.0)
+    x = h * x
+    line = chi.at(c)
+    probes = _PROBES[None].repeat(len(specs), axis=0)
+    re, im = line(np.concatenate((scale * np.sinh(x), probes), axis=1))
+    # the rule's integrand at those nodes, as mapped computes it
+    head = scale * np.cosh(x) * (np.exp(re[:, :x.shape[1]] - w0) * np.cos(im[:, :x.shape[1]]))
+    out, first = [], []
+    for r, (spec, w) in enumerate(zip(specs, re[:, x.shape[1]:] - w0)):
         above = np.nonzero(w > math.log(1e-18))[0]
         k = int(above[-1]) + 1 if above.size else 0
-        out.append(NumericError(
-            f"contour truncation bound not reached by t = {_PROBES[-1]:.0f} for {spec}"
-        ) if k == _PROBES.size else (float(_PROBES[k]), float(w[k])))
+        if k == _PROBES.size:
+            out.append(NumericError(
+                f"contour truncation bound not reached by t = {_PROBES[-1]:.0f} for {spec}"))
+            continue
+        out.append((float(_PROBES[k]), float(w[k])))
+        n = 2 * math.ceil(math.asinh(_PROBES[k] / lines[r][2]) / (2.0 * h))
+        first.append(head[r, :n + 1] if n <= reach[r] else None)
     live = [r for r, cut in enumerate(out) if not isinstance(cut, Exception)]
 
     def mapped(x, rows):
@@ -536,28 +832,33 @@ def _contour(specs: list) -> list:
         rows = [live[i] for i in rows]
         c_rows, w0_rows, a = ((c, w0, scale) if len(rows) == len(specs)
                               else (v[rows] for v in (c, w0, scale)))
-        part, t = chi.take(rows), a * np.sinh(x)
+        part = line if len(rows) == len(specs) else chi.take(rows).at(c_rows)
+        t = a * np.sinh(x)
         width = max(1, _CONTOUR_BLOCK // t.shape[0])
-        blocks = [np.exp(part(c_rows + 1j * t[:, k:k + width]) - w0_rows).real
-                  for k in range(0, t.shape[1], width)]
+        blocks = []
+        for k in range(0, t.shape[1], width):
+            re, im = part(t[:, k:k + width])
+            blocks.append(np.exp(re - w0_rows) * np.cos(im))
         return a * np.cosh(x) * (blocks[0] if len(blocks) == 1
                                  else np.concatenate(blocks, axis=1))
 
-    # both saddle passes and the probes come before the rule's nodes
-    spent = 2 * _SADDLE_INDEX.size + _PROBES.size
+    # the saddle passes, the probes and the first nodes come before the
+    # rule's later nodes
+    spent = [lines[r][4] * _SADDLE_INDEX.size + _PROBES.size + reach[r] + 1 for r in live]
     rules = _halving_rules(
-        mapped, 0.05, [math.asinh(out[r][0] / lines[r][2]) for r in live], 1e-12, 1e-3,
+        mapped, h, [math.asinh(out[r][0] / lines[r][2]) for r in live], 1e-12, 1e-3,
         # each node's log terms round to a few ulps of their own size, and
         # exp carries that into the node value
         [4.0 * _EPS * lines[r][3] for r in live], "contour quadrature", spent,
-        MAX_CONTOUR_EVALS)
-    for r, rule in zip(live, rules):
+        MAX_CONTOUR_EVALS, first)
+    for r, rule, spent_r, head_r in zip(live, rules, spent, first):
         if isinstance(rule, Exception):
             out[r] = rule
             continue
-        (c_r, w0_r, scale_r, _), (t_max, w_tail) = lines[r], out[r]
+        (c_r, w0_r, scale_r, _, _), (t_max, w_tail) = lines[r], out[r]
         total, err, rounding, h, n = rule
-        details = dict(contour=c_r, evals=spent + n + 1, step=h, nodes=n + 1, t_max=t_max,
+        evals = spent_r + n + 1 - (0 if head_r is None else head_r.size)
+        details = dict(contour=c_r, evals=evals, step=h, nodes=n + 1, t_max=t_max,
                        scale=scale_r, log_gammas=len(specs[r].plan.gammas), rel_error=0.0)
         if total == 0.0:
             out[r] = EvalReport(CONTOUR_QUADRATURE, -math.inf, 0.0, details)

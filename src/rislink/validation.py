@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import erfc, expit, gammaincinv, log_ndtr
 
 from .errors import DomainError, NumericError, positive
 from .fading import (
@@ -60,7 +59,7 @@ from .metrics import (
     result,
     snr_threshold_from_db,
 )
-from .specfun import REL_TOL, _halving_trapezoid, meijer_g_batch
+from .specfun import REL_TOL, _halving_trapezoid, log_q_snr, meijer_g_batch
 
 _SQRT2 = math.sqrt(2.0)
 _LN2 = math.log(2.0)
@@ -100,6 +99,16 @@ class McConfig:
             self.seed, 0, "seed must be a non-negative integer"))
         if self.mode not in (MODEL_DRAW, PHYSICAL_DRAW):
             raise DomainError(f"unknown MC mode {self.mode!r}")
+
+
+def _softplus(v: float) -> float:
+    """ln(1 + e^v) of a float, without overflow."""
+    return max(v, 0.0) + math.log1p(math.exp(-abs(v)))
+
+
+def _expit(v: float) -> float:
+    """The logistic function 1 / (1 + e^-v) of a float, without overflow."""
+    return math.exp(-_softplus(-v))
 
 
 def _peak(slopes, y: float, what: str) -> tuple[float, float, int]:
@@ -206,11 +215,12 @@ def _quad_expectation(cfg: LinkConfig, what: str, kernel, shift: float,
         return kernel(u), nm * u, -a_tot * np.logaddexp(0.0, shift + u), log_jacobian
 
     def slopes(y):
-        u, _ = axis(y)
+        """The log slope and curvature at a float y, in floats."""
+        u = -math.exp(min(y, 300.0)) if log_axis else y
         k, k1, k2 = kernel(u, True)
-        sig = expit(shift + u)
+        sig = _expit(shift + u)
         d = k1 + nm - a_tot * sig
-        c = k2 - a_tot * sig * expit(-shift - u)
+        c = k2 - a_tot * sig * _expit(-shift - u)
         # on y = ln(-u), du/dy = u and d2u/dy2 = u
         return (1.0 + u * d, u * (u * c + d)) if log_axis else (d, c)
 
@@ -236,13 +246,14 @@ def quad_capacity(cfg: LinkConfig) -> MetricResult:
     log_z = math.log(cfg.eta) - math.log(model.xi)
 
     def log_softplus(u, slopes=False):
-        """K = log(log(1 + e^p)), p = log_z + u; equal to p far below zero."""
+        """K = log(log(1 + e^p)), p = log_z + u; equal to p far below zero.
+        With slopes, K, K' and K'' at a float u."""
         p = log_z + u
-        k = np.where(p > -700.0, np.log(np.logaddexp(0.0, np.maximum(p, -700.0))), p)
         if not slopes:
-            return k
-        k1 = np.exp(-np.logaddexp(0.0, -p) - k)  # sigma(p) / softplus(p)
-        return k, k1, k1 * (expit(-p) - k1)
+            return np.where(p > -700.0, np.log(np.logaddexp(0.0, np.maximum(p, -700.0))), p)
+        k = math.log(_softplus(p)) if p > -700.0 else p
+        k1 = math.exp(-_softplus(-p) - k)  # sigma(p) / softplus(p)
+        return k, k1, k1 * (_expit(-p) - k1)
 
     return _quad_expectation(cfg, "capacity", log_softplus, 0.0, -math.log(_LN2),
                              capacity_bound(cfg), math.log(model.nm / model.nms))
@@ -265,14 +276,15 @@ def quad_ber(cfg: LinkConfig) -> MetricResult:
         cfg.eta * cfg.lambda_mod, "BER quadrature argument eta lambda", NumericError))
 
     def log_q(u, slopes=False):
-        """K = log Q(sqrt(2x)) at x = e^u, safe far into the tail."""
-        u = np.minimum(u, 700.0)
-        x = np.exp(u)
-        k = log_ndtr(-np.sqrt(2.0 * x))
+        """K = log Q(sqrt(2x)) at x = e^u, safe far into the tail.  With
+        slopes, K, K' and K'' at a float u."""
         if not slopes:
-            return k
+            return log_q_snr(np.exp(np.minimum(u, 700.0)))
+        u = min(u, 700.0)
+        x = math.exp(u)
+        k = log_q_snr(x)
         # K' = -sqrt(x / 2) phi / Q at sqrt(2x), phi the normal density
-        k1 = -np.exp(0.5 * u - x - k - 0.5 * math.log(4.0 * math.pi))
+        k1 = -math.exp(0.5 * u - x - k - 0.5 * math.log(4.0 * math.pi))
         return k, k1, k1 * (0.5 - x - k1)
 
     start = min(math.log(model.nm / model.nms) - log_eps, math.log(model.nm))
@@ -397,6 +409,8 @@ def _metric_samples(cfg: LinkConfig, which: str, gamma_th: float, g: np.ndarray)
     if which == CAPACITY:
         return np.log2(1.0 + eta * g)
     if which == BER:
+        from scipy.special import erfc  # loaded on first use: only MC BER scores with it
+
         return 0.5 * erfc(np.sqrt(2.0 * eta * cfg.lambda_mod * g) / _SQRT2)
     return (eta * g < gamma_th).astype(float)  # outage
 
@@ -593,6 +607,8 @@ def _mc_consistent(closed: float, est: MetricResult, which: str) -> tuple[bool, 
         if k < 10:
             # Garwood bounds at total mass ALPHA_3P5; chi2.ppf(q, 2k) / 2
             # is the Gamma(k) quantile gammaincinv(k, q)
+            from scipy.special import gammaincinv
+
             lo = gammaincinv(k, ALPHA_3P5 / 2.0) / n if k > 0 else 0.0
             hi = gammaincinv(k + 1, 1.0 - ALPHA_3P5 / 2.0) / n
             ok = lo <= closed <= hi

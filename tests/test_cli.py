@@ -507,6 +507,10 @@ MISSED_TARGET = [
       "--n-cells", "1"], "asymptote log-gamma term overflows"),
     (["--metric", "outage", "--variant", "asymptotic", "--m", "1e308", "--m-s", "1.0000001",
       "--n-cells", "1"], "asymptote log-gamma term overflows"),
+    # and a finite argument whose log-gamma overflows, where math.lgamma
+    # raises OverflowError
+    (["--metric", "ber", "--variant", "asymptotic", "--m", "1e306", "--m-s", "1.0000001",
+      "--n-cells", "1"], "asymptote log-gamma term overflows"),
     (["--metric", "capacity", "--variant", "mc", "--m", "1e-5", "--m-s", "1e300",
       "--n-cells", "1024", "--eta-db", "0", "--mc-samples", "10000"], "MC draws at N m"),
     (["--metric", "capacity", "--m", "1e308", "--m-s", "50", "--n-cells", "1"],
@@ -843,16 +847,16 @@ m = 1, 4
 
 
 def test_failing_exact_row_raises_the_first_in_row_order(tmp_path, monkeypatch, capsys):
-    # the BER figure at -19 dBm, with a contour budget that rows 2, 4 and 6
-    # of the point's batched Meijer G calls overrun, each by its own count:
-    # the sweep and the row's own metrics call both exit 3 with row 2's
-    # error, the one its lone avg_ber call raises
-    monkeypatch.setattr(specfun, "MAX_CONTOUR_EVALS", 320)
-    cfg = LinkConfig.from_eta(cli._eta(-19.0, 0.0, 1.0, 2.7), FadingParams(1.0, 5.0), 8,
+    # the BER figure at -19 dBm, with a contour budget that rows 0, 2, 4, 5
+    # and 6 of the point's batched Meijer G calls overrun, each by its own
+    # count: the sweep and the row's own metrics call both exit 3 with row
+    # 0's error, the one its lone avg_ber call raises
+    monkeypatch.setattr(specfun, "MAX_CONTOUR_EVALS", 200)
+    cfg = LinkConfig.from_eta(cli._eta(-19.0, 0.0, 1.0, 2.7), FadingParams(1.0, 2.0), 8,
                               lambda_mod=0.5)
     with pytest.raises(NumericError) as lone:
         avg_ber(cfg)
-    assert "needs 88 more nodes after 238" in str(lone.value)
+    assert "needs 90 more nodes after 189" in str(lone.value)
     path = tmp_path / "ber.ini"
     path.write_text(textwrap.dedent("""
         [sweep]
@@ -873,7 +877,7 @@ def test_failing_exact_row_raises_the_first_in_row_order(tmp_path, monkeypatch, 
     assert main(["sweep", str(path), "--out", str(out), "--threads", "1"]) == 3
     assert capsys.readouterr().err == f"numeric error: {lone.value}\n"
     assert not out.exists()
-    assert main(["metrics", "--metric", "ber", "--n-cells", "8", "--m", "1", "--m-s", "5",
+    assert main(["metrics", "--metric", "ber", "--n-cells", "8", "--m", "1", "--m-s", "2",
                  "--lambda", "0.5", "--p-s-dbm", "-19"]) == 3
     assert capsys.readouterr() == ("", f"numeric error: {lone.value}\n")
 
@@ -975,7 +979,8 @@ class TestMain:
 
     def test_routes_leave_scipy_integrate_optimize_and_stats_out(self):
         # a fresh interpreter runs every route once, and a Garwood bound
-        # (3 outage hits in 10^5 draws); none may load these modules
+        # (3 outage hits in 10^5 draws); none may load these modules, and
+        # only the Garwood bound loads scipy.special
         src = os.path.dirname(os.path.dirname(rislink.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         code = textwrap.dedent("""
@@ -993,15 +998,34 @@ class TestMain:
             for mode in (fading.MODEL_DRAW, fading.PHYSICAL_DRAW):
                 validation.mc_metric(cfg, validation.CAPACITY,
                                      validation.McConfig(10_000, seed=1, mode=mode))
+            print("scipy.special" in sys.modules)
             est = metrics.MetricResult(3e-5, "mc", 0.0,
                                        {"method": fading.MODEL_DRAW, "evals": 100_000})
             assert validation._mc_consistent(1e-5, est, validation.OUTAGE) == (True, "poisson k=3")
+            print("scipy.special" in sys.modules)
             print(sorted(m for m in sys.modules
                          if m.startswith(("scipy.integrate", "scipy.optimize", "scipy.stats"))))
         """)
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
-        assert out.strip() == "[]"
+        assert out.split() == ["False", "True", "[]"]
+
+    def test_sweep_leaves_scipy_special_out(self, tmp_path):
+        # a fresh rislink sweep of a shipped config never loads scipy.special
+        src = os.path.dirname(os.path.dirname(rislink.__file__))
+        config = os.path.join(os.path.dirname(src), "configs", "capacity_vs_power.ini")
+        if not os.path.exists(config):
+            pytest.skip("needs the checkout's configs")
+        code = textwrap.dedent("""
+            import sys
+            from rislink.cli import main
+            code = main(["sweep", sys.argv[1], "--out", sys.argv[2]])
+            print(code, "scipy.special" in sys.modules)
+        """)
+        out = subprocess.run([sys.executable, "-c", code, config, str(tmp_path / "out.csv")],
+                             env=dict(os.environ, PYTHONPATH=src), check=True,
+                             capture_output=True, text=True).stdout
+        assert out.split() == ["0", "False"]
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"

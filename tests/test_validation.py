@@ -161,6 +161,28 @@ class TestQuadBer:
         with pytest.raises(NumericError, match="did not close"):
             quad_ber(cfg_eta(10.0, FadingParams(1e-5, 3.0)))
 
+    # at N m above ~5e5 the saddle's valley is narrower than the saddle
+    # search's second grid step; a line left far above the saddle aliased
+    # the rule, and the exact BER came out up to 680 e-folds off while
+    # claiming 1e-8.  The first row is the CLI example
+    #   rislink metrics --metric ber --m 633.5562497002662
+    #     --m-s 1.0044727406044165 --n-cells 1762 --eta-db -11.817462916229594
+    # (6.26e-11 against 3.73e-51); the others come from a seeded scan over
+    # N m 1e6-1e7, N m_s 1.001-1e4 and eta lambda/xi = N m 1e-14..1e-5
+    @pytest.mark.parametrize("n,m,m_s,eta", [
+        (1762, 633.5562497002662, 1.0044727406044165, 10.0 ** (-11.817462916229594 / 10.0)),
+        (1, 1187973.2393517664, 1373.7142823039712, 141.8093383628806),
+        (1, 3135059.512020923, 2.0379911495659173, 71267.27530553819),
+        (1, 5269444.919236222, 141.3647149011781, 2644.4057783548546),
+        (1, 7976364.533134794, 399.61325521980257, 24845.65704982047),
+        (1, 1787189.279967414, 1.3467387898350502, 37780.05221736373),
+    ])
+    def test_narrow_saddle_valley_agrees_with_closed_form(self, n, m, m_s, eta):
+        cfg = cfg_eta(eta, FadingParams(m, m_s), n)
+        closed, quad = avg_ber(cfg).diagnostics, quad_ber(cfg).diagnostics
+        assert abs(math.expm1(closed["log_value"] - quad["log_value"])) <= (
+            closed["rel_error"] + quad["rel_error"])
+
 
 class TestQuadOutage:
     def test_agrees_with_closed_form_in_logs(self):
