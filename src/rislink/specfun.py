@@ -383,18 +383,23 @@ def _log_gamma(x, y=None):
             arg_sin = np.arctan2(cos_tanh, sin_r) + math.pi * (n % 2.0)
             return (np.where(reflect, _LOG_PI - log_sin - far[0], far[0]),
                     np.where(reflect, far[1] - arg_sin, far[1]))
-    if low >= 0.5:
-        lanczos = _Lanczos(x)
-        return lanczos.real() if y is None else lanczos(y)
     # Gamma(z) = Gamma(z + 1) / z moves z into Lanczos's range
-    shift = x < 0.5
-    lanczos = _Lanczos(x + shift)
-    with np.errstate(divide="ignore"):  # -inf at the pole 0
-        if y is None:
-            return lanczos.real() - np.where(shift, np.log(np.abs(x)), 0.0)
-        re, im = lanczos(y)
-        re -= np.where(shift, 0.5 * np.log(x * x + y * y), 0.0)
-    im -= np.where(shift, np.arctan2(y, x), 0.0)
+    shift = x < 0.5 if low < 0.5 else None
+    x_l = x if shift is None else x + shift
+    if y is None:
+        k, c = (v.reshape((-1,) + (1,) * x.ndim) for v in (_LANCZOS_K, _LANCZOS_C))
+        t = x_l + (_LANCZOS_G - 0.5)
+        re = np.log(_SUM(c / (x_l + k), axis=0) + _LANCZOS_C0)
+        re += (x_l - 0.5) * np.log(t) + (_HALF_LOG_2PI - t)
+        if shift is not None:
+            with np.errstate(divide="ignore"):  # -inf at the pole 0
+                re -= np.where(shift, np.log(np.abs(x)), 0.0)
+        return re
+    re, im = _Lanczos(x_l)(y)
+    if shift is not None:
+        with np.errstate(divide="ignore"):  # -inf at the pole 0
+            re -= np.where(shift, 0.5 * np.log(x * x + y * y), 0.0)
+        im -= np.where(shift, np.arctan2(y, x), 0.0)
     return re, im
 
 
@@ -412,12 +417,6 @@ class _Lanczos:
         self.t = x + (_LANCZOS_G - 0.5)
         self.front = _HALF_LOG_2PI - self.t
         self.squares = None
-
-    def real(self):
-        """The real ln Gamma(x), at y = 0."""
-        re = np.log(_SUM(self.c / self.d, axis=0) + _LANCZOS_C0)
-        re += self.x_h * np.log(self.t) + self.front
-        return re
 
     def __call__(self, y, y2=None):
         """Real and imaginary parts at x + i y; y2 may give y * y."""
