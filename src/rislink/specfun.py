@@ -670,11 +670,11 @@ def _contour_position(chi: _MellinBarnesIntegrand) -> list:
         # a denominator pole on the grid is a zero of chi, not a saddle
         w = part.real_axis(grid, terms)
         w = np.where(np.isfinite(w), w, np.inf)
-        k = np.argmin(w, axis=1).tolist()
+        k = w.argmin(axis=1).tolist()
         for j, (r, i) in enumerate(zip(live, k)):
             last[r] = (grid[j], terms[:, j], w[j], i, n)
         live = [r for j, (r, i) in enumerate(zip(live, k))
-                if w[j, max(i - 1, 0):i + 2].max() - w[j, i] > 1.0]
+                if max(w[j, max(i - 1, 0):i + 2].tolist()) - w[j, i] > 1.0]
         if not live:
             break
     lines = []
@@ -682,7 +682,8 @@ def _contour_position(chi: _MellinBarnesIntegrand) -> list:
         c = float(g[i])
         # each term rounds to 4 eps max(|term|, 4) (_log_gamma), so its
         # floor of 4 enters the scale
-        log_scale = abs(c * math.log(spec.argument)) + float(np.maximum(np.abs(t[:, i]), 4.0).sum())
+        log_scale = abs(c * math.log(spec.argument)) + sum(max(abs(v), 4.0)
+                                                            for v in t[:, i].tolist())
         lines.append((c, float(w[i]), min(c - spec.plan.left, spec.plan.right - c),
                       log_scale, n))
     return lines
