@@ -33,6 +33,7 @@ import numpy as np
 from .errors import DomainError, NumericError, positive
 
 _SQRT2 = math.sqrt(2.0)
+_LN2 = math.log(2.0)
 _EPS = float(np.finfo(float).eps)
 
 # Hard caps; exceeding them raises, never returns silently.
@@ -96,20 +97,26 @@ def q_function(x: float) -> float:
 
 # Beyond this s, erfc(s) nears the bottom of the doubles, and the asymptotic
 # series erfc(s) = e^(-s^2) / (s sqrt(pi)) * sum_k (-1)^k (2k-1)!! / (2 s^2)^k,
-# cut after its k = 6 term, is good to 2e-17; its coefficients of
-# s^(-2k), k = 6 down to 1
+# cut after its k = 6 term, is good to 2e-17; its coefficients of s^(-2k)
 _ERFC_SERIES_FROM = 26.0
-_ERFC_SERIES = tuple((-1) ** k * math.prod(range(1, 2 * k, 2)) / 2.0 ** k
-                     for k in range(6, 0, -1))
+_ERFC_SERIES = tuple((-1) ** k * math.prod(range(1, 2 * k, 2)) / 2.0 ** k for k in range(7))
+_ERFC_POWERS, _ERFC_ARRAY = np.arange(7.0), np.array(_ERFC_SERIES)
 _LOG_2_SQRT_PI = math.log(2.0 * math.sqrt(math.pi))
 
 
 def _log_erfc_series(x, s):
-    """ln(erfc(s) / 2) at s = sqrt(x) >= _ERFC_SERIES_FROM, by the series."""
-    inv, series = 1.0 / x, _ERFC_SERIES[0]
-    for coef in _ERFC_SERIES[1:]:
-        series = series * inv + coef
-    return np.log1p(series * inv) - x - (np.log(s) + _LOG_2_SQRT_PI)
+    """ln(erfc(s) / 2) at s = sqrt(x) >= _ERFC_SERIES_FROM, by the series,
+    at floats x and s or at each element of arrays."""
+    if isinstance(x, float):
+        inv, series = 1.0 / x, 0.0
+        for coef in _ERFC_SERIES[::-1]:
+            series = series * inv + coef
+        return math.log(series / s) - x - _LOG_2_SQRT_PI
+    series = np.power.outer(1.0 / x, _ERFC_POWERS) @ _ERFC_ARRAY
+    out = np.log(series / s)
+    out -= x
+    out -= _LOG_2_SQRT_PI
+    return out
 
 
 def log_q_snr(x):
@@ -121,21 +128,21 @@ def log_q_snr(x):
     of Q.  The error is at most 2 eps (|ln Q| + 1): most of it is the
     rounding of sqrt(x), which moves ln Q by about x eps.
     """
-    if np.ndim(x) == 0:
+    if not getattr(x, "ndim", 0):
         s = math.sqrt(x)
         if s >= _ERFC_SERIES_FROM:
-            return float(_log_erfc_series(x, s))
-        return math.log(math.erfc(s)) - math.log(2.0)
+            return _log_erfc_series(float(x), s)
+        return math.log(math.erfc(s)) - _LN2
     s = np.sqrt(x)
-    tail = s >= _ERFC_SERIES_FROM
-    if not tail.any():
-        return np.log(np.array([math.erfc(v) for v in s.ravel().tolist()]).reshape(
-            s.shape)) - math.log(2.0)
-    out = _log_erfc_series(np.maximum(x, _ERFC_SERIES_FROM ** 2),
-                           np.maximum(s, _ERFC_SERIES_FROM))
-    near = ~tail
-    out[near] = np.log([math.erfc(v) for v in s[near].tolist()]) - math.log(2.0)
-    return out
+    # erfc at each s, clipped where the series serves so that it stays normal
+    erfc = np.fromiter(map(math.erfc, np.minimum(s, _ERFC_SERIES_FROM).ravel().tolist()),
+                       float, s.size)
+    out = np.log(erfc.reshape(s.shape))
+    out -= _LN2
+    if np.maximum.reduce(s, axis=None) < _ERFC_SERIES_FROM:
+        return out
+    return np.where(s < _ERFC_SERIES_FROM, out, _log_erfc_series(
+        np.maximum(x, _ERFC_SERIES_FROM ** 2), np.maximum(s, _ERFC_SERIES_FROM)))
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +341,9 @@ def _merge_direction(nums, dens) -> tuple[dict, dict]:
 
 # Lanczos's approximation with g = 607/128 and 15 coefficients (P. Godfrey's
 # set): Gamma(x) = sqrt(2 pi) t^(x - 1/2) e^-t (c_0 + sum_k c_k / (x + k - 1)),
-# t = x + g - 1/2, for Re x >= 1/2.  Its terms cancel far less than those of
-# the common g = 7 set, whose error reaches 20 eps of ln Gamma.
+# t = x + g - 1/2, here at Re x >= 0.  Its terms cancel far less than those
+# of the common g = 7 set, whose error reaches 20 eps of ln Gamma; below
+# Re x = 0 its error grows past 4 eps, and the reflection formula serves.
 _LANCZOS_G = 607.0 / 128.0
 _LANCZOS_C0 = 0.99999999999999709182
 _LANCZOS_C = np.array([
@@ -352,128 +360,208 @@ _LOG_PI = math.log(math.pi)
 _SUM = np.add.reduce
 
 
-def _log_gamma(x, y=None):
-    """ln Gamma(x + i y) elementwise, in real arithmetic: its real part and
-    its imaginary part modulo 2 pi.  With y None, the real ln|Gamma(x)|
-    alone, +inf at the poles x = 0, -1, -2, ..., as scipy's gammaln.
+class _Weights(NamedTuple):
+    """_LogGammaSum's weights (_term_weights)."""
 
-    x and y broadcast.  _Lanczos serves x >= 1/2, Gamma(z) = Gamma(z + 1)
-    / z moves x in [-1/2, 1/2) there, and below, the reflection
-    Gamma(z) Gamma(1 - z) = pi / sin(pi z) takes z to 1 - z, whose
-    log-gamma is the conjugate of the one at (1 - x) + i y;
-    ln sin(pi z) is taken with x reduced by its nearest integer and
-    cosh(pi y) factored out, so it holds however large |x| or |y|.  Each
-    part is within 4 eps max(|ln Gamma(x + i y)|, 4) of the true one.
-    """
-    low = np.minimum.reduce(x, axis=None)
-    if low < -0.5:
-        reflect = x < -0.5
-        far = _log_gamma(np.where(reflect, 1.0 - x, x), y)
-        n = np.round(x)
-        r = math.pi * (x - n)
-        # -inf at a pole; np.where drops the other branch's inf - inf
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if y is None:
-                return np.where(reflect, _LOG_PI - np.log(np.abs(np.sin(r))) - far, far)
-            # |sin(pi z)| = cosh(pi y) |sin r + i cos r tanh(pi y)|
-            p = math.pi * y
-            sin_r, cos_tanh, abs_p = np.sin(r), np.cos(r) * np.tanh(p), np.abs(p)
-            log_sin = (abs_p + np.log1p(np.exp(-2.0 * abs_p)) - math.log(2.0)
-                       + 0.5 * np.log(sin_r * sin_r + cos_tanh * cos_tanh))
-            arg_sin = np.arctan2(cos_tanh, sin_r) + math.pi * (n % 2.0)
-            return (np.where(reflect, _LOG_PI - log_sin - far[0], far[0]),
-                    np.where(reflect, far[1] - arg_sin, far[1]))
-    # Gamma(z) = Gamma(z + 1) / z moves z into Lanczos's range
-    shift = x < 0.5 if low < 0.5 else None
-    x_l = x if shift is None else x + shift
-    if y is None:
-        k, c = (v.reshape((-1,) + (1,) * x.ndim) for v in (_LANCZOS_K, _LANCZOS_C))
-        t = x_l + (_LANCZOS_G - 0.5)
-        re = np.log(_SUM(c / (x_l + k), axis=0) + _LANCZOS_C0)
-        re += (x_l - 0.5) * np.log(t) + (_HALF_LOG_2PI - t)
-        if shift is not None:
-            with np.errstate(divide="ignore"):  # -inf at the pole 0
-                re -= np.where(shift, np.log(np.abs(x)), 0.0)
-        return re
-    re, im = _Lanczos(x_l)(y)
-    if shift is not None:
-        with np.errstate(divide="ignore"):  # -inf at the pole 0
-            re -= np.where(shift, 0.5 * np.log(x * x + y * y), 0.0)
-        im -= np.where(shift, np.arctan2(y, x), 0.0)
-    return re, im
+    gammas: int
+    g_re: np.ndarray
+    g_im: np.ndarray
+    w: np.ndarray
+    shift: np.ndarray
+    const: float
 
 
-class _Lanczos:
-    """ln Gamma(x + i y) by Lanczos's approximation, for one array
-    x >= 1/2 and any y, as _log_gamma gives it: what depends on x alone
-    is computed once, so each contour pass along a line of fixed x pays
-    only for its y.  All the Lanczos sum's terms are one (14, ...) array
-    expression.
+def _term_weights(g_re: list, g_im: list, l_re: list, l_im: list, ndim: int = 3) -> _Weights:
+    """_LogGammaSum's weights for log-gamma terms of weights g_re and g_im
+    on the real and imaginary parts and log terms of l_re and l_im: the
+    log-gammas' count and their own weights; the weights on the real
+    part's pieces and on the imaginary part's, in _LogGammaSum's order,
+    as one (2, pieces, 1, ...) array; each term's shift, g - 1/2 for a
+    log-gamma and 0 for a log; all read-only, of ndim axes but for the
+    first; and the real part's constant."""
+    g, k = len(g_re), 3 * len(g_re) + len(l_re)
+    flat = np.array(g_re + g_im + g_re + g_re + l_re + [-w for w in g_re]
+                    + [-w for w in g_im] + g_im + l_im + g_im
+                    + [_LANCZOS_G - 0.5] * g + [0.0] * len(l_re), dtype=float)
+    flat.flags.writeable = False
+    ones = (1,) * (ndim - 1)
+    return _Weights(g, flat[:g].reshape((-1,) + ones), flat[g:2 * g].reshape((-1,) + ones),
+                    flat[2 * g:2 * g + 2 * k].reshape((2, k) + ones),
+                    flat[2 * g + 2 * k:].reshape((-1,) + ones),
+                    sum(g_re) * (_HALF_LOG_2PI - _LANCZOS_G) + sum(l_re))
+
+
+class _LogGammaSum:
+    """sum_g w_g ln Gamma(x_g + i y) + sum_l w_l ln(v_l + i y), plus
+    re0 + i im0 y, along lines of fixed real parts, in real arithmetic:
+    the real part, and the imaginary part modulo 2 pi, each with its own
+    weights (_term_weights), so that a term of the conjugate argument
+    takes the opposite weight on the imaginary part.
+
+    z holds the x_g, then the v_l, on its first axis; the weights and
+    re0, im0 broadcast against the rest.  Each log-gamma with x >= 0 is
+    Lanczos's approximation, ln A + (u - 1/2)(ln(u + g - 1/2) - 1)
+    + 1/2 ln(2 pi) - g at u = x + i y, A its sum; below x = 0 the reflection
+    Gamma(z) Gamma(1 - z) = pi / sin(pi z) takes it to 1 - x, whose
+    log-gamma is the conjugate of the one at 1 - z, and ln sin(pi z) is
+    taken with x reduced by its nearest integer and cosh(pi y) factored
+    out, so it holds however large |x| or |y|.  What depends on z alone
+    is computed once.  Each evaluation takes the logs and arctangents of
+    A, t + i y and v + i y (the last two over e, for their logs less 1)
+    in one call each, and both parts as one weighted sum over one stack
+    of every term's pieces.  Each log-gamma is within 4 eps
+    max(|ln Gamma|, 4) of the true one.
     """
 
-    def __init__(self, x):
-        k, self.c = (v.reshape((-1,) + (1,) * x.ndim) for v in (_LANCZOS_K, _LANCZOS_C))
-        self.x_h, self.d = x - 0.5, x + k
-        self.t = x + (_LANCZOS_G - 0.5)
-        self.front = _HALF_LOG_2PI - self.t
-        self.squares = None
+    def __init__(self, z, weights: _Weights, re0=0.0, im0=0.0):
+        g = weights.gammas
+        self.g, self.logs, self.weights, self.im1 = g, len(z) - g, weights, im0
+        self.w, const, self.im0, self.reflect = weights.w, weights.const, None, None
+        x = z[:g]
+        if np.minimum.reduce(x, axis=None) < 0.0:
+            x, const = self._reflect(x)
+            z = np.concatenate((x, z[g:]))
+        self.c = _LANCZOS_C.reshape((-1,) + (1,) * x.ndim)
+        self.d, self.dd, self.xh = x + _LANCZOS_K.reshape(self.c.shape), None, x - 0.5
+        self.b = (z + weights.shift) / math.e
+        self.re0 = const + re0
 
-    def __call__(self, y, y2=None):
-        """Real and imaginary parts at x + i y; y2 may give y * y."""
-        if self.squares is None:
-            self.squares = self.d * self.d, self.t * self.t
-        dd, tt = self.squares
-        if y2 is None:
-            y2 = y * y
-        q = np.add(dd, y2)
-        # the Lanczos sum's imaginary part, times -1/y, and real part
-        a_im = _SUM(np.divide(self.c, q, out=q), axis=0)
-        a_re = _SUM(q * self.d, axis=0)
-        a_re += _LANCZOS_C0
-        a_im *= y
-        log_t, arg_t = np.log(tt + y2), np.arctan2(y, self.t)
-        log_t *= 0.5
-        re = np.log(np.hypot(a_re, a_im))
-        re += self.x_h * log_t - y * arg_t + self.front
-        im = y * (log_t - 1.0) + self.x_h * arg_t - np.arctan2(a_im, a_re)
+    def _reflect(self, x):
+        """Reflect the terms at x < 0: x becomes 1 - x, each such term
+        negates its Lanczos pieces' weights on the real part, and ln pi -
+        ln sin(pi z) joins it, whose pieces follow all the others.
+        Returns the new x and the real part's constant."""
+        g, k, g_re, g_im = self.g, 3 * self.g + self.logs, self.weights.g_re, self.weights.g_im
+        self.reflect = reflect = x < 0.0
+        # sin(pi z) = (-1)^n sin(r + i pi y), r = pi (x - n), n the nearest
+        # integer; 1/2 stands in for an x not reflected
+        x_r = np.where(reflect, x, 0.5)
+        n = np.round(x_r)
+        r = math.pi * (x_r - n)
+        self.sin_r, self.cos_r = np.sin(r), np.cos(r)
+        s_re, m_re, m_im = g_re * (1.0 - 2.0 * reflect), g_re * reflect, g_im * reflect
+        # the real part's new pieces: ln(|sin(pi z)|^2 / cosh(pi y)^2), ln
+        # cosh(pi y); the imaginary part's: arg sin(pi z) less pi (n mod 2),
+        # and a row of zeros
+        w = np.empty((2, k + 2 * g) + x.shape[1:])
+        w[:, :k] = self.w
+        w[0, :2 * g], w[0, 2 * g + self.logs:k] = np.concatenate((s_re, s_re)), -s_re
+        w[0, k:k + g], w[0, k + g:] = -0.5 * m_re, -m_re
+        w[1, k:k + g], w[1, k + g:] = -m_im, 0.0
+        self.w = w
+        self.im0 = -_SUM(m_im * (math.pi * (n % 2.0)), axis=0)
+        const = (_SUM(s_re, axis=0) * (_HALF_LOG_2PI - _LANCZOS_G)
+                 + _SUM(w[0, 2 * g:2 * g + self.logs], axis=0) + _SUM(m_re, axis=0) * _LOG_PI)
+        return np.where(reflect, 1.0 - x, x), const
+
+    def __call__(self, y):
+        """Real and imaginary parts at y, broadcasting against the lines."""
+        if self.dd is None:
+            self.dd = self.d * self.d
+        g, b = self.g, self.b
+        k = 2 * g + self.logs
+        y2 = y * y
+        # xy holds the real and imaginary parts of each term's log argument:
+        # the conjugate of each Lanczos sum A (its 14 terms one array), then
+        # t + i y and v + i y over e
+        q = np.add(self.dd, y2)
+        np.divide(self.c, q, out=q)
+        xy = np.empty((2, k) + q.shape[2:])
+        _SUM(q, axis=0, out=xy[1, :g])
+        xy[1, :g] *= y
+        q *= self.d
+        _SUM(q, axis=0, initial=_LANCZOS_C0, out=xy[0, :g])
+        xy[0, g:] = b
+        np.divide(y, math.e, out=xy[1, g:])
+        # the real part's pieces: ln|A|, (x - 1/2)(ln|t + i y| - 1),
+        # ln|v + i y| - 1, y arg(t + i y); the imaginary part's: -arg A,
+        # (x - 1/2) arg(t + i y), arg(v + i y), y (ln|t + i y| - 1); then
+        # those of the reflected terms
+        f = np.empty(self.w.shape[:2] + q.shape[2:])
+        np.arctan2(xy[1], xy[0], out=f[1, :k])
+        np.square(xy, out=xy)
+        np.log(np.add(xy[0], xy[1], out=xy[0]), out=f[0, :k])
+        f[0, :k] *= 0.5
+        np.multiply(f[1, g:2 * g], y, out=f[0, k:k + g])
+        np.multiply(f[0, g:2 * g], y, out=f[1, k:k + g])
+        f[:, g:2 * g] *= self.xh
+        if self.reflect is not None:
+            # ln|sin(pi z)| = ln cosh(pi y) + ln|sin r + i cos r tanh(pi y)|
+            p = np.abs(math.pi * y)
+            cos_tanh = self.cos_r * np.tanh(math.pi * y)
+            np.log(self.sin_r * self.sin_r + cos_tanh * cos_tanh, out=f[0, k + g:k + 2 * g])
+            f[0, k + 2 * g:] = p + np.log1p(np.exp(-2.0 * p)) - math.log(2.0)
+            np.arctan2(cos_tanh, self.sin_r, out=f[1, k + g:k + 2 * g])
+            f[1, k + 2 * g:] = 0.0
+        re, im = _SUM(self.w * f, axis=1)
+        re += self.re0
+        im += y * self.im1
+        if self.im0 is not None:
+            im += self.im0
         return re, im
 
+    def real(self):
+        """The real part at y = 0: +inf at a pole of a log-gamma of weight
+        above 0, -inf at one of weight below 0 or at a zero of a log term."""
+        g = self.g
+        k = 2 * g + self.logs
+        # the real part's pieces at y = 0, y arg(t + i y) and ln cosh(pi y)
+        # being 0
+        f = np.zeros(self.w.shape[1:2] + self.b.shape[1:]) if self.reflect is not None else (
+            np.empty((k,) + self.b.shape[1:]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.log(_SUM(self.c / self.d, axis=0, initial=_LANCZOS_C0), out=f[:g])
+            np.log(np.abs(self.b), out=f[g:k])
+            f[g:2 * g] *= self.xh
+            if self.reflect is not None:
+                np.log(self.sin_r * self.sin_r, out=f[k + g:k + 2 * g])
+            out = _SUM(self.w[0, :len(f)] * f, axis=0)
+        out += self.re0
+        return out
 
-def _plan_arrays(gammas, logs) -> tuple:
-    """The integrand's arrays of one plan: for its log-gamma terms and its
-    log terms, (terms, 1, 1) offsets, signs (+1 for the direction +u, -1
-    for -u) and weights; then each term's weights on its real and
-    imaginary parts, in plan order.  A -u term o - u is the conjugate of
-    the one at o - c + i t, and a log term's real part is taken as
-    ln|.|^2.  The offsets are float64: the integrand promotes them
-    exactly."""
-    k = len(gammas)
-    rows = [(o, 1.0 - 2.0 * d, w, w * (1.0 if i < k else 0.5), w * (1.0 - 2.0 * d))
-            for i, (d, o, w) in enumerate(gammas + logs)]
-    columns = np.array(rows, dtype=float).reshape(-1, 5).T.reshape(5, -1, 1, 1)
-    columns.flags.writeable = False
-    return tuple(columns[:3, :k]), tuple(columns[:3, k:]), tuple(columns[3:])
+
+def _log_gamma(x, y=None):
+    """ln Gamma(x + i y) elementwise, x and y broadcasting: its real part
+    and its imaginary part modulo 2 pi (_LogGammaSum of one term).  With
+    y None, the real ln|Gamma(x)| alone, +inf at the poles x = 0, -1,
+    -2, ..., as scipy's gammaln."""
+    x = np.asarray(x, dtype=float)
+    terms = _LogGammaSum(x[None], _term_weights([1.0], [1.0], [], [], x.ndim + 1))
+    return terms.real() if y is None else terms(y)
+
+
+@functools.lru_cache(maxsize=64)
+def _structure_arrays(structure: tuple) -> tuple:
+    """Each term's sign (+1 for the direction +u, -1 for -u), the
+    log-gammas' then the logs', as a read-only (terms, 1, 1) array, and
+    their _term_weights, for one term structure (_BlockPlan.structure):
+    every plan of the structure shares them.  A -u term o - u is the
+    conjugate of the one at o - c + i t, so its weight on the imaginary
+    part is -w."""
+    gammas, logs = structure
+    signs = np.array([1.0 - 2.0 * d for d, _ in gammas + logs]).reshape(-1, 1, 1)
+    signs.flags.writeable = False
+    return signs, _term_weights(*([w * (1.0 - 2.0 * d) ** k for d, w in plan]
+                                  for plan in (gammas, logs) for k in (0, 1)))
+
+
+def _plan_arrays(gammas, logs, structure) -> tuple:
+    """The integrand's arrays of one plan: each term's offset, the
+    log-gammas' then the logs', as a read-only (terms, 1, 1) array, and
+    its structure's _structure_arrays.  The offsets are float64: the
+    integrand promotes them exactly."""
+    offsets = np.array([o for _, o, _ in gammas + logs]).reshape(-1, 1, 1)
+    offsets.flags.writeable = False
+    return (offsets, *_structure_arrays(structure))
 
 
 def _stacked(plans: list) -> tuple:
     """_plan_arrays of plans that share one structure, one row per plan:
     the offsets are (terms, rows, 1)."""
-    gammas, logs, weights = plans[0].arrays
+    offsets, signs, weights = plans[0].arrays
     if len(plans) == 1:
-        return gammas, logs, weights
-    return (*((np.concatenate([p.arrays[k][0] for p in plans], axis=1), *kind[1:])
-              for k, kind in enumerate((gammas, logs))), weights)
-
-
-def _real_terms(gammas, logs, x) -> np.ndarray:
-    """The weighted log terms at real points x, broadcasting against the
-    terms' (rows, 1) offsets, in plan order: the ln|Gamma| terms, from one
-    _log_gamma call, then the ln|.| ones, as one (terms, rows, nodes)
-    stack, real wherever the integrand is."""
-    (g_off, g_sign, g_w), (l_off, l_sign, l_w) = gammas, logs
-    with np.errstate(divide="ignore"):  # -inf at a zero, a denominator pole
-        return np.concatenate((g_w * _log_gamma(g_off + g_sign * x),
-                               l_w * np.log(np.abs(l_off + l_sign * x))))
+        return offsets, signs, weights
+    return np.concatenate([p.arrays[0] for p in plans], axis=1), signs, weights
 
 
 _SADDLE_INDEX = np.arange(65.0)
@@ -493,9 +581,10 @@ def _saddle_grid(lo, hi) -> np.ndarray:
 class _BlockPlan(NamedTuple):
     """What the contour needs of a parameter block, whatever the argument:
     the integrand's term plan; its structure, each term's direction and
-    weight in plan order; the pole-separating gap (left, right); and the
-    first saddle pass's grid, a read-only (1, 65) row, and its weighted
-    log terms, a read-only (terms, 1, 65) stack; and its _plan_arrays."""
+    weight in plan order; the pole-separating gap (left, right); the
+    first saddle pass's grid, a read-only (1, 65) row, and the log
+    integrand there but for its z^u term, likewise; and its
+    _plan_arrays."""
 
     gammas: tuple
     logs: tuple
@@ -503,7 +592,7 @@ class _BlockPlan(NamedTuple):
     left: float
     right: float
     grid: np.ndarray
-    terms: np.ndarray
+    base: np.ndarray
     arrays: tuple
 
 
@@ -543,13 +632,28 @@ def _block_plan(a_front, a_rest, b_front, b_rest) -> _BlockPlan:
     else:
         pad = min(1e-6 * max(1.0, right - left), 0.25 * (right - left))
         lo, hi = left + pad, right - pad
-    arrays = _plan_arrays(gammas, logs)
-    grid = _saddle_grid(lo, hi)[None]
-    terms = _real_terms(*arrays[:2], grid)
-    for a in (grid, terms):
-        a.flags.writeable = False
     structure = tuple(tuple((d, w) for d, _, w in plan) for plan in (gammas, logs))
-    return _BlockPlan(tuple(gammas), tuple(logs), structure, left, right, grid, terms, arrays)
+    arrays = _plan_arrays(gammas, logs, structure)
+    grid = _saddle_grid(lo, hi)[None]
+    base = _terms_at(*arrays, grid).real()
+    for a in (grid, base):
+        a.flags.writeable = False
+    return _BlockPlan(tuple(gammas), tuple(logs), structure, left, right, grid, base, arrays)
+
+
+def _terms_at(offsets, signs, weights, u, re0=0.0, im0=0.0) -> _LogGammaSum:
+    """The integrand's log-gamma and log terms on the lines Re = u, u
+    broadcasting against the terms' (rows, 1) offsets."""
+    return _LogGammaSum(offsets + signs * u, weights, re0, im0)
+
+
+def _term_scale(plan: _BlockPlan, c: float) -> float:
+    """The summed magnitudes of the weighted log terms at the real point
+    c, each taken as at least 4: each rounds to 4 eps max(|term|, 4)
+    (_LogGammaSum)."""
+    return (sum(max(abs(w * log_gamma(o - c if d else o + c)), 4.0) for d, o, w in plan.gammas)
+            + sum(max(abs(w * math.log(abs(o - c if d else o + c))), 4.0)
+                  for d, o, w in plan.logs))
 
 
 def _column(values: list):
@@ -569,7 +673,7 @@ class _MellinBarnesIntegrand:
     def __init__(self, specs: list):
         self.specs = specs
         self.log_z = _column([math.log(s.argument) for s in specs])
-        self.gammas, self.logs, self.weights = _stacked([s.plan for s in specs])
+        self.arrays = _stacked([s.plan for s in specs])
 
     def take(self, rows: list) -> "_MellinBarnesIntegrand":
         """The integrand of the given rows, in increasing order, alone."""
@@ -577,63 +681,19 @@ class _MellinBarnesIntegrand:
             return self
         return _MellinBarnesIntegrand([self.specs[r] for r in rows])
 
-    def at(self, c) -> "_Line":
-        """The integrand along the rows' lines Re u = c, c a _column."""
-        return _Line(self, c)
+    def at(self, c) -> _LogGammaSum:
+        """The integrand along the rows' lines Re u = c, c a _column, as a
+        function of t: the real and imaginary parts of its log at c + i t,
+        the imaginary part modulo 2 pi."""
+        return _terms_at(*self.arrays, c, c * self.log_z, self.log_z)
 
     def __call__(self, c, t):
-        """Real and imaginary parts of the log integrand at u = c + i t,
-        c a _column; the imaginary part modulo 2 pi."""
+        """Real and imaginary parts of the log integrand at u = c + i t."""
         return self.at(c)(t)
 
-    def real_terms(self, x) -> np.ndarray:
-        """The weighted log terms at real points x, stacked (_real_terms)."""
-        return _real_terms(self.gammas, self.logs, x)
-
-    def real_axis(self, x: np.ndarray, terms) -> np.ndarray:
-        """Re log integrand at real points x, from their log terms."""
-        return x * self.log_z + _SUM(terms, axis=0)
-
-
-class _Line:
-    """A _MellinBarnesIntegrand along its rows' lines Re u = c: all that
-    depends on c alone is computed once, for every pass along the lines.
-    One log-gamma call serves every log-gamma term of a pass."""
-
-    def __init__(self, chi: _MellinBarnesIntegrand, c):
-        (g_off, g_sign, g_w), (l_off, l_sign, _) = chi.gammas, chi.logs
-        x, v = g_off + g_sign * c, l_off + l_sign * c
-        w_re, w_im = chi.weights
-        low = np.minimum.reduce(x, axis=None)
-        if low < -0.5:
-            self.log_gamma = lambda t, t2: _log_gamma(x, t)
-        elif low >= 0.5:
-            self.log_gamma = _Lanczos(x)
-        else:
-            # Gamma(z) = Gamma(z + 1) / z moves z into Lanczos's range:
-            # each term shifted in some row adds a log term, of weight 0 in
-            # the rows it is not shifted in
-            shift = x < 0.5
-            self.log_gamma = _Lanczos(x + shift)
-            some = shift.any(axis=(1, 2))
-            shift = shift[some]
-            if shift.shape[1] > 1:
-                w_re, w_im = (np.broadcast_to(w, (len(w), shift.shape[1], 1)) for w in (w_re, w_im))
-            v = np.concatenate((v, x[some]))
-            w_re = np.concatenate((w_re, -0.5 * g_w[some] * shift))
-            w_im = np.concatenate((w_im, -(g_w * g_sign)[some] * shift))
-        self.v, self.v2 = v, v * v
-        self.front, self.log_z, self.weights = c * chi.log_z, chi.log_z, (w_re, w_im)
-
-    def __call__(self, t):
-        """Real and imaginary parts of the log integrand at u = c + i t;
-        the imaginary part modulo 2 pi."""
-        t2 = t * t
-        g_re, g_im = self.log_gamma(t, t2)
-        re = np.concatenate((g_re, np.log(self.v2 + t2)))
-        im = np.concatenate((g_im, np.arctan2(t, self.v)))
-        w_re, w_im = self.weights
-        return _SUM(w_re * re, axis=0) + self.front, _SUM(w_im * im, axis=0) + t * self.log_z
+    def real_axis(self, x: np.ndarray) -> np.ndarray:
+        """Re log integrand at real points x."""
+        return x * self.log_z + _terms_at(*self.arrays, x).real()
 
 
 def _contour_position(chi: _MellinBarnesIntegrand) -> list:
@@ -651,57 +711,50 @@ def _contour_position(chi: _MellinBarnesIntegrand) -> list:
     narrower than the step would otherwise put the line far above the
     saddle, where the rule aliases.  Returns, per row, c, log|chi(c)|,
     the distance from c to the nearest pole, the summed magnitudes of
-    the log terms at c, each at least 4, which bound their rounding, and
+    the log terms at c (_term_scale), which bound their rounding, and
     the passes taken.
     """
-    last = [None] * len(chi.specs)  # per row: its last pass's grid, terms, log|chi|, argmin
+    last = [None] * len(chi.specs)  # per row: its last pass's grid, log|chi|, argmin, pass
     live, part = list(range(len(chi.specs))), chi
     plans = [s.plan for s in chi.specs]
-    grid, terms = ((plans[0].grid, plans[0].terms) if len(plans) == 1 else
-                   (np.concatenate([p.grid for p in plans]),
-                    np.concatenate([p.terms for p in plans], axis=1)))
+    grid, base = ((plans[0].grid, plans[0].base) if len(plans) == 1 else
+                  (np.concatenate([p.grid for p in plans]),
+                   np.concatenate([p.base for p in plans])))
+    w = grid * chi.log_z + base
     for n in range(1, _SADDLE_PASSES + 1):
         if n > 1:
             part = chi.take(live)
-            lo, hi = ([last[r][0][min(max(last[r][3] + step, 0), 64)] for r in live]
+            lo, hi = ([last[r][0][min(max(last[r][2] + step, 0), 64)] for r in live]
                       for step in (-1, 1))
             grid = _saddle_grid(_column(lo), _column(hi)).reshape(len(live), -1)
-            terms = part.real_terms(grid)
+            w = part.real_axis(grid)
         # a denominator pole on the grid is a zero of chi, not a saddle
-        w = part.real_axis(grid, terms)
         w = np.where(np.isfinite(w), w, np.inf)
         k = w.argmin(axis=1).tolist()
         for j, (r, i) in enumerate(zip(live, k)):
-            last[r] = (grid[j], terms[:, j], w[j], i, n)
+            last[r] = (grid[j], w[j], i, n)
         live = [r for j, (r, i) in enumerate(zip(live, k))
                 if max(w[j, max(i - 1, 0):i + 2].tolist()) - w[j, i] > 1.0]
         if not live:
             break
     lines = []
-    for spec, (g, t, w, i, n) in zip(chi.specs, last):
+    for spec, (g, w, i, n) in zip(chi.specs, last):
         c = float(g[i])
-        # each term rounds to 4 eps max(|term|, 4) (_log_gamma), so its
-        # floor of 4 enters the scale
-        log_scale = abs(c * math.log(spec.argument)) + sum(max(abs(v), 4.0)
-                                                            for v in t[:, i].tolist())
+        log_scale = abs(c * math.log(spec.argument)) + _term_scale(spec.plan, c)
         lines.append((c, float(w[i]), min(c - spec.plan.left, spec.plan.right - c),
                       log_scale, n))
     return lines
 
 
 _PROBES = 2.0 ** np.arange(-2, 17)
-# the reach in t of the rule nodes evaluated with the probes, in units of
-# the larger of 1 and the distance a from the line to the nearest pole: the
-# cut moves out with a
-_FIRST_REACH = 32.0
 
 
 def _halving_rules(f, h: float, spans, rel_tol: float, floor: float, node_roundings,
-                   what: str, spent: list, budget: int, first=None) -> list:
+                   what: str, spent: list, budget: int) -> list:
     """Per row, h (f(0)/2 + f(h) + ... + f(n h)) over [0, span], the step
     halved until it holds: (total, error, rounding, step, n), n the least
     even count with n h >= span, or the NumericError of a row whose next
-    nodes would take its evaluations, its ``spent`` before them included,
+    nodes would take its evaluations, its ``spent`` before it included,
     past the budget, or whose sum is not finite: every later pass keeps
     its nodes.
 
@@ -713,18 +766,14 @@ def _halving_rules(f, h: float, spans, rel_tol: float, floor: float, node_roundi
     still halving, one row of x each, zero-padded past a row's own
     nodes.  The padding is the node x = 0, which every row evaluates
     first, so it neither overflows nor warns; its values are dropped,
-    and each row sums over its own nodes alone.  A row's entry of
-    ``first``, when not None, holds its first pass's values, already
-    evaluated and counted in its ``spent``.
+    and each row sums over its own nodes alone.
     """
     n = [2 * math.ceil(span / (2.0 * h)) for span in spans]
     x = [h * np.arange(k + 1) for k in n]
-    used, given = list(spent), list(first or [None] * len(n))
-    steps, values, out = ([v] * len(n) for v in (h, None, None))
+    steps, used, values, out = [h] * len(n), list(spent), [None] * len(n), [None] * len(n)
     live = list(range(len(n)))
     while True:
-        todo = [r for r in live if given[r] is None]
-        for r in todo:
+        for r in live:
             if used[r] + x[r].size > budget:
                 out[r] = NumericError(f"{what} needs {x[r].size} more nodes after {used[r]} "
                                       f"integrand evaluations, over the budget of {budget}")
@@ -732,17 +781,15 @@ def _halving_rules(f, h: float, spans, rel_tol: float, floor: float, node_roundi
         live = [r for r in live if out[r] is None]
         if not live:
             return out
-        todo = [r for r in todo if out[r] is None]
-        if len(todo) == 1:
-            nodes = x[todo[0]][None]
+        if len(live) == 1:
+            nodes = x[live[0]][None]
         else:
-            nodes = np.zeros((len(todo), max((x[r].size for r in todo), default=0)))
-            for i, r in enumerate(todo):
+            nodes = np.zeros((len(live), max(x[r].size for r in live)))
+            for i, r in enumerate(live):
                 nodes[i, :x[r].size] = x[r]
-        fx = f(nodes, todo) if todo else None
-        for r in live:
-            v, h = (fx[todo.index(r), :x[r].size] if given[r] is None else given[r]), steps[r]
-            given[r] = None
+        fx = f(nodes, live)
+        for i, r in enumerate(live):
+            v, h = fx[i, :x[r].size], steps[r]
             if values[r] is not None:
                 refined = np.empty(2 * n[r] + 1)
                 refined[::2] = values[r]
@@ -780,51 +827,25 @@ def _halving_trapezoid(f, h: float, span: float, rel_tol: float, floor: float,
 def _contour(specs: list) -> list:
     """meijer_g of the specs, whose plans share one term structure, or the
     NumericError a spec's own call raises: one integrand call per saddle
-    pass, one for the probes and the rules' first nodes, and one per
-    later pass of the rules.
+    pass, one for the probes and one per pass of the rules.
 
     The probes are the powers of two from 1/4 to 2^16 along each row's
     line; its cut is the probe after the last one above 1e-18 of the
     saddle value, and a row whose integrand never falls that far raises.
-    The probes' call also evaluates each row's rule nodes up to
-    t = _FIRST_REACH max(1, a), a the distance from the line to the
-    nearest pole, which serve as the rule's first pass wherever the cut
-    lies within them: most cuts do, so most rows spend no call on their
-    first pass.  Each later pass evaluates the line in blocks of
-    about _CONTOUR_BLOCK nodes.
+    Each pass evaluates the line in blocks of about _CONTOUR_BLOCK nodes.
     """
     chi = _MellinBarnesIntegrand(specs)
     lines = _contour_position(chi)
     # the _column's of each row's c, w0 and distance to the nearest pole
     c, w0, scale, _, _ = map(_column, zip(*lines))
-
-    h = 0.05
-    # a row whose first nodes would take it past the budget evaluates none
-    reach = [2 * math.ceil(math.asinh(_FIRST_REACH * max(1.0, 1.0 / a)) / (2.0 * h))
-             for _, _, a, _, _ in lines]
-    reach = [k if n * _SADDLE_INDEX.size + _PROBES.size + k < MAX_CONTOUR_EVALS else 0
-             for k, (_, _, _, _, n) in zip(reach, lines)]
-    # each row's nodes h j up to its reach, zero-padded past it
-    x = np.arange(max(reach) + 1.0)[None]
-    if len(specs) > 1:
-        x = np.where(x <= _column(reach), x, 0.0)
-    x = h * x
     line = chi.at(c)
-    probes = _PROBES[None].repeat(len(specs), axis=0)
-    re, im = line(np.concatenate((scale * np.sinh(x), probes), axis=1))
-    # the rule's integrand at those nodes, as mapped computes it
-    head = scale * np.cosh(x) * (np.exp(re[:, :x.shape[1]] - w0) * np.cos(im[:, :x.shape[1]]))
-    out, first = [], []
-    for r, (spec, w) in enumerate(zip(specs, re[:, x.shape[1]:] - w0)):
+    out = []
+    for spec, w in zip(specs, line(_PROBES[None])[0] - w0):
         above = np.nonzero(w > math.log(1e-18))[0]
         k = int(above[-1]) + 1 if above.size else 0
-        if k == _PROBES.size:
-            out.append(NumericError(
-                f"contour truncation bound not reached by t = {_PROBES[-1]:.0f} for {spec}"))
-            continue
-        out.append((float(_PROBES[k]), float(w[k])))
-        n = 2 * math.ceil(math.asinh(_PROBES[k] / lines[r][2]) / (2.0 * h))
-        first.append(head[r, :n + 1] if n <= reach[r] else None)
+        out.append(NumericError(
+            f"contour truncation bound not reached by t = {_PROBES[-1]:.0f} for {spec}"
+        ) if k == _PROBES.size else (float(_PROBES[k]), float(w[k])))
     live = [r for r, cut in enumerate(out) if not isinstance(cut, Exception)]
 
     def mapped(x, rows):
@@ -842,23 +863,21 @@ def _contour(specs: list) -> list:
         return a * np.cosh(x) * (blocks[0] if len(blocks) == 1
                                  else np.concatenate(blocks, axis=1))
 
-    # the saddle passes, the probes and the first nodes come before the
-    # rule's later nodes
-    spent = [lines[r][4] * _SADDLE_INDEX.size + _PROBES.size + reach[r] + 1 for r in live]
+    # the saddle passes and the probes come before the rule's nodes
+    spent = [lines[r][4] * _SADDLE_INDEX.size + _PROBES.size for r in live]
     rules = _halving_rules(
-        mapped, h, [math.asinh(out[r][0] / lines[r][2]) for r in live], 1e-12, 1e-3,
+        mapped, 0.05, [math.asinh(out[r][0] / lines[r][2]) for r in live], 1e-12, 1e-3,
         # each node's log terms round to a few ulps of their own size, and
         # exp carries that into the node value
         [4.0 * _EPS * lines[r][3] for r in live], "contour quadrature", spent,
-        MAX_CONTOUR_EVALS, first)
-    for r, rule, spent_r, head_r in zip(live, rules, spent, first):
+        MAX_CONTOUR_EVALS)
+    for r, rule, spent_r in zip(live, rules, spent):
         if isinstance(rule, Exception):
             out[r] = rule
             continue
         (c_r, w0_r, scale_r, _, _), (t_max, w_tail) = lines[r], out[r]
         total, err, rounding, h, n = rule
-        evals = spent_r + n + 1 - (0 if head_r is None else head_r.size)
-        details = dict(contour=c_r, evals=evals, step=h, nodes=n + 1, t_max=t_max,
+        details = dict(contour=c_r, evals=spent_r + n + 1, step=h, nodes=n + 1, t_max=t_max,
                        scale=scale_r, log_gammas=len(specs[r].plan.gammas), rel_error=0.0)
         if total == 0.0:
             out[r] = EvalReport(CONTOUR_QUADRATURE, -math.inf, 0.0, details)

@@ -847,22 +847,22 @@ m = 1, 4
 
 
 def test_failing_exact_row_raises_the_first_in_row_order(tmp_path, monkeypatch, capsys):
-    # the BER figure at -19 dBm, with a contour budget that rows 0, 2, 4, 5
-    # and 6 of the point's batched Meijer G calls overrun, each by its own
+    # the BER figure at -18 dBm, with a contour budget that rows 2, 4 and 6
+    # of the point's batched Meijer G calls overrun, row 2 by its own
     # count: the sweep and the row's own metrics call both exit 3 with row
-    # 0's error, the one its lone avg_ber call raises
-    monkeypatch.setattr(specfun, "MAX_CONTOUR_EVALS", 200)
-    cfg = LinkConfig.from_eta(cli._eta(-19.0, 0.0, 1.0, 2.7), FadingParams(1.0, 2.0), 8,
+    # 2's error, the one its lone avg_ber call raises
+    monkeypatch.setattr(specfun, "MAX_CONTOUR_EVALS", 179)
+    cfg = LinkConfig.from_eta(cli._eta(-18.0, 0.0, 1.0, 2.7), FadingParams(1.0, 5.0), 8,
                               lambda_mod=0.5)
     with pytest.raises(NumericError) as lone:
         avg_ber(cfg)
-    assert "needs 90 more nodes after 189" in str(lone.value)
+    assert "needs 84 more nodes after 169" in str(lone.value)
     path = tmp_path / "ber.ini"
     path.write_text(textwrap.dedent("""
         [sweep]
         axis = p_s_dbm
-        start = -19
-        stop = -18
+        start = -18
+        stop = -17
         steps = 2
         metrics = ber
         variants = exact, asymptotic
@@ -877,8 +877,8 @@ def test_failing_exact_row_raises_the_first_in_row_order(tmp_path, monkeypatch, 
     assert main(["sweep", str(path), "--out", str(out), "--threads", "1"]) == 3
     assert capsys.readouterr().err == f"numeric error: {lone.value}\n"
     assert not out.exists()
-    assert main(["metrics", "--metric", "ber", "--n-cells", "8", "--m", "1", "--m-s", "2",
-                 "--lambda", "0.5", "--p-s-dbm", "-19"]) == 3
+    assert main(["metrics", "--metric", "ber", "--n-cells", "8", "--m", "1", "--m-s", "5",
+                 "--lambda", "0.5", "--p-s-dbm", "-18"]) == 3
     assert capsys.readouterr() == ("", f"numeric error: {lone.value}\n")
 
 

@@ -459,7 +459,7 @@ class TestTermPlan:
         # arguments, on the real path and on the complex one at t = 0
         left = max(a - 1.0 for a in spec.a_front)
         x = np.linspace(left - 3.0, min(spec.b_front) + 3.0, 257) + 1e-3 * math.pi
-        real, cplx = chi.real_axis(x, chi.real_terms(x)), chi(x, 0.0)[0]
+        real, cplx = chi.real_axis(x), chi(x, 0.0)[0]
         assert np.all(np.isfinite(real))
         assert np.all(np.abs(real - cplx) <= 1e-13 * (1.0 + np.abs(cplx)))
         assert meijer_g(spec).details["log_gammas"] == log_gammas
@@ -483,21 +483,22 @@ class TestBlockPlan:
             assert meijer_g(_capacity_form(_plan_cfg(eta)).spec) == report
 
     def test_evals_count_the_shared_pass(self):
-        # one 65-node saddle pass, 19 truncation probes and the rule's nodes
-        # up to t = 32, which hold its first pass, whether the spec's
-        # saddle pass came from the cache or not
+        # one 65-node saddle pass (this spec's first pass resolves its
+        # saddle), 19 truncation probes and the rule's nodes, whether the
+        # spec's first pass came from the cache or not
         _block_plan.cache_clear()
         for _ in range(2):
             d = meijer_g(_capacity_form(_plan_cfg(self.ETAS[0])).spec).details
-            reach = 2 * math.ceil(math.asinh(32.0 / d["scale"]) / 0.1)
-            assert d["step"] == 0.05 and d["nodes"] <= reach + 1
-            assert d["evals"] == 65 + 19 + reach + 1
+            assert d["evals"] == 65 + 19 + d["nodes"]
 
     def test_cached_arrays_are_read_only(self):
         spec = self.FAMILY[0]
         plan = _block_plan(spec.a_front, spec.a_rest, spec.b_front, spec.b_rest)
-        assert plan.grid.size == 65 and len(plan.terms) == len(plan.gammas) + len(plan.logs)
-        for a in (plan.grid, *plan.terms):
+        assert plan.grid.shape == plan.base.shape == (1, 65)
+        # the first pass, and each term's offset, sign and weights
+        offsets, signs, weights = plan.arrays
+        for a in (plan.grid, plan.base, offsets, signs,
+                  *(v for v in weights if isinstance(v, np.ndarray))):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0.0
@@ -561,11 +562,11 @@ class TestBatch:
     def test_failing_rows_leave_their_group_unchanged(self, monkeypatch):
         # a budget that the five rows whose step halves overrun, each by
         # its own count of nodes
-        monkeypatch.setattr(specfun, "MAX_CONTOUR_EVALS", 200)
+        monkeypatch.setattr(specfun, "MAX_CONTOUR_EVALS", 260)
         reports = meijer_g_batch(self.BER_POINT)
         assert [i for i, r in enumerate(reports) if isinstance(r, NumericError)] == [
             0, 2, 4, 5, 6]
-        assert "needs 90 more nodes after 189" in str(reports[2])
+        assert "needs 90 more nodes after 175" in str(reports[2])
         assert "needs 98 more nodes after 183" in str(reports[4])
         for spec, report in zip(self.BER_POINT, reports):
             assert_same_report(report, lone(spec))
@@ -611,7 +612,7 @@ def test_non_finite_rule_sum_fails_at_once():
     # no later pass drops a node, so the first non-finite sum is the last
     (report,) = meijer_g_batch([MeijerGSpec(*OVERFLOWING_ROWS)])
     assert isinstance(report, NumericError)
-    assert str(report) == "contour quadrature rule sum is nan after 559 integrand evaluations"
+    assert str(report) == "contour quadrature rule sum is nan after 396 integrand evaluations"
 
 
 class TestNumpyRoutes:
