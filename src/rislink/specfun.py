@@ -407,9 +407,9 @@ class _LogGammaSum:
     taken with x reduced by its nearest integer and cosh(pi y) factored
     out, so it holds however large |x| or |y|.  What depends on z alone
     is computed once.  Each evaluation takes the logs and arctangents of
-    A, t + i y and v + i y (the last two over e, for their logs less 1)
-    in one call each, and both parts as one weighted sum over one stack
-    of every term's pieces.  Each log-gamma is within 4 eps
+    A, t + i y (t = x + g - 1/2) and v + i y, the last two over e for
+    their logs less 1, in one call each, and both parts as one weighted
+    sum over one stack of every term's pieces.  Each log-gamma is within 4 eps
     max(|ln Gamma|, 4) of the true one.
     """
 
