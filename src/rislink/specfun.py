@@ -24,6 +24,7 @@ set-up cached per parameter block holds read-only arrays.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -255,12 +256,28 @@ class MeijerGSpec:
 
     def __init__(self, a_front, a_rest, b_front, b_rest, argument):
         rows = dict(a_front=a_front, a_rest=a_rest, b_front=b_front, b_rest=b_rest)
-        for row, values in rows.items():
-            object.__setattr__(self, row, tuple(map(float, values)))
+        rows = {row: tuple(map(float, values)) for row, values in rows.items()}
+        vars(self).update(rows)
+        # |a| + |b| bounds |a - b|, so a finite sum of every magnitude leaves
+        # each parameter, and each difference the plan takes, finite
+        if math.isfinite(sum(map(abs, itertools.chain(*rows.values())))):
+            vars(self)["argument"] = positive(float(argument), "Meijer G argument")
+        else:
+            self._check_range(argument)
+        decay = 0.5 * math.pi * (2.0 * (self.m + self.n) - self.p - self.q)
+        if decay <= 0.0:
+            raise DomainError(f"contour integrand lacks exponential decay "
+                              f"(2(m+n) <= p+q for {self})")
+        vars(self).update(decay=decay, plan=_block_plan(*rows.values()))
+
+    def _check_range(self, argument):
+        """Set the argument, raising where a parameter, the argument or a
+        difference the plan takes is not finite, in that order."""
+        for row in ("a_front", "a_rest", "b_front", "b_rest"):
             if not all(map(math.isfinite, getattr(self, row))):
                 raise DomainError(f"Meijer G parameters {row} must be finite, "
                                   f"got {getattr(self, row)}")
-        object.__setattr__(self, "argument", positive(float(argument), "Meijer G argument"))
+        vars(self)["argument"] = positive(float(argument), "Meijer G argument")
         # the pairs whose differences the term plan takes; a_front - b_front
         # also bounds the width of the gap, which the contour needs finite
         for row, other in (("a_front", "b_front"), ("a_front", "b_rest"),
@@ -270,12 +287,6 @@ class MeijerGSpec:
                     if not math.isfinite(a - b):
                         raise DomainError(f"Meijer G parameters {row} value {a} and {other} "
                                           f"value {b} differ by more than double range")
-        decay = 0.5 * math.pi * (2.0 * (self.m + self.n) - self.p - self.q)
-        if decay <= 0.0:
-            raise DomainError(f"contour integrand lacks exponential decay "
-                              f"(2(m+n) <= p+q for {self})")
-        object.__setattr__(self, "decay", decay)
-        object.__setattr__(self, "plan", _block_plan(*(getattr(self, row) for row in rows)))
 
     # the orders of G^{m,n}_{p,q}
     m = property(lambda self: len(self.b_front))
@@ -318,15 +329,16 @@ def _merge_direction(nums, dens) -> tuple[dict, dict]:
     nearest first, fold into the |k| factors of their ratio.
     """
     gammas: dict[float, int] = {}
-    for offsets, weight in ((nums, 1), (dens, -1)):
-        for o in offsets:
-            gammas[o] = gammas.get(o, 0) + weight
-    pairs = sorted(
-        (abs(p - q), p, q)
-        for p in gammas for q in gammas
-        if gammas[p] > 0 > gammas[q] and abs(p - q) <= _MAX_FOLD and p - q == round(p - q)
-    )
+    for o in nums:
+        gammas[o] = gammas.get(o, 0) + 1
     logs: dict[float, int] = {}
+    if not dens:
+        return gammas, logs
+    for o in dens:
+        gammas[o] = gammas.get(o, 0) - 1
+    dens = [q for q, w in gammas.items() if w < 0]
+    pairs = sorted((abs(p - q), p, q) for p, w in gammas.items() if w > 0 for q in dens
+                   if abs(p - q) <= _MAX_FOLD and p - q == round(p - q))
     for k, p, q in pairs:
         while gammas[p] > 0 > gammas[q]:
             gammas[p] -= 1
@@ -358,6 +370,13 @@ _LOG_PI = math.log(math.pi)
 # ndarray.sum without its Python wrapper, which the contour's many small
 # arrays would pay on every call
 _SUM = np.add.reduce
+
+
+@functools.cache
+def _lanczos_columns(ndim: int) -> tuple:
+    """_LANCZOS_C and _LANCZOS_K as columns against ndim more axes."""
+    shape = (-1,) + (1,) * ndim
+    return _LANCZOS_C.reshape(shape), _LANCZOS_K.reshape(shape)
 
 
 class _Weights(NamedTuple):
@@ -421,8 +440,8 @@ class _LogGammaSum:
         if np.minimum.reduce(x, axis=None) < 0.0:
             x, const = self._reflect(x)
             z = np.concatenate((x, z[g:]))
-        self.c = _LANCZOS_C.reshape((-1,) + (1,) * x.ndim)
-        self.d, self.dd, self.xh = x + _LANCZOS_K.reshape(self.c.shape), None, x - 0.5
+        self.c, k = _lanczos_columns(x.ndim)
+        self.d, self.dd, self.xh = x + k, None, x - 0.5
         self.b = (z + weights.shift) / math.e
         self.re0 = const + re0
 
@@ -502,20 +521,20 @@ class _LogGammaSum:
 
     def real(self):
         """The real part at y = 0: +inf at a pole of a log-gamma of weight
-        above 0, -inf at one of weight below 0 or at a zero of a log term."""
+        above 0, -inf at one of weight below 0 or at a zero of a log term,
+        which warn unless the caller's np.errstate ignores them."""
         g = self.g
         k = 2 * g + self.logs
         # the real part's pieces at y = 0, y arg(t + i y) and ln cosh(pi y)
         # being 0
         f = np.zeros(self.w.shape[1:2] + self.b.shape[1:]) if self.reflect is not None else (
             np.empty((k,) + self.b.shape[1:]))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.log(_SUM(self.c / self.d, axis=0, initial=_LANCZOS_C0), out=f[:g])
-            np.log(np.abs(self.b), out=f[g:k])
-            f[g:2 * g] *= self.xh
-            if self.reflect is not None:
-                np.log(self.sin_r * self.sin_r, out=f[k + g:k + 2 * g])
-            out = _SUM(self.w[0, :len(f)] * f, axis=0)
+        np.log(_SUM(self.c / self.d, axis=0, initial=_LANCZOS_C0), out=f[:g])
+        np.log(np.abs(self.b), out=f[g:k])
+        f[g:2 * g] *= self.xh
+        if self.reflect is not None:
+            np.log(self.sin_r * self.sin_r, out=f[k + g:k + 2 * g])
+        out = _SUM(self.w[0, :len(f)] * f, axis=0)
         out += self.re0
         return out
 
@@ -527,7 +546,10 @@ def _log_gamma(x, y=None):
     -2, ..., as scipy's gammaln."""
     x = np.asarray(x, dtype=float)
     terms = _LogGammaSum(x[None], _term_weights([1.0], [1.0], [], [], x.ndim + 1))
-    return terms.real() if y is None else terms(y)
+    if y is not None:
+        return terms(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return terms.real()
 
 
 @functools.lru_cache(maxsize=64)
@@ -611,6 +633,11 @@ def _block_plan(a_front, a_rest, b_front, b_rest) -> _BlockPlan:
     spans it, 1e-6 clear of each pole or a quarter of a narrower gap, or
     40 wide beside a lone pole family.
     """
+    left = max(a_front, default=-math.inf) - 1.0
+    right = min(b_front, default=math.inf)
+    if not right - left > _MIN_GAP:
+        raise DomainError(f"no separating contour: left poles reach {left}, "
+                          f"right poles start at {right}")
     gammas, logs = [], []
     for d, (nums, dens) in enumerate((
         ([1.0 - a for a in a_front], [1.0 - b for b in b_rest]),
@@ -619,11 +646,6 @@ def _block_plan(a_front, a_rest, b_front, b_rest) -> _BlockPlan:
         merged_gammas, merged_logs = _merge_direction(nums, dens)
         gammas += [(d, o, w) for o, w in merged_gammas.items()]
         logs += [(d, o, w) for o, w in merged_logs.items()]
-    left = max((a - 1.0 for a in a_front), default=-math.inf)
-    right = min(b_front, default=math.inf)
-    if not right - left > _MIN_GAP:
-        raise DomainError(f"no separating contour: left poles reach {left}, "
-                          f"right poles start at {right}")
     # MeijerGSpec has rejected m = n = 0 (no decay), so one edge is finite
     if math.isinf(left):
         lo, hi = right - 40.0, right - 1e-6
@@ -635,7 +657,8 @@ def _block_plan(a_front, a_rest, b_front, b_rest) -> _BlockPlan:
     structure = tuple(tuple((d, w) for d, _, w in plan) for plan in (gammas, logs))
     arrays = _plan_arrays(gammas, logs, structure)
     grid = _saddle_grid(lo, hi)[None]
-    base = _terms_at(*arrays, grid).real()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        base = _terms_at(*arrays, grid).real()
     for a in (grid, base):
         a.flags.writeable = False
     return _BlockPlan(tuple(gammas), tuple(logs), structure, left, right, grid, base, arrays)
@@ -747,55 +770,55 @@ def _contour_position(chi: _MellinBarnesIntegrand) -> list:
 
 
 _PROBES = 2.0 ** np.arange(-2, 17)
+_LOG_CUT = math.log(1e-18)
+# The probes' call also evaluates each row's rule nodes out to t = _REACH
+_REACH = 32.0
 
 
-def _halving_rules(f, h: float, spans, rel_tol: float, floor: float, node_roundings,
-                   what: str, spent: list, budget: int) -> list:
-    """Per row, h (f(0)/2 + f(h) + ... + f(n h)) over [0, span], the step
-    halved until it holds: (total, error, rounding, step, n), n the least
-    even count with n h >= span, or the NumericError of a row whose next
-    nodes would take its evaluations, its ``spent`` before it included,
-    past the budget, or whose sum is not finite: every later pass keeps
-    its nodes.
+def _over_budget(what: str, need: int, used: int, budget: int):
+    """The NumericError of ``need`` more nodes that would take a row's
+    evaluations past the budget, or None."""
+    if used + need <= budget:
+        return None
+    return NumericError(f"{what} needs {need} more nodes after {used} "
+                        f"integrand evaluations, over the budget of {budget}")
+
+
+def _padded(xs: list) -> np.ndarray:
+    """Rows of nodes as one array, each zero-padded past its own nodes."""
+    if len(xs) == 1:
+        return xs[0][None]
+    out = np.zeros((len(xs), max(x.size for x in xs)))
+    for i, x in enumerate(xs):
+        out[i, :x.size] = x
+    return out
+
+
+def _halving_rules(f, first: list, h: float, rel_tol: float, floor: float, node_roundings,
+                   what: str, used: list, budget: int) -> list:
+    """Per row, the rule h (f(0)/2 + f(h) + ... + f(n h)), n even, from its
+    first pass, the values f(0), f(h), ..., f(n h) that the caller
+    evaluated and counted in the row's ``used``, the step halved until it
+    holds: (total, error, rounding, step, n), or the NumericError of a row
+    whose sum is not finite or whose next nodes would take its
+    evaluations past the budget: every later pass keeps its nodes.
 
     The error is the difference from the rule on the even nodes, and the
     step is halved, each pass adding only the new odd nodes, until it is
     at most rel_tol * max(|total|, floor) or the rounding, the row's
     node_rounding relative in each node: a smaller step cannot resolve a
-    difference below that.  Each pass is one call f(x, rows) on the rows
-    still halving, one row of x each, zero-padded past a row's own
-    nodes.  The padding is the node x = 0, which every row evaluates
-    first, so it neither overflows nor warns; its values are dropped,
-    and each row sums over its own nodes alone.
+    difference below that.  Each later pass is one call f(x, rows) on
+    the rows still halving, one row of x each, zero-padded past a row's
+    own nodes (_padded).  The padding is the node x = 0, which every row
+    evaluates first, so it neither overflows nor warns; its values are
+    dropped, and each row sums over its own nodes alone.
     """
-    n = [2 * math.ceil(span / (2.0 * h)) for span in spans]
-    x = [h * np.arange(k + 1) for k in n]
-    steps, used, values, out = [h] * len(n), list(spent), [None] * len(n), [None] * len(n)
-    live = list(range(len(n)))
+    values, used, out = list(first), list(used), [None] * len(first)
+    steps, x = [h] * len(first), [None] * len(first)
+    live = range(len(first))
     while True:
         for r in live:
-            if used[r] + x[r].size > budget:
-                out[r] = NumericError(f"{what} needs {x[r].size} more nodes after {used[r]} "
-                                      f"integrand evaluations, over the budget of {budget}")
-            used[r] += x[r].size
-        live = [r for r in live if out[r] is None]
-        if not live:
-            return out
-        if len(live) == 1:
-            nodes = x[live[0]][None]
-        else:
-            nodes = np.zeros((len(live), max(x[r].size for r in live)))
-            for i, r in enumerate(live):
-                nodes[i, :x[r].size] = x[r]
-        fx = f(nodes, live)
-        for i, r in enumerate(live):
-            v, h = fx[i, :x[r].size], steps[r]
-            if values[r] is not None:
-                refined = np.empty(2 * n[r] + 1)
-                refined[::2] = values[r]
-                refined[1::2] = v
-                v, n[r] = refined, 2 * n[r]
-            values[r] = v
+            v, h = values[r], steps[r]
             half = 0.5 * float(v[0])
             total = h * (half + float(_SUM(v[1:])))
             if not math.isfinite(total):
@@ -806,79 +829,143 @@ def _halving_rules(f, h: float, spans, rel_tol: float, floor: float, node_roundi
             err = abs(total - coarse)
             rounding = node_roundings[r] * h * float(_SUM(np.abs(v)))
             if err <= max(rel_tol * max(abs(total), floor), rounding):
-                out[r] = (total, err, rounding, h, n[r])
-            else:
-                steps[r] = 0.5 * h
-                x[r] = steps[r] * np.arange(1, 2 * n[r], 2)
+                out[r] = (total, err, rounding, h, v.size - 1)
+                continue
+            steps[r] = 0.5 * h
+            x[r] = steps[r] * np.arange(1, v.size * 2 - 2, 2)
+            out[r] = _over_budget(what, x[r].size, used[r], budget)
+            used[r] += x[r].size
         live = [r for r in live if out[r] is None]
+        if not live:
+            return out
+        fx = f(_padded([x[r] for r in live]), live)
+        for i, r in enumerate(live):
+            refined = np.empty(2 * values[r].size - 1)
+            refined[::2] = values[r]
+            refined[1::2] = fx[i, :x[r].size]
+            values[r] = refined
 
 
 def _halving_trapezoid(f, h: float, span: float, rel_tol: float, floor: float,
                        node_rounding: float, what: str, spent: int, budget: int):
-    """_halving_rules of one row, f mapping an array of nodes to the
-    integrand there; returns (total, error, rounding, step, n)."""
-    (out,) = _halving_rules(lambda x, rows: f(x[0])[None], h, [span], rel_tol, floor,
-                            [node_rounding], what, [spent], budget)
+    """_halving_rules of one row over [0, span], n the least even count
+    with n h >= span, f mapping an array of nodes to the integrand there;
+    returns (total, error, rounding, step, n)."""
+    n = 2 * math.ceil(span / (2.0 * h))
+    over = _over_budget(what, n + 1, spent, budget)
+    if over is not None:
+        raise over
+    (out,) = _halving_rules(lambda x, rows: f(x[0])[None], [f(h * np.arange(n + 1))], h,
+                            rel_tol, floor, [node_rounding], what, [spent + n + 1], budget)
     if isinstance(out, Exception):
         raise out
     return out
 
 
+def _blocked(part: _LogGammaSum, t: np.ndarray):
+    """part(t), its real and imaginary parts at the (rows, nodes) t,
+    evaluated in blocks of about _CONTOUR_BLOCK nodes."""
+    width = max(1, _CONTOUR_BLOCK // len(t))
+    if t.shape[1] <= width:
+        return part(t)
+    re, im = zip(*(part(t[:, k:k + width]) for k in range(0, t.shape[1], width)))
+    return np.concatenate(re, axis=1), np.concatenate(im, axis=1)
+
+
+def _mapped(a, x, w0, re, im):
+    """The rule's integrand at x, t = a sinh(x), from the real and
+    imaginary parts of the log integrand there: dt/dx = a cosh(x) times
+    chi / chi(c), the cosine of the imaginary part taking the real part."""
+    return a * np.cosh(x) * (np.exp(re - w0) * np.cos(im))
+
+
 def _contour(specs: list) -> list:
     """meijer_g of the specs, whose plans share one term structure, or the
     NumericError a spec's own call raises: one integrand call per saddle
-    pass, one for the probes and one per pass of the rules.
+    pass, one for the probes and the rules' first nodes, one, the spill
+    call, for the rest of the first pass of the rows whose cut lies past
+    those nodes, and one per later pass of the rules.
 
     The probes are the powers of two from 1/4 to 2^16 along each row's
     line; its cut is the probe after the last one above 1e-18 of the
     saddle value, and a row whose integrand never falls that far raises.
-    Each pass evaluates the line in blocks of about _CONTOUR_BLOCK nodes.
+    The probes' call also evaluates each row's rule nodes x = h j out to
+    t = _REACH, a grid that does not depend on the cut: a row whose cut
+    lies within it makes no call for its first pass.  A row whose reach
+    would take it past the budget evaluates none of them.  Every node
+    evaluated counts towards the budget and ``details['evals']``.  Each
+    call evaluates the line in blocks of about _CONTOUR_BLOCK nodes.
     """
     chi = _MellinBarnesIntegrand(specs)
     lines = _contour_position(chi)
     # the _column's of each row's c, w0 and distance to the nearest pole
     c, w0, scale, _, _ = map(_column, zip(*lines))
-    line = chi.at(c)
-    out = []
-    for spec, w in zip(specs, line(_PROBES[None])[0] - w0):
-        above = np.nonzero(w > math.log(1e-18))[0]
+    line, h, p = chi.at(c), 0.05, _PROBES.size
+    # the saddle passes and the probes come before the rule's nodes
+    spent, reach = [], []
+    for _, _, a, _, passes in lines:
+        spent.append(passes * _SADDLE_INDEX.size + p)
+        k = 2 * math.ceil(math.asinh(_REACH / a) / (2.0 * h)) + 1
+        reach.append(k if spent[-1] + k <= MAX_CONTOUR_EVALS else 0)
+    # each row's nodes h j short of its reach, zero-padded past it, after
+    # the probes
+    j = np.arange(float(max(reach)))[None]
+    x = h * (j if len(specs) == 1 else np.where(j < _column(reach), j, 0.0))
+    probes = _PROBES[None] if len(specs) == 1 else np.broadcast_to(_PROBES, (len(specs), p))
+    re, im = _blocked(line, np.concatenate((probes, scale * np.sinh(x)), axis=1))
+    out, n = [], []
+    for r, (spec, w) in enumerate(zip(specs, re[:, :p] - w0)):
+        above = (w > _LOG_CUT).nonzero()[0]
         k = int(above[-1]) + 1 if above.size else 0
-        out.append(NumericError(
-            f"contour truncation bound not reached by t = {_PROBES[-1]:.0f} for {spec}"
-        ) if k == _PROBES.size else (float(_PROBES[k]), float(w[k])))
+        if k == p:
+            out.append(NumericError(
+                f"contour truncation bound not reached by t = {_PROBES[-1]:.0f} for {spec}"))
+            n.append(0)
+            continue
+        n.append(2 * math.ceil(math.asinh(_PROBES[k] / lines[r][2]) / (2.0 * h)))
+        # a first pass past the reach takes its other nodes from the spill call
+        out.append(_over_budget("contour quadrature", n[r] + 1 - reach[r],
+                                spent[r] + reach[r], MAX_CONTOUR_EVALS)
+                   or (float(_PROBES[k]), float(w[k])))
     live = [r for r, cut in enumerate(out) if not isinstance(cut, Exception)]
+    if not live:
+        return out
+    # the rule's integrand at the nodes its first passes take
+    m = max(min(n[r] + 1, reach[r]) for r in live)
+    head = _mapped(scale, x[:, :m], w0, re[:, p:p + m], im[:, p:p + m])
 
     def mapped(x, rows):
-        """The rows' integrand in x, dt/dx = a cosh(x) included."""
+        """The integrand of the live rows that rows indexes, at x."""
+        if len(rows) == len(specs):
+            return _mapped(scale, x, w0, *_blocked(line, scale * np.sinh(x)))
         rows = [live[i] for i in rows]
-        c_rows, w0_rows, a = ((c, w0, scale) if len(rows) == len(specs)
-                              else (v[rows] for v in (c, w0, scale)))
-        part = line if len(rows) == len(specs) else chi.take(rows).at(c_rows)
-        t = a * np.sinh(x)
-        width = max(1, _CONTOUR_BLOCK // t.shape[0])
-        blocks = []
-        for k in range(0, t.shape[1], width):
-            re, im = part(t[:, k:k + width])
-            blocks.append(np.exp(re - w0_rows) * np.cos(im))
-        return a * np.cosh(x) * (blocks[0] if len(blocks) == 1
-                                 else np.concatenate(blocks, axis=1))
+        a = scale[rows]
+        return _mapped(a, x, w0[rows], *_blocked(chi.take(rows).at(c[rows]), a * np.sinh(x)))
 
-    # the saddle passes and the probes come before the rule's nodes
-    spent = [lines[r][4] * _SADDLE_INDEX.size + _PROBES.size for r in live]
+    first = [head[r, :min(n[r] + 1, reach[r])] for r in live]
+    # the spill call
+    spill = [i for i, r in enumerate(live) if n[r] >= reach[r]]
+    if spill:
+        fx = mapped(_padded([h * np.arange(reach[live[i]], n[live[i]] + 1) for i in spill]),
+                    spill)
+        for k, i in enumerate(spill):
+            first[i] = np.concatenate((first[i], fx[k, :n[live[i]] + 1 - first[i].size]))
+    used = [spent[r] + max(reach[r], n[r] + 1) for r in live]
     rules = _halving_rules(
-        mapped, 0.05, [math.asinh(out[r][0] / lines[r][2]) for r in live], 1e-12, 1e-3,
+        mapped, first, h, 1e-12, 1e-3,
         # each node's log terms round to a few ulps of their own size, and
         # exp carries that into the node value
-        [4.0 * _EPS * lines[r][3] for r in live], "contour quadrature", spent,
+        [4.0 * _EPS * lines[r][3] for r in live], "contour quadrature", used,
         MAX_CONTOUR_EVALS)
-    for r, rule, spent_r in zip(live, rules, spent):
+    for r, rule, used_r in zip(live, rules, used):
         if isinstance(rule, Exception):
             out[r] = rule
             continue
         (c_r, w0_r, scale_r, _, _), (t_max, w_tail) = lines[r], out[r]
-        total, err, rounding, h, n = rule
-        details = dict(contour=c_r, evals=spent_r + n + 1, step=h, nodes=n + 1, t_max=t_max,
-                       scale=scale_r, log_gammas=len(specs[r].plan.gammas), rel_error=0.0)
+        total, err, rounding, h, n_r = rule
+        details = dict(contour=c_r, evals=used_r + n_r - n[r], step=h, nodes=n_r + 1,
+                       t_max=t_max, scale=scale_r, log_gammas=len(specs[r].plan.gammas),
+                       rel_error=0.0)
         if total == 0.0:
             out[r] = EvalReport(CONTOUR_QUADRATURE, -math.inf, 0.0, details)
             continue
@@ -896,8 +983,9 @@ def meijer_g_batch(specs) -> list:
     Specs whose plans share one term structure (_BlockPlan.structure:
     the directions and weights of the merged terms, such as every
     capacity spec of a sweep point) run through the contour together:
-    each saddle pass, the probes and each pass of the step-halving rules
-    is one integrand call on (rows, nodes) arrays, a row's parameters
+    each saddle pass, the probes with the rules' first nodes, the spill
+    call and each later pass of the step-halving rules is one integrand
+    call on (rows, nodes) arrays, a row's parameters
     being (rows, 1) columns.  Every element is computed by the operations
     of a lone call, in its order, each row's argmin and sums run over
     that row's own nodes, and the zero padding past a row's nodes is
@@ -908,8 +996,8 @@ def meijer_g_batch(specs) -> list:
     for i, spec in enumerate(specs):
         groups.setdefault(spec.plan.structure, []).append(i)
     # a node past double range makes its row's rule sum non-finite, and
-    # that row fails on it
-    with np.errstate(over="ignore", invalid="ignore"):
+    # that row fails on it; a pole on a saddle grid is an infinite log
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for index in groups.values():
             for i, report in zip(index, _contour([specs[i] for i in index])):
                 out[i] = report
@@ -936,8 +1024,9 @@ def meijer_g(spec: MeijerGSpec) -> EvalReport:
 
     The spec holds its block's term plan and first saddle pass, built
     once per block (_block_plan); all that moves with z is computed per
-    call.  ``details['evals']`` counts every node used, the shared first
-    pass included, so it does not depend on what the cache holds.
+    call.  ``details['evals']`` counts every node evaluated, the shared
+    first saddle pass and the rule's nodes short of t = _REACH included,
+    so it does not depend on what the cache holds.
     """
     (report,) = meijer_g_batch([spec])
     if isinstance(report, Exception):

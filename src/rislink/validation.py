@@ -163,12 +163,14 @@ def _log_axis_integral(log_terms, slopes, start: float, what: str):
     peak_terms = log_terms(np.float64(y_peak))
     h_peak = float(sum(peak_terms))
     reach = np.arange(1.0, math.ceil(math.asinh(_SUPPORT_SPAN / scale)) + 1.0)
-    probes = np.concatenate([-reach, reach])
-    below = sum(log_terms(y_peak + scale * np.sinh(probes))) < h_peak - 100.0
-    spent += 1 + probes.size
-    if not (below[:reach.size].any() and below[reach.size:].any()):
+    below = (sum(log_terms(y_peak + scale * np.sinh(np.concatenate([-reach, reach]))))
+             < h_peak - 100.0).tolist()
+    spent += 1 + len(below)
+    left, right = below[:reach.size], below[reach.size:]
+    if not (True in left and True in right):
         raise NumericError(f"{what} integrand support did not close")
-    x_lo, x_hi = probes[np.argmax(below)], reach[np.argmax(below[reach.size:])]
+    # the nearest probe below on each side
+    x_lo, x_hi = -1.0 - left.index(True), 1.0 + right.index(True)
 
     def integrand(x):
         x = x_lo + x

@@ -484,12 +484,15 @@ class TestBlockPlan:
 
     def test_evals_count_the_shared_pass(self):
         # one 65-node saddle pass (this spec's first pass resolves its
-        # saddle), 19 truncation probes and the rule's nodes, whether the
-        # spec's first pass came from the cache or not
+        # saddle), 19 truncation probes and the rule's nodes out to t = 32,
+        # evaluated with the probes, of which the cut at t = 16 takes 101,
+        # whether the spec's first pass came from the cache or not
         _block_plan.cache_clear()
         for _ in range(2):
             d = meijer_g(_capacity_form(_plan_cfg(self.ETAS[0])).spec).details
-            assert d["evals"] == 65 + 19 + d["nodes"]
+            reach = 2 * math.ceil(math.asinh(specfun._REACH / d["scale"]) / 0.1) + 1
+            assert (d["t_max"], d["step"], d["nodes"], reach) == (16.0, 0.05, 101, 115)
+            assert d["evals"] == 65 + 19 + reach
 
     def test_cached_arrays_are_read_only(self):
         spec = self.FAMILY[0]
@@ -524,6 +527,26 @@ def ber_point_specs(p_s_dbm: float) -> list:
             for n in (8, 16) for m_s in (2.0, 5.0) for lam in (0.5, 1.0)]
 
 
+def scatter_specs(seed: int, points: int) -> list:
+    """The capacity and BER specs of points drawn log-uniformly over the
+    scatter box, in point order: N 1-1024, m 0.5-10, m_s 1.1-50, eta
+    -20..60 dB uniformly, and lambda 1/2 or 1."""
+    rng = np.random.default_rng(seed)
+    n = np.rint(np.exp(rng.uniform(0.0, math.log(1024.0), points))).astype(int)
+    m = np.exp(rng.uniform(math.log(0.5), math.log(10.0), points))
+    m_s = np.exp(rng.uniform(math.log(1.1), math.log(50.0), points))
+    eta = 10.0 ** (rng.uniform(-20.0, 60.0, points) / 10.0)
+    lam = rng.choice([0.5, 1.0], points)
+    cfgs = [LinkConfig.from_eta(float(e), FadingParams(float(a), float(b)), int(k),
+                                lambda_mod=float(q)) for k, a, b, e, q in zip(n, m, m_s, eta, lam)]
+    return [form(cfg).spec for cfg in cfgs for form in (_capacity_form, _ber_form)]
+
+
+def rebuilt(spec: MeijerGSpec) -> MeijerGSpec:
+    """The spec built anew, its block plan with it if the cache is empty."""
+    return MeijerGSpec(spec.a_front, spec.a_rest, spec.b_front, spec.b_rest, spec.argument)
+
+
 def lone(spec: MeijerGSpec):
     """meijer_g(spec), or the NumericError it raises."""
     try:
@@ -547,6 +570,8 @@ class TestBatch:
     BER_POINT = ber_point_specs(-19.0)
     # the 1/Gamma(a - u) factor grows past every probe's node budget
     OVER_BUDGET = MeijerGSpec([0.5], [-1e5], [0.7], [], 1.0)
+    # 12 points, 24 rows over the scatter box
+    SCATTER = scatter_specs(4, 12)
 
     def test_rows_of_mixed_plans_match_lone_calls(self):
         specs = [*self.BER_POINT[:4], self.OVER_BUDGET, *self.BER_POINT[4:],
@@ -559,17 +584,84 @@ class TestBatch:
             assert_same_report(report, lone(spec))
         assert meijer_g_batch([]) == []
 
+    def test_scatter_rows_match_lone_calls(self, monkeypatch):
+        want = [meijer_g(spec) for spec in self.SCATTER]
+        details = [r.details for r in want]
+        # the rows cover cuts past the nodes the probes' call evaluates,
+        # second saddle passes and steps halved twice and three times
+        assert {d["t_max"] for d in details} >= {128.0, 256.0, 512.0}
+        assert {d["step"] for d in details} >= {0.05, 0.025, 0.0125, 0.00625}
+        assert max(_contour_position(_MellinBarnesIntegrand([spec]))[0][4]
+                   for spec in self.SCATTER) == 2
+        # a budget that the costliest row alone overruns, beside a row
+        # that fails on its own
+        budget = max(d["evals"] for d in details) - 1
+        monkeypatch.setattr(specfun, "MAX_CONTOUR_EVALS", budget)
+        specs = [*self.SCATTER, self.OVER_BUDGET]
+        reports = meijer_g_batch(specs)
+        costliest = [d["evals"] for d in details].index(budget + 1)
+        assert [i for i, r in enumerate(reports) if isinstance(r, NumericError)] == [
+            costliest, len(self.SCATTER)]
+        assert "over the budget" in str(reports[costliest])
+        for spec, report in zip(specs, reports):
+            assert_same_report(report, lone(spec))
+        for i, (report, report_alone) in enumerate(zip(reports, want)):
+            if i != costliest:
+                assert_same_report(report, report_alone)
+
     def test_failing_rows_leave_their_group_unchanged(self, monkeypatch):
         # a budget that the five rows whose step halves overrun, each by
-        # its own count of nodes
+        # its own count of nodes: row 2's cut at t = 16 leaves 14 of the
+        # nodes out to t = 32 unused, which count all the same
         monkeypatch.setattr(specfun, "MAX_CONTOUR_EVALS", 260)
         reports = meijer_g_batch(self.BER_POINT)
         assert [i for i, r in enumerate(reports) if isinstance(r, NumericError)] == [
             0, 2, 4, 5, 6]
-        assert "needs 90 more nodes after 175" in str(reports[2])
+        assert "needs 90 more nodes after 189" in str(reports[2])
         assert "needs 98 more nodes after 183" in str(reports[4])
         for spec, report in zip(self.BER_POINT, reports):
             assert_same_report(report, lone(spec))
+
+
+class TestCallCount:
+    """A lone contour makes one line call for its probes and its rule's
+    first pass, one more for the rest of a first pass past the probes'
+    reach, and one per halving; and one real call per saddle pass, the
+    first one the block plan's."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"real": 0, "line": 0}
+        line, real = specfun._LogGammaSum.__call__, specfun._LogGammaSum.real
+
+        def counted_line(self, y):
+            counts["line"] += 1
+            return line(self, y)
+
+        def counted_real(self):
+            counts["real"] += 1
+            return real(self)
+
+        monkeypatch.setattr(specfun._LogGammaSum, "__call__", counted_line)
+        monkeypatch.setattr(specfun._LogGammaSum, "real", counted_real)
+        return counts
+
+    @pytest.mark.parametrize("spec,t_max,step,want", [
+        # one saddle pass, the cut at t = 16 and the first step: nothing
+        # beyond the probes' call
+        (_capacity_form(_plan_cfg(0.01)).spec, 16.0, 0.05, {"real": 1, "line": 1}),
+        # two saddle passes, and a cut past the reach
+        (TestBatch.SCATTER[1], 128.0, 0.05, {"real": 2, "line": 2}),
+        # two halvings
+        (TestBatch.SCATTER[23], 32.0, 0.0125, {"real": 2, "line": 3}),
+        # a cut past the reach and three halvings
+        (TestBatch.SCATTER[17], 256.0, 0.00625, {"real": 2, "line": 5}),
+    ])
+    def test_calls_per_contour(self, calls, spec, t_max, step, want):
+        _block_plan.cache_clear()
+        d = meijer_g(rebuilt(spec)).details
+        assert (d["t_max"], d["step"]) == (t_max, step)
+        assert calls == want
 
 
 # a few hundred can put the integrand on the contour past double range of
