@@ -22,8 +22,10 @@ results identical no matter how the families are scheduled.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -111,6 +113,11 @@ def _expit(v: float) -> float:
     return math.exp(-_softplus(-v))
 
 
+# t_0 + t_1 + ... of a log integrand's terms: sum() would add them to 0,
+# one more pass over the nodes
+_summed = functools.partial(functools.reduce, operator.add)
+
+
 def _peak(slopes, y: float, what: str) -> tuple[float, float, int]:
     """The peak of a log integrand with one maximum, its curvature there
     and the steps spent, from slopes(y) = (log h'(y), log h''(y)).
@@ -161,9 +168,9 @@ def _log_axis_integral(log_terms, slopes, start: float, what: str):
     if not 0.0 < scale < math.inf:
         raise NumericError(f"{what} integrand peak has curvature {float(curvature)!r}")
     peak_terms = log_terms(np.float64(y_peak))
-    h_peak = float(sum(peak_terms))
+    h_peak = float(_summed(peak_terms))
     reach = np.arange(1.0, math.ceil(math.asinh(_SUPPORT_SPAN / scale)) + 1.0)
-    below = (sum(log_terms(y_peak + scale * np.sinh(np.concatenate([-reach, reach]))))
+    below = (_summed(log_terms(y_peak + scale * np.sinh(np.concatenate([-reach, reach]))))
              < h_peak - 100.0).tolist()
     spent += 1 + len(below)
     left, right = below[:reach.size], below[reach.size:]
@@ -174,7 +181,7 @@ def _log_axis_integral(log_terms, slopes, start: float, what: str):
 
     def integrand(x):
         x = x_lo + x
-        return np.exp(sum(log_terms(y_peak + scale * np.sinh(x))) - h_peak) * (
+        return np.exp(_summed(log_terms(y_peak + scale * np.sinh(x))) - h_peak) * (
             scale * np.cosh(x))
 
     node_rounding = 4.0 * _EPS * sum(abs(float(t)) for t in peak_terms)
@@ -208,13 +215,13 @@ def _quad_expectation(cfg: LinkConfig, what: str, kernel, shift: float,
     check_shape(model, f"{what} quadrature")
     a_tot = nm + model.nms
 
-    def axis(y):
-        """u at y, and log du/dy."""
-        return (-np.exp(np.minimum(y, 300.0)), y) if log_axis else (y, 0.0)
-
     def log_terms(y):
-        u, log_jacobian = axis(y)
-        return kernel(u), nm * u, -a_tot * np.logaddexp(0.0, shift + u), log_jacobian
+        """K(u) and the density's two log terms at u, and on y = ln(-u)
+        log du/dy = y."""
+        if not log_axis:
+            return kernel(y), nm * y, -a_tot * np.logaddexp(0.0, shift + y)
+        u = -np.exp(np.minimum(y, 300.0))
+        return kernel(u), nm * u, -a_tot * np.logaddexp(0.0, shift + u), y
 
     def slopes(y):
         """The log slope and curvature at a float y, in floats."""
