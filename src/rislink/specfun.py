@@ -846,17 +846,25 @@ def _halving_rules(f, first: list, h: float, rel_tol: float, floor: float, node_
             values[r] = refined
 
 
-def _halving_trapezoid(f, h: float, span: float, rel_tol: float, floor: float,
-                       node_rounding: float, what: str, spent: int, budget: int):
-    """_halving_rules of one row over [0, span], n the least even count
-    with n h >= span, f mapping an array of nodes to the integrand there;
-    returns (total, error, rounding, step, n)."""
+def _first_pass(f, h: float, span: float, what: str, spent: int, budget: int) -> tuple:
+    """f at 0, h, ..., n h, n the least even count with n h >= span, and
+    the evaluations after them; raises the NumericError of nodes that
+    would take the evaluations, ``spent`` before them included, past the
+    budget."""
     n = 2 * math.ceil(span / (2.0 * h))
     over = _over_budget(what, n + 1, spent, budget)
     if over is not None:
         raise over
-    (out,) = _halving_rules(lambda x, rows: f(x[0])[None], [f(h * np.arange(n + 1))], h,
-                            rel_tol, floor, [node_rounding], what, [spent + n + 1], budget)
+    return f(h * np.arange(n + 1)), spent + n + 1
+
+
+def _halving_trapezoid(f, first, h: float, rel_tol: float, floor: float,
+                       node_rounding: float, what: str, used: int, budget: int):
+    """_halving_rules of one row from its first pass ``first``, counted in
+    ``used``, f mapping an array of nodes to the integrand there; returns
+    (total, error, rounding, step, n)."""
+    (out,) = _halving_rules(lambda x, rows: f(x[0])[None], [first], h, rel_tol, floor,
+                            [node_rounding], what, [used], budget)
     if isinstance(out, Exception):
         raise out
     return out
@@ -943,7 +951,8 @@ def _contour(specs: list) -> list:
         return _mapped(a, x, w0[rows], *_blocked(chi.take(rows).at(c[rows]), a * np.sinh(x)))
 
     first = [head[r, :min(n[r] + 1, reach[r])] for r in live]
-    # the spill call
+    # the spill call: the rest of the first pass of each row whose cut
+    # lies past its reach
     spill = [i for i, r in enumerate(live) if n[r] >= reach[r]]
     if spill:
         fx = mapped(_padded([h * np.arange(reach[live[i]], n[live[i]] + 1) for i in spill]),
@@ -963,6 +972,7 @@ def _contour(specs: list) -> list:
             continue
         (c_r, w0_r, scale_r, _, _), (t_max, w_tail) = lines[r], out[r]
         total, err, rounding, h, n_r = rule
+        # each later pass added as many nodes as the rule had intervals
         details = dict(contour=c_r, evals=used_r + n_r - n[r], step=h, nodes=n_r + 1,
                        t_max=t_max, scale=scale_r, log_gammas=len(specs[r].plan.gammas),
                        rel_error=0.0)

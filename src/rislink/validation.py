@@ -61,7 +61,7 @@ from .metrics import (
     result,
     snr_threshold_from_db,
 )
-from .specfun import REL_TOL, _halving_trapezoid, log_q_snr, meijer_g_batch
+from .specfun import REL_TOL, _first_pass, _halving_trapezoid, log_q_snr, meijer_g_batch
 
 _SQRT2 = math.sqrt(2.0)
 _LN2 = math.log(2.0)
@@ -73,6 +73,11 @@ MAX_QUAD_EVALS = 1 << 14
 _PEAK_STEPS = 100
 _SUPPORT_SPAN = 1e6
 _QUAD_REL_TOL = 1e-13
+# The rule's first step, 1/_PER_UNIT, and the reach in whole units of x of
+# its first grid in the support walk
+_PER_UNIT = 16
+_QUAD_STEP = 1.0 / _PER_UNIT
+_QUAD_REACH = 6
 
 CAPACITY = "capacity"
 BER = "ber"
@@ -160,8 +165,11 @@ def _log_axis_integral(log_terms, slopes, start: float, what: str):
     of x.  log h is analytic in a strip about the axis (softplus's
     nearest singularities are at +-i pi), so the rule converges
     geometrically.  The support is walked in whole units of x until
-    log h lies 100 below its peak, at most _SUPPORT_SPAN from it.  Each
-    node's log terms round to a few ulps of their size at the peak.
+    log h lies 100 below its peak, at most _SUPPORT_SPAN from it; the
+    walk's call also evaluates the rule's first grid within _QUAD_REACH
+    units of the peak, its first pass wherever the support closes
+    there.  Each node's log terms round to a few ulps of their size at
+    the peak.
     """
     y_peak, curvature, spent = _peak(slopes, start, what)
     scale = 1.0 / math.sqrt(-curvature)
@@ -169,26 +177,44 @@ def _log_axis_integral(log_terms, slopes, start: float, what: str):
         raise NumericError(f"{what} integrand peak has curvature {float(curvature)!r}")
     peak_terms = log_terms(np.float64(y_peak))
     h_peak = float(_summed(peak_terms))
-    reach = np.arange(1.0, math.ceil(math.asinh(_SUPPORT_SPAN / scale)) + 1.0)
-    below = (_summed(log_terms(y_peak + scale * np.sinh(np.concatenate([-reach, reach]))))
-             < h_peak - 100.0).tolist()
-    spent += 1 + len(below)
-    left, right = below[:reach.size], below[reach.size:]
+    # the rule's first grid, x = j / _PER_UNIT, out to _QUAD_REACH from
+    # the peak, and the walk's whole units beyond it: the units within it
+    # lie on the grid, so a support that closes there needs no call for
+    # its first pass
+    units = math.ceil(math.asinh(_SUPPORT_SPAN / scale))
+    w, k = min(units, _QUAD_REACH), _PER_UNIT
+    beyond = np.arange(w + 1.0, units + 1.0)
+    x = np.concatenate([_QUAD_STEP * np.arange(-k * w, k * w + 1.0), -beyond, beyond])
+    log_h = _summed(log_terms(y_peak + scale * np.sinh(x)))
+    below = (log_h < h_peak - 100.0).tolist()
+    spent += 1 + x.size
+    # whether log h lies 100 below its peak at the units -1, -2, ... and
+    # 1, 2, ...: those of the grid, then the walk's beyond it
+    left = below[k * w - k::-k] + below[2 * k * w + 1:2 * k * w + 1 + beyond.size]
+    right = below[k * w + k:2 * k * w + 1:k] + below[2 * k * w + 1 + beyond.size:]
     if not (True in left and True in right):
         raise NumericError(f"{what} integrand support did not close")
-    # the nearest probe below on each side
-    x_lo, x_hi = -1.0 - left.index(True), 1.0 + right.index(True)
+    lo, hi = 1 + left.index(True), 1 + right.index(True)
+    x_lo = -float(lo)
 
     def integrand(x):
         x = x_lo + x
         return np.exp(_summed(log_terms(y_peak + scale * np.sinh(x))) - h_peak) * (
             scale * np.cosh(x))
 
+    if max(lo, hi) <= w:
+        grid = slice(k * (w - lo), k * (w + hi) + 1)
+        first, used = np.exp(log_h[grid] - h_peak) * (scale * np.cosh(x[grid])), spent
+    else:
+        first, used = _first_pass(integrand, _QUAD_STEP, float(lo + hi), f"{what} quadrature",
+                                  spent, MAX_QUAD_EVALS)
     node_rounding = 4.0 * _EPS * sum(abs(float(t)) for t in peak_terms)
     total, err, rounding, h, n = _halving_trapezoid(
-        integrand, 0.0625, x_hi - x_lo, _QUAD_REL_TOL, 0.0, node_rounding,
-        f"{what} quadrature", spent, MAX_QUAD_EVALS)
-    return h_peak + math.log(total), float((err + rounding) / total), spent + n + 1, h
+        integrand, first, _QUAD_STEP, _QUAD_REL_TOL, 0.0, node_rounding,
+        f"{what} quadrature", used, MAX_QUAD_EVALS)
+    # each later pass added as many nodes as the rule had intervals
+    evals = used + n + 1 - first.size
+    return h_peak + math.log(total), float((err + rounding) / total), evals, h
 
 
 def _quad_expectation(cfg: LinkConfig, what: str, kernel, shift: float,

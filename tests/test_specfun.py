@@ -609,6 +609,18 @@ class TestBatch:
             if i != costliest:
                 assert_same_report(report, report_alone)
 
+    @pytest.mark.parametrize("reach", [0.25, 1024.0])
+    def test_reports_do_not_depend_on_the_reach(self, monkeypatch, reach):
+        # every cut past the probes' nodes, or none: the spill call's
+        # nodes are the same bits, and only evals moves
+        want = meijer_g_batch(self.SCATTER)
+        monkeypatch.setattr(specfun, "_REACH", reach)
+        for got, report in zip(meijer_g_batch(self.SCATTER), want):
+            got_details, want_details = dict(got.details), dict(report.details)
+            del got_details["evals"], want_details["evals"]
+            assert (got.log_abs_value, got.sign, got_details) == (
+                report.log_abs_value, report.sign, want_details)
+
     def test_failing_rows_leave_their_group_unchanged(self, monkeypatch):
         # a budget that the five rows whose step halves overrun, each by
         # its own count of nodes: row 2's cut at t = 16 leaves 14 of the

@@ -320,7 +320,9 @@ class TestQuadAgainstScipy:
 
 # (log_value, evals, step) of each step-halving oracle at four points
 # (N, m, m_s, eta), outage at gamma_th = 2: evals and the final step fix
-# every node each rule evaluated.  Captured with
+# every node each rule evaluated, the support walk's nodes of the first
+# grid within 6 units of the peak included (outage's second point, whose
+# support reaches past them, evaluates its first pass again).  Captured with
 #   for route, args in ((quad_capacity, ()), (quad_ber, ()), (quad_outage, (2.0,)),
 #                       (metrics.physical_capacity, ())):
 #       print([(d["log_value"], d["evals"], d["step"]) for d in
@@ -329,14 +331,14 @@ class TestQuadAgainstScipy:
 NODE_POINTS = [(8, 1.0, 5.0, 100.0), (1, 0.5, 1.1, 1e-2), (64, 4.0, 5.0, 1e4),
                (1024, 10.0, 50.0, 1e6)]
 NODE_SEQUENCES = [
-    (quad_capacity, (), [(2.2588401028540517, 180, 0.0625), (-2.927195869285516, 195, 0.0625),
-                         (2.9594390933219756, 166, 0.0625), (3.3989118456483993, 171, 0.0625)]),
-    (quad_ber, (), [(-38.59231800495261, 293, 0.03125), (-0.8384947627381039, 609, 0.015625),
-                    (-1924.9071237595138, 168, 0.0625), (-116936.6168988445, 172, 0.0625)]),
-    (quad_outage, (2.0,), [(-41.2621858918503, 322, 0.03125),
-                           (-0.0033501894225329565, 389, 0.03125),
-                           (-2910.497703603332, 321, 0.03125),
-                           (-194155.06298470596, 321, 0.03125)]),
+    (quad_capacity, (), [(2.2588401028540517, 216, 0.0625), (-2.927195869285516, 215, 0.0625),
+                         (2.9594390933219756, 218, 0.0625), (3.3989118456483993, 223, 0.0625)]),
+    (quad_ber, (), [(-38.59231800495261, 345, 0.03125), (-0.8384947627381039, 645, 0.015625),
+                    (-1924.9071237595138, 220, 0.0625), (-116936.6168988445, 224, 0.0625)]),
+    (quad_outage, (2.0,), [(-41.2621858918503, 358, 0.03125),
+                           (-0.0033501894225329565, 570, 0.03125),
+                           (-2910.497703603332, 357, 0.03125),
+                           (-194155.06298470596, 357, 0.03125)]),
     (metrics.physical_capacity, (), [(2.2521848392059325, 46965, 0.1),
                                      (-4.983824871270745, 143325, 0.1),
                                      (2.9590841592485293, 33235, 0.2),
@@ -352,6 +354,23 @@ def test_step_halving_oracles_keep_their_nodes(route, args, want):
         assert (d["evals"], d["step"]) == (evals, step), (n, m, m_s, eta)
         # the nodes' values may differ in their last bits between libms
         assert d["log_value"] == pytest.approx(log_value, rel=1e-13, abs=1e-13)
+
+
+@pytest.mark.parametrize("route,args", [(quad_capacity, ()), (quad_ber, ()),
+                                        (quad_outage, (2.0,))])
+def test_first_pass_does_not_depend_on_the_walks_reach(monkeypatch, route, args):
+    # a first pass taken from the support walk's nodes and one evaluated
+    # by a call of its own, past a reach of 1 unit, are the same bits
+    for n, m, m_s, eta in NODE_POINTS:
+        cfg = cfg_eta(eta, FadingParams(m, m_s), n)
+        want = route(cfg, *args)
+        monkeypatch.setattr(validation, "_QUAD_REACH", 1)
+        got = route(cfg, *args)
+        monkeypatch.undo()
+        assert got.diagnostics["evals"] != want.diagnostics["evals"]
+        for r in (got, want):
+            del r.diagnostics["evals"]
+        assert got == want
 
 
 class TestRangeGuard:
