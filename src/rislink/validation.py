@@ -188,10 +188,11 @@ def _log_axis_integral(log_terms, slopes, start: float, what: str):
     log_h = _summed(log_terms(y_peak + scale * np.sinh(x)))
     below = (log_h < h_peak - 100.0).tolist()
     spent += 1 + x.size
+    on_grid, past = below[:2 * k * w + 1], below[2 * k * w + 1:]
     # whether log h lies 100 below its peak at the units -1, -2, ... and
-    # 1, 2, ...: those of the grid, then the walk's beyond it
-    left = below[k * w - k::-k] + below[2 * k * w + 1:2 * k * w + 1 + beyond.size]
-    right = below[k * w + k:2 * k * w + 1:k] + below[2 * k * w + 1 + beyond.size:]
+    # 1, 2, ...
+    left = on_grid[k * w - k::-k] + past[:beyond.size]
+    right = on_grid[k * w + k::k] + past[beyond.size:]
     if not (True in left and True in right):
         raise NumericError(f"{what} integrand support did not close")
     lo, hi = 1 + left.index(True), 1 + right.index(True)
