@@ -30,6 +30,7 @@ import math
 import os
 import re
 import sys
+import time
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -398,20 +399,26 @@ def run_validate(
 ) -> int:
     """Oracle-agreement grid, KS checks and the aggregate model's capacity gap.
 
-    Writes the report CSV and returns 0 when every check holds, 4
-    otherwise.
+    Writes the report CSV, prints a summary with the wall time of each
+    part to stderr and returns 0 when every check holds, 4 otherwise.
     """
-    checks = [
-        *run_oracle_grid(preset, master_seed, n_samples, mode, max_workers=threads),
-        *ks_checks(preset, master_seed),
-        *mode_gap_checks(preset),
-    ]
+    checks, parts = [], []
+    for part, run in (
+        ("grid", lambda: run_oracle_grid(preset, master_seed, n_samples, mode,
+                                         max_workers=threads)),
+        ("ks", lambda: ks_checks(preset, master_seed)),
+        ("mode_gap", lambda: mode_gap_checks(preset)),
+    ):
+        t0 = time.perf_counter()
+        checks += run()
+        parts.append(f"{part} {time.perf_counter() - t0:.2f} s")
     # a Check's fields, in column order, are its __dict__; astuple would
     # deep-copy each row
     write_csv(out, REPORT_HEADER, [[_fmt(v) for v in vars(c).values()] for c in checks])
     n_fail = sum(not c.ok for c in checks)
     print(
-        f"validate[{preset}]: {len(checks)} checks, {n_fail} failures -> {out}",
+        f"validate[{preset}]: {len(checks)} checks, {n_fail} failures -> {out} "
+        f"({', '.join(parts)})",
         file=sys.stderr,
     )
     return 0 if n_fail == 0 else 4

@@ -491,9 +491,12 @@ def mc_metrics(cases, mc: McConfig) -> list[MetricResult]:
                                "leave double range")
         tot = n_total + k
         for i, (cfg, which, gamma_th, *_) in enumerate(cases):
+            # vals.mean() and ((vals - mean) ** 2).sum() in one buffer: the
+            # same ufuncs in the same order
             vals = _metric_samples(cfg, which, gamma_th, g)
-            c_mean = float(vals.mean())
-            c_m2 = float(((vals - c_mean) ** 2).sum())
+            c_mean = float(np.add.reduce(vals) / k)
+            vals -= c_mean
+            c_m2 = float(np.add.reduce(np.square(vals, out=vals)))
             # Chan et al. pairwise merge of (n, mean, M2)
             mean, m2 = moments[i]
             delta = c_mean - mean
@@ -517,16 +520,60 @@ def mc_metric(cfg: LinkConfig, which: str, mc: McConfig,
     return mc_metrics([(cfg, which, gamma_th)], mc)[0]
 
 
+# Sorted samples per block of ks_statistic, and the margin its block bounds
+# leave for a CDF's rounding
+_KS_BLOCK = 32
+_KS_MARGIN = 1e-9
+
+
+def _ks_cdf(cdf_fn, x: np.ndarray) -> np.ndarray:
+    """cdf_fn at x; DomainError unless every value lies in [0, 1]."""
+    f = np.asarray(cdf_fn(x), dtype=float)
+    if not ((f >= 0.0) & (f <= 1.0)).all():
+        raise DomainError("ks_statistic cdf_fn gave a value outside [0, 1] or nan")
+    return f
+
+
+def _ks_gap(f: np.ndarray, i: np.ndarray, n: int) -> float:
+    """The larger one-sided gap (i+1)/n - F or F - i/n at sorted indexes i."""
+    return float(max(((i + 1) / n - f).max(), (f - i / n).max()))
+
+
 def ks_statistic(samples, cdf_fn) -> float:
-    """Sup distance between the empirical CDF of samples and cdf_fn."""
+    """Sup distance between the empirical CDF of samples and cdf_fn.
+
+    cdf_fn must be non-decreasing: it is evaluated at every _KS_BLOCK-th
+    sorted sample and the last, and inside the block between two of them,
+    i0 < i < i1, monotonicity bounds both one-sided gaps by
+    max(i1/n - F(x_i0), F(x_i1) - (i0+1)/n).  Only the blocks whose bound
+    reaches the block ends' maximum less _KS_MARGIN, which covers the
+    CDF's rounding, are evaluated inside, so the statistic is the maximum
+    of the gaps a full evaluation takes, bit for bit.  A nan sample, a CDF
+    value outside [0, 1] and evaluated CDF values that fall by more than
+    the margin raise DomainError.
+    """
     x = np.sort(np.asarray(samples, dtype=float))
     n = x.size
     if n < 100:
         raise DomainError(f"ks_statistic needs at least 100 samples, got {n}")
-    f = np.asarray(cdf_fn(x), dtype=float)
-    hi = np.arange(1, n + 1) / n - f
-    lo = f - np.arange(0, n) / n
-    return float(max(hi.max(), lo.max()))
+    if np.isnan(x[-1]):  # sorting puts nan last
+        raise DomainError("ks_statistic samples include nan")
+    ends = np.append(np.arange(0, n - 1, _KS_BLOCK), n - 1)
+    f = np.empty(n)
+    f[ends] = fe = _ks_cdf(cdf_fn, x[ends])
+    d = _ks_gap(fe, ends, n)
+    bound = np.maximum(ends[1:] / n - fe[:-1], fe[1:] - (ends[:-1] + 1) / n)
+    # the indexes of the blocks to evaluate, block ends left out
+    inside = np.append(np.repeat(bound >= d - _KS_MARGIN, np.diff(ends)), False)
+    inside[ends] = False
+    i = np.flatnonzero(inside)
+    if i.size:
+        f[i] = fi = _ks_cdf(cdf_fn, x[i])
+        d = max(d, _ks_gap(fi, i, n))
+    inside[ends] = True  # now every evaluated index
+    if (np.diff(f[inside]) < -_KS_MARGIN).any():
+        raise DomainError("ks_statistic cdf_fn decreases; it must be non-decreasing")
+    return d
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import io
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -416,6 +417,15 @@ def test_validate_report_shape(preset, tmp_path, capsys):
     assert shape == REPORT_SHAPES[preset]
     assert {r["ok"] for r in rows} <= {"True", "False"}
     assert f"validate[{preset}]: {len(rows)} checks" in capsys.readouterr().err
+
+
+def test_validate_summary_times_its_parts(tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    run_validate("smoke", 42, str(out), n_samples=10_000)
+    summary = capsys.readouterr().err.strip()
+    assert re.fullmatch(
+        rf"validate\[smoke\]: 45 checks, \d+ failures -> {re.escape(str(out))} "
+        r"\(grid \d+\.\d\d s, ks \d+\.\d\d s, mode_gap \d+\.\d\d s\)", summary)
 
 
 def test_validate_zero_samples_is_not_the_default(tmp_path):

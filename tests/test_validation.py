@@ -10,7 +10,7 @@ import pytest
 
 from rislink import metrics, validation
 from rislink.errors import DomainError, NumericError
-from rislink.fading import MODEL_DRAW, PHYSICAL_DRAW, FadingParams
+from rislink.fading import MODEL_DRAW, PHYSICAL_DRAW, FadingParams, cdf, sample
 from rislink.metrics import (
     LinkConfig,
     MetricResult,
@@ -564,6 +564,32 @@ class TestMcMetrics:
         with pytest.raises(DomainError, match="one channel model"):
             mc_metrics(cases, McConfig(10_000, 5))
 
+    @pytest.mark.parametrize("mode", [MODEL_DRAW, PHYSICAL_DRAW])
+    def test_moments_equal_the_two_pass_formula(self, monkeypatch, mode):
+        # three chunks, so the pairwise merge runs too
+        monkeypatch.setattr(validation, "_CHUNK", 4096)
+        mc = McConfig(10_000, 17, mode)
+        cases = point_cases(10.0, F15, 4, (CAPACITY, BER, OUTAGE), (1.0, 0.5), (3.0, 6.0))
+        model = cases[0][0].model()
+        rng = np.random.default_rng(np.random.SeedSequence(mc.seed))
+        n_total, moments = 0, [(0.0, 0.0)] * len(cases)
+        for k in (4096, 4096, 10_000 - 2 * 4096):
+            g = validation.sample_sum(model, mode, rng, size=k)
+            tot = n_total + k
+            for i, (cfg, which, gamma_th, _) in enumerate(cases):
+                vals = validation._metric_samples(cfg, which, gamma_th, g)
+                c_mean = float(vals.mean())
+                c_m2 = float(((vals - c_mean) ** 2).sum())
+                mean, m2 = moments[i]
+                delta = c_mean - mean
+                moments[i] = (mean + delta * k / tot,
+                              m2 + c_m2 + delta * delta * n_total * k / tot)
+            n_total = tot
+        got = [(r.value, r.error_estimate) for r in mc_metrics(cases, mc)]
+        want = [(mean, math.sqrt(m2 / (n_total - 1) / n_total)) for mean, m2 in moments]
+        assert [case[1] for case in cases] == [CAPACITY, BER, BER, OUTAGE, OUTAGE]
+        assert got == want
+
 
 class TestKsStatistic:
     def test_self_consistency(self):
@@ -602,6 +628,105 @@ class TestKsStatistic:
     def test_minimum_size(self):
         with pytest.raises(DomainError):
             ks_statistic(np.arange(10), lambda v: v)
+
+    # the pruned statistic against a full evaluation of the CDF, bit for bit
+
+    @pytest.mark.parametrize("seed", [42, 107])
+    def test_ks_checks_laws_match_full_evaluation(self, monkeypatch, seed):
+        seen = []
+
+        def recording(samples, cdf_fn):
+            stat = ks_statistic(samples, cdf_fn)
+            seen.append((stat, ks_reference(samples, cdf_fn)))
+            return stat
+
+        monkeypatch.setattr(validation, "ks_statistic", recording)
+        checks = validation.ks_checks("full", seed)
+        assert len(seen) == len(checks) == 8
+        assert all(stat == want for stat, want in seen)
+        if seed == 107:
+            (row,) = [c for c in checks if c.metric == "ks_model_sum" and c.m == 1.0
+                      and c.m_s == 2.0]
+            assert row.mc_mean == 0.0052291515433174895
+
+    @pytest.mark.parametrize("n", [100, 101, 2000, 10**5 + 7])
+    @pytest.mark.parametrize("law", ["norm", "expon"])
+    def test_matches_full_evaluation(self, n, law):
+        from scipy import stats
+
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n) if law == "norm" else rng.exponential(size=n)
+        cdf_fn = getattr(stats, law).cdf
+        assert ks_statistic(x, cdf_fn) == ks_reference(x, cdf_fn)
+
+    def test_all_ties_match_full_evaluation(self):
+        from scipy.stats import norm
+
+        x = np.full(1000, 0.25)
+        assert ks_statistic(x, norm.cdf) == ks_reference(x, norm.cdf)
+
+    def test_supremum_inside_a_block(self):
+        from scipy.stats import norm
+
+        x = np.random.default_rng(63).standard_normal(10_000)
+
+        def shifted(v):
+            return norm.cdf(v - 0.03)
+
+        # the fixture's supremum lies strictly inside a block
+        xs = np.sort(x)
+        f = shifted(xs)
+        gaps = np.maximum(np.arange(1, xs.size + 1) / xs.size - f, f - np.arange(xs.size) / xs.size)
+        at = int(np.argmax(gaps))
+        assert at % validation._KS_BLOCK != 0 and at != xs.size - 1
+        assert ks_statistic(x, shifted) == ks_reference(x, shifted)
+
+    def test_evaluates_a_fraction_of_an_f_law(self):
+        p = FadingParams(1.0, 5.0)
+        x = sample(p, np.random.default_rng(64), size=10**5)
+        evaluated = []
+
+        def counting(v):
+            evaluated.append(v.size)
+            return cdf(p, v)
+
+        assert ks_statistic(x, counting) == ks_reference(x, lambda v: cdf(p, v))
+        assert sum(evaluated) <= 0.25 * x.size
+
+    # what the pruning relies on is checked at every evaluated point
+
+    def test_nan_sample_raises(self):
+        from scipy.stats import norm
+
+        x = np.random.default_rng(65).standard_normal(1000)
+        x[500] = math.nan
+        with pytest.raises(DomainError, match="nan"):
+            ks_statistic(x, norm.cdf)
+
+    @pytest.mark.parametrize("cdf_fn", [
+        lambda v: np.full(v.shape, math.nan),
+        lambda v: 1.5 * (v > 0.0),
+        lambda v: -np.exp(-v),
+    ], ids=["nan", "above_one", "below_zero"])
+    def test_cdf_outside_unit_interval_raises(self, cdf_fn):
+        x = np.random.default_rng(66).exponential(size=1000)
+        with pytest.raises(DomainError, match=r"outside \[0, 1\]"):
+            ks_statistic(x, cdf_fn)
+
+    def test_decreasing_cdf_raises(self):
+        from scipy.stats import norm
+
+        x = np.random.default_rng(67).standard_normal(1000)
+        with pytest.raises(DomainError, match="non-decreasing"):
+            ks_statistic(x, norm.sf)
+
+
+def ks_reference(samples, cdf_fn) -> float:
+    """The KS statistic from cdf_fn at every sorted sample."""
+    x = np.sort(np.asarray(samples, dtype=float))
+    n = x.size
+    f = np.asarray(cdf_fn(x), dtype=float)
+    return float(max((np.arange(1, n + 1) / n - f).max(), (f - np.arange(0, n) / n).max()))
 
 
 class TestEvaluate:
