@@ -424,6 +424,17 @@ def run_validate(
     return 0 if n_fail == 0 else 4
 
 
+# Meijer G kernels with elementary values, as (name, MeijerGSpec arguments,
+# value): G^{1,2}_{2,2}(z | 1,1; 1,0) = ln(1+z) and
+# G^{2,0}_{1,2}(z | -,1; 0,1/2) = sqrt(pi) erfc(sqrt(z))
+KERNEL_IDENTITIES = (
+    *((f"log kernel z={z}", ([1.0, 1.0], [], [1.0], [0.0], z), math.log1p(z))
+      for z in (0.1, 1.0, 10.0, 100.0)),
+    *((f"erfc kernel z={z}", ([], [1.0], [0.0, 0.5], [], z),
+       math.sqrt(math.pi) * math.erfc(math.sqrt(z))) for z in (0.01, 1.0, 4.0)),
+)
+
+
 def selftest() -> int:
     """Special-function identity suite; prints one line per identity."""
     from .specfun import MeijerGSpec, log_betainc, meijer_g, q_function
@@ -439,13 +450,8 @@ def selftest() -> int:
 
     spec = MeijerGSpec([-1.0], [], [1.0], [], 1.0)
     check("G11 binomial kernel", meijer_g(spec).value, 0.25, 1e-9)
-    for z in (0.1, 1.0, 10.0, 100.0):
-        spec = MeijerGSpec([1.0, 1.0], [], [1.0], [0.0], z)
-        check(f"log kernel z={z}", meijer_g(spec).value, math.log1p(z), 1e-9)
-    for z in (0.01, 1.0, 4.0):
-        spec = MeijerGSpec([], [1.0], [0.0, 0.5], [], z)
-        want = math.sqrt(math.pi) * math.erfc(math.sqrt(z))
-        check(f"erfc kernel z={z}", meijer_g(spec).value, want, 1e-9)
+    for name, args, want in KERNEL_IDENTITIES:
+        check(name, meijer_g(MeijerGSpec(*args)).value, want, 1e-9)
     check("I_x(1,1) at y=1", math.exp(log_betainc(1.0, 1.0, 1.0)[0]), 0.5, 1e-12)
     check("I_x(2,1) at y=3", math.exp(log_betainc(2.0, 1.0, 3.0)[0]), 9.0 / 16.0, 1e-12)
     check("Q(0)", q_function(0.0), 0.5, 1e-14)

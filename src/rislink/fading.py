@@ -135,11 +135,25 @@ def _f_cdf(a: float, b: float, c: float, v: np.ndarray) -> float | np.ndarray:
     return out if out.ndim else float(out)
 
 
-def _f_draw(a: float, b: float, scale: float, rng: np.random.Generator, size):
-    """Exact draws scale * X / Y, X ~ Gamma(a) drawn before Y ~ Gamma(b)."""
-    x = rng.gamma(a, size=size)
-    y = rng.gamma(b, size=size)
-    return scale * x / y
+def _f_draw(a: float, b: float, scale: float, rng: np.random.Generator, size,
+            out=None, y=None):
+    """Exact draws scale * X / Y, X ~ Gamma(a) drawn before Y ~ Gamma(b).
+
+    An array draw is made in place: X in ``out`` and Y in ``y`` (fresh
+    arrays when None), and ``out`` returns the ratio.  numpy's gamma(a) is
+    1.0 * standard_gamma(a), so the variates and the stream are gamma's.
+    """
+    if size is None:
+        return scale * rng.standard_gamma(a) / rng.standard_gamma(b)
+    x = rng.standard_gamma(a, size, out=out)
+    y = rng.standard_gamma(b, size, out=y)
+    np.multiply(x, scale, out=x)
+    return np.divide(x, y, out=x)
+
+
+def _branch(p: FadingParams) -> tuple[float, float, float]:
+    """A branch's (a, b, scale) for _f_draw: scale = g_bar (m_s-1)/m."""
+    return p.m, p.m_s, p.g_bar * (p.m_s - 1.0) / p.m
 
 
 def pdf(p: FadingParams, g) -> float | np.ndarray:
@@ -159,7 +173,7 @@ def sample(p: FadingParams, rng: np.random.Generator, size=None):
     The ratio construction is exact (E[g] = g_bar) and independently
     checkable against the density by a KS test.
     """
-    return _f_draw(p.m, p.m_s, p.g_bar * (p.m_s - 1.0) / p.m, rng, size)
+    return _f_draw(*_branch(p), rng, size)
 
 
 def sum_pdf(model: SumFadingModel, g) -> float | np.ndarray:
@@ -177,6 +191,7 @@ def sample_sum(
     mode: str,
     rng: np.random.Generator,
     size=None,
+    out=None,
 ):
     """Draw aggregate channel powers.
 
@@ -185,13 +200,17 @@ def sample_sum(
     via g = (Nms/m) X/Y with X~Gamma(Nm), Y~Gamma(Nms).  The analytics
     are exact for ``model_draw``; the gap to ``physical_draw`` measures
     the sum-model approximation and is reported as a diagnostic by the
-    validation tooling.
+    validation tooling.  An array draw is written into ``out`` when it
+    is given, an array of shape ``size``; the branch sum draws its
+    further branches into one pair of buffers and adds each in place.
     """
     if mode == MODEL_DRAW:
-        return _f_draw(model.nm, model.nms, model.nms / model.params.m, rng, size)
+        return _f_draw(model.nm, model.nms, model.nms / model.params.m, rng, size, out)
     if mode == PHYSICAL_DRAW:
-        total = sample(model.params, rng, size=size)
+        branch = _branch(model.params)
+        x, y = (None, None) if size is None else (np.empty(size), np.empty(size))
+        total = _f_draw(*branch, rng, size, out, y)
         for _ in range(model.n_cells - 1):
-            total = total + sample(model.params, rng, size=size)
+            total += _f_draw(*branch, rng, size, x, y)
         return total
     raise DomainError(f"unknown draw mode {mode!r}; use 'model_draw' or 'physical_draw'")

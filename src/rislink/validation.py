@@ -440,15 +440,28 @@ def point_cases(eta: float, fading: FadingParams, n_cells: int, metrics,
 _CHUNK = 1 << 18
 
 
-def _metric_samples(cfg: LinkConfig, which: str, gamma_th: float, g: np.ndarray):
+def _metric_samples(cfg: LinkConfig, which: str, gamma_th: float, g: np.ndarray,
+                    vals: np.ndarray, mask: np.ndarray) -> None:
+    """Write one metric's value at each channel power of g into vals: the
+    ufuncs, in the order, of log2(1 + eta g), 0.5 erfc(sqrt(2 eta lambda
+    g) / sqrt 2) and (eta g < gamma_th) as float, with mask as outage's
+    bool buffer."""
     eta = cfg.eta
     if which == CAPACITY:
-        return np.log2(1.0 + eta * g)
-    if which == BER:
+        np.multiply(g, eta, out=vals)
+        np.add(vals, 1.0, out=vals)
+        np.log2(vals, out=vals)
+    elif which == BER:
         from scipy.special import erfc  # loaded on first use: only MC BER scores with it
 
-        return 0.5 * erfc(np.sqrt(2.0 * eta * cfg.lambda_mod * g) / _SQRT2)
-    return (eta * g < gamma_th).astype(float)  # outage
+        np.multiply(g, 2.0 * eta * cfg.lambda_mod, out=vals)
+        np.sqrt(vals, out=vals)
+        np.divide(vals, _SQRT2, out=vals)
+        erfc(vals, out=vals)
+        np.multiply(vals, 0.5, out=vals)
+    else:  # outage
+        np.less(np.multiply(g, eta, out=vals), gamma_th, out=mask)
+        np.copyto(vals, mask)
 
 
 def mc_metrics(cases, mc: McConfig) -> list[MetricResult]:
@@ -481,19 +494,24 @@ def mc_metrics(cases, mc: McConfig) -> list[MetricResult]:
     n_total = 0
     moments = [(0.0, 0.0)] * len(cases)  # (mean, M2) per case
     remaining = mc.n_samples
+    # one workspace per call, never shared: families run on several threads.
+    # A shorter last chunk works on views of its heads.
+    size = min(_CHUNK, remaining)
+    g_work, vals_work, mask_work = np.empty(size), np.empty(size), np.empty(size, bool)
     while remaining > 0:
         k = min(_CHUNK, remaining)
+        vals, mask = vals_work[:k], mask_work[:k]
         # a draw past double range raises here, not as a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            g = sample_sum(model, mc.mode, rng, size=k)
-        if not np.isfinite(g).all():
+            g = sample_sum(model, mc.mode, rng, size=k, out=g_work[:k])
+        if not np.isfinite(g, out=mask).all():
             raise NumericError(f"MC draws at N m = {model.nm:.3e}, N m_s = {model.nms:.3e} "
                                "leave double range")
         tot = n_total + k
         for i, (cfg, which, gamma_th, *_) in enumerate(cases):
             # vals.mean() and ((vals - mean) ** 2).sum() in one buffer: the
             # same ufuncs in the same order
-            vals = _metric_samples(cfg, which, gamma_th, g)
+            _metric_samples(cfg, which, gamma_th, g, vals, mask)
             c_mean = float(np.add.reduce(vals) / k)
             vals -= c_mean
             c_m2 = float(np.add.reduce(np.square(vals, out=vals)))

@@ -10,7 +10,15 @@ import pytest
 
 from rislink import metrics, validation
 from rislink.errors import DomainError, NumericError
-from rislink.fading import MODEL_DRAW, PHYSICAL_DRAW, FadingParams, cdf, sample
+from rislink.fading import (
+    MODEL_DRAW,
+    PHYSICAL_DRAW,
+    FadingParams,
+    SumFadingModel,
+    cdf,
+    sample,
+    sample_sum,
+)
 from rislink.metrics import (
     LinkConfig,
     MetricResult,
@@ -539,6 +547,39 @@ class TestMcMetric:
         assert 0.0 < est.error_estimate < est.value
 
 
+# The allocating draws and scores that the in-place ones must equal bit
+# for bit: scale * X / Y from two fresh gamma arrays, a branch sum built
+# by total = total + sample(...), and each metric's chain on fresh arrays.
+
+def ref_f_draw(a, b, scale, rng, size):
+    x = rng.gamma(a, size=size)
+    y = rng.gamma(b, size=size)
+    return scale * x / y
+
+
+def ref_sample(p, rng, size=None):
+    return ref_f_draw(p.m, p.m_s, p.g_bar * (p.m_s - 1.0) / p.m, rng, size)
+
+
+def ref_sample_sum(model, mode, rng, size=None):
+    if mode == MODEL_DRAW:
+        return ref_f_draw(model.nm, model.nms, model.nms / model.params.m, rng, size)
+    total = ref_sample(model.params, rng, size)
+    for _ in range(model.n_cells - 1):
+        total = total + ref_sample(model.params, rng, size)
+    return total
+
+
+def ref_metric_samples(cfg, which, gamma_th, g):
+    from scipy.special import erfc
+
+    if which == CAPACITY:
+        return np.log2(1.0 + cfg.eta * g)
+    if which == BER:
+        return 0.5 * erfc(np.sqrt(2.0 * cfg.eta * cfg.lambda_mod * g) / math.sqrt(2.0))
+    return (cfg.eta * g < gamma_th).astype(float)
+
+
 class TestMcMetrics:
     @pytest.mark.parametrize("mode,n_samples", [
         (MODEL_DRAW, 50_000),
@@ -565,30 +606,48 @@ class TestMcMetrics:
             mc_metrics(cases, McConfig(10_000, 5))
 
     @pytest.mark.parametrize("mode", [MODEL_DRAW, PHYSICAL_DRAW])
+    @pytest.mark.parametrize("n", [1, 3, 17])
+    def test_draws_equal_the_reference(self, mode, n):
+        model = SumFadingModel(FadingParams(1.5, 4.0, g_bar=2.0), n)
+        rng, ref = np.random.default_rng(2024), np.random.default_rng(2024)
+        out = np.full(1000, np.nan)
+        assert sample_sum(model, mode, rng, size=1000, out=out) is out
+        got = [out, sample_sum(model, mode, rng, size=999), sample_sum(model, mode, rng),
+               sample(model.params, rng)]
+        want = [ref_sample_sum(model, mode, ref, size) for size in (1000, 999, None)]
+        want.append(ref_sample(model.params, ref))
+        assert [type(x) for x in got[2:]] == [float, float]
+        assert [np.asarray(x).tobytes() for x in got] == [np.asarray(x).tobytes() for x in want]
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("mode", [MODEL_DRAW, PHYSICAL_DRAW])
     def test_moments_equal_the_two_pass_formula(self, monkeypatch, mode):
-        # three chunks, so the pairwise merge runs too
+        # three chunks, the last (1808 draws) shorter than the workspace, so
+        # the pairwise merge runs and a stale tail in a reused buffer shows
         monkeypatch.setattr(validation, "_CHUNK", 4096)
         mc = McConfig(10_000, 17, mode)
-        cases = point_cases(10.0, F15, 4, (CAPACITY, BER, OUTAGE), (1.0, 0.5), (3.0, 6.0))
-        model = cases[0][0].model()
-        rng = np.random.default_rng(np.random.SeedSequence(mc.seed))
-        n_total, moments = 0, [(0.0, 0.0)] * len(cases)
-        for k in (4096, 4096, 10_000 - 2 * 4096):
-            g = validation.sample_sum(model, mode, rng, size=k)
-            tot = n_total + k
-            for i, (cfg, which, gamma_th, _) in enumerate(cases):
-                vals = validation._metric_samples(cfg, which, gamma_th, g)
-                c_mean = float(vals.mean())
-                c_m2 = float(((vals - c_mean) ** 2).sum())
-                mean, m2 = moments[i]
-                delta = c_mean - mean
-                moments[i] = (mean + delta * k / tot,
-                              m2 + c_m2 + delta * delta * n_total * k / tot)
-            n_total = tot
-        got = [(r.value, r.error_estimate) for r in mc_metrics(cases, mc)]
-        want = [(mean, math.sqrt(m2 / (n_total - 1) / n_total)) for mean, m2 in moments]
-        assert [case[1] for case in cases] == [CAPACITY, BER, BER, OUTAGE, OUTAGE]
-        assert got == want
+        for n in (1, 3, 17):
+            cases = point_cases(10.0, F15, n, (CAPACITY, BER, OUTAGE), (1.0, 0.5), (3.0, 6.0))
+            model = cases[0][0].model()
+            rng = np.random.default_rng(np.random.SeedSequence(mc.seed))
+            n_total, moments = 0, [(0.0, 0.0)] * len(cases)
+            for k in (4096, 4096, 1808):
+                g = ref_sample_sum(model, mode, rng, size=k)
+                tot = n_total + k
+                for i, (cfg, which, gamma_th, _) in enumerate(cases):
+                    vals = ref_metric_samples(cfg, which, gamma_th, g)
+                    c_mean = float(vals.mean())
+                    c_m2 = float(((vals - c_mean) ** 2).sum())
+                    mean, m2 = moments[i]
+                    delta = c_mean - mean
+                    moments[i] = (mean + delta * k / tot,
+                                  m2 + c_m2 + delta * delta * n_total * k / tot)
+                n_total = tot
+            got = [(r.value, r.error_estimate) for r in mc_metrics(cases, mc)]
+            want = [(mean, math.sqrt(m2 / (n_total - 1) / n_total)) for mean, m2 in moments]
+            assert n_total == mc.n_samples
+            assert [case[1] for case in cases] == [CAPACITY, BER, BER, OUTAGE, OUTAGE]
+            assert got == want, n
 
 
 class TestKsStatistic:
