@@ -38,8 +38,8 @@ import numpy as np
 
 from .errors import DomainError, NumericError, positive
 from .fading import FadingParams, SumFadingModel
-from .specfun import (_MIN_GAP, REL_TOL, EvalReport, MeijerGSpec, _first_pass,
-                      _halving_trapezoid, digamma, log_betainc, log_gamma, meijer_g)
+from .specfun import (_MIN_GAP, REL_TOL, EvalReport, MeijerGSpec, _halving_trapezoid,
+                      digamma, log_betainc, log_gamma, meijer_g)
 
 _LN2 = math.log(2.0)
 _EPS = float(np.finfo(float).eps)
@@ -307,12 +307,10 @@ def physical_capacity(cfg: LinkConfig) -> MetricResult:
             out[i:i + rows] = f
         return out
 
-    first, used = _first_pass(integrand, 0.4, v_hi - v_lo, "physical capacity", 0,
-                              MAX_PHYSICAL_NODES)
-    total, err, rounding, h, n = _halving_trapezoid(
-        integrand, first, 0.4, 1e-12, 0.0,
+    total, err, rounding, h, n, _ = _halving_trapezoid(
+        integrand, np.empty(0), v_hi - v_lo, 0.4, 1e-12, 0.0,
         4.0 * _EPS * float(np.max(p.m_s * np.abs(u) + np.exp(u))),
-        "physical capacity", used, MAX_PHYSICAL_NODES)
+        "physical capacity", 0, MAX_PHYSICAL_NODES)
     cut = mean_eta * math.exp(v_lo) + min(1.0 / tail, mean_eta) * math.exp(-tail)
     # each node also loses at most 2 N e^-tail to the u-axis cut
     cut += 2.0 * n_cells * math.exp(-tail) * (v_hi - v_lo)

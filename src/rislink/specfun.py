@@ -710,10 +710,6 @@ class _MellinBarnesIntegrand:
         the imaginary part modulo 2 pi."""
         return _terms_at(*self.arrays, c, c * self.log_z, self.log_z)
 
-    def __call__(self, c, t):
-        """Real and imaginary parts of the log integrand at u = c + i t."""
-        return self.at(c)(t)
-
     def real_axis(self, x: np.ndarray) -> np.ndarray:
         """Re log integrand at real points x."""
         return x * self.log_z + _terms_at(*self.arrays, x).real()
@@ -775,15 +771,6 @@ _LOG_CUT = math.log(1e-18)
 _REACH = 32.0
 
 
-def _over_budget(what: str, need: int, used: int, budget: int):
-    """The NumericError of ``need`` more nodes that would take a row's
-    evaluations past the budget, or None."""
-    if used + need <= budget:
-        return None
-    return NumericError(f"{what} needs {need} more nodes after {used} "
-                        f"integrand evaluations, over the budget of {budget}")
-
-
 def _padded(xs: list) -> np.ndarray:
     """Rows of nodes as one array, each zero-padded past its own nodes."""
     if len(xs) == 1:
@@ -794,77 +781,80 @@ def _padded(xs: list) -> np.ndarray:
     return out
 
 
-def _halving_rules(f, first: list, h: float, rel_tol: float, floor: float, node_roundings,
-                   what: str, used: list, budget: int) -> list:
-    """Per row, the rule h (f(0)/2 + f(h) + ... + f(n h)), n even, from its
-    first pass, the values f(0), f(h), ..., f(n h) that the caller
-    evaluated and counted in the row's ``used``, the step halved until it
-    holds: (total, error, rounding, step, n), or the NumericError of a row
-    whose sum is not finite or whose next nodes would take its
-    evaluations past the budget: every later pass keeps its nodes.
+def _halving_rules(f, heads: list, spans: list, h: float, rel_tol: float, floor: float,
+                   node_roundings, what: str, used: list, budget: int) -> list:
+    """Per row, the rule h (f(0)/2 + f(h) + ... + f(n h)), n = 2 ceil(span
+    / 2h) its first pass, the step halved until it holds: (total, error,
+    rounding, step, n, evaluations), or the NumericError of a row whose
+    sum is not finite or whose next nodes would take its evaluations past
+    the budget: every later pass keeps its nodes.
 
-    The error is the difference from the rule on the even nodes, and the
-    step is halved, each pass adding only the new odd nodes, until it is
-    at most rel_tol * max(|total|, floor) or the rounding, the row's
-    node_rounding relative in each node: a smaller step cannot resolve a
-    difference below that.  Each later pass is one call f(x, rows) on
-    the rows still halving, one row of x each, zero-padded past a row's
-    own nodes (_padded).  The padding is the node x = 0, which every row
-    evaluates first, so it neither overflows nor warns; its values are
-    dropped, and each row sums over its own nodes alone.
+    A row's head holds f(0), f(h), ... as far as its caller evaluated
+    them, counted in the row's ``used``; it may be empty or run past n h,
+    and the rule keeps its first n + 1 values.  The first call evaluates
+    the rest of each row's first pass, and in that same call a row whose
+    head covers its first pass takes its first halving.  The error is the
+    difference from the rule on the even nodes, and the step is halved,
+    each pass adding only the new odd nodes, until it is at most rel_tol
+    * max(|total|, floor) or the rounding, the row's node_rounding
+    relative in each node: a smaller step cannot resolve a difference
+    below that.  Each call is f(x, rows) on the rows still open, one row
+    of x each, zero-padded past a row's own nodes (_padded).  The padding
+    is the node x = 0, which every row evaluates first, so it neither
+    overflows nor warns; its values are dropped, and each row sums over
+    its own nodes alone.
     """
-    values, used, out = list(first), list(used), [None] * len(first)
-    steps, x = [h] * len(first), [None] * len(first)
-    live = range(len(first))
+    n = [2 * math.ceil(span / (2.0 * h)) for span in spans]
+    values = [v[:k + 1] for v, k in zip(heads, n)]
+    used, out = list(used), [None] * len(heads)
+    steps, x = [h] * len(heads), [None] * len(heads)
+    live = range(len(heads))
     while True:
         for r in live:
             v, h = values[r], steps[r]
-            half = 0.5 * float(v[0])
-            total = h * (half + float(_SUM(v[1:])))
-            if not math.isfinite(total):
-                out[r] = NumericError(f"{what} rule sum is {total!r} after {used[r]} "
-                                      "integrand evaluations")
-                continue
-            coarse = 2.0 * h * (half + float(_SUM(v[2::2])))
-            err = abs(total - coarse)
-            rounding = node_roundings[r] * h * float(_SUM(np.abs(v)))
-            if err <= max(rel_tol * max(abs(total), floor), rounding):
-                out[r] = (total, err, rounding, h, v.size - 1)
-                continue
-            steps[r] = 0.5 * h
-            x[r] = steps[r] * np.arange(1, v.size * 2 - 2, 2)
-            out[r] = _over_budget(what, x[r].size, used[r], budget)
+            if v.size <= n[r]:
+                x[r] = h * np.arange(v.size, n[r] + 1)
+            else:
+                half = 0.5 * float(v[0])
+                total = h * (half + float(_SUM(v[1:])))
+                if not math.isfinite(total):
+                    out[r] = NumericError(f"{what} rule sum is {total!r} after {used[r]} "
+                                          "integrand evaluations")
+                    continue
+                coarse = 2.0 * h * (half + float(_SUM(v[2::2])))
+                err = abs(total - coarse)
+                rounding = node_roundings[r] * h * float(_SUM(np.abs(v)))
+                if err <= max(rel_tol * max(abs(total), floor), rounding):
+                    out[r] = (total, err, rounding, h, v.size - 1, used[r])
+                    continue
+                steps[r] = 0.5 * h
+                x[r] = steps[r] * np.arange(1, v.size * 2 - 2, 2)
+            if used[r] + x[r].size > budget:
+                out[r] = NumericError(f"{what} needs {x[r].size} more nodes after {used[r]} "
+                                      f"integrand evaluations, over the budget of {budget}")
             used[r] += x[r].size
         live = [r for r in live if out[r] is None]
         if not live:
             return out
         fx = f(_padded([x[r] for r in live]), live)
         for i, r in enumerate(live):
+            new = fx[i, :x[r].size]
+            if values[r].size <= n[r]:
+                values[r] = np.concatenate((values[r], new))
+                continue
             refined = np.empty(2 * values[r].size - 1)
             refined[::2] = values[r]
-            refined[1::2] = fx[i, :x[r].size]
+            refined[1::2] = new
             values[r] = refined
 
 
-def _first_pass(f, h: float, span: float, what: str, spent: int, budget: int) -> tuple:
-    """f at 0, h, ..., n h, n the least even count with n h >= span, and
-    the evaluations after them; raises the NumericError of nodes that
-    would take the evaluations, ``spent`` before them included, past the
-    budget."""
-    n = 2 * math.ceil(span / (2.0 * h))
-    over = _over_budget(what, n + 1, spent, budget)
-    if over is not None:
-        raise over
-    return f(h * np.arange(n + 1)), spent + n + 1
-
-
-def _halving_trapezoid(f, first, h: float, rel_tol: float, floor: float,
+def _halving_trapezoid(f, head, span: float, h: float, rel_tol: float, floor: float,
                        node_rounding: float, what: str, used: int, budget: int):
-    """_halving_rules of one row from its first pass ``first``, counted in
-    ``used``, f mapping an array of nodes to the integrand there; returns
-    (total, error, rounding, step, n)."""
-    (out,) = _halving_rules(lambda x, rows: f(x[0])[None], [first], h, rel_tol, floor,
-                            [node_rounding], what, [used], budget)
+    """_halving_rules of one row, f mapping an array of nodes to the
+    integrand there; returns (total, error, rounding, step, n,
+    evaluations)."""
+    (out,) = _halving_rules(lambda x, rows: f(x[0])[None], [head], [span], h, rel_tol,
+                            floor, [node_rounding], what, [used], budget)
     if isinstance(out, Exception):
         raise out
     return out
@@ -890,19 +880,19 @@ def _mapped(a, x, w0, re, im):
 def _contour(specs: list) -> list:
     """meijer_g of the specs, whose plans share one term structure, or the
     NumericError a spec's own call raises: one integrand call per saddle
-    pass, one for the probes and the rules' first nodes, one, the spill
-    call, for the rest of the first pass of the rows whose cut lies past
-    those nodes, and one per later pass of the rules.
+    pass, one for the probes and the rules' first nodes, and one per call
+    of the rules (_halving_rules).
 
     The probes are the powers of two from 1/4 to 2^16 along each row's
     line; its cut is the probe after the last one above 1e-18 of the
     saddle value, and a row whose integrand never falls that far raises.
     The probes' call also evaluates each row's rule nodes x = h j out to
-    t = _REACH, a grid that does not depend on the cut: a row whose cut
-    lies within it makes no call for its first pass.  A row whose reach
-    would take it past the budget evaluates none of them.  Every node
-    evaluated counts towards the budget and ``details['evals']``.  Each
-    call evaluates the line in blocks of about _CONTOUR_BLOCK nodes.
+    t = _REACH, a grid that does not depend on the cut, and the rule
+    takes them as the row's head: a row whose cut lies within them makes
+    no call for its first pass.  A row whose reach would take it past
+    the budget evaluates none of them.  Every node evaluated counts
+    towards the budget and ``details['evals']``.  Each call evaluates the
+    line in blocks of about _CONTOUR_BLOCK nodes.
     """
     chi = _MellinBarnesIntegrand(specs)
     lines = _contour_position(chi)
@@ -921,26 +911,18 @@ def _contour(specs: list) -> list:
     x = h * (j if len(specs) == 1 else np.where(j < _column(reach), j, 0.0))
     probes = _PROBES[None] if len(specs) == 1 else np.broadcast_to(_PROBES, (len(specs), p))
     re, im = _blocked(line, np.concatenate((probes, scale * np.sinh(x)), axis=1))
-    out, n = [], []
+    out = []
     for r, (spec, w) in enumerate(zip(specs, re[:, :p] - w0)):
         above = (w > _LOG_CUT).nonzero()[0]
         k = int(above[-1]) + 1 if above.size else 0
-        if k == p:
-            out.append(NumericError(
-                f"contour truncation bound not reached by t = {_PROBES[-1]:.0f} for {spec}"))
-            n.append(0)
-            continue
-        n.append(2 * math.ceil(math.asinh(_PROBES[k] / lines[r][2]) / (2.0 * h)))
-        # a first pass past the reach takes its other nodes from the spill call
-        out.append(_over_budget("contour quadrature", n[r] + 1 - reach[r],
-                                spent[r] + reach[r], MAX_CONTOUR_EVALS)
-                   or (float(_PROBES[k]), float(w[k])))
+        out.append(NumericError(
+            f"contour truncation bound not reached by t = {_PROBES[-1]:.0f} for {spec}")
+            if k == p else (float(_PROBES[k]), float(w[k])))
     live = [r for r, cut in enumerate(out) if not isinstance(cut, Exception)]
     if not live:
         return out
-    # the rule's integrand at the nodes its first passes take
-    m = max(min(n[r] + 1, reach[r]) for r in live)
-    head = _mapped(scale, x[:, :m], w0, re[:, p:p + m], im[:, p:p + m])
+    # the rule's integrand at the nodes the probes' call evaluated
+    head = _mapped(scale, x, w0, re[:, p:], im[:, p:])
 
     def mapped(x, rows):
         """The integrand of the live rows that rows indexes, at x."""
@@ -950,30 +932,20 @@ def _contour(specs: list) -> list:
         a = scale[rows]
         return _mapped(a, x, w0[rows], *_blocked(chi.take(rows).at(c[rows]), a * np.sinh(x)))
 
-    first = [head[r, :min(n[r] + 1, reach[r])] for r in live]
-    # the spill call: the rest of the first pass of each row whose cut
-    # lies past its reach
-    spill = [i for i, r in enumerate(live) if n[r] >= reach[r]]
-    if spill:
-        fx = mapped(_padded([h * np.arange(reach[live[i]], n[live[i]] + 1) for i in spill]),
-                    spill)
-        for k, i in enumerate(spill):
-            first[i] = np.concatenate((first[i], fx[k, :n[live[i]] + 1 - first[i].size]))
-    used = [spent[r] + max(reach[r], n[r] + 1) for r in live]
     rules = _halving_rules(
-        mapped, first, h, 1e-12, 1e-3,
+        mapped, [head[r, :reach[r]] for r in live],
+        [math.asinh(out[r][0] / lines[r][2]) for r in live], h, 1e-12, 1e-3,
         # each node's log terms round to a few ulps of their own size, and
         # exp carries that into the node value
-        [4.0 * _EPS * lines[r][3] for r in live], "contour quadrature", used,
-        MAX_CONTOUR_EVALS)
-    for r, rule, used_r in zip(live, rules, used):
+        [4.0 * _EPS * lines[r][3] for r in live], "contour quadrature",
+        [spent[r] + reach[r] for r in live], MAX_CONTOUR_EVALS)
+    for r, rule in zip(live, rules):
         if isinstance(rule, Exception):
             out[r] = rule
             continue
         (c_r, w0_r, scale_r, _, _), (t_max, w_tail) = lines[r], out[r]
-        total, err, rounding, h, n_r = rule
-        # each later pass added as many nodes as the rule had intervals
-        details = dict(contour=c_r, evals=used_r + n_r - n[r], step=h, nodes=n_r + 1,
+        total, err, rounding, h, n_r, evals = rule
+        details = dict(contour=c_r, evals=evals, step=h, nodes=n_r + 1,
                        t_max=t_max, scale=scale_r, log_gammas=len(specs[r].plan.gammas),
                        rel_error=0.0)
         if total == 0.0:
@@ -993,14 +965,13 @@ def meijer_g_batch(specs) -> list:
     Specs whose plans share one term structure (_BlockPlan.structure:
     the directions and weights of the merged terms, such as every
     capacity spec of a sweep point) run through the contour together:
-    each saddle pass, the probes with the rules' first nodes, the spill
-    call and each later pass of the step-halving rules is one integrand
-    call on (rows, nodes) arrays, a row's parameters
-    being (rows, 1) columns.  Every element is computed by the operations
-    of a lone call, in its order, each row's argmin and sums run over
-    that row's own nodes, and the zero padding past a row's nodes is
-    dropped; so each report equals meijer_g(spec) bit for bit, and a
-    failing row changes no other row's report.
+    each saddle pass, the probes with the rules' first nodes and each
+    call of the step-halving rules is one integrand call on (rows, nodes)
+    arrays, a row's parameters being (rows, 1) columns.  Every element is
+    computed by the operations of a lone call, in its order, each row's
+    argmin and sums run over that row's own nodes, and the zero padding
+    past a row's nodes is dropped; so each report equals meijer_g(spec)
+    bit for bit, and a failing row changes no other row's report.
     """
     out, groups = [None] * len(specs), {}
     for i, spec in enumerate(specs):

@@ -61,7 +61,7 @@ from .metrics import (
     result,
     snr_threshold_from_db,
 )
-from .specfun import REL_TOL, _first_pass, _halving_trapezoid, log_q_snr, meijer_g_batch
+from .specfun import REL_TOL, _halving_trapezoid, log_q_snr, meijer_g_batch
 
 _SQRT2 = math.sqrt(2.0)
 _LN2 = math.log(2.0)
@@ -167,9 +167,9 @@ def _log_axis_integral(log_terms, slopes, start: float, what: str):
     geometrically.  The support is walked in whole units of x until
     log h lies 100 below its peak, at most _SUPPORT_SPAN from it; the
     walk's call also evaluates the rule's first grid within _QUAD_REACH
-    units of the peak, its first pass wherever the support closes
-    there.  Each node's log terms round to a few ulps of their size at
-    the peak.
+    units of the peak, and the rule takes it as its head wherever the
+    support closes there.  Each node's log terms round to a few ulps of
+    their size at the peak.
     """
     y_peak, curvature, spent = _peak(slopes, start, what)
     scale = 1.0 / math.sqrt(-curvature)
@@ -203,18 +203,13 @@ def _log_axis_integral(log_terms, slopes, start: float, what: str):
         return np.exp(_summed(log_terms(y_peak + scale * np.sinh(x))) - h_peak) * (
             scale * np.cosh(x))
 
-    if max(lo, hi) <= w:
-        grid = slice(k * (w - lo), k * (w + hi) + 1)
-        first, used = np.exp(log_h[grid] - h_peak) * (scale * np.cosh(x[grid])), spent
-    else:
-        first, used = _first_pass(integrand, _QUAD_STEP, float(lo + hi), f"{what} quadrature",
-                                  spent, MAX_QUAD_EVALS)
+    # the walk's grid is the rule's head where the support closes within it
+    grid = slice(k * (w - lo), k * (w + hi) + 1) if max(lo, hi) <= w else slice(0)
+    head = np.exp(log_h[grid] - h_peak) * (scale * np.cosh(x[grid]))
     node_rounding = 4.0 * _EPS * sum(abs(float(t)) for t in peak_terms)
-    total, err, rounding, h, n = _halving_trapezoid(
-        integrand, first, _QUAD_STEP, _QUAD_REL_TOL, 0.0, node_rounding,
-        f"{what} quadrature", used, MAX_QUAD_EVALS)
-    # each later pass added as many nodes as the rule had intervals
-    evals = used + n + 1 - first.size
+    total, err, rounding, h, _, evals = _halving_trapezoid(
+        integrand, head, float(lo + hi), _QUAD_STEP, _QUAD_REL_TOL, 0.0, node_rounding,
+        f"{what} quadrature", spent, MAX_QUAD_EVALS)
     return h_peak + math.log(total), float((err + rounding) / total), evals, h
 
 

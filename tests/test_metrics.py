@@ -392,10 +392,12 @@ class TestDiagnosticsSchema:
 
         monkeypatch.setattr(metrics, "_halving_trapezoid", recorded)
         d = physical_capacity(cfg_eta(100.0, F15, 8)).diagnostics
-        (_, _, _, step, n), = rules
+        (_, _, _, step, n, evals), = rules
         assert d["step"] == step
-        # every outer node runs one inner rule, here of 93 nodes
-        assert d["evals"] == (n + 1) * 93
+        # the rule evaluates every outer node it has, from an empty head,
+        # and every outer node runs one inner rule, here of 93 nodes
+        assert evals == n + 1
+        assert d["evals"] == evals * 93
 
 
 class TestPhysicalCapacity:

@@ -451,7 +451,7 @@ class TestTermPlan:
         chi = _MellinBarnesIntegrand([spec])
         c = _contour_position(chi)[0][0]
         t = np.linspace(0.0, 16.0, 257)
-        re, im = chi(c, t)
+        re, im = chi.at(c)(t)
         # exp drops the multiples of 2 pi i that merging may add
         ratio = np.exp(re[0] + 1j * im[0] - naive_log_integrand(spec, c + 1j * t))
         assert np.max(np.abs(ratio - 1.0)) <= 1e-13
@@ -459,7 +459,7 @@ class TestTermPlan:
         # arguments, on the real path and on the complex one at t = 0
         left = max(a - 1.0 for a in spec.a_front)
         x = np.linspace(left - 3.0, min(spec.b_front) + 3.0, 257) + 1e-3 * math.pi
-        real, cplx = chi.real_axis(x), chi(x, 0.0)[0]
+        real, cplx = chi.real_axis(x), chi.at(x)(0.0)[0]
         assert np.all(np.isfinite(real))
         assert np.all(np.abs(real - cplx) <= 1e-13 * (1.0 + np.abs(cplx)))
         assert meijer_g(spec).details["log_gammas"] == log_gammas
@@ -611,8 +611,8 @@ class TestBatch:
 
     @pytest.mark.parametrize("reach", [0.25, 1024.0])
     def test_reports_do_not_depend_on_the_reach(self, monkeypatch, reach):
-        # every cut past the probes' nodes, or none: the spill call's
-        # nodes are the same bits, and only evals moves
+        # every cut past the probes' nodes, or none: the nodes the rule
+        # adds past a row's reach are the same bits, and only evals moves
         want = meijer_g_batch(self.SCATTER)
         monkeypatch.setattr(specfun, "_REACH", reach)
         for got, report in zip(meijer_g_batch(self.SCATTER), want):
@@ -639,7 +639,8 @@ class TestCallCount:
     """A lone contour makes one line call for its probes and its rule's
     first pass, one more for the rest of a first pass past the probes'
     reach, and one per halving; and one real call per saddle pass, the
-    first one the block plan's."""
+    first one the block plan's.  In a batch, the call that completes one
+    row's first pass halves another row's step."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -674,6 +675,18 @@ class TestCallCount:
         d = meijer_g(rebuilt(spec)).details
         assert (d["t_max"], d["step"]) == (t_max, step)
         assert calls == want
+
+    def test_first_pass_completes_beside_a_halving(self, calls):
+        # the rules' first call evaluates the rest of SCATTER[1]'s first
+        # pass, past the reach, and SCATTER[23]'s first halving; its second
+        # halving is the third line call
+        specs = [TestBatch.SCATTER[1], TestBatch.SCATTER[23]]
+        want = [meijer_g(spec) for spec in specs]
+        calls["line"] = 0
+        reports = meijer_g_batch(specs)
+        assert calls["line"] == 3
+        for report, report_alone in zip(reports, want):
+            assert_same_report(report, report_alone)
 
 
 # a few hundred can put the integrand on the contour past double range of

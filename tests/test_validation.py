@@ -319,8 +319,9 @@ class TestQuadAgainstScipy:
         monkeypatch.setattr(validation, "_halving_trapezoid", recorded)
         r = oracle(*args)
         d = r.diagnostics
-        (_, _, _, step, n), = rules
+        (_, _, _, step, n, evals), = rules
         assert type(d["evals"]) is int and d["evals"] > n + 1
+        assert d["evals"] == evals
         assert d["step"] == step and 0.0 < step <= 0.0625
         assert type(d["rel_error"]) is float and 0.0 < d["rel_error"] < 1e-10
         assert r.error_estimate == r.value * d["rel_error"]
