@@ -20,6 +20,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import collections
 import configparser
 import csv
 import functools
@@ -44,6 +45,7 @@ from .validation import (
     OUTAGE,
     PRESETS,
     REPORT_HEADER,
+    BranchSums,
     McConfig,
     evaluate,
     in_row_order,
@@ -290,24 +292,32 @@ def _eta(p_s_dbm: float, n0_dbm: float, r_d: float, beta: float) -> float:
                    lambda: 10.0 ** ((p_s_dbm - n0_dbm) / 10.0) * r_d ** (-beta))
 
 
-def _family_mc(cases, spec: SweepSpec) -> list:
+def _family_key(spec: SweepSpec, cfg) -> str:
+    """The seed key of a family's MC sample: seed|N|m|m_s|eta, or in
+    physical mode seed|m|m_s|eta, where a sample of N cells is the first
+    N branches of the key's one stream."""
+    n = [] if spec.mc["mode"] == PHYSICAL_DRAW else [str(cfg.n_cells)]
+    return "|".join([str(spec.mc["seed"]), *n, f"{cfg.fading.m:.17g}",
+                     f"{cfg.fading.m_s:.17g}", f"{cfg.eta:.17g}"])
+
+
+def _family_mc(cases, spec: SweepSpec, sums: dict) -> list:
     """One MC estimate per case of a (point, N, m, m_s) family, or, where
     the sample fails, its DomainError or NumericError in every case.
 
-    The family draws one sample, seeded from seed|N|m|m_s|eta: metric,
+    The family draws one sample, seeded from its _family_key: metric,
     lambda and threshold stay out of the key, so the family's MC rows are
     correlated, and no row depends on evaluation order (stable hash; the
-    builtin hash() is salted per process).
+    builtin hash() is salted per process).  In physical mode N stays out
+    too, so rows across N share branches; ``sums`` maps a key that
+    several families share to its BranchSums, which draws each branch
+    once.
     """
-    cfg = cases[0][0]
-    key = "|".join([
-        str(spec.mc["seed"]), str(cfg.n_cells), f"{cfg.fading.m:.17g}",
-        f"{cfg.fading.m_s:.17g}", f"{cfg.eta:.17g}",
-    ])
+    key = _family_key(spec, cases[0][0])
     sub = int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big")
     try:
         return mc_metrics(cases, McConfig(n_samples=spec.mc["samples"], seed=sub,
-                                          mode=spec.mc["mode"]))
+                                          mode=spec.mc["mode"]), sums.get(key))
     except (DomainError, NumericError) as exc:
         return [exc] * len(cases)
 
@@ -330,8 +340,9 @@ def _point(spec: SweepSpec, axis_value: float):
     return axis_value, link, families
 
 
-def _point_rows(spec: SweepSpec, point) -> list[list[str]]:
-    """The CSV rows of one built point: every family, metric case and variant."""
+def _point_rows(spec: SweepSpec, sums: dict, point) -> list[list[str]]:
+    """The CSV rows of one built point: every family, metric case and
+    variant, with ``sums`` as in _family_mc."""
     axis_value, link, families = point
     # the columns that hold for the point, then for a family and a case,
     # are formatted once each
@@ -341,7 +352,7 @@ def _point_rows(spec: SweepSpec, point) -> list[list[str]]:
     # one column per variant over every family's rows: one call, which
     # batches the point's Meijer G calls, or for mc one sample per family
     cases = [case for _, family_cases in families for case in family_cases]
-    columns = [[r for _, family_cases in families for r in _family_mc(family_cases, spec)]
+    columns = [[r for _, family_cases in families for r in _family_mc(family_cases, spec, sums)]
                if variant == "mc" else evaluate(cases, variant) for variant in spec.variants]
     results = iter(in_row_order(*columns))
     rows = []
@@ -359,8 +370,15 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[list[str]]:
     """Evaluate the grid; returns rows in deterministic axis order and
     prints "sweep point i/n done" to stderr as each point completes."""
     points = [_point(spec, float(v)) for v in spec.axis_values()]  # each check before any work
+    # a physical seed key that several families share holds one running
+    # branch sum, freed after its last family
+    sums = {}
+    if spec.mc["mode"] == PHYSICAL_DRAW:
+        uses = collections.Counter(_family_key(spec, cases[0][0]) for _, _, families in points
+                                   for _, cases in families)
+        sums = {key: BranchSums(calls) for key, calls in uses.items() if calls > 1}
     rows = []
-    point_rows = ordered_map(functools.partial(_point_rows, spec), points, threads)
+    point_rows = ordered_map(functools.partial(_point_rows, spec, sums), points, threads)
     for i, group in enumerate(point_rows):
         rows += group
         print(f"sweep point {i + 1}/{len(points)} done", file=sys.stderr)
@@ -475,7 +493,7 @@ def _metrics_command(args, flags: dict) -> int:
         link={key: (v,) if LINK_PARAMS[key].many else v for key, v in link.items()},
         mc={key: flags.get(key, p.default) for key, p in MC_PARAMS.items()}, out="-",
     )
-    rows = _point_rows(spec, _point(spec, x))  # a failing point prints nothing
+    rows = _point_rows(spec, {}, _point(spec, x))  # a failing point prints nothing
     w = csv.writer(sys.stdout, lineterminator="\n")
     w.writerow(CSV_HEADER)
     w.writerows(rows)

@@ -192,6 +192,7 @@ def sample_sum(
     rng: np.random.Generator,
     size=None,
     out=None,
+    summed: int = 0,
 ):
     """Draw aggregate channel powers.
 
@@ -201,16 +202,24 @@ def sample_sum(
     are exact for ``model_draw``; the gap to ``physical_draw`` measures
     the sum-model approximation and is reported as a diagnostic by the
     validation tooling.  An array draw is written into ``out`` when it
-    is given, an array of shape ``size``; the branch sum draws its
-    further branches into one pair of buffers and adds each in place.
+    is given, an array of shape ``size``.
+
+    The branch sum is branch-major: branch 1 at every draw, then branch
+    2, each added in place from one pair of buffers.  So the first k
+    branches of N are a k-branch sample, and ``summed`` = k > 0 continues
+    one: ``out`` holds the sum of the first k branches drawn from ``rng``,
+    and branches k+1..N are added onto it, bit for bit as one call for
+    all N would add them.
     """
     if mode == MODEL_DRAW:
         return _f_draw(model.nm, model.nms, model.nms / model.params.m, rng, size, out)
     if mode == PHYSICAL_DRAW:
+        if not 0 <= summed <= model.n_cells:
+            raise DomainError(f"summed = {summed!r} branches, outside 0..N = {model.n_cells}")
         branch = _branch(model.params)
         x, y = (None, None) if size is None else (np.empty(size), np.empty(size))
-        total = _f_draw(*branch, rng, size, out, y)
-        for _ in range(model.n_cells - 1):
+        total = out if summed else _f_draw(*branch, rng, size, out, y)
+        for _ in range(model.n_cells - max(summed, 1)):
             total += _f_draw(*branch, rng, size, x, y)
         return total
     raise DomainError(f"unknown draw mode {mode!r}; use 'model_draw' or 'physical_draw'")

@@ -22,11 +22,13 @@ results identical no matter how the families are scheduled.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, fields
+import threading
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -459,20 +461,65 @@ def _metric_samples(cfg: LinkConfig, which: str, gamma_th: float, g: np.ndarray,
         np.copyto(vals, mask)
 
 
-def mc_metrics(cases, mc: McConfig) -> list[MetricResult]:
+@dataclass(eq=False)
+class BranchSums:
+    """One physical sample shared by the ``calls`` MC calls of a family
+    whose cases differ only in N.
+
+    ``total`` holds, at each draw, the sum of the first ``count`` branches
+    that ``rng`` drew, in :func:`sample_sum`'s branch-major order, so a
+    call at N >= count adds only branches count+1..N, and its sample is
+    bit for bit a lone call's; a call below ``count`` draws afresh and
+    leaves the sum alone.  ``lock`` serialises the calls, and the last
+    call frees the sample.
+    """
+
+    calls: int
+    rng: np.random.Generator | None = None
+    total: np.ndarray | None = None
+    count: int = 0
+    lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+
+
+def _physical_sample(model: SumFadingModel, n: int, rng: np.random.Generator,
+                     sums: BranchSums | None) -> np.ndarray:
+    """The n-draw branch sum of model, drawn whole from rng, or grown from sums."""
+    if sums is None or model.n_cells < sums.count:
+        g = sample_sum(model, PHYSICAL_DRAW, rng, size=n)
+    else:
+        if not sums.count:
+            sums.rng = rng
+        g = sums.total = sample_sum(model, PHYSICAL_DRAW, sums.rng, size=n, out=sums.total,
+                                    summed=sums.count)
+        sums.count = model.n_cells
+    if sums is not None:
+        sums.calls -= 1
+        if not sums.calls:
+            sums.rng = sums.total = None
+    return g
+
+
+def mc_metrics(cases, mc: McConfig, sums: BranchSums | None = None) -> list[MetricResult]:
     """Seeded Monte-Carlo estimates of several metrics on one sample.
 
     ``cases`` are :func:`evaluate`'s cases and share one channel model;
-    they may differ in eta, lambda and threshold.  Each chunk of channel
-    powers is drawn once and scored for every case, so every case gets
-    the estimate a lone call with the same seed gives.  Capacity averages
-    log2(1 + eta g); BER averages the conditional error probability
-    Q(sqrt(2 eta lambda g)) directly (no bit flips), outage averages the
-    threshold indicator.  Aggregation merges (count, mean, M2) triples
-    over fixed-size chunks, so the result is bit-identical for a given
-    seed regardless of scheduling.  Each is a MetricResult of method
-    "mc": the mean, its standard error, and diagnostics holding the draw
-    mode as ``method`` and the draws as ``evals``.
+    they may differ in eta, lambda and threshold.  The sample is scored
+    for every case, so every case gets the estimate a lone call with the
+    same seed gives.  Capacity averages log2(1 + eta g); BER averages the
+    conditional error probability Q(sqrt(2 eta lambda g)) directly (no bit
+    flips), outage averages the threshold indicator.  Aggregation merges
+    (count, mean, M2) triples over fixed-size chunks, so the result is
+    bit-identical for a given seed regardless of scheduling.  Each is a
+    MetricResult of method "mc": the mean, its standard error, and
+    diagnostics holding the draw mode as ``method`` and the draws as
+    ``evals``.
+
+    A model-mode sample is drawn one chunk at a time.  A physical-mode
+    sample is drawn whole, branch-major (about 24 bytes a draw while it
+    is drawn), so its first k branches are a k-cell sample; ``sums``
+    shares one such sample across the calls of a family that differ
+    only in N (see :class:`BranchSums`).  Up to ``_CHUNK`` draws, the
+    whole sample is the one chunk, drawn as before.
     """
     for _, which, gamma_th, *_ in cases:
         if which not in (CAPACITY, BER, OUTAGE):
@@ -486,43 +533,48 @@ def mc_metrics(cases, mc: McConfig) -> list[MetricResult]:
         )
     (model,) = models
     rng = np.random.default_rng(np.random.SeedSequence(mc.seed))
-    n_total = 0
+    n = mc.n_samples
+    physical = mc.mode == PHYSICAL_DRAW
     moments = [(0.0, 0.0)] * len(cases)  # (mean, M2) per case
-    remaining = mc.n_samples
     # one workspace per call, never shared: families run on several threads.
     # A shorter last chunk works on views of its heads.
-    size = min(_CHUNK, remaining)
-    g_work, vals_work, mask_work = np.empty(size), np.empty(size), np.empty(size, bool)
-    while remaining > 0:
-        k = min(_CHUNK, remaining)
-        vals, mask = vals_work[:k], mask_work[:k]
-        # a draw past double range raises here, not as a warning
+    size = min(_CHUNK, n)
+    g_work = None if physical else np.empty(size)
+    vals_work, mask_work = np.empty(size), np.empty(size, bool)
+    with contextlib.nullcontext() if sums is None else sums.lock:
+        # a draw past double range raises below, not as a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            g = sample_sum(model, mc.mode, rng, size=k, out=g_work[:k])
-        if not np.isfinite(g, out=mask).all():
-            raise NumericError(f"MC draws at N m = {model.nm:.3e}, N m_s = {model.nms:.3e} "
-                               "leave double range")
-        tot = n_total + k
-        for i, (cfg, which, gamma_th, *_) in enumerate(cases):
-            # vals.mean() and ((vals - mean) ** 2).sum() in one buffer: the
-            # same ufuncs in the same order
-            _metric_samples(cfg, which, gamma_th, g, vals, mask)
-            c_mean = float(np.add.reduce(vals) / k)
-            vals -= c_mean
-            c_m2 = float(np.add.reduce(np.square(vals, out=vals)))
-            # Chan et al. pairwise merge of (n, mean, M2)
-            mean, m2 = moments[i]
-            delta = c_mean - mean
-            moments[i] = (mean + delta * k / tot,
-                          m2 + c_m2 + delta * delta * n_total * k / tot)
-        n_total = tot
-        remaining -= k
+            whole = _physical_sample(model, n, rng, sums) if physical else None
+        for n_total in range(0, n, _CHUNK):
+            k = min(_CHUNK, n - n_total)
+            vals, mask = vals_work[:k], mask_work[:k]
+            if physical:
+                g = whole[n_total:n_total + k]
+            else:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    g = sample_sum(model, MODEL_DRAW, rng, size=k, out=g_work[:k])
+            if not np.isfinite(g, out=mask).all():
+                raise NumericError(f"MC draws at N m = {model.nm:.3e}, N m_s = "
+                                   f"{model.nms:.3e} leave double range")
+            tot = n_total + k
+            for i, (cfg, which, gamma_th, *_) in enumerate(cases):
+                # vals.mean() and ((vals - mean) ** 2).sum() in one buffer: the
+                # same ufuncs in the same order
+                _metric_samples(cfg, which, gamma_th, g, vals, mask)
+                c_mean = float(np.add.reduce(vals) / k)
+                vals -= c_mean
+                c_m2 = float(np.add.reduce(np.square(vals, out=vals)))
+                # Chan et al. pairwise merge of (n, mean, M2)
+                mean, m2 = moments[i]
+                delta = c_mean - mean
+                moments[i] = (mean + delta * k / tot,
+                              m2 + c_m2 + delta * delta * n_total * k / tot)
     estimates = []
     for mean, m2 in moments:
-        var = m2 / (n_total - 1)
+        var = m2 / (n - 1)
         estimates.append(MetricResult(
-            value=mean, method="mc", error_estimate=math.sqrt(var / n_total),
-            diagnostics={"method": mc.mode, "evals": n_total}))
+            value=mean, method="mc", error_estimate=math.sqrt(var / n),
+            diagnostics={"method": mc.mode, "evals": n}))
     return estimates
 
 

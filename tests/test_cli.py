@@ -1,6 +1,7 @@
 """CLI: config parsing, sweep output, validation runner, exit codes."""
 
 import argparse
+import collections
 import csv
 import dataclasses
 import io
@@ -15,7 +16,7 @@ import textwrap
 import pytest
 
 import rislink
-from rislink import cli, specfun, validation
+from rislink import cli, fading, specfun, validation
 from rislink.cli import (
     CSV_HEADER,
     LINK_PARAMS,
@@ -569,6 +570,33 @@ def test_value_missing_the_accuracy_target_is_a_numeric_error(flags, message, ca
     assert out == "" and err.startswith(f"numeric error: {message}")
 
 
+# points where the step-halving rule's first pass runs past the nodes its
+# caller evaluated, as (flags, reference value, relative tolerance):
+#  - the BER contour's cut at t = 256 lies past the rule nodes of the
+#    probes' call, so the rule's first call evaluates the rest of its first
+#    pass (a line left above the saddle would miss 6.596e-103);
+#  - the outage's support closes past the quadrature walk's reach, so the
+#    rule evaluates the oracle's whole first pass
+PAST_THE_HEAD = [
+    (["--metric", "ber", "--n-cells", "840", "--m", "2.1884038005191497",
+      "--m-s", "30.567624431206692", "--eta-db", "-5.306341648101807"],
+     6.596053434e-103, 1e-6),
+    (["--metric", "outage", "--n-cells", "1", "--m", "4.627121762667704",
+      "--m-s", "2.606606995954251", "--eta-db", "1.3079850375652313",
+      "--gamma-th-db", "9.714494906365871"], 0.979310369394743, 1e-12),
+]
+
+
+@pytest.mark.parametrize("flags,reference,rel", PAST_THE_HEAD,
+                         ids=[flags[1] for flags, _, _ in PAST_THE_HEAD])
+def test_first_pass_past_the_head_agrees_across_routes(flags, reference, rel, capsys):
+    exact, quad = (_metrics_row(capsys, *flags, "--variant", variant)
+                   for variant in ("exact", "quadrature"))
+    (v, e), (w, f) = ((float(r["value"]), float(r["error_estimate"])) for r in (exact, quad))
+    assert abs(v - w) <= e + f
+    assert abs(v / reference - 1.0) < rel
+
+
 # route arguments that leave the positive finite doubles: eta lambda
 # underflows to 0 (was a ZeroDivisionError or ValueError traceback), and
 # the outage oracle's gamma_th/eta underflows (was a ValueError traceback)
@@ -783,19 +811,19 @@ class TestSweep:
     @pytest.mark.parametrize("mode", [MODEL_DRAW, PHYSICAL_DRAW])
     def test_one_draw_per_family(self, monkeypatch, mode):
         calls = []
-        draw = validation.sample_sum
+        draw = fading._f_draw
 
-        def counting(model, *args, **kwargs):
-            calls.append(model)
-            return draw(model, *args, **kwargs)
+        def counting(a, *args, **kwargs):
+            calls.append(a)  # m for a branch, N m for the model
+            return draw(a, *args, **kwargs)
 
-        monkeypatch.setattr(validation, "sample_sum", counting)
+        monkeypatch.setattr(fading, "_f_draw", counting)
         text = """
 [sweep]
 axis = n_cells
 start = 1
-stop = 2
-steps = 2
+stop = 4
+steps = 4
 metrics = capacity, ber, outage
 variants = mc
 
@@ -807,10 +835,135 @@ gamma_th_db = 3, 6
         spec = parse_config(text)
         spec.mc.update(mode=mode, samples=validation._CHUNK + 1000)
         rows = run_sweep(spec)
-        # 2 points x 2 families x (1 capacity + 2 BER + 2 outage) rows,
-        # and one draw per family for each of the two chunks
-        assert len(rows) == 20
-        assert len(calls) == 2 * 2 * 2
+        # 4 points x 2 families x (1 capacity + 2 BER + 2 outage) rows
+        assert len(rows) == 40
+        if mode == MODEL_DRAW:
+            # one draw per family for each of the two chunks
+            assert len(calls) == 4 * 2 * 2
+        else:
+            # each family's stream draws its 4 branches once, not 1 + 2 + 3 + 4
+            assert collections.Counter(calls) == {1.0: 4, 2.0: 4}
+
+    @pytest.mark.parametrize("chunk", [validation._CHUNK, 4096])
+    def test_physical_rows_are_lone_metrics_rows(self, monkeypatch, capsys, chunk):
+        # rows across N share one stream's branches, yet each is the row a
+        # lone metrics call draws, with 10^4 draws in one chunk or in three
+        monkeypatch.setattr(validation, "_CHUNK", chunk)
+        text = """
+[sweep]
+axis = n_cells
+start = 2
+stop = 8
+steps = 4
+metrics = capacity, ber, outage
+variants = mc
+
+[link]
+m = 1, 2
+gamma_th_db = 9
+
+[mc]
+samples = 10000
+seed = 11
+mode = physical
+"""
+        rows = _dict_rows(run_sweep(parse_config(text)))
+        capsys.readouterr()
+        assert len(rows) == 4 * 2 * 3
+        for want in rows:
+            got = _metrics_row(capsys, "--metric", want["metric"], "--variant", "mc",
+                               "--mc-mode", "physical", "--n-cells", want["N"],
+                               "--m", want["m"], "--gamma-th-db", "9",
+                               "--mc-samples", "10000", "--seed", "11")
+            assert {**got, "axis": "n_cells", "axis_value": want["N"]} == want
+
+    def test_physical_family_below_the_count_draws_afresh(self, tmp_path, capsys):
+        # at each point, N 16 runs first and N 8 then draws afresh: the rows
+        # are the same bytes on one thread and on two, and the N 8 rows are
+        # those of a sweep without N 16
+        base = ("[sweep]\naxis = p_s_dbm\nstart = -10\nstop = 10\nsteps = 5\n"
+                "metrics = capacity, outage\nvariants = mc\n"
+                "[mc]\nsamples = 10000\nmode = physical\n[link]\n")
+        out = {}
+        for name, cells, threads in (("t1", "16, 8", "1"), ("t2", "16, 8", "2"),
+                                     ("n8", "8", "1")):
+            path = tmp_path / f"{name}.ini"
+            path.write_text(f"{base}n_cells = {cells}\n")
+            out[name] = tmp_path / f"{name}.csv"
+            assert main(["sweep", str(path), "--out", str(out[name]),
+                         "--threads", threads]) == 0
+        capsys.readouterr()
+        assert out["t1"].read_bytes() == out["t2"].read_bytes()
+        with open(out["t1"], newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        with open(out["n8"], newline="") as fh:
+            alone = list(csv.DictReader(fh))
+        assert len(rows) == 5 * 2 * 2 and len(alone) == 5 * 2
+        assert [r for r in rows if r["N"] == "8"] == alone
+
+    def test_shared_branch_sums_hold_across_thread_switches(self):
+        # more threads than cores, switching every microsecond: an update of
+        # a shared sum lost between two points would move a row
+        text = """
+[sweep]
+axis = n_cells
+start = 1
+stop = 12
+steps = 12
+metrics = capacity
+variants = mc
+
+[link]
+m = 1, 2
+
+[mc]
+samples = 10000
+mode = physical
+"""
+        spec = parse_config(text)
+        want = run_sweep(spec, threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = run_sweep(spec, threads=6)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
+    def test_physical_capacity_rows_agree_with_the_exact_sum(self):
+        # the physical-sum capacity has an exact route with no Monte Carlo:
+        # each of 16 correlated rows lies within a Bonferroni z of it, so
+        # the table keeps one 3.5 sigma row's false-alarm rate
+        from scipy.stats import norm
+
+        text = """
+[sweep]
+axis = n_cells
+start = 4
+stop = 64
+steps = 16
+metrics = capacity
+variants = mc
+
+[link]
+m = 1
+m_s = 5
+p_s_dbm = 0
+
+[mc]
+samples = 100000
+mode = physical
+"""
+        spec = parse_config(text)
+        rows = _dict_rows(run_sweep(spec))
+        assert [int(r["N"]) for r in rows] == list(range(4, 65, 4))
+        z = norm.isf(validation.ALPHA_3P5 / (2 * len(rows)))
+        for r in rows:
+            cases = validation.point_cases(1.0, FadingParams(1.0, 5.0), int(r["N"]),
+                                           ("capacity",), (1.0,), (3.0,))
+            (exact,) = validation.evaluate(cases, "physical")
+            gap = abs(float(r["value"]) - exact.value)
+            assert gap <= z * math.hypot(float(r["error_estimate"]), exact.error_estimate), r
 
     def test_mc_rows_within_four_se_of_exact(self):
         rows = _dict_rows(run_sweep(parse_config(MC_FAMILY_SWEEP)))
@@ -914,10 +1067,10 @@ def test_failing_family_raises_the_first_in_row_order(variants, exact_fails, mc_
             raise NumericError(f"exact, N {cfg.n_cells}")
         return good_form(cfg)
 
-    def mc(cases, config):
+    def mc(cases, config, sums=None):
         if cases[0][0].n_cells in mc_fails:
             raise NumericError(f"mc, N {cases[0][0].n_cells}")
-        return good_mc(cases, config)
+        return good_mc(cases, config, sums)
 
     monkeypatch.setattr(validation, "_capacity_form", form)
     monkeypatch.setattr(cli, "mc_metrics", mc)

@@ -242,6 +242,28 @@ class TestSampleSum:
         b = sample_sum(model, PHYSICAL_DRAW, np.random.default_rng(8), size=256)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("size", [256, None])
+    def test_summed_continues_the_branch_sum(self, size):
+        # 2 branches, then 3 more onto them: one 5-branch call's bits and
+        # generator state, where the sum is branch-major
+        p = FadingParams(2.0, 3.0)
+        rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+        total = sample_sum(SumFadingModel(p, 2), PHYSICAL_DRAW, rng, size=size)
+        got = sample_sum(SumFadingModel(p, 5), PHYSICAL_DRAW, rng, size=size, out=total,
+                         summed=2)
+        want = sample_sum(SumFadingModel(p, 5), PHYSICAL_DRAW, ref, size=size)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+        if size is not None:
+            assert got is total
+
+    @pytest.mark.parametrize("summed", [-1, 3])
+    def test_summed_outside_the_branches(self, summed):
+        model = SumFadingModel(FadingParams(2.0, 3.0), 2)
+        with pytest.raises(DomainError, match="outside 0..N = 2"):
+            sample_sum(model, PHYSICAL_DRAW, np.random.default_rng(1), size=4,
+                       out=np.zeros(4), summed=summed)
+
 
 class TestPinnedStreams:
     """The first draws at a fixed seed, as repr literals: a reordered

@@ -31,6 +31,7 @@ from rislink.metrics import (
 )
 from rislink.validation import (
     BER,
+    BranchSums,
     CAPACITY,
     OUTAGE,
     McConfig,
@@ -624,16 +625,20 @@ class TestMcMetrics:
     @pytest.mark.parametrize("mode", [MODEL_DRAW, PHYSICAL_DRAW])
     def test_moments_equal_the_two_pass_formula(self, monkeypatch, mode):
         # three chunks, the last (1808 draws) shorter than the workspace, so
-        # the pairwise merge runs and a stale tail in a reused buffer shows
+        # the pairwise merge runs and a stale tail in a reused buffer shows.
+        # A model sample is drawn a chunk at a time, a physical one whole
         monkeypatch.setattr(validation, "_CHUNK", 4096)
         mc = McConfig(10_000, 17, mode)
         for n in (1, 3, 17):
             cases = point_cases(10.0, F15, n, (CAPACITY, BER, OUTAGE), (1.0, 0.5), (3.0, 6.0))
             model = cases[0][0].model()
             rng = np.random.default_rng(np.random.SeedSequence(mc.seed))
+            whole = (ref_sample_sum(model, mode, rng, size=mc.n_samples)
+                     if mode == PHYSICAL_DRAW else None)
             n_total, moments = 0, [(0.0, 0.0)] * len(cases)
             for k in (4096, 4096, 1808):
-                g = ref_sample_sum(model, mode, rng, size=k)
+                g = (whole[n_total:n_total + k] if mode == PHYSICAL_DRAW
+                     else ref_sample_sum(model, mode, rng, size=k))
                 tot = n_total + k
                 for i, (cfg, which, gamma_th, _) in enumerate(cases):
                     vals = ref_metric_samples(cfg, which, gamma_th, g)
@@ -649,6 +654,29 @@ class TestMcMetrics:
             assert n_total == mc.n_samples
             assert [case[1] for case in cases] == [CAPACITY, BER, BER, OUTAGE, OUTAGE]
             assert got == want, n
+
+
+    def test_lone_physical_value_is_pinned(self):
+        # up to _CHUNK draws the whole branch-major sample is the one chunk
+        # that chunked drawing drew, so a lone value keeps its bits
+        cfg = cfg_eta(10.0, F15, 8)
+        est = mc_metric(cfg, CAPACITY, McConfig(validation._CHUNK, 7, PHYSICAL_DRAW))
+        assert (est.value, est.error_estimate) == (6.205297470267158, 0.0012183086642027262)
+
+    @pytest.mark.parametrize("n_cells", [(2, 5, 5, 9), (9, 2, 5)])
+    def test_branch_sums_give_lone_results(self, n_cells):
+        # an ascending call grows the shared sum by its new branches; a call
+        # below the count draws afresh and leaves the sum alone; the last
+        # call frees the sample
+        mc = McConfig(10_000, 23, PHYSICAL_DRAW)
+        sums = BranchSums(len(n_cells))
+        counts = []
+        for n in n_cells:
+            cases = point_cases(10.0, F15, n, (CAPACITY, BER, OUTAGE), (1.0,), (6.0,))
+            assert mc_metrics(cases, mc, sums) == mc_metrics(cases, mc)
+            counts.append(sums.count)
+        assert counts == list(itertools.accumulate(n_cells, max))
+        assert (sums.calls, sums.total, sums.rng) == (0, None, None)
 
 
 class TestKsStatistic:
