@@ -13,11 +13,9 @@ from .fading import (
     FadingParams,
     SumFadingModel,
     cdf,
-    pdf,
     sample,
     sample_sum,
     sum_cdf,
-    sum_pdf,
 )
 from .metrics import (
     LinkConfig,
@@ -52,7 +50,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError", "DomainError", "NumericError",
     "FadingParams", "SumFadingModel", "MODEL_DRAW", "PHYSICAL_DRAW",
-    "pdf", "cdf", "sample", "sum_pdf", "sum_cdf", "sample_sum",
+    "cdf", "sample", "sum_cdf", "sample_sum",
     "LinkConfig", "MetricResult",
     "avg_capacity", "avg_capacity_asymptotic",
     "avg_ber", "avg_ber_asymptotic",

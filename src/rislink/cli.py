@@ -164,12 +164,13 @@ class SweepSpec:
     def axis_values(self) -> np.ndarray:
         vals = np.linspace(self.start, self.stop, self.steps)
         if self.axis == "n_cells":
-            ints = np.unique(np.rint(vals).astype(int))
+            # exact past 2^63, where an int64 cast wraps; half to even as np.rint
+            ints = sorted({round(v) for v in vals.tolist()})
             if len(ints) != len(vals):
                 raise ConfigError(
                     "n_cells axis produced duplicate integers; adjust start/stop/steps"
                 )
-            return ints.astype(float)
+            return np.array(ints, dtype=float)
         return vals
 
 

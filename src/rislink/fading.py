@@ -15,10 +15,12 @@ branches is modelled by a single F-shaped density with parameters
 
 Both are the F (beta-prime) law with shapes (a, b) and rate c: (m, m_s,
 L) for a branch, (Nm, Nms, xi) for the aggregate.  One set of private
-helpers holds its density, CDF and draw for both.
+helpers holds its CDF and draw for both; the densities themselves live
+in the closed forms of :mod:`rislink.metrics` and the quadrature oracles
+of :mod:`rislink.validation`.
 
 Draws are exact scaled gamma ratios, so sampling is independent of the
-density code paths it is tested against.  All distribution objects are
+CDF it is tested against.  All distribution objects are
 immutable; random draws consume an explicitly passed numpy Generator.
 """
 
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, positive
-from .specfun import ln_beta, log_gamma
+from .specfun import log_gamma
 
 MODEL_DRAW = "model_draw"
 PHYSICAL_DRAW = "physical_draw"
@@ -109,22 +111,11 @@ class SumFadingModel:
         return self.nm * (self.nms / self.params.m) / (self.nms - 1.0)
 
 
-def _support(x, name: str, var: str) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0) or not np.all(np.isfinite(x)):
-        raise DomainError(f"{name} requires finite {var} >= 0")
-    return x
-
-
-def _f_pdf(a: float, b: float, c: float, g: np.ndarray) -> float | np.ndarray:
-    """Density c^a g^(a-1) / (B(a, b) (1 + c g)^(a+b)), assembled in logs."""
-    log_front = a * math.log(c) - ln_beta(a, b)
-    gp = np.where(g > 0.0, g, 1.0)
-    out = np.exp(log_front + (a - 1.0) * np.log(gp) - (a + b) * np.log1p(c * g))
-    # at g = 0 the g^(a-1) factor decides: 0 above a=1, finite at a=1, diverging below
-    origin = math.exp(log_front) if a == 1.0 else (np.inf if a < 1.0 else 0.0)
-    out = np.where(g == 0.0, origin, out)
-    return out if out.ndim else float(out)
+def _support(v, name: str) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    if np.any(v < 0.0) or not np.all(np.isfinite(v)):
+        raise DomainError(f"{name} requires finite v >= 0")
+    return v
 
 
 def _f_cdf(a: float, b: float, c: float, v: np.ndarray) -> float | np.ndarray:
@@ -156,15 +147,10 @@ def _branch(p: FadingParams) -> tuple[float, float, float]:
     return p.m, p.m_s, p.g_bar * (p.m_s - 1.0) / p.m
 
 
-def pdf(p: FadingParams, g) -> float | np.ndarray:
-    """Single-branch channel-power density at g >= 0."""
-    return _f_pdf(p.m, p.m_s, p.rate, _support(g, "pdf", "g"))
-
-
 def cdf(p: FadingParams, v) -> float | np.ndarray:
     """Single-branch CDF, kept independent of the sampler and of the
     generic Meijer G evaluator."""
-    return _f_cdf(p.m, p.m_s, p.rate, _support(v, "cdf", "v"))
+    return _f_cdf(p.m, p.m_s, p.rate, _support(v, "cdf"))
 
 
 def sample(p: FadingParams, rng: np.random.Generator, size=None):
@@ -176,14 +162,9 @@ def sample(p: FadingParams, rng: np.random.Generator, size=None):
     return _f_draw(*_branch(p), rng, size)
 
 
-def sum_pdf(model: SumFadingModel, g) -> float | np.ndarray:
-    """Aggregate channel-power density at g >= 0."""
-    return _f_pdf(model.nm, model.nms, model.xi, _support(g, "sum_pdf", "g"))
-
-
 def sum_cdf(model: SumFadingModel, v) -> float | np.ndarray:
     """CDF of the aggregate model density."""
-    return _f_cdf(model.nm, model.nms, model.xi, _support(v, "sum_cdf", "v"))
+    return _f_cdf(model.nm, model.nms, model.xi, _support(v, "sum_cdf"))
 
 
 def sample_sum(

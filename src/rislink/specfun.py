@@ -82,13 +82,6 @@ def digamma(x: float) -> float:
     return math.log(x) + (shift - 0.5 * inv + series * inv * inv)
 
 
-def ln_beta(x: float, y: float) -> float:
-    """log B(x, y); safe for arguments far beyond gamma overflow."""
-    positive(x, "ln_beta x")
-    positive(y, "ln_beta y")
-    return log_gamma(x) + log_gamma(y) - log_gamma(x + y)
-
-
 def q_function(x: float) -> float:
     """Gaussian tail probability Q(x) = 0.5 erfc(x / sqrt(2))."""
     if not np.isfinite(x):
@@ -241,9 +234,11 @@ class MeijerGSpec:
     Construction raises every DomainError a spec can cause, so meijer_g
     meets only NumericError: a non-finite parameter or argument <= 0,
     parameters beyond double range of each other, no exponential decay
-    (2(m + n) <= p + q), or pole families that no vertical contour
-    separates by more than _MIN_GAP.  ``decay`` holds Stirling's decay
-    exponent in |Im u|, ``plan`` the block's cached _block_plan.
+    (2(m + n) <= p + q), pole families that no vertical contour
+    separates by more than _MIN_GAP, or a log-gamma term whose real part
+    falls below 0 where the contour runs (_block_plan).  ``decay`` holds
+    Stirling's decay exponent in |Im u|, ``plan`` the block's cached
+    _block_plan.
     """
 
     a_front: tuple[float, ...]
@@ -353,9 +348,10 @@ def _merge_direction(nums, dens) -> tuple[dict, dict]:
 
 # Lanczos's approximation with g = 607/128 and 15 coefficients (P. Godfrey's
 # set): Gamma(x) = sqrt(2 pi) t^(x - 1/2) e^-t (c_0 + sum_k c_k / (x + k - 1)),
-# t = x + g - 1/2, here at Re x >= 0.  Its terms cancel far less than those
-# of the common g = 7 set, whose error reaches 20 eps of ln Gamma; below
-# Re x = 0 its error grows past 4 eps, and the reflection formula serves.
+# t = x + g - 1/2, at Re x >= 0 only (_block_plan rejects a term that would
+# reach below).  Its terms cancel far less than those of the common g = 7
+# set, whose error reaches 20 eps of ln Gamma.  c_1.. and their k - 1 are
+# columns against the (terms, rows, nodes) arguments.
 _LANCZOS_G = 607.0 / 128.0
 _LANCZOS_C0 = 0.99999999999999709182
 _LANCZOS_C = np.array([
@@ -363,50 +359,37 @@ _LANCZOS_C = np.array([
     -0.49191381609762019978, 0.33994649984811888699e-4, 0.46523628927048575665e-4,
     -0.98374475304879564677e-4, 0.15808870322491248884e-3, -0.21026444172410488319e-3,
     0.21743961811521264320e-3, -0.16431810653676389022e-3, 0.84418223983852743293e-4,
-    -0.26190838401581408670e-4, 0.36899182659531622704e-5])
-_LANCZOS_K = np.arange(float(_LANCZOS_C.size))
+    -0.26190838401581408670e-4, 0.36899182659531622704e-5]).reshape(-1, 1, 1, 1)
+_LANCZOS_K = np.arange(float(_LANCZOS_C.size)).reshape(-1, 1, 1, 1)
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-_LOG_PI = math.log(math.pi)
 # ndarray.sum without its Python wrapper, which the contour's many small
 # arrays would pay on every call
 _SUM = np.add.reduce
-
-
-@functools.cache
-def _lanczos_columns(ndim: int) -> tuple:
-    """_LANCZOS_C and _LANCZOS_K as columns against ndim more axes."""
-    shape = (-1,) + (1,) * ndim
-    return _LANCZOS_C.reshape(shape), _LANCZOS_K.reshape(shape)
 
 
 class _Weights(NamedTuple):
     """_LogGammaSum's weights (_term_weights)."""
 
     gammas: int
-    g_re: np.ndarray
-    g_im: np.ndarray
     w: np.ndarray
     shift: np.ndarray
     const: float
 
 
-def _term_weights(g_re: list, g_im: list, l_re: list, l_im: list, ndim: int = 3) -> _Weights:
+def _term_weights(g_re: list, g_im: list, l_re: list, l_im: list) -> _Weights:
     """_LogGammaSum's weights for log-gamma terms of weights g_re and g_im
     on the real and imaginary parts and log terms of l_re and l_im: the
-    log-gammas' count and their own weights; the weights on the real
-    part's pieces and on the imaginary part's, in _LogGammaSum's order,
-    as one (2, pieces, 1, ...) array; each term's shift, g - 1/2 for a
-    log-gamma and 0 for a log; all read-only, of ndim axes but for the
-    first; and the real part's constant."""
+    log-gammas' count; the weights on the real part's pieces and on the
+    imaginary part's, in _LogGammaSum's order, as one read-only (2,
+    pieces, 1, 1) array; each term's shift, g - 1/2 for a log-gamma and 0
+    for a log, as a read-only (terms, 1, 1) array; and the real part's
+    constant."""
     g, k = len(g_re), 3 * len(g_re) + len(l_re)
-    flat = np.array(g_re + g_im + g_re + g_re + l_re + [-w for w in g_re]
+    flat = np.array(g_re + g_re + l_re + [-w for w in g_re]
                     + [-w for w in g_im] + g_im + l_im + g_im
                     + [_LANCZOS_G - 0.5] * g + [0.0] * len(l_re), dtype=float)
     flat.flags.writeable = False
-    ones = (1,) * (ndim - 1)
-    return _Weights(g, flat[:g].reshape((-1,) + ones), flat[g:2 * g].reshape((-1,) + ones),
-                    flat[2 * g:2 * g + 2 * k].reshape((2, k) + ones),
-                    flat[2 * g + 2 * k:].reshape((-1,) + ones),
+    return _Weights(g, flat[:2 * k].reshape(2, k, 1, 1), flat[2 * k:].reshape(-1, 1, 1),
                     sum(g_re) * (_HALF_LOG_2PI - _LANCZOS_G) + sum(l_re))
 
 
@@ -417,61 +400,25 @@ class _LogGammaSum:
     weights (_term_weights), so that a term of the conjugate argument
     takes the opposite weight on the imaginary part.
 
-    z holds the x_g, then the v_l, on its first axis; the weights and
-    re0, im0 broadcast against the rest.  Each log-gamma with x >= 0 is
-    Lanczos's approximation, ln A + (u - 1/2)(ln(u + g - 1/2) - 1)
-    + 1/2 ln(2 pi) - g at u = x + i y, A its sum; below x = 0 the reflection
-    Gamma(z) Gamma(1 - z) = pi / sin(pi z) takes it to 1 - x, whose
-    log-gamma is the conjugate of the one at 1 - z, and ln sin(pi z) is
-    taken with x reduced by its nearest integer and cosh(pi y) factored
-    out, so it holds however large |x| or |y|.  What depends on z alone
-    is computed once.  Each evaluation takes the logs and arctangents of
-    A, t + i y (t = x + g - 1/2) and v + i y, the last two over e for
-    their logs less 1, in one call each, and both parts as one weighted
-    sum over one stack of every term's pieces.  Each log-gamma is within 4 eps
-    max(|ln Gamma|, 4) of the true one.
+    z, a (terms, rows, nodes) array, holds the x_g >= 0, then the v_l, on
+    its first axis; the weights and re0, im0 broadcast against the rest.
+    Each log-gamma is Lanczos's approximation, ln A + (u - 1/2)(ln(u + g
+    - 1/2) - 1) + 1/2 ln(2 pi) - g at u = x + i y, A its sum.  What
+    depends on z alone is computed once.  Each evaluation takes the logs
+    and arctangents of A, t + i y (t = x + g - 1/2) and v + i y, the last
+    two over e for their logs less 1, in one call each, and both parts as
+    one weighted sum over one stack of every term's pieces.  Each
+    log-gamma is within 4 eps max(|ln Gamma|, 4) of the true one, and
+    within 6 eps of it at x below 0.05, near the pole at 0.
     """
 
     def __init__(self, z, weights: _Weights, re0=0.0, im0=0.0):
         g = weights.gammas
-        self.g, self.logs, self.weights, self.im1 = g, len(z) - g, weights, im0
-        self.w, const, self.im0, self.reflect = weights.w, weights.const, None, None
+        self.g, self.logs, self.w, self.im0 = g, len(z) - g, weights.w, im0
         x = z[:g]
-        if np.minimum.reduce(x, axis=None) < 0.0:
-            x, const = self._reflect(x)
-            z = np.concatenate((x, z[g:]))
-        self.c, k = _lanczos_columns(x.ndim)
-        self.d, self.dd, self.xh = x + k, None, x - 0.5
+        self.d, self.dd, self.xh = x + _LANCZOS_K, None, x - 0.5
         self.b = (z + weights.shift) / math.e
-        self.re0 = const + re0
-
-    def _reflect(self, x):
-        """Reflect the terms at x < 0: x becomes 1 - x, each such term
-        negates its Lanczos pieces' weights on the real part, and ln pi -
-        ln sin(pi z) joins it, whose pieces follow all the others.
-        Returns the new x and the real part's constant."""
-        g, k, g_re, g_im = self.g, 3 * self.g + self.logs, self.weights.g_re, self.weights.g_im
-        self.reflect = reflect = x < 0.0
-        # sin(pi z) = (-1)^n sin(r + i pi y), r = pi (x - n), n the nearest
-        # integer; 1/2 stands in for an x not reflected
-        x_r = np.where(reflect, x, 0.5)
-        n = np.round(x_r)
-        r = math.pi * (x_r - n)
-        self.sin_r, self.cos_r = np.sin(r), np.cos(r)
-        s_re, m_re, m_im = g_re * (1.0 - 2.0 * reflect), g_re * reflect, g_im * reflect
-        # the real part's new pieces: ln(|sin(pi z)|^2 / cosh(pi y)^2), ln
-        # cosh(pi y); the imaginary part's: arg sin(pi z) less pi (n mod 2),
-        # and a row of zeros
-        w = np.empty((2, k + 2 * g) + x.shape[1:])
-        w[:, :k] = self.w
-        w[0, :2 * g], w[0, 2 * g + self.logs:k] = np.concatenate((s_re, s_re)), -s_re
-        w[0, k:k + g], w[0, k + g:] = -0.5 * m_re, -m_re
-        w[1, k:k + g], w[1, k + g:] = -m_im, 0.0
-        self.w = w
-        self.im0 = -_SUM(m_im * (math.pi * (n % 2.0)), axis=0)
-        const = (_SUM(s_re, axis=0) * (_HALF_LOG_2PI - _LANCZOS_G)
-                 + _SUM(w[0, 2 * g:2 * g + self.logs], axis=0) + _SUM(m_re, axis=0) * _LOG_PI)
-        return np.where(reflect, 1.0 - x, x), const
+        self.re0 = weights.const + re0
 
     def __call__(self, y):
         """Real and imaginary parts at y, broadcasting against the lines."""
@@ -484,7 +431,7 @@ class _LogGammaSum:
         # the conjugate of each Lanczos sum A (its 14 terms one array), then
         # t + i y and v + i y over e
         q = np.add(self.dd, y2)
-        np.divide(self.c, q, out=q)
+        np.divide(_LANCZOS_C, q, out=q)
         xy = np.empty((2, k) + q.shape[2:])
         _SUM(q, axis=0, out=xy[1, :g])
         xy[1, :g] *= y
@@ -494,8 +441,7 @@ class _LogGammaSum:
         np.divide(y, math.e, out=xy[1, g:])
         # the real part's pieces: ln|A|, (x - 1/2)(ln|t + i y| - 1),
         # ln|v + i y| - 1, y arg(t + i y); the imaginary part's: -arg A,
-        # (x - 1/2) arg(t + i y), arg(v + i y), y (ln|t + i y| - 1); then
-        # those of the reflected terms
+        # (x - 1/2) arg(t + i y), arg(v + i y), y (ln|t + i y| - 1)
         f = np.empty(self.w.shape[:2] + q.shape[2:])
         np.arctan2(xy[1], xy[0], out=f[1, :k])
         np.square(xy, out=xy)
@@ -504,19 +450,9 @@ class _LogGammaSum:
         np.multiply(f[1, g:2 * g], y, out=f[0, k:k + g])
         np.multiply(f[0, g:2 * g], y, out=f[1, k:k + g])
         f[:, g:2 * g] *= self.xh
-        if self.reflect is not None:
-            # ln|sin(pi z)| = ln cosh(pi y) + ln|sin r + i cos r tanh(pi y)|
-            p = np.abs(math.pi * y)
-            cos_tanh = self.cos_r * np.tanh(math.pi * y)
-            np.log(self.sin_r * self.sin_r + cos_tanh * cos_tanh, out=f[0, k + g:k + 2 * g])
-            f[0, k + 2 * g:] = p + np.log1p(np.exp(-2.0 * p)) - math.log(2.0)
-            np.arctan2(cos_tanh, self.sin_r, out=f[1, k + g:k + 2 * g])
-            f[1, k + 2 * g:] = 0.0
         re, im = _SUM(self.w * f, axis=1)
         re += self.re0
-        im += y * self.im1
-        if self.im0 is not None:
-            im += self.im0
+        im += y * self.im0
         return re, im
 
     def real(self):
@@ -525,31 +461,14 @@ class _LogGammaSum:
         which warn unless the caller's np.errstate ignores them."""
         g = self.g
         k = 2 * g + self.logs
-        # the real part's pieces at y = 0, y arg(t + i y) and ln cosh(pi y)
-        # being 0
-        f = np.zeros(self.w.shape[1:2] + self.b.shape[1:]) if self.reflect is not None else (
-            np.empty((k,) + self.b.shape[1:]))
-        np.log(_SUM(self.c / self.d, axis=0, initial=_LANCZOS_C0), out=f[:g])
+        # the real part's pieces at y = 0, y arg(t + i y) being 0
+        f = np.empty((k,) + self.b.shape[1:])
+        np.log(_SUM(_LANCZOS_C / self.d, axis=0, initial=_LANCZOS_C0), out=f[:g])
         np.log(np.abs(self.b), out=f[g:k])
         f[g:2 * g] *= self.xh
-        if self.reflect is not None:
-            np.log(self.sin_r * self.sin_r, out=f[k + g:k + 2 * g])
-        out = _SUM(self.w[0, :len(f)] * f, axis=0)
+        out = _SUM(self.w[0, :k] * f, axis=0)
         out += self.re0
         return out
-
-
-def _log_gamma(x, y=None):
-    """ln Gamma(x + i y) elementwise, x and y broadcasting: its real part
-    and its imaginary part modulo 2 pi (_LogGammaSum of one term).  With
-    y None, the real ln|Gamma(x)| alone, +inf at the poles x = 0, -1,
-    -2, ..., as scipy's gammaln."""
-    x = np.asarray(x, dtype=float)
-    terms = _LogGammaSum(x[None], _term_weights([1.0], [1.0], [], [], x.ndim + 1))
-    if y is not None:
-        return terms(y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return terms.real()
 
 
 @functools.lru_cache(maxsize=64)
@@ -565,25 +484,6 @@ def _structure_arrays(structure: tuple) -> tuple:
     signs.flags.writeable = False
     return signs, _term_weights(*([w * (1.0 - 2.0 * d) ** k for d, w in plan]
                                   for plan in (gammas, logs) for k in (0, 1)))
-
-
-def _plan_arrays(gammas, logs, structure) -> tuple:
-    """The integrand's arrays of one plan: each term's offset, the
-    log-gammas' then the logs', as a read-only (terms, 1, 1) array, and
-    its structure's _structure_arrays.  The offsets are float64: the
-    integrand promotes them exactly."""
-    offsets = np.array([o for _, o, _ in gammas + logs]).reshape(-1, 1, 1)
-    offsets.flags.writeable = False
-    return (offsets, *_structure_arrays(structure))
-
-
-def _stacked(plans: list) -> tuple:
-    """_plan_arrays of plans that share one structure, one row per plan:
-    the offsets are (terms, rows, 1)."""
-    offsets, signs, weights = plans[0].arrays
-    if len(plans) == 1:
-        return offsets, signs, weights
-    return np.concatenate([p.arrays[0] for p in plans], axis=1), signs, weights
 
 
 _SADDLE_INDEX = np.arange(65.0)
@@ -605,8 +505,10 @@ class _BlockPlan(NamedTuple):
     the integrand's term plan; its structure, each term's direction and
     weight in plan order; the pole-separating gap (left, right); the
     first saddle pass's grid, a read-only (1, 65) row, and the log
-    integrand there but for its z^u term, likewise; and its
-    _plan_arrays."""
+    integrand there but for its z^u term, likewise; each term's offset,
+    the log-gammas' then the logs', as a read-only (terms, 1, 1) float64
+    array, which the integrand promotes exactly; and its structure's
+    _structure_arrays, the terms' signs and weights."""
 
     gammas: tuple
     logs: tuple
@@ -615,7 +517,9 @@ class _BlockPlan(NamedTuple):
     right: float
     grid: np.ndarray
     base: np.ndarray
-    arrays: tuple
+    offsets: np.ndarray
+    signs: np.ndarray
+    weights: _Weights
 
 
 @functools.lru_cache(maxsize=256)
@@ -631,7 +535,11 @@ def _block_plan(a_front, a_rest, b_front, b_rest) -> _BlockPlan:
     2 pi i, which exp removes.  The gap is (max(a_front) - 1,
     min(b_front)), and must be wider than _MIN_GAP; the first saddle pass
     spans it, 1e-6 clear of each pole or a quarter of a narrower gap, or
-    40 wide beside a lone pole family.
+    40 wide beside a lone pole family.  Every later pass and the line lie
+    within that first span, where each merged log-gamma's real part must
+    stay at or above 0, the range of its Lanczos approximation: the
+    front parameters' terms always do, and a rest parameter's that falls
+    below raises DomainError.
     """
     left = max(a_front, default=-math.inf) - 1.0
     right = min(b_front, default=math.inf)
@@ -654,20 +562,21 @@ def _block_plan(a_front, a_rest, b_front, b_rest) -> _BlockPlan:
     else:
         pad = min(1e-6 * max(1.0, right - left), 0.25 * (right - left))
         lo, hi = left + pad, right - pad
+    for d, o, _ in gammas:
+        x = o - hi if d else o + lo
+        if x < 0.0:
+            raise DomainError(f"log-gamma term Gamma({o!r} {'-' if d else '+'} u) reaches "
+                              f"real part {x!r} < 0 on the saddle range [{lo!r}, {hi!r}]")
     structure = tuple(tuple((d, w) for d, _, w in plan) for plan in (gammas, logs))
-    arrays = _plan_arrays(gammas, logs, structure)
+    signs, weights = _structure_arrays(structure)
+    offsets = np.array([o for _, o, _ in gammas + logs]).reshape(-1, 1, 1)
     grid = _saddle_grid(lo, hi)[None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        base = _terms_at(*arrays, grid).real()
-    for a in (grid, base):
+        base = _LogGammaSum(offsets + signs * grid, weights).real()
+    for a in (offsets, grid, base):
         a.flags.writeable = False
-    return _BlockPlan(tuple(gammas), tuple(logs), structure, left, right, grid, base, arrays)
-
-
-def _terms_at(offsets, signs, weights, u, re0=0.0, im0=0.0) -> _LogGammaSum:
-    """The integrand's log-gamma and log terms on the lines Re = u, u
-    broadcasting against the terms' (rows, 1) offsets."""
-    return _LogGammaSum(offsets + signs * u, weights, re0, im0)
+    return _BlockPlan(tuple(gammas), tuple(logs), structure, left, right, grid, base,
+                      offsets, signs, weights)
 
 
 def _term_scale(plan: _BlockPlan, c: float) -> float:
@@ -689,14 +598,17 @@ class _MellinBarnesIntegrand:
     """log of the Mellin-Barnes integrands of specs that share one term
     structure, one spec per row, from their blocks' cached plans (see
     _block_plan).  ln z is a _column and each term's offsets a (rows, 1)
-    column (_stacked), so the integrand at (rows, nodes) points is one
-    array expression whose every element is computed as a lone spec's
-    would be."""
+    column, so the integrand at (rows, nodes) points is one array
+    expression whose every element is computed as a lone spec's would
+    be."""
 
     def __init__(self, specs: list):
         self.specs = specs
         self.log_z = _column([math.log(s.argument) for s in specs])
-        self.arrays = _stacked([s.plan for s in specs])
+        plan = specs[0].plan
+        self.offsets = plan.offsets if len(specs) == 1 else (
+            np.concatenate([s.plan.offsets for s in specs], axis=1))
+        self.signs, self.weights = plan.signs, plan.weights
 
     def take(self, rows: list) -> "_MellinBarnesIntegrand":
         """The integrand of the given rows, in increasing order, alone."""
@@ -708,11 +620,12 @@ class _MellinBarnesIntegrand:
         """The integrand along the rows' lines Re u = c, c a _column, as a
         function of t: the real and imaginary parts of its log at c + i t,
         the imaginary part modulo 2 pi."""
-        return _terms_at(*self.arrays, c, c * self.log_z, self.log_z)
+        return _LogGammaSum(self.offsets + self.signs * c, self.weights, c * self.log_z,
+                            self.log_z)
 
     def real_axis(self, x: np.ndarray) -> np.ndarray:
         """Re log integrand at real points x."""
-        return x * self.log_z + _terms_at(*self.arrays, x).real()
+        return x * self.log_z + _LogGammaSum(self.offsets + self.signs * x, self.weights).real()
 
 
 def _contour_position(chi: _MellinBarnesIntegrand) -> list:

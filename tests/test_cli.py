@@ -705,6 +705,20 @@ def test_sweep_config_error_fails_before_any_point(text, message, threads, tmp_p
     assert not out.exists()
 
 
+def test_n_cells_axis_past_int64(tmp_path, capsys):
+    # the axis rounds in exact integers: an int64 cast once wrapped 1e20 to
+    # -2^63, warned (an error under the suite's RuntimeWarning filter), and
+    # failed on an N that no key gave
+    cfg, out = tmp_path / "sweep.ini", tmp_path / "out.csv"
+    cfg.write_text("[sweep]\naxis = n_cells\nstart = 1\nstop = 1e20\nsteps = 2\n"
+                   "metrics = capacity\nvariants = asymptotic\n")
+    assert main(["sweep", str(cfg), "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    assert [(r["N"], r["metric"], r["variant"]) for r in rows] == [
+        ("1", "capacity", "asymptotic"), ("100000000000000000000", "capacity", "asymptotic")]
+    assert all(0.0 < float(r["value"]) < math.inf for r in rows[1:])
+
+
 def test_edge_domain_scan(capsys):
     # every route at the accepted domain's edges either prints a checked
     # value or exits 2 or 3; the suite's error::RuntimeWarning filter

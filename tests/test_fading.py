@@ -1,4 +1,5 @@
-"""Fading distributions: densities, CDFs, sampling, sum model."""
+"""Fading distributions: CDFs, sampling, sum model, and the densities
+that the CDFs integrate."""
 
 import math
 import re
@@ -15,13 +16,11 @@ from rislink.fading import (
     FadingParams,
     SumFadingModel,
     cdf,
-    pdf,
     sample,
     sample_sum,
     sum_cdf,
-    sum_pdf,
 )
-from rislink.specfun import MeijerGSpec, ln_beta, meijer_g
+from rislink.specfun import MeijerGSpec, log_gamma, meijer_g
 from rislink.validation import ks_statistic
 
 KS_CRIT_1PCT = 1.63  # times 1/sqrt(n)
@@ -31,16 +30,40 @@ def quad_unit(f):
     return quad(lambda t: f(t / (1.0 - t)) / (1.0 - t) ** 2, 0.0, 1.0, limit=300)[0]
 
 
-def sum_pdf_hyp2f1(model: SumFadingModel, g: float) -> float:
-    """Aggregate density through its hypergeometric form.
+def ln_beta(a: float, b: float) -> float:
+    return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
 
-    (xi g)^(Nm) / (g B(Nm,Nms)) * 2F1(N(m+m_s), Nm; Nm; -xi g); an
-    independent cross-check of :func:`sum_pdf` (the 2F1 is evaluated
-    by scipy's generic hyp2f1, not collapsed to the binomial it equals).
+
+def f_density(a: float, b: float, c: float, g: float) -> float:
+    """The F law's density c^a g^(a-1) / (B(a, b) (1 + c g)^(a+b)) at g > 0,
+    in logs: (m, m_s, L) for a branch, (Nm, Nms, xi) for the aggregate."""
+    return math.exp(a * math.log(c) + (a - 1.0) * math.log(g) - ln_beta(a, b)
+                    - (a + b) * math.log1p(c * g))
+
+
+def branch_density(p: FadingParams, g: float) -> float:
+    return f_density(p.m, p.m_s, p.rate, g)
+
+
+def sum_density(model: SumFadingModel, g: float) -> float:
+    return f_density(model.nm, model.nms, model.xi, g)
+
+
+def sum_cdf_hyp2f1(model: SumFadingModel, g: float) -> float:
+    """Aggregate CDF through its hypergeometric form.
+
+    (xi g)^(Nm) / (Nm B(Nm,Nms)) * 2F1(N(m+m_s), Nm; Nm + 1; -xi g), the
+    density's integral term by term; an independent cross-check of
+    :func:`sum_cdf` (scipy's generic hyp2f1, not its incomplete beta).
     """
     nm, nms, xi = model.nm, model.nms, model.xi
-    front = math.exp(nm * math.log(xi * g) - math.log(g) - ln_beta(nm, nms))
-    return front * float(hyp2f1(nm + nms, nm, nm, -xi * g))
+    front = math.exp(nm * math.log(xi * g) - math.log(nm) - ln_beta(nm, nms))
+    return front * float(hyp2f1(nm + nms, nm, nm + 1.0, -xi * g))
+
+
+def cdf_mean(f) -> float:
+    """The mean of a law on g >= 0 from its CDF f: the integral of 1 - f."""
+    return quad_unit(lambda g: 1.0 - f(g))
 
 
 class TestParams:
@@ -58,30 +81,39 @@ class TestParams:
 
 
 class TestPdf:
+    """The branch density, as the CDF carries it."""
+
     def test_closed_values(self):
         p = FadingParams(m=1.0, m_s=2.0, g_bar=1.0)
-        # density reduces to 2 / (1+g)^3
-        assert pdf(p, 0.0) == pytest.approx(2.0, rel=1e-12)
-        assert pdf(p, 1.0) == pytest.approx(0.25, rel=1e-12)
+        # density 2 / (1+g)^3, CDF 1 - 1/(1+g)^2: slope 2 at the origin
+        for g in (0.5, 1.0, 3.0):
+            assert cdf(p, g) == pytest.approx(1.0 - (1.0 + g) ** -2, rel=1e-14)
+        assert cdf(p, 1e-9) / 1e-9 == pytest.approx(2.0, rel=1e-8)
 
     def test_negative_g_rejected(self):
         with pytest.raises(DomainError):
-            pdf(FadingParams(2.0, 5.0), -0.1)
+            cdf(FadingParams(2.0, 5.0), -0.1)
+        with pytest.raises(DomainError):
+            sum_cdf(SumFadingModel(FadingParams(2.0, 5.0), 2), -0.1)
 
     def test_matches_meijer_route(self):
-        # density == (1/(Gamma(m)Gamma(m_s))) g^-1 G^{1,1}_{1,1}[L g | 1-m_s; m]
+        # the density's integral to v, G^{1,1}_{1,1}[L g | 1-m_s; m] / g over
+        # Gamma(m) Gamma(m_s), is G^{1,2}_{2,2}[L v | 1, 1-m_s; m, 0] over
+        # the same
         p = FadingParams(m=2.0, m_s=5.0, g_bar=1.3)
-        for g in (0.2, 1.0, 4.0):
-            r = meijer_g(MeijerGSpec([1.0 - p.m_s], [], [p.m], [], p.rate * g))
-            want = r.value / (math.gamma(p.m) * math.gamma(p.m_s) * g)
-            assert pdf(p, g) == pytest.approx(want, rel=1e-11)
+        for v in (0.2, 1.0, 4.0):
+            r = meijer_g(MeijerGSpec([1.0, 1.0 - p.m_s], [], [p.m], [0.0], p.rate * v))
+            want = r.value / (math.gamma(p.m) * math.gamma(p.m_s))
+            assert cdf(p, v) == pytest.approx(want, rel=1e-11)
 
     @pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 4.0])
     @pytest.mark.parametrize("m_s", [1.5, 2.0, 5.0, 20.0])
     def test_normalization(self, m, m_s):
+        # the CDF of a unit mean power: 0 at the origin, and the integral of
+        # its complement is the mean, 1
         p = FadingParams(m=m, m_s=m_s, g_bar=1.0)
-        total = quad_unit(lambda g: pdf(p, g))
-        assert total == pytest.approx(1.0, abs=1e-8)
+        assert cdf(p, 0.0) == 0.0
+        assert cdf_mean(lambda g: cdf(p, g)) == pytest.approx(1.0, abs=1e-8)
 
 
 class TestCdf:
@@ -97,7 +129,7 @@ class TestCdf:
     @pytest.mark.parametrize("v", [0.1, 1.0, 10.0])
     def test_matches_integrated_pdf(self, v):
         p = FadingParams(m=2.0, m_s=5.0, g_bar=1.0)
-        want = quad(lambda g: pdf(p, g), 0.0, v, limit=200)[0]
+        want = quad(lambda g: branch_density(p, g), 0.0, v, limit=200)[0]
         assert cdf(p, v) == pytest.approx(want, abs=1e-8)
 
     def test_monotone(self):
@@ -152,45 +184,52 @@ class TestSumModel:
         assert np.isfinite(model.log_lambda_norm)
 
     def test_two_pdf_forms_agree(self):
+        # the aggregate CDF against the integral of its density's 2F1 form
         for n, m, m_s in [(1, 1.0, 2.0), (2, 1.5, 3.0), (4, 0.7, 2.5)]:
             model = SumFadingModel(FadingParams(m, m_s), n)
             for g in (0.3, 1.0, 2.0):
-                a = sum_pdf(model, g)
-                b = sum_pdf_hyp2f1(model, g)
+                a = sum_cdf(model, g)
+                b = sum_cdf_hyp2f1(model, g)
                 assert b == pytest.approx(a, rel=1e-10)
 
     def test_normalizes(self):
+        # the aggregate density integrates to 1, and the CDF to its partial
+        # integrals
         model = SumFadingModel(FadingParams(1.0, 5.0), 8)
-        total = quad_unit(lambda g: sum_pdf(model, g))
-        assert total == pytest.approx(1.0, abs=1e-8)
+        assert quad_unit(lambda g: sum_density(model, g)) == pytest.approx(1.0, abs=1e-8)
+        for v in (1.0, 8.0, 100.0):
+            want = quad(lambda g: sum_density(model, g), 0.0, v, limit=200)[0]
+            assert sum_cdf(model, v) == pytest.approx(want, abs=1e-8)
+        assert sum_cdf(model, 1e8) == pytest.approx(1.0, abs=1e-12)
 
     def test_origin_behavior(self):
         model = SumFadingModel(FadingParams(2.0, 5.0), 2)
-        assert sum_pdf(model, 0.0) == 0.0  # Nm > 1
-        # near 0 the density is g^(Nm-1) xi^Nm / B(Nm, Nms)
+        assert sum_cdf(model, 0.0) == 0.0
+        # near 0 the CDF is (xi g)^Nm / (Nm B(Nm, Nms))
         nm, g = model.nm, 1e-6
-        origin = math.exp(nm * math.log(model.xi) - ln_beta(nm, model.nms)) * g ** (nm - 1.0)
-        assert origin / sum_pdf(model, g) == pytest.approx(1.0, abs=1e-3)
+        origin = math.exp(nm * math.log(model.xi * g) - math.log(nm) - ln_beta(nm, model.nms))
+        assert origin / sum_cdf(model, g) == pytest.approx(1.0, abs=1e-3)
 
     def test_origin_constant_case(self):
-        # Nm = 1: density at the origin is xi / B(1, Nms) = 1.0 here
+        # Nm = 1: the density at the origin, the CDF's slope there, is
+        # xi / B(1, Nms) = 1.0 here
         model = SumFadingModel(FadingParams(1.0, 5.0), 1)
-        assert sum_pdf(model, 0.0) == pytest.approx(1.0, rel=1e-12)
-        assert sum_pdf(model, 1e-12) == pytest.approx(1.0, rel=1e-10)
+        assert sum_cdf(model, 1e-12) / 1e-12 == pytest.approx(1.0, rel=1e-10)
 
     def test_single_branch_correspondence(self):
-        # the aggregate form at N=1 is the single-branch density whose
-        # mean power makes the two scale parameters coincide:
+        # the aggregate form at N=1 is the single-branch law whose mean
+        # power makes the two scale parameters coincide:
         # L = m/((m_s-1) g_bar) = m/m_s  <=>  g_bar = m_s/(m_s-1)
         m, m_s = 1.5, 4.0
         model = SumFadingModel(FadingParams(m, m_s), 1)
         p = FadingParams(m, m_s, g_bar=m_s / (m_s - 1.0))
         for g in (0.1, 0.7, 2.0, 9.0):
-            assert sum_pdf(model, g) == pytest.approx(pdf(p, g), rel=1e-10)
+            assert sum_cdf(model, g) == pytest.approx(cdf(p, g), rel=1e-10)
+        assert model.mean() == pytest.approx(p.g_bar, rel=1e-15)
 
     def test_first_moment_vs_mc(self):
         model = SumFadingModel(FadingParams(1.0, 5.0), 4)
-        mean_quad = quad_unit(lambda g: g * sum_pdf(model, g))
+        mean_quad = cdf_mean(lambda g: sum_cdf(model, g))
         rng = np.random.default_rng(5150)
         n = 10**6
         draws = sample_sum(model, MODEL_DRAW, rng, size=n)

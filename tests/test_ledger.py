@@ -1,6 +1,7 @@
-"""The output ledger: every shipped sweep, the exact, asymptotic and
-quadrature ``metrics`` rows and ``selftest``, regenerated in process and
-compared with the outputs recorded in ``tests/ledger``.
+"""The output ledger: every shipped sweep, the ``metrics`` rows of each
+metric and variant, ``selftest``, the seeded validate reports and the
+physical-mode sweep, regenerated in process and compared with the
+outputs recorded in ``tests/ledger``.
 
 ``manifest.json`` holds each run's argv, exit code and the sha256 of its
 output, with the numpy and scipy versions and numpy's enabled CPU
@@ -10,8 +11,11 @@ the last bits of a libm or SIMD loop may move, every column but
 ``value`` and ``error_estimate`` must match exactly, each value must lie
 within the summed error estimates of its recorded row (1e-12 relative
 where both are 0, as for the asymptotes), and ``selftest`` must print
-the same lines but for the digits it got.  Monte-Carlo outputs are left
-out.
+the same lines but for the digits it got.  The seeded Monte-Carlo
+outputs (the validate reports, the physical-mode sweep and the ``mc``
+``metrics`` rows) carry no error estimate that bounds a move of their
+last bits: off the fingerprint, every column that is not a number, ``ok``
+among them, must match exactly, and every number within 1e-9 relative.
 
 After an intended change of output, rewrite the ledger with
 
@@ -44,6 +48,21 @@ VALUE_COLUMNS = ("value", "error_estimate")
 ZERO_ESTIMATE_REL = 1e-12
 # selftest's computed digits: "got <x>" and "rel <x>"
 SELFTEST_DIGITS = re.compile(r"(got|rel) \S+")
+# how far a Monte-Carlo output's number may move off the fingerprint
+MC_REL = 1e-9
+
+MC_RUNS = {
+    "validate_smoke": ["validate", "--preset", "smoke", "--seed", "42", "--out", "{out}"],
+    "validate_smoke_physical": ["validate", "--preset", "smoke", "--seed", "42",
+                                "--mc-mode", "physical", "--out", "{out}"],
+    "validate_full": ["validate", "--preset", "full", "--seed", "42", "--mc-samples", "100000",
+                      "--out", "{out}"],
+    "mc_physical": ["sweep", "perfbench/configs/mc_physical.ini", "--seed", "42",
+                    "--out", "{out}"],
+    **{f"metrics_{metric}_mc": ["metrics", "--metric", metric, "--variant", "mc",
+                                "--n-cells", "16", "--lambda", "0.5"]
+       for metric in ("capacity", "ber", "outage")},
+}
 
 RUNS = {
     **{name: ["sweep", f"configs/{name}.ini", "--out", "{out}"]
@@ -53,6 +72,7 @@ RUNS = {
        for metric in ("capacity", "ber", "outage")
        for variant in ("exact", "asymptotic", "quadrature")},
     "selftest": ["selftest"],
+    **MC_RUNS,
 }
 
 
@@ -84,6 +104,17 @@ def output_path(name: str) -> Path:
     return LEDGER / (f"{name}.txt" if name == "selftest" else f"{name}.csv")
 
 
+def same_number(got: str | None, want: str | None) -> bool:
+    """Whether a Monte-Carlo output's cell matches its recorded one: the
+    same text, or two numbers within MC_REL relative."""
+    if got == want:
+        return True
+    try:
+        return abs(float(got) - float(want)) <= MC_REL * abs(float(want))
+    except (TypeError, ValueError):
+        return False
+
+
 def disagreements(name: str, got: str, want: str) -> list:
     """The differences between an output and its recorded one that the
     ledger does not allow on a foreign fingerprint, one line each."""
@@ -94,6 +125,10 @@ def disagreements(name: str, got: str, want: str) -> list:
     got, want = (list(csv.DictReader(io.StringIO(s))) for s in (got, want))
     if len(got) != len(want):
         return [f"{len(got)} rows != {len(want)}"]
+    if name in MC_RUNS:
+        return [f"row {i}: {k} {g.get(k)!r} != {w.get(k)!r}"
+                for i, (g, w) in enumerate(zip(got, want))
+                for k in {**w, **g} if not same_number(g.get(k), w.get(k))]
     bad = []
     for i, (g, w) in enumerate(zip(got, want)):
         if g.keys() != w.keys():
@@ -169,6 +204,26 @@ def test_foreign_fingerprint_allows_only_moves_within_the_estimates():
     selftest = output_path("selftest").read_text()
     assert disagreements("selftest", selftest.replace("got 2.5", "got 2.6", 1), selftest) == []
     assert disagreements("selftest", selftest.replace("PASS", "FAIL", 1), selftest) != []
+
+
+def test_foreign_fingerprint_allows_monte_carlo_numbers_to_move_by_1e_9():
+    want = output_path("validate_smoke").read_text()
+    rows = list(csv.reader(io.StringIO(want)))
+    header, row = rows[0], rows[1]
+    mean, ok = header.index("mc_mean"), header.index("ok")
+
+    def edited(column, text):
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(
+            [r if r is not row else [*r[:column], text, *r[column + 1:]] for r in rows])
+        return disagreements("validate_smoke", out.getvalue(), want)
+
+    v = float(row[mean])
+    assert edited(mean, repr(v)) == []
+    assert edited(mean, repr(v * (1 + 1e-10))) == []
+    assert edited(mean, repr(v * (1 + 1e-8))) != []
+    assert edited(ok, "False" if row[ok] == "True" else "True") != []
+    assert edited(header.index("note"), "moved") != []
 
 
 if __name__ == "__main__":
