@@ -408,8 +408,7 @@ class _LogGammaSum:
     and arctangents of A, t + i y (t = x + g - 1/2) and v + i y, the last
     two over e for their logs less 1, in one call each, and both parts as
     one weighted sum over one stack of every term's pieces.  Each
-    log-gamma is within 4 eps max(|ln Gamma|, 4) of the true one, and
-    within 6 eps of it at x below 0.05, near the pole at 0.
+    log-gamma is within 4 eps max(|ln Gamma|, 4) of the true one.
     """
 
     def __init__(self, z, weights: _Weights, re0=0.0, im0=0.0):
