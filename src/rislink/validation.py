@@ -435,14 +435,24 @@ def point_cases(eta: float, fading: FadingParams, n_cells: int, metrics,
 
 
 _CHUNK = 1 << 18
+# scipy's erfc is exactly 0.0 from here up (26.65^2 passes Cephes' MAXLOG,
+# 709.78), so a BER draw whose erfc argument reaches it scores 0
+_ERFC_ZERO = 26.65
 
 
 def _metric_samples(cfg: LinkConfig, which: str, gamma_th: float, g: np.ndarray,
-                    vals: np.ndarray, mask: np.ndarray) -> None:
+                    vals: np.ndarray, mask: np.ndarray) -> bool:
     """Write one metric's value at each channel power of g into vals: the
     ufuncs, in the order, of log2(1 + eta g), 0.5 erfc(sqrt(2 eta lambda
-    g) / sqrt 2) and (eta g < gamma_th) as float, with mask as outage's
-    bool buffer."""
+    g) / sqrt 2) and (eta g < gamma_th) as float, with mask as the bool
+    buffer.
+
+    BER runs erfc only where its argument is below ``_ERFC_ZERO``: on
+    every draw when more than 3/4 of them are, else on those draws alone,
+    gathered and scattered back over zeros; either way each draw gets the
+    bits of one erfc call on all of them.  Returns False, vals left
+    undefined, when it knows every value is 0: a BER with no argument
+    below the cutoff, or an outage with no draw below the threshold."""
     eta = cfg.eta
     if which == CAPACITY:
         np.multiply(g, eta, out=vals)
@@ -454,11 +464,26 @@ def _metric_samples(cfg: LinkConfig, which: str, gamma_th: float, g: np.ndarray,
         np.multiply(g, 2.0 * eta * cfg.lambda_mod, out=vals)
         np.sqrt(vals, out=vals)
         np.divide(vals, _SQRT2, out=vals)
-        erfc(vals, out=vals)
-        np.multiply(vals, 0.5, out=vals)
+        # a nan argument (an eta lambda past double range at g = 0) stays live
+        dead = np.count_nonzero(np.greater_equal(vals, _ERFC_ZERO, out=mask))
+        if dead == vals.size:
+            return False
+        if 4 * dead < vals.size:
+            erfc(vals, out=vals)
+            np.multiply(vals, 0.5, out=vals)
+        else:
+            # never erfc's where=: scipy 1.17.1 returns wrong values with it
+            idx = np.flatnonzero(np.logical_not(mask, out=mask))
+            part = vals[idx]
+            erfc(part, out=part)
+            np.multiply(part, 0.5, out=part)
+            vals.fill(0.0)
+            vals[idx] = part
     else:  # outage
-        np.less(np.multiply(g, eta, out=vals), gamma_th, out=mask)
+        if not np.less(np.multiply(g, eta, out=vals), gamma_th, out=mask).any():
+            return False
         np.copyto(vals, mask)
+    return True
 
 
 @dataclass(eq=False)
@@ -509,7 +534,12 @@ def mc_metrics(cases, mc: McConfig, sums: BranchSums | None = None) -> list[Metr
     conditional error probability Q(sqrt(2 eta lambda g)) directly (no bit
     flips), outage averages the threshold indicator.  Aggregation merges
     (count, mean, M2) triples over fixed-size chunks, so the result is
-    bit-identical for a given seed regardless of scheduling.  Each is a
+    bit-identical for a given seed regardless of scheduling.  A chunk
+    whose values are all 0 (a BER whose erfc arguments all reach
+    ``_ERFC_ZERO``, where scipy's erfc is exactly 0, or an outage with no
+    draw below its threshold) skips the moment passes and merges (0.0,
+    0.0), what they return on zeros; BER runs erfc only on the draws
+    below the cutoff (see :func:`_metric_samples`).  Each is a
     MetricResult of method "mc": the mean, its standard error, and
     diagnostics holding the draw mode as ``method`` and the draws as
     ``evals``.
@@ -559,11 +589,12 @@ def mc_metrics(cases, mc: McConfig, sums: BranchSums | None = None) -> list[Metr
             tot = n_total + k
             for i, (cfg, which, gamma_th, *_) in enumerate(cases):
                 # vals.mean() and ((vals - mean) ** 2).sum() in one buffer: the
-                # same ufuncs in the same order
-                _metric_samples(cfg, which, gamma_th, g, vals, mask)
-                c_mean = float(np.add.reduce(vals) / k)
-                vals -= c_mean
-                c_m2 = float(np.add.reduce(np.square(vals, out=vals)))
+                # same ufuncs in the same order; all zeros give (0.0, 0.0)
+                c_mean = c_m2 = 0.0
+                if _metric_samples(cfg, which, gamma_th, g, vals, mask):
+                    c_mean = float(np.add.reduce(vals) / k)
+                    vals -= c_mean
+                    c_m2 = float(np.add.reduce(np.square(vals, out=vals)))
                 # Chan et al. pairwise merge of (n, mean, M2)
                 mean, m2 = moments[i]
                 delta = c_mean - mean

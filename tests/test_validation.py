@@ -582,24 +582,95 @@ def ref_metric_samples(cfg, which, gamma_th, g):
     return (cfg.eta * g < gamma_th).astype(float)
 
 
+def ref_chunks(model, mc):
+    """The chunks of channel powers that mc_metrics scores, from the
+    allocating draws: a model sample drawn a chunk at a time, a physical
+    one whole."""
+    rng = np.random.default_rng(np.random.SeedSequence(mc.seed))
+    n, size, physical = mc.n_samples, validation._CHUNK, mc.mode == PHYSICAL_DRAW
+    whole = ref_sample_sum(model, mc.mode, rng, size=n) if physical else None
+    for start in range(0, n, size):
+        k = min(size, n - start)
+        yield whole[start:start + k] if physical else ref_sample_sum(model, mc.mode, rng, size=k)
+
+
+def ref_branch(cfg, which, gamma_th, g):
+    """The scoring path one chunk of draws takes, and the draws it runs
+    erfc on: BER by how many erfc arguments reach the cutoff, outage
+    with or without a draw below its threshold."""
+    if which == BER:
+        x = np.sqrt(2.0 * cfg.eta * cfg.lambda_mod * g) / math.sqrt(2.0)
+        dead = np.count_nonzero(x >= validation._ERFC_ZERO)
+        if dead == g.size:
+            return "ber none live", 0
+        if not dead:
+            return "ber all live", g.size
+        if 4 * dead < g.size:
+            return "ber over 3/4 live", g.size
+        return "ber gathered", g.size - dead
+    if which == OUTAGE and not (cfg.eta * g < gamma_th).any():
+        return "outage none below", 0
+    return which, 0
+
+
+BRANCHES = {CAPACITY, OUTAGE, "ber none live", "ber all live", "ber over 3/4 live",
+            "ber gathered", "outage none below"}
+
+
 class TestMcMetrics:
     @pytest.mark.parametrize("mode,n_samples", [
         (MODEL_DRAW, 50_000),
         (PHYSICAL_DRAW, 20_000),
         (MODEL_DRAW, validation._CHUNK + 10_000),
     ])
-    def test_each_case_equals_a_lone_call(self, mode, n_samples):
+    def test_each_case_equals_a_lone_call(self, monkeypatch, mode, n_samples):
         mc = McConfig(n_samples, 99, mode)
+        # BER's erfc argument reaches the cutoff where eta g >= 710: at eta
+        # 100 for about a tenth of the draws, at 200 for about half, at 1e5
+        # for all; a few draws' 10 g fall below 2, none below 0.1
         cases = [
             (cfg_eta(10.0, F15, 4), CAPACITY, math.nan),
             (cfg_eta(10.0, F15, 4, lam=0.5), BER, math.nan),
             (cfg_eta(10.0, F15, 4), BER, math.nan),
+            (cfg_eta(100.0, F15, 4), BER, math.nan),
+            (cfg_eta(200.0, F15, 4), BER, math.nan),
             (cfg_eta(10.0, F15, 4), OUTAGE, 2.0),
             (cfg_eta(300.0, F15, 4), OUTAGE, 4.0),
+            (cfg_eta(10.0, F15, 4), OUTAGE, 20.0),
+            (cfg_eta(1e5, F15, 4), BER, math.nan),
+            (cfg_eta(10.0, F15, 4), OUTAGE, 0.1),
         ]
+        paths = [ref_branch(*case, g) for g in ref_chunks(cases[0][0].model(), mc)
+                 for case in cases]
+        assert {branch for branch, _ in paths} == BRANCHES
+        # the draws each erfc call of the shared call runs on
+        import scipy.special
+
+        erfc_sizes, scipy_erfc = [], scipy.special.erfc
+
+        def erfc(x, out):
+            erfc_sizes.append(x.size)
+            return scipy_erfc(x, out=out)
+
+        monkeypatch.setattr(scipy.special, "erfc", erfc)
         shared = mc_metrics(cases, mc)
+        assert erfc_sizes == [size for _, size in paths if size]
         lone = [mc_metric(cfg, which, mc, gamma_th=g) for cfg, which, g in cases]
         assert shared == lone  # bit-identical dataclass equality
+        assert [(r.value, r.error_estimate) for r in shared[-2:]] == [(0.0, 0.0)] * 2
+
+    def test_erfc_is_zero_from_the_cutoff(self):
+        # BER scores 0 where erfc's argument reaches _ERFC_ZERO without
+        # calling erfc; the installed scipy must give exactly 0.0 there, and
+        # more than 0 at 26.64, so the cutoff lies within 0.01 of the edge
+        from scipy.special import erfc
+
+        zero = validation._ERFC_ZERO
+        assert zero ** 2 > 709.782712893384  # Cephes' MAXLOG
+        grid = np.append(np.geomspace(zero, 1e300, 2000), np.inf)
+        assert grid[0] == zero
+        assert not erfc(grid).any()
+        assert erfc(zero) == 0.0 and erfc(26.64) > 0.0
 
     def test_cases_must_share_one_model(self):
         cases = [(cfg_eta(10.0, F15, 1), CAPACITY, math.nan),
@@ -629,17 +700,26 @@ class TestMcMetrics:
         # A model sample is drawn a chunk at a time, a physical one whole
         monkeypatch.setattr(validation, "_CHUNK", 4096)
         mc = McConfig(10_000, 17, mode)
+        cut = validation._ERFC_ZERO ** 2
+        reached = set()
         for n in (1, 3, 17):
-            cases = point_cases(10.0, F15, n, (CAPACITY, BER, OUTAGE), (1.0, 0.5), (3.0, 6.0))
-            model = cases[0][0].model()
-            rng = np.random.default_rng(np.random.SeedSequence(mc.seed))
-            whole = (ref_sample_sum(model, mode, rng, size=mc.n_samples)
-                     if mode == PHYSICAL_DRAW else None)
+            model = SumFadingModel(F15, n)
+            chunks = list(ref_chunks(model, mc))
+            g_all = np.concatenate(chunks)
+            # at eta 10, BER's cutoff lies past every draw; etas that put it at
+            # the 90th and 50th percentiles and under the least draw; a
+            # threshold under the least 10 g
+            g_min = g_all.min()
+            gammas_th_db = (3.0, 6.0, 10.0 * math.log10(10.0 * g_min / 2.0))
+            cases = point_cases(10.0, F15, n, (CAPACITY, BER, OUTAGE), (1.0, 0.5), gammas_th_db)
+            for eta in (*(cut / np.quantile(g_all, (0.9, 0.5))), 2.0 * cut / g_min):
+                cases += point_cases(float(eta), F15, n, (BER,), (1.0,), ())
             n_total, moments = 0, [(0.0, 0.0)] * len(cases)
-            for k in (4096, 4096, 1808):
-                g = (whole[n_total:n_total + k] if mode == PHYSICAL_DRAW
-                     else ref_sample_sum(model, mode, rng, size=k))
+            assert [g.size for g in chunks] == [4096, 4096, 1808]
+            for g in chunks:
+                k = g.size
                 tot = n_total + k
+                reached.update(ref_branch(*case[:3], g)[0] for case in cases)
                 for i, (cfg, which, gamma_th, _) in enumerate(cases):
                     vals = ref_metric_samples(cfg, which, gamma_th, g)
                     c_mean = float(vals.mean())
@@ -652,8 +732,9 @@ class TestMcMetrics:
             got = [(r.value, r.error_estimate) for r in mc_metrics(cases, mc)]
             want = [(mean, math.sqrt(m2 / (n_total - 1) / n_total)) for mean, m2 in moments]
             assert n_total == mc.n_samples
-            assert [case[1] for case in cases] == [CAPACITY, BER, BER, OUTAGE, OUTAGE]
+            assert [case[1] for case in cases] == [CAPACITY, BER, BER] + [OUTAGE] * 3 + [BER] * 3
             assert got == want, n
+        assert reached == BRANCHES
 
 
     def test_lone_physical_value_is_pinned(self):
